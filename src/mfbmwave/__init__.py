@@ -43,6 +43,7 @@ from .wavstats import (
     DegenerateAsymptoticsError,
     theoretical_wavelet_cov,
     theoretical_wavelet_cov_2d,
+    wavelet_cov_quadrature,
     scale_law_constant,
     asymptotic_law,
     asymptotic_wavelet_cov,

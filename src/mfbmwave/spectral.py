@@ -370,7 +370,7 @@ def inverse_spectral_cov(query: WaveletCovQuery, params: MfbmParams,
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Comparison of the inverse spectral transform with direct quadrature."""
+    """Inverse spectral transform against the closed-form covariance."""
 
     query: WaveletCovQuery
     h_values: np.ndarray
@@ -388,7 +388,11 @@ class ConsistencyReport:
 def spectral_vs_time_consistency(query: WaveletCovQuery, params: MfbmParams,
                                  wavelet: Wavelet, h_values=(0.0, 1.0, 4.0),
                                  tol: float = 1e-3) -> ConsistencyReport:
-    """Max relative deviation between the two independent covariance routes."""
+    """Max relative deviation between the two independent covariance routes.
+
+    ``time_values`` come from the closed form :func:`theoretical_wavelet_cov`,
+    ``freq_values`` from :func:`inverse_spectral_cov`.
+    """
     h_values = np.asarray(h_values, dtype=float)
     time_vals = np.array([
         theoretical_wavelet_cov(

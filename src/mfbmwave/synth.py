@@ -142,11 +142,17 @@ _FACTOR_CACHE_SIZE = 8
 
 
 def _cached_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
+    """Cached factor of admissible parameters.
+
+    Admissibility is checked on a cache miss, before the build, so a cached
+    factor implies admissible parameters and a hit needs no check.
+    """
     key = (params.fingerprint(), n, dt)
     with _factor_lock:
         if key in _factor_cache:
             _factor_cache.move_to_end(key)
             return _factor_cache[key]
+    _require_admissible(params)
     fac = build_embedding(params, n, dt)
     with _factor_lock:
         _factor_cache[key] = fac
@@ -182,7 +188,6 @@ def simulate(params: MfbmParams, n: int, dt: float, seed: int):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    _require_admissible(params)
     fac = _cached_embedding(params, n, dt)
     m, p = fac.m, params.p
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -204,8 +209,7 @@ def replicate_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    _require_admissible(params)
-    _cached_embedding(params, n, dt)  # build once before fanning out
+    _cached_embedding(params, n, dt)  # check and build once before fanning out
     seeds = [derive_seed(seed, r) for r in range(count)]
 
     def one(s: int) -> SamplePath:

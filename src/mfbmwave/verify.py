@@ -21,6 +21,7 @@ from .wavstats import (
     asymptotic_wavelet_cov,
     scale_law_constant,
     theoretical_wavelet_cov,
+    wavelet_cov_quadrature,
 )
 from .spectral import (
     RepresentationKernel,
@@ -35,6 +36,14 @@ from .estimate import fit_power_law
 
 BAHR_ALPHAS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 BAHR_VS = (-5.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0)
+
+# Mixed tolerance of the closed-form-vs-quadrature checks, |closed - quad| <=
+# XCHECK_ABS + XCHECK_REL |closed|.  It covers the quadrature's own error:
+# its absolute target is 1e-11 on the kernel integral, at most 5e-12 on the
+# covariance for the unit-amplitude configurations at scales >= 1 used here,
+# and its relative target is 1e-11.
+XCHECK_ABS = 1e-10
+XCHECK_REL = 1e-9
 
 
 def _check(name, measured, target, tolerance, provenance, note=None,
@@ -53,6 +62,23 @@ def _check(name, measured, target, tolerance, provenance, note=None,
     }
     if note:
         entry["note"] = note
+    return entry
+
+
+def _closed_vs_quadrature(label, queries, params, wavelet):
+    """Closed-form covariance against the independent quadrature route."""
+    worst = 0.0
+    for q in queries:
+        closed = theoretical_wavelet_cov(q, params, wavelet)
+        quad = wavelet_cov_quadrature(q, params, wavelet)
+        worst = max(worst, abs(closed - quad) / (XCHECK_ABS + XCHECK_REL * abs(closed)))
+    where = ", ".join(f"(a1={q.a1:g}, a2={q.a2:g}, h={q.h:g})" for q in queries)
+    entry = _check(
+        f"closed-form-vs-quadrature-{label}", worst, 0.0, 1.0,
+        "closed-form-vs-quadrature",
+        note=f"max |closed - quadrature| / ({XCHECK_ABS:g} + {XCHECK_REL:g} "
+             f"|closed|) over {where}")
+    entry.update(abs_tol=XCHECK_ABS, rel_tol=XCHECK_REL)
     return entry
 
 
@@ -166,7 +192,7 @@ def verify_scaling() -> dict:
                                         params, wavelet) for a in scales]
         rep = fit_power_law(scales, np.abs(covs))
         checks.append(_check(f"scale-exponent-{label}", rep.slope, alpha + 1.0,
-                             0.02, "quadrature"))
+                             0.02, "closed-form"))
         law = scale_law_constant(params, wavelet, 0, 1)
         corr_lo = covs[0] / math.sqrt(
             theoretical_wavelet_cov(WaveletCovQuery(0, 0, 1.0, 1.0), params,
@@ -175,8 +201,11 @@ def verify_scaling() -> dict:
                                       wavelet).real)
         checks.append(_check(
             f"scale-free-correlation-{label}", abs(corr_lo - law.correlation),
-            0.0, 1e-7, "quadrature",
+            0.0, 1e-7, "closed-form",
             note="instantaneous correlation at a = 1 equals the scale-free constant"))
+        checks.append(_closed_vs_quadrature(
+            label, [WaveletCovQuery(0, 1, a, a, 0.0) for a in (1.0, 16.0)],
+            params, wavelet))
     return _finish("scaling", checks, t0)
 
 
@@ -194,22 +223,26 @@ def verify_decay() -> dict:
     hs = np.geomspace(2.0 ** 5, 2.0 ** 9, 9)
     for label, params, M, slope_target in _DECAY_CONFIGS:
         wavelet = gaussian_derivative(M)
-        quads = np.array([
+        exact = np.array([
             theoretical_wavelet_cov(WaveletCovQuery(0, 1, 1.0, 1.0, h),
                                     params, wavelet) for h in hs])
         asyms = np.array([
             asymptotic_wavelet_cov(WaveletCovQuery(0, 1, 1.0, 1.0, h),
                                    params, wavelet) for h in hs])
-        rep = fit_power_law(hs, np.abs(quads))
+        rep = fit_power_law(hs, np.abs(exact))
         checks.append(_check(f"decay-slope-{label}", rep.slope, slope_target,
-                             0.05, "quadrature"))
-        devs = np.abs(quads.real / asyms.real - 1.0)
+                             0.05, "closed-form"))
+        devs = np.abs(exact.real / asyms.real - 1.0)
         checks.append(_check(f"decay-ratio-at-h512-{label}", devs[-1], 0.0,
-                             0.1, "quadrature-vs-closed-form"))
+                             0.1, "closed-form-vs-asymptotic-law"))
         checks.append(_check(
             f"decay-ratio-monotone-{label}",
             float(np.all(np.diff(devs) < 0.0)), 1.0, 0.0, "derived",
-            note="|quadrature/asymptotic - 1| decreases along the lag grid"))
+            note="|exact/asymptotic - 1| decreases along the lag grid"))
+        # h = 32 takes the quadrature's direct route, h = 512 its series residual
+        checks.append(_closed_vs_quadrature(
+            label, [WaveletCovQuery(0, 1, 1.0, 1.0, h) for h in (hs[0], hs[-1])],
+            params, wavelet))
     law = gaussian_derivative(1)
     ratio_sign = (theoretical_wavelet_cov(
         WaveletCovQuery(0, 1, 1.0, 1.0, 512.0), _DECAY_CONFIGS[0][1], law).real
@@ -217,16 +250,17 @@ def verify_decay() -> dict:
             WaveletCovQuery(0, 1, 1.0, 1.0, 512.0), _DECAY_CONFIGS[0][1], law).real)
     checks.append(_check(
         "asymptotic-sign-factor", math.copysign(1.0, ratio_sign), 1.0, 0.0,
-        "quadrature-vs-closed-form",
+        "closed-form-vs-asymptotic-law",
         note="the leading-order prediction carries the factor "
              "(-1)^M sqrt(a1 a2) relative to the bare kappa * tau constant; "
              "the sign is fixed by the 2M-th moment of the wavelet pair "
-             "correlation and confirmed here against quadrature"))
+             "correlation and confirmed here against the exact covariance, "
+             "itself cross-checked against quadrature"))
     return _finish("decay", checks, t0)
 
 
 def verify_spectrum_consistency() -> dict:
-    """Inverse spectral transform against direct covariance quadrature."""
+    """Inverse spectral transform against the closed-form covariance."""
     t0 = time.perf_counter()
     checks = []
     configs = (
@@ -239,7 +273,7 @@ def verify_spectrum_consistency() -> dict:
             WaveletCovQuery(0, 1, 1.0, 2.0), params, gaussian_derivative(M),
             h_values=(0.0, 1.0, 4.0))
         checks.append(_check(f"inverse-transform-{label}", rep.max_rel_error,
-                             0.0, 1e-3, "quadrature-vs-quadrature",
+                             0.0, 1e-3, "spectral-inversion-vs-closed-form",
                              note="lags {0, 1, 4}, relative deviation"))
     # zero-frequency power law
     for label, params, M in (("M1-alpha0.7", MfbmParams.bivariate(0.35, 0.35, rho=0.5), 1),

@@ -164,6 +164,14 @@ class HermiteWavelet(Wavelet):
         return D
 
 
+def _atom_pair_prefactor(m1: int, a1: float, m2: int, a2: float) -> float:
+    """Constant C of the atom pair correlation C He_K(tau/s) exp(-tau^2 / 2s^2)."""
+    K = m1 + m2
+    s = math.hypot(a1, a2)
+    return ((-1.0) ** m1 * _SQRT_2PI * a1 ** (m1 + 1) * a2 ** (m2 + 1)
+            * s ** (-1 - K))
+
+
 def _atom_pair_correlation(m1: int, a1: float, m2: int, a2: float, tau):
     """int psi_m1(t/a1) psi_m2((t+tau)/a2) dt in closed form.
 
@@ -171,12 +179,9 @@ def _atom_pair_correlation(m1: int, a1: float, m2: int, a2: float, tau):
     polynomial times a Gaussian of variance s^2 = a1^2 + a2^2, whose inverse
     transform is a Hermite function of tau/s.
     """
-    K = m1 + m2
-    s = math.hypot(a1, a2)
-    tau = np.asarray(tau, dtype=float)
-    x = tau / s
-    return ((-1.0) ** m1 * _SQRT_2PI * a1 ** (m1 + 1) * a2 ** (m2 + 1)
-            * s ** (-1 - K) * _hermite(K, x) * np.exp(-0.5 * x * x))
+    x = np.asarray(tau, dtype=float) / math.hypot(a1, a2)
+    return (_atom_pair_prefactor(m1, a1, m2, a2)
+            * _hermite(m1 + m2, x) * np.exp(-0.5 * x * x))
 
 
 def gaussian_derivative(M: int) -> HermiteWavelet:

@@ -25,6 +25,25 @@ class TestBasics:
         bad = MfbmParams.bivariate(0.1, 0.8, rho=0.7)
         with pytest.raises(InvalidParamsError):
             simulate(bad, 64, 1.0, seed=1)
+        with pytest.raises(InvalidParamsError):
+            replicate_ensemble(bad, 64, 1.0, seed=1, count=3)
+        # a failed check caches nothing: the second call is refused as well
+        with pytest.raises(InvalidParamsError):
+            simulate(bad, 64, 1.0, seed=1)
+
+    def test_admissibility_checked_once_per_embedding(self, monkeypatch):
+        import mfbmwave.synth as synth
+
+        calls = []
+        check = synth.check_existence
+        monkeypatch.setattr(synth, "check_existence",
+                            lambda params: calls.append(1) or check(params))
+        params = MfbmParams.bivariate(0.35, 0.55, rho=0.25, eta=0.05)
+        replicate_ensemble(params, 40, 1.0, seed=3, count=5)
+        assert len(calls) == 1
+        simulate(params, 40, 1.0, seed=4)
+        replicate_ensemble(params, 40, 1.0, seed=5, count=2)
+        assert len(calls) == 1
 
     def test_deterministic(self):
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)

@@ -5,12 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from mfbmwave.model import MfbmParams
-from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
+from mfbmwave.verify import XCHECK_ABS, XCHECK_REL
+from mfbmwave.wavelets import HermiteWavelet, Wavelet, gaussian_derivative
 from mfbmwave.wavstats import (
     WaveletCovQuery,
     DegenerateAsymptoticsError,
     theoretical_wavelet_cov,
     theoretical_wavelet_cov_2d,
+    wavelet_cov_quadrature,
     scale_law_constant,
     asymptotic_law,
     asymptotic_wavelet_cov,
@@ -88,6 +90,24 @@ class TestTheoreticalCov:
             assert min(abs(q_near), abs(q_far_prev)) <= abs(q_far) * 1.01
             assert abs(q_far) <= max(abs(q_near), abs(q_far_prev)) * 1.01
 
+    def test_near_far_field_agreement_quadrature(self):
+        # the quadrature route switches to its series residual at |h| = 2 L
+        params = MfbmParams.bivariate(0.3, 0.6, rho=0.5, eta=0.1)
+        w = gaussian_derivative(1)
+        L = 10.0 * 2.0
+        for h in (L * 2.0, L * 2.0 + 5.0):
+            q_far = wavelet_cov_quadrature(WaveletCovQuery(0, 1, 1.0, 1.0, h),
+                                           params, w)
+            q_near = wavelet_cov_quadrature(
+                WaveletCovQuery(0, 1, 1.0, 1.0, h - 0.5), params, w)
+            q_far_prev = wavelet_cov_quadrature(
+                WaveletCovQuery(0, 1, 1.0, 1.0, h + 0.5), params, w)
+            assert min(abs(q_near), abs(q_far_prev)) <= abs(q_far) * 1.01
+            assert abs(q_far) <= max(abs(q_near), abs(q_far_prev)) * 1.01
+            closed = theoretical_wavelet_cov(WaveletCovQuery(0, 1, 1.0, 1.0, h),
+                                             params, w)
+            assert abs(q_far - closed) <= XCHECK_ABS + XCHECK_REL * abs(closed)
+
     def test_even_odd_parameter_decomposition(self):
         # rho part even in h, eta part odd in h, for a real wavelet
         w = gaussian_derivative(1)
@@ -117,6 +137,55 @@ class TestTheoreticalCov:
         # ten increments carry about 8% of the mass of the first ten
         assert partial[-1] - partial[-10] < 0.12 * (partial[9] - partial[0])
         assert mags[-1] / mags[0] < (hs[-1] / hs[0]) ** (-2.5)
+
+
+# Reference values computed apart from the library, with mpmath at 40 digits
+# from the parabolic-cylinder form
+#   I = C s^(alpha+1) Gamma(alpha+1) exp(-c^2/4)
+#       [(rho - eta) D_nu(c) + (-1)^K (rho + eta) D_nu(-c)],  nu = K - alpha - 1,
+# with the log branch as the numerical alpha-derivative of that form.  The
+# near-field log-branch values agree with a 40-digit quadrature of the
+# defining single integral to better than 1e-23.
+POWER_REFERENCE = (   # H = (0.3, 0.45), rho = 0.5, eta = 0.1, psi_3
+    ((1.0, 1.0, 30.0), -2.505291870770914e-7),
+    ((1.0, 2.0, 60.0), -7.3446063058562605e-8),
+    ((2.0, 3.0, -90.0), -2.7346005631017115e-7),
+    ((1.0, 1.0, 512.0), -8.2045409220728387e-14),
+)
+LOG_REFERENCE = (     # H = (0.3, 0.7), rho = 0.4, eta = 0.2
+    (((1.0, 1),), (1.0, 2.0, 1.5), 0.55279890512717036),
+    (((1.0, 2),), (2.0, 3.0, -40.0), -0.001821423765433309),
+    (((1.0, 1),), (1.0, 1.0, 512.0), -0.0012271939931985232),
+    (((1.0, 1), (0.5j, 2)), (1.0, 2.0, 3.0),
+     -0.19137862117536241 + 0.45023890084682414j),
+)
+
+
+class TestClosedForm:
+    def test_power_branch_reference_values(self):
+        params = MfbmParams.bivariate(0.3, 0.45, rho=0.5, eta=0.1)
+        w = gaussian_derivative(3)
+        for (a1, a2, h), want in POWER_REFERENCE:
+            got = theoretical_wavelet_cov(WaveletCovQuery(0, 1, a1, a2, h), params, w)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_log_branch_reference_values(self):
+        params = MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=0.2)
+        for terms, (a1, a2, h), want in LOG_REFERENCE:
+            got = theoretical_wavelet_cov(WaveletCovQuery(0, 1, a1, a2, h), params,
+                                          HermiteWavelet(terms))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_other_wavelets_refused(self):
+        class OtherWavelet(Wavelet):
+            vanishing_moments = 1
+
+        params = MfbmParams.bivariate(0.3, 0.45, rho=0.5)
+        with pytest.raises(TypeError, match="wavelet_cov_quadrature"):
+            theoretical_wavelet_cov(WaveletCovQuery(0, 1, 1.0, 1.0), params,
+                                    OtherWavelet())
+        with pytest.raises(TypeError, match="wavelet_cov_quadrature"):
+            scale_law_constant(params, OtherWavelet(), 0, 1)
 
 
 class TestScaleLaw:
