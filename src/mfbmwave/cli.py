@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import InvalidParamsError, load_params
-from .synth import embedding_report, replicate_ensemble, simulate
+from .synth import SEED_SCHEME, embedding_report, replicate_ensemble
 from .wavelets import gaussian_derivative, cwt
 from .wavstats import (
     WaveletCovQuery,
@@ -110,11 +110,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if count == 1:
-        paths = [simulate(params, n, dt, seed)[0]]
-    else:
-        paths = replicate_ensemble(params, n, dt, seed, count,
-                                   threads=args.threads)
+    paths = replicate_ensemble(params, n, dt, seed, count)
     report = embedding_report(params, n, dt)
     for r, path in enumerate(paths):
         stem = out / f"{basename}_{r:04d}"
@@ -123,7 +119,8 @@ def cmd_simulate(args) -> int:
     with open(out / "embedding_report.json", "w", encoding="utf-8") as f:
         json.dump({"circulant_size": report.circulant_size,
                    "min_eigenvalue": report.min_eigenvalue,
-                   "correction": report.correction}, f, indent=2)
+                   "correction": report.correction,
+                   "seed_scheme": SEED_SCHEME}, f, indent=2)
     if report.correction != "none":
         print("embedding failure: eigenvalues clipped, output approximate",
               file=sys.stderr)
@@ -238,7 +235,7 @@ def cmd_estimate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    paths = replicate_ensemble(params, n, dt, seed, count, threads=args.threads)
+    paths = replicate_ensemble(params, n, dt, seed, count)
     fields = [cwt(p, wavelet, scales) for p in paths]
     query = WaveletCovQuery(j, k, a1, a2)
     emp = empirical_wavelet_cov(fields, query, lags)
@@ -293,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="64-bit seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker thread cap for ensembles")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="sample paths by circulant embedding")
     sub.add_parser("cwt", help="continuous wavelet transform of a stored path")

@@ -5,9 +5,11 @@ vector sequence whose matrix autocovariance is known in closed form.  The
 sequence is embedded into a block-circulant covariance, diagonalized by the
 FFT into one Hermitian p x p matrix per frequency, factored by
 eigendecomposition, excited with complex Gaussian noise and transformed
-back; the real part has exactly the target covariance as long as every
-frequency matrix is positive semidefinite.  Paths are the cumulative sums of
-the increments, pinned to zero at the origin.
+back.  As long as every frequency matrix is positive semidefinite, the real
+and the imaginary part are two independent sequences with exactly the
+target covariance (Chan & Wood 1999; Helgason, Pipiras & Abry 2011), and
+both are used.  Paths are the cumulative sums of the increments, pinned to
+zero at the origin.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 import threading
 import warnings
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,18 @@ EMBED_REL_TOL = 1e-9
 # The circulant size starts at the smallest power of two >= 2 (n - 1) and is
 # doubled at most this many times before falling back to eigenvalue clipping.
 MAX_DOUBLINGS = 6
+
+# Version of the map from (seed, replicate) to Gaussian variates.  Scheme 2:
+# replicates 2k and 2k + 1 are the real and the imaginary half of noise draw
+# k of one Philox stream keyed by the seed.  Scheme 1 keyed one stream per
+# replicate with derive_seed(seed, replicate).
+SEED_SCHEME = 2
+
+# Complex noise per synthesis chunk, in bytes.  A chunk's working set is
+# about four times this; at 512 KB an ensemble's peak memory is that of
+# one-path-at-a-time synthesis, while 4 MB chunks raise it by 15 MB and are
+# no faster.
+_CHUNK_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -166,7 +179,11 @@ def embedding_report(params: MfbmParams, n: int, dt: float) -> EmbeddingReport:
 
 
 def derive_seed(seed: int, replicate: int) -> int:
-    """Deterministic 64-bit seed for one replicate of an ensemble."""
+    """Deterministic 64-bit seed for one replicate of an ensemble.
+
+    Public for callers that key their own streams; the ensemble does not use
+    it since seed scheme 2.
+    """
     ss = np.random.SeedSequence(entropy=[int(seed), int(replicate)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -179,43 +196,70 @@ def _require_admissible(params: MfbmParams) -> None:
             f"existence matrix is {res.min_eigenvalue:.6e}")
 
 
-def simulate(params: MfbmParams, n: int, dt: float, seed: int):
-    """Simulate one path; deterministic in ``seed``.
+def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
+                count: int):
+    """Values of ``count`` paths, shape (count, p, n), and the embedding report.
 
-    Returns (SamplePath, EmbeddingReport).  Gaussian variates come from the
-    counter-based Philox generator keyed by the seed, drawn in a fixed
-    (frequency, component) order, so results do not depend on scheduling.
+    Noise draw k is ``standard_normal((2, m, p))`` of one Philox stream keyed
+    by ``seed``, taken in chunks of whole draws; replicate 2k is the real
+    half of its inverse FFT and replicate 2k + 1 the imaginary half.  A
+    trailing odd replicate takes only the real half.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     fac = _cached_embedding(params, n, dt)
     m, p = fac.m, params.p
+    scale = math.sqrt(m)
+    out = np.empty((count, p, n))
+    out[:, :, 0] = 0.0
+    pairs = (count + 1) // 2
+    per_chunk = max(1, _CHUNK_BYTES // (16 * m * p))
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    z = rng.standard_normal((2, m, p))
-    w = z[0] + 1j * z[1]
-    v = np.einsum("fij,fj->fi", fac.factor, w)
-    y = math.sqrt(m) * np.fft.ifft(v, axis=0).real
-    x = np.vstack([np.zeros((1, p)), np.cumsum(y[:n - 1], axis=0)])
-    path = SamplePath(params=params, n=n, dt=dt, values=x.T.copy(), seed=int(seed))
-    return path, fac.report
+    for first in range(0, pairs, per_chunk):
+        k = min(per_chunk, pairs - first)
+        z = rng.standard_normal((k, 2, m, p))
+        w = z[:, 0] + 1j * z[:, 1]
+        v = np.empty_like(w)
+        for b in range(k):
+            # one draw at a time: the batched contraction is slower and a
+            # matmul would change the bits
+            np.einsum("fij,fj->fi", fac.factor, w[b], out=v[b])
+        y = np.fft.ifft(v, axis=1)
+        for half, part in enumerate((y.real, y.imag)):
+            reps = range(2 * first + half, min(2 * (first + k), count), 2)
+            if reps:
+                inc = scale * part[:len(reps), :n - 1]
+                out[reps.start:reps.stop:2, :, 1:] = \
+                    np.cumsum(inc, axis=1).transpose(0, 2, 1)
+    return out, fac.report
+
+
+def simulate(params: MfbmParams, n: int, dt: float, seed: int):
+    """Simulate one path; deterministic in ``seed``.
+
+    Returns (SamplePath, EmbeddingReport).  The path is replicate 0 of
+    ``replicate_ensemble`` with the same seed (seed scheme 2): the real half
+    of the first noise draw of the counter-based Philox generator keyed by
+    the seed, drawn in a fixed (frequency, component) order, so results do
+    not depend on scheduling.
+    """
+    values, report = _synthesize(params, n, dt, seed, 1)
+    return SamplePath(params=params, n=n, dt=dt, values=values[0],
+                      seed=int(seed)), report
 
 
 def replicate_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
-                       count: int, threads: int = 1):
-    """``count`` independent paths; replicate r is simulate(derive_seed(seed, r)).
+                       count: int):
+    """``count`` independent paths from one Philox stream keyed by ``seed``.
 
-    Identical inputs give bit-identical ensembles; replicates may fan out
-    across threads with deterministic output ordering.
+    Seed scheme 2 (``SEED_SCHEME``): replicates 2k and 2k + 1 are the real
+    and the imaginary half of noise draw k, so replicate 0 is
+    ``simulate(seed)`` and a smaller count gives a prefix of a larger one.
+    Every path carries the ensemble seed in ``SamplePath.seed``; the values
+    are views into one (count, p, n) array.  ``derive_seed`` is not used.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    _cached_embedding(params, n, dt)  # check and build once before fanning out
-    seeds = [derive_seed(seed, r) for r in range(count)]
-
-    def one(s: int) -> SamplePath:
-        return simulate(params, n, dt, s)[0]
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, seeds))
-    return [one(s) for s in seeds]
+    values, _ = _synthesize(params, n, dt, seed, count)
+    return [SamplePath(params=params, n=n, dt=dt, values=v, seed=int(seed))
+            for v in values]

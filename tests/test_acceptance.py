@@ -18,7 +18,7 @@ from mfbmwave.model import (
     max_admissible_rho,
 )
 from mfbmwave.synth import derive_seed, replicate_ensemble, simulate
-from mfbmwave.wavelets import gaussian_derivative, cwt
+from mfbmwave.wavelets import gaussian_derivative, cwt, shift_margin
 from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov
 from mfbmwave.spectral import (
     coherence,
@@ -33,6 +33,22 @@ from mfbmwave.verify import verify_bahr, verify_decay, verify_existence, verify_
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
     assert passed, detail
+
+
+def sampled_wavelet_cov(params, j, k, wavelet, scale, dt, steps, base):
+    """Exact E[d^j_{a, b + steps dt} conj(d^k_{a, b})] of the sampled transform.
+
+    ``cwt`` computes d^j_{a, b} = sum_m g(m) x_j(b + m dt) with the kernel
+    g(m) = a^(-1/2) dt conj(psi(m dt / a)), |m| <= L, so the covariance is
+    g^T C conj(g) for the path covariance C between the two windows.  The
+    kernel sums to zero to rounding, so the grid index ``base`` of b does
+    not matter.
+    """
+    m = np.arange(-shift_margin(scale, dt), shift_margin(scale, dt) + 1)
+    g = np.conj(wavelet.eval(m * dt / scale)) * (dt / math.sqrt(scale))
+    c = cross_covariance(params, j, k, ((base + steps + m) * dt)[:, None],
+                         ((base + m) * dt)[None, :])
+    return complex(g @ c @ np.conj(g))
 
 
 class TestCriterion1Existence:
@@ -165,12 +181,19 @@ class TestCriterion7MonteCarloClosure:
         lags = [0, 1, 2, 4, 8]
         emp = empirical_wavelet_cov(fields, WaveletCovQuery(0, 1, scale, scale),
                                     lags)
+        # the reference is the exact covariance of the sampled transform the
+        # estimate averages; it is tied to the paper's closed form by the
+        # discretization gap, about 1 % at a = 4 dt
         hits = 0
         zs = []
+        gaps = []
         for il, lag in enumerate(lags):
-            want = theoretical_wavelet_cov(
-                WaveletCovQuery(0, 1, scale, scale, lag * emp.shift_spacing),
-                params, wavelet)
+            h = lag * emp.shift_spacing
+            closed = theoretical_wavelet_cov(
+                WaveletCovQuery(0, 1, scale, scale, h), params, wavelet)
+            want = sampled_wavelet_cov(params, 0, 1, wavelet, scale, dt,
+                                       round(h / dt), n // 2)
+            gaps.append(abs(want.real - closed.real) / abs(closed.real))
             z = abs(emp.mean[il].real - want.real) / emp.se_real[il]
             zs.append(z)
             hits += z < 3.0
@@ -190,10 +213,11 @@ class TestCriterion7MonteCarloClosure:
                 worst_inc_z = max(worst_inc_z, z)
                 inc_ok &= z < 3.0
         elapsed = time.perf_counter() - t0
-        ok = hits >= 4 and inc_ok and elapsed < 900.0
+        ok = hits >= 4 and inc_ok and max(gaps) < 0.015 and elapsed < 900.0
         report("7 monte-carlo-closure", ok,
-               f"{hits}/5 wavelet-covariance lags within 3 jackknife SE "
-               f"(z = {['%.2f' % z for z in zs]}), max increment |z| "
+               f"{hits}/5 wavelet-covariance lags within 3 jackknife SE of the "
+               f"sampled transform (z = {['%.2f' % z for z in zs]}), which is "
+               f"within {max(gaps):.2%} of the closed form, max increment |z| "
                f"{worst_inc_z:.2f} over lags 0..8, runtime {elapsed:.1f} s")
 
 

@@ -78,6 +78,20 @@ class TestSimulate:
         assert sorted(p.name for p in out.glob("path_*.csv")) == \
             ["path_0000.csv", "path_0001.csv", "path_0002.csv"]
 
+    def test_first_path_independent_of_count(self, tmp_path, params_file):
+        outs = []
+        for count in (1, 3):
+            cfg = write_config(tmp_path, f"sim{count}.json",
+                               {"params": str(params_file), "n": 64, "dt": 1.0,
+                                "count": count, "seed": 12})
+            out = tmp_path / f"o{count}"
+            assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+            outs.append(out)
+        assert (outs[0] / "path_0000.mfbm").read_bytes() == \
+            (outs[1] / "path_0000.mfbm").read_bytes()
+        report = json.loads((outs[1] / "embedding_report.json").read_text())
+        assert report["seed_scheme"] == 2
+
 
 class TestEmbeddingExitCode:
     def test_clip_fallback_exits_3(self, tmp_path, params_file, monkeypatch):

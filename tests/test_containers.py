@@ -1,11 +1,12 @@
+import csv
 import io
 
 import numpy as np
 import pytest
 
 from mfbmwave.model import MfbmParams
-from mfbmwave.synth import simulate
-from mfbmwave.wavelets import gaussian_derivative, cwt
+from mfbmwave.synth import SamplePath, simulate
+from mfbmwave.wavelets import WaveletField, gaussian_derivative, cwt
 from mfbmwave.containers import (
     ContainerError,
     MAGIC,
@@ -60,6 +61,59 @@ class TestCsv:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "component,scale,shift,re,im"
         assert len(lines) == 1 + field.p * field.scales.size * field.shifts.size
+
+
+SPECIAL = [-0.0, 5e-324, -2.2250738585072e-310, 1e308, -1.7976931348623157e308,
+           float("nan"), float("inf"), -float("inf"), 0.1, 1.0 / 3.0, -7.0]
+
+
+def csv_writer_bytes(header, rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, int) else f"{v:.17g}" for v in row])
+    return buf.getvalue()
+
+
+class TestCsvBytes:
+    """The block writers give the bytes of one csv.writer row per value set."""
+
+    def test_path_csv_bytes(self):
+        values = np.array([[0.0] + SPECIAL, [0.0] + SPECIAL[::-1]])
+        p = SamplePath(params=PARAMS, n=12, dt=0.1, values=values, seed=1)
+        buf = io.StringIO(newline="")
+        path_to_csv(p, buf)
+        want = csv_writer_bytes(["t", "x_1", "x_2"],
+                                [[p.times[i], *values[:, i]] for i in range(12)])
+        assert buf.getvalue() == want
+
+    def test_field_csv_bytes(self):
+        coeffs = np.empty((2, 2, 11), dtype=complex)
+        coeffs.real = [[SPECIAL, SPECIAL[::-1]], [SPECIAL[::-1], SPECIAL]]
+        coeffs.imag = -coeffs.real[:, ::-1]
+        scales = np.array([1e-300, 2.5])
+        shifts = np.arange(11) * 0.1 - 0.3
+        fld = WaveletField(coeffs=coeffs, scales=scales, shifts=shifts,
+                           dt=0.1, n=40)
+        buf = io.StringIO(newline="")
+        field_to_csv(fld, buf)
+        rows = [[j, scales[ia], shifts[ib], coeffs[j, ia, ib].real,
+                 coeffs[j, ia, ib].imag]
+                for j in range(2) for ia in range(2) for ib in range(11)]
+        want = csv_writer_bytes(["component", "scale", "shift", "re", "im"], rows)
+        assert buf.getvalue() == want
+
+    def test_rows_span_blocks(self, path, monkeypatch):
+        import mfbmwave.containers as containers
+        monkeypatch.setattr(containers, "_CSV_BLOCK_ROWS", 64)
+        assert path.n % 64 != 0
+        buf = io.StringIO(newline="")
+        path_to_csv(path, buf)
+        want = csv_writer_bytes(["t", "x_1", "x_2"],
+                                [[path.times[i], *path.values[:, i]]
+                                 for i in range(path.n)])
+        assert buf.getvalue() == want
 
 
 class TestBinary:

@@ -7,9 +7,9 @@ from mfbmwave.model import (
     cross_covariance,
     increment_cross_covariance,
 )
+import mfbmwave.synth as synth
 from mfbmwave.synth import (
     build_embedding,
-    derive_seed,
     embedding_report,
     simulate,
     replicate_ensemble,
@@ -73,15 +73,92 @@ class TestBasics:
         e2 = replicate_ensemble(params, 64, 1.0, seed=5, count=3)
         for a, b in zip(e1, e2):
             np.testing.assert_array_equal(a.values, b.values)
-        single, _ = simulate(params, 64, 1.0, seed=derive_seed(5, 0))
+        single, _ = simulate(params, 64, 1.0, seed=5)
         np.testing.assert_array_equal(e1[0].values, single.values)
+        assert all(path.seed == 5 for path in e1)
 
-    def test_threaded_ensemble_matches_serial(self):
-        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5)
-        serial = replicate_ensemble(params, 64, 1.0, seed=9, count=6)
-        threaded = replicate_ensemble(params, 64, 1.0, seed=9, count=6, threads=3)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.values, b.values)
+
+def reference_paths(params, n, dt, seed, count):
+    """Seed scheme 2 spelled out one noise draw at a time."""
+    fac = build_embedding(params, n, dt)
+    m, p = fac.m, params.p
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    out = []
+    while len(out) < count:
+        z = rng.standard_normal((2, m, p))
+        v = np.einsum("fij,fj->fi", fac.factor, z[0] + 1j * z[1])
+        y = np.fft.ifft(v, axis=0)
+        for half in (y.real, y.imag)[:count - len(out)]:
+            inc = np.sqrt(m) * half[:n - 1]
+            x = np.vstack([np.zeros((1, p)), np.cumsum(inc, axis=0)])
+            out.append(x.T)
+    return out
+
+
+def split_halves(params, n, seed, pairs):
+    """Real and imaginary halves of ``pairs`` noise draws, each (pairs, p n)."""
+    x = stacked_values(replicate_ensemble(params, n, 1.0, seed=seed,
+                                          count=2 * pairs))
+    x = x.reshape(2 * pairs, -1)
+    return x[0::2], x[1::2]
+
+
+def path_covariance(params, n):
+    grid = np.arange(n, dtype=float)
+    pn = params.p * n
+    theory = np.empty((pn, pn))
+    for j in range(params.p):
+        for k in range(params.p):
+            theory[j * n:(j + 1) * n, k * n:(k + 1) * n] = cross_covariance(
+                params, j, k, grid[:, None], grid[None, :])
+    return theory
+
+
+class TestSeedScheme:
+    PARAMS = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+
+    def test_matches_reference_scheme(self):
+        # count 5: two whole draws and the real half of a third
+        got = replicate_ensemble(self.PARAMS, 64, 1.0, seed=17, count=5)
+        want = reference_paths(self.PARAMS, 64, 1.0, 17, 5)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.values, b)
+        single, _ = simulate(self.PARAMS, 64, 1.0, seed=17)
+        np.testing.assert_array_equal(single.values, want[0])
+
+    def test_odd_count_ends_with_real_half(self):
+        odd = replicate_ensemble(self.PARAMS, 64, 1.0, seed=23, count=3)
+        even = replicate_ensemble(self.PARAMS, 64, 1.0, seed=23, count=4)
+        np.testing.assert_array_equal(odd[2].values,
+                                      reference_paths(self.PARAMS, 64, 1.0, 23, 3)[2])
+        assert not np.array_equal(odd[2].values, even[3].values)
+
+    @pytest.mark.parametrize("n, short, long", [(64, 3, 7), (4096, 33, 40)])
+    def test_prefix_stable(self, n, short, long):
+        fac = build_embedding(self.PARAMS, n, 1.0)
+        per_chunk = max(1, synth._CHUNK_BYTES // (16 * fac.m * self.PARAMS.p))
+        if n == 4096:  # both ensembles draw a second chunk
+            assert per_chunk < (short + 1) // 2
+        a = replicate_ensemble(self.PARAMS, n, 1.0, seed=31, count=short)
+        b = replicate_ensemble(self.PARAMS, n, 1.0, seed=31, count=long)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.values, y.values)
+
+    def test_halves_exact_and_independent(self):
+        # Criterion 8's rule for the real and the imaginary halves apart, and
+        # their cross-covariance (zero in theory) on the non-degenerate entries
+        n, pairs = 64, 20_000
+        even, odd = split_halves(self.PARAMS, n, 4711, pairs)
+        theory = path_covariance(self.PARAMS, n)
+        var = np.diag(theory)
+        se = np.sqrt(np.maximum(np.outer(var, var) + theory ** 2, 0.0) / pairs)
+        for x in (even, odd):
+            emp = x.T @ x / pairs
+            assert (np.abs(emp - theory) <= 4.0 * se + 1e-12).mean() >= 0.99
+        live = var > 0.0
+        cross = (even.T @ odd / pairs)[np.ix_(live, live)]
+        cross_se = np.sqrt(np.outer(var[live], var[live]) / pairs)
+        assert (np.abs(cross) <= 4.0 * cross_se).mean() >= 0.99
 
 
 class TestLaw:
@@ -128,13 +205,7 @@ class TestLaw:
         paths = replicate_ensemble(params, n, 1.0, seed=55, count=reps)
         x = stacked_values(paths).reshape(reps, -1)     # (reps, 2n)
         emp = x.T @ x / reps
-        pn = 2 * n
-        theory = np.empty((pn, pn))
-        grid = np.arange(n) * 1.0
-        for j in range(2):
-            for k in range(2):
-                theory[j * n:(j + 1) * n, k * n:(k + 1) * n] = cross_covariance(
-                    params, j, k, grid[:, None], grid[None, :])
+        theory = path_covariance(params, n)
         se = np.sqrt(np.maximum(
             np.outer(np.diag(theory), np.diag(theory)) + theory ** 2, 0.0) / reps)
         ok = np.abs(emp - theory) <= 4.0 * se + 1e-12
