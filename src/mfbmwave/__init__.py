@@ -32,9 +32,11 @@ from .wavelets import (
     HermiteWavelet,
     WaveletField,
     InsufficientDecayError,
+    GridError,
     gaussian_derivative,
     wavelet_autocorrelation,
     cwt,
+    cwt_ensemble,
 )
 from .wavstats import (
     WaveletCovQuery,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import InvalidParamsError, load_params
 from .synth import SEED_SCHEME, embedding_report, replicate_ensemble
-from .wavelets import gaussian_derivative, cwt
+from .wavelets import GridError, gaussian_derivative, cwt, cwt_ensemble
 from .wavstats import (
     WaveletCovQuery,
     DegenerateAsymptoticsError,
@@ -31,7 +31,7 @@ from .wavstats import (
     theoretical_wavelet_cov,
 )
 from .spectral import cross_spectral_density, coherence, make_log_omega_grid, zeta
-from .estimate import empirical_wavelet_cov, fit_power_law
+from .estimate import MIN_REPLICATES, empirical_wavelet_cov, fit_power_law
 from .containers import (
     field_to_csv_file,
     load_path_file,
@@ -99,23 +99,16 @@ def _fmt_complex_cols(z) -> tuple:
     return (z.real, z.imag)
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args, "simulate")
-    params = load_params(_need(config, "params", "simulate"))
-    n = int(_need(config, "n", "simulate"))
-    dt = float(_need(config, "dt", "simulate"))
-    count = int(config.get("count", 1))
-    seed = int(config.get("seed", 0))
-    basename = config.get("basename", "path")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _count(config, default, minimum, command) -> int:
+    count = int(config.get("count", default))
+    if count < minimum:
+        raise ConfigError(f"{command!r} needs count >= {minimum}, got {count}")
+    return count
 
-    paths = replicate_ensemble(params, n, dt, seed, count)
+
+def _report_embedding(out: Path, params, n: int, dt: float) -> int:
+    """Write embedding_report.json; EXIT_EMBEDDING if eigenvalues were clipped."""
     report = embedding_report(params, n, dt)
-    for r, path in enumerate(paths):
-        stem = out / f"{basename}_{r:04d}"
-        path_to_csv_file(path, stem.with_suffix(".csv"))
-        save_path_file(path, stem.with_suffix(".mfbm"))
     with open(out / "embedding_report.json", "w", encoding="utf-8") as f:
         json.dump({"circulant_size": report.circulant_size,
                    "min_eigenvalue": report.min_eigenvalue,
@@ -126,6 +119,25 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return EXIT_EMBEDDING
     return EXIT_OK
+
+
+def cmd_simulate(args) -> int:
+    config = _load_config(args, "simulate")
+    params = load_params(_need(config, "params", "simulate"))
+    n = int(_need(config, "n", "simulate"))
+    dt = float(_need(config, "dt", "simulate"))
+    count = _count(config, 1, 1, "simulate")
+    seed = int(config.get("seed", 0))
+    basename = config.get("basename", "path")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    paths = replicate_ensemble(params, n, dt, seed, count)
+    for r, path in enumerate(paths):
+        stem = out / f"{basename}_{r:04d}"
+        path_to_csv_file(path, stem.with_suffix(".csv"))
+        save_path_file(path, stem.with_suffix(".mfbm"))
+    return _report_embedding(out, params, n, dt)
 
 
 def cmd_cwt(args) -> int:
@@ -224,7 +236,7 @@ def cmd_estimate(args) -> int:
     wavelet = gaussian_derivative(int(config.get("wavelet_m", 1)))
     n = int(_need(config, "n", "estimate"))
     dt = float(_need(config, "dt", "estimate"))
-    count = int(config.get("count", 100))
+    count = _count(config, 100, MIN_REPLICATES, "estimate")
     seed = int(config.get("seed", 0))
     j = int(config.get("j", 0))
     k = int(config.get("k", min(1, params.p - 1)))
@@ -236,9 +248,8 @@ def cmd_estimate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     paths = replicate_ensemble(params, n, dt, seed, count)
-    fields = [cwt(p, wavelet, scales) for p in paths]
     query = WaveletCovQuery(j, k, a1, a2)
-    emp = empirical_wavelet_cov(fields, query, lags)
+    emp = empirical_wavelet_cov(cwt_ensemble(paths, wavelet, scales), query, lags)
     rows = []
     for il, lag in enumerate(emp.lags):
         h = lag * emp.shift_spacing
@@ -260,7 +271,7 @@ def cmd_estimate(args) -> int:
                    [(rep.slope, rep.intercept, rep.slope_se,
                      rep.fit_range[0], rep.fit_range[1],
                      rep.n_used, rep.n_excluded)])
-    return EXIT_OK
+    return _report_embedding(out, params, n, dt)
 
 
 def cmd_verify(args) -> int:
@@ -314,7 +325,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidParamsError, FileNotFoundError,
+    except (ConfigError, InvalidParamsError, GridError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

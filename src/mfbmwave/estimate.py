@@ -6,10 +6,16 @@ cross-periodogram, and the shared log-log regression used for every power-law
 exponent check.  Standard errors come from a replicate-level jackknife only;
 coefficients along one path are correlated, so within-path averaging is used
 for variance reduction but not for inference.
+
+Fields are streamed: the estimators read them in blocks of about 4 MB of
+stacked coefficient rows (``_BLOCK_BYTES``), so a generator such as
+``cwt_ensemble`` is never held in full.  Beside one block, memory grows
+only with replicates x lags (or frequencies) of per-replicate estimates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +25,9 @@ from .wavelets import WaveletField
 from .wavstats import WaveletCovQuery
 
 MIN_REPLICATES = 30
+
+# Stacked coefficient rows per estimator block, in bytes.
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -69,13 +78,18 @@ def fit_power_law(xs, ys, fit_range=None) -> FitReport:
                      residuals=resid)
 
 
-def jackknife_se(values: np.ndarray) -> float:
-    """Delete-one jackknife standard error of the mean of real values."""
-    values = np.asarray(values, dtype=float)
-    r = values.size
-    total = values.sum()
+def jackknife_se(values: np.ndarray):
+    """Delete-one jackknife standard error of the mean of real values.
+
+    Along the last axis: a float for one sample, an array for a stack.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    r = values.shape[-1]
+    total = values.sum(axis=-1, keepdims=True)
     loo = (total - values) / (r - 1)
-    return float(math.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2)))
+    dev = loo - loo.mean(axis=-1, keepdims=True)
+    se = np.sqrt((r - 1) / r * np.sum(dev ** 2, axis=-1))
+    return float(se) if se.ndim == 0 else se
 
 
 @dataclass(frozen=True)
@@ -97,46 +111,85 @@ class EmpiricalCov:
             raise ValueError("standard errors must be nonnegative")
 
 
-def _replicate_cov(field: WaveletField, ia1: int, ia2: int, j: int, k: int,
-                   lag: int) -> complex:
-    dj = field.coeffs[j, ia1, :]
-    dk = field.coeffs[k, ia2, :]
-    nb = dj.size
-    if abs(lag) >= nb:
-        raise ValueError(f"lag {lag} exceeds available shifts ({nb})")
-    if lag >= 0:
-        prod = dj[lag:] * np.conj(dk[:nb - lag])
-    else:
-        prod = dj[:nb + lag] * np.conj(dk[-lag:])
-    return complex(prod.mean())
+def _row_blocks(fields, query: WaveletCovQuery):
+    """First field and an iterator over blocks of stacked coefficient rows.
+
+    A block is (d^j at scale a1, d^k at scale a2), each of shape
+    (B, n_shifts), from B consecutive fields; ``fields`` is read one block at
+    a time.
+    """
+    pending = iter(fields)
+    f0 = next(pending, None)
+    if f0 is None:
+        raise ValueError(f"need >= {MIN_REPLICATES} replicates, got 0")
+    ia1 = f0.scale_index(query.a1)
+    ia2 = f0.scale_index(query.a2)
+    per_block = max(1, _BLOCK_BYTES // (32 * f0.shifts.size))
+
+    def blocks():
+        rest = itertools.chain([f0], pending)
+        while block := list(itertools.islice(rest, per_block)):
+            yield (np.stack([f.coeffs[query.j, ia1, :] for f in block]),
+                   np.stack([f.coeffs[query.k, ia2, :] for f in block]))
+
+    return f0, blocks()
+
+
+def _require_replicates(per_rep: np.ndarray) -> None:
+    if per_rep.shape[0] < MIN_REPLICATES:
+        raise ValueError(f"need >= {MIN_REPLICATES} replicates, "
+                         f"got {per_rep.shape[0]}")
+
+
+def _lagged_means(dj: np.ndarray, dk: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """Shift averages of dj[:, b + lag] conj(dk[:, b]), shape (B, n_lags).
+
+    In real arithmetic, one row-wise dot product per part and lag; the
+    imaginary parts enter only if a row has one (a complex wavelet).
+    """
+    nb = dj.shape[1]
+    complex_rows = bool(dj.imag.any() or dk.imag.any())
+    jr, kr = dj.real.copy(), dk.real.copy()
+    if complex_rows:
+        ji, ki = dj.imag.copy(), dk.imag.copy()
+    re = np.zeros((dj.shape[0], lags.size))
+    im = np.zeros_like(re)
+    for il, lag in enumerate(lags):
+        x = slice(lag, None) if lag >= 0 else slice(None, nb + lag)
+        y = slice(None, nb - lag) if lag >= 0 else slice(-lag, None)
+
+        def dot(u, v):
+            return np.einsum("rb,rb->r", u[:, x], v[:, y])
+
+        re[:, il] = dot(jr, kr)
+        if complex_rows:
+            re[:, il] += dot(ji, ki)
+            im[:, il] = dot(ji, kr) - dot(jr, ki)
+    count = nb - np.abs(lags)
+    return (re / count) + 1j * (im / count)
 
 
 def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
     """Estimate E[d^j_{a1, b+h} conj(d^k_{a2, b})] at integer shift lags.
 
     Averages along shifts within each replicate, then across replicates;
-    standard errors are delete-one jackknife over replicates.
+    standard errors are delete-one jackknife over replicates.  ``fields``
+    may be any iterable, a generator included; it is read block by block.
     """
-    fields = list(fields)
-    if len(fields) < MIN_REPLICATES:
-        raise ValueError(f"need >= {MIN_REPLICATES} replicates, got {len(fields)}")
     lags = np.asarray(lags, dtype=int)
-    f0 = fields[0]
-    ia1 = f0.scale_index(query.a1)
-    ia2 = f0.scale_index(query.a2)
-    spacing = float(f0.shifts[1] - f0.shifts[0]) if f0.shifts.size > 1 else f0.dt
+    f0, blocks = _row_blocks(fields, query)
+    nb = f0.shifts.size
+    if lags.size and np.abs(lags).max() >= nb:
+        raise ValueError(f"lag {int(np.abs(lags).max())} exceeds available "
+                         f"shifts ({nb})")
+    spacing = float(f0.shifts[1] - f0.shifts[0]) if nb > 1 else f0.dt
 
-    per_rep = np.empty((len(fields), lags.size), dtype=complex)
-    for r, field in enumerate(fields):
-        for il, lag in enumerate(lags):
-            per_rep[r, il] = _replicate_cov(field, ia1, ia2,
-                                            query.j, query.k, int(lag))
-    mean = per_rep.mean(axis=0)
-    se_re = np.array([jackknife_se(per_rep[:, il].real) for il in range(lags.size)])
-    se_im = np.array([jackknife_se(per_rep[:, il].imag) for il in range(lags.size)])
-    return EmpiricalCov(query=query, lags=lags, mean=mean, se_real=se_re,
-                        se_imag=se_im, replicates=len(fields),
-                        shift_spacing=spacing)
+    per_rep = np.concatenate([_lagged_means(dj, dk, lags) for dj, dk in blocks])
+    _require_replicates(per_rep)
+    return EmpiricalCov(query=query, lags=lags, mean=per_rep.mean(axis=0),
+                        se_real=jackknife_se(per_rep.real.T),
+                        se_imag=jackknife_se(per_rep.imag.T),
+                        replicates=per_rep.shape[0], shift_spacing=spacing)
 
 
 @dataclass(frozen=True)
@@ -158,13 +211,8 @@ def empirical_cross_spectrum(fields, query: WaveletCovQuery,
     Normalized so that the expectation matches the continuous-parameter
     cross-spectral density of the wavelet field sampled at the shift spacing.
     """
-    fields = list(fields)
-    if len(fields) < MIN_REPLICATES:
-        raise ValueError(f"need >= {MIN_REPLICATES} replicates, got {len(fields)}")
     omegas = np.asarray(omegas, dtype=float)
-    f0 = fields[0]
-    ia1 = f0.scale_index(query.a1)
-    ia2 = f0.scale_index(query.a2)
+    f0, blocks = _row_blocks(fields, query)
     shifts = f0.shifts
     if shifts.size < 8:
         raise ValueError("too few shifts for a periodogram")
@@ -177,13 +225,16 @@ def empirical_cross_spectrum(fields, query: WaveletCovQuery,
     t = shifts - shifts[0]
     phase = np.exp(-1j * np.outer(t, omegas))   # (n_shifts, n_omega)
 
-    per_rep = np.empty((len(fields), omegas.size), dtype=complex)
-    for r, field in enumerate(fields):
-        xj = delta * ((taper * field.coeffs[query.j, ia1, :]) @ phase)
-        xk = delta * ((taper * field.coeffs[query.k, ia2, :]) @ phase)
-        per_rep[r] = xj * np.conj(xk) / norm
+    per_rep = []
+    for dj, dk in blocks:
+        # one matmul per block: the j rows on top of the k rows
+        x = delta * ((taper * np.concatenate([dj, dk])) @ phase)
+        b = dj.shape[0]
+        per_rep.append(x[:b] * np.conj(x[b:]) / norm)
+    per_rep = np.concatenate(per_rep)
+    _require_replicates(per_rep)
     mean = per_rep.mean(axis=0)
-    r = len(fields)
+    r = per_rep.shape[0]
     se_re = per_rep.real.std(axis=0, ddof=1) / math.sqrt(r)
     se_im = per_rep.imag.std(axis=0, ddof=1) / math.sqrt(r)
     return EmpiricalSpectrum(query=query, omegas=omegas, mean=mean,

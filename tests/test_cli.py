@@ -113,6 +113,69 @@ class TestEmbeddingExitCode:
         report = json.loads((out / "embedding_report.json").read_text())
         assert report["correction"] == "clip"
 
+    def test_estimate_clip_fallback_exits_3(self, tmp_path, params_file,
+                                            monkeypatch):
+        import mfbmwave.cli as cli
+        from mfbmwave.synth import EmbeddingReport
+
+        monkeypatch.setattr(
+            cli, "embedding_report",
+            lambda *a, **k: EmbeddingReport(circulant_size=512,
+                                            min_eigenvalue=-1e-3,
+                                            correction="clip"))
+        cfg = write_config(tmp_path, "e.json",
+                           {"params": str(params_file), "wavelet_m": 1,
+                            "n": 256, "dt": 1.0, "count": 30, "lags": [0, 1]})
+        out = tmp_path / "o"
+        rc = main(["--config", str(cfg), "--out", str(out), "estimate"])
+        assert rc == 3
+        # the estimate is still written, loudly marked approximate
+        assert (out / "estimate_cov.csv").exists()
+        report = json.loads((out / "embedding_report.json").read_text())
+        assert report["correction"] == "clip"
+        assert report["seed_scheme"] == 2
+
+
+class TestValidationExitCodes:
+    def run(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_simulate_count_zero(self, tmp_path, params_file, capsys):
+        err = self.run(tmp_path, capsys, "simulate",
+                       {"params": str(params_file), "n": 64, "dt": 1.0, "count": 0})
+        assert "count >= 1" in err
+
+    def test_estimate_too_few_replicates(self, tmp_path, params_file, capsys):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": 1.0,
+                        "count": 29})
+        assert "count >= 30" in err
+
+    @pytest.fixture()
+    def path_file(self, tmp_path, params_file):
+        cfg = write_config(tmp_path, "sim.json",
+                           {"params": str(params_file), "n": 128, "dt": 1.0})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "sim"),
+                     "simulate"]) == 0
+        return tmp_path / "sim" / "path_0000.mfbm"
+
+    def test_cwt_scale_below_resolution(self, tmp_path, path_file, capsys):
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(path_file), "wavelet_m": 1,
+                        "scales": [3.0]})
+        assert "below resolution threshold" in err
+
+    def test_cwt_scale_too_large(self, tmp_path, path_file, capsys):
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(path_file), "wavelet_m": 1,
+                        "scales": [4.0, 8.0]})
+        assert "path too short" in err
+
 
 class TestCwtCommand:
     def test_cwt_of_stored_path(self, tmp_path, params_file):
@@ -197,6 +260,9 @@ class TestEstimateCommand:
         lag0 = rows[1]
         z = abs(float(lag0[2]) - float(lag0[6])) / float(lag0[4])
         assert z < 6.0
+        report = json.loads((out / "embedding_report.json").read_text())
+        assert report["correction"] == "none"
+        assert report["seed_scheme"] == 2
 
 
 class TestVerifyCommand:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import mfbmwave.estimate as estimate
 from mfbmwave.model import MfbmParams
 from mfbmwave.synth import replicate_ensemble
-from mfbmwave.wavelets import WaveletField, gaussian_derivative, cwt
+from mfbmwave.wavelets import (
+    WaveletField, HermiteWavelet, gaussian_derivative, cwt, cwt_ensemble)
 from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov, scale_law_constant
 from mfbmwave.spectral import cross_spectral_density
 from mfbmwave.estimate import (
@@ -196,23 +198,122 @@ class TestEmpiricalSpectrum:
                                      np.array([0.5]))
 
 
+def loop_wavelet_cov(fields, q, lags):
+    """Per-replicate, per-lag complex means and a scalar jackknife per lag."""
+    ia1, ia2 = fields[0].scale_index(q.a1), fields[0].scale_index(q.a2)
+    per_rep = np.empty((len(fields), len(lags)), dtype=complex)
+    for r, f in enumerate(fields):
+        dj, dk = f.coeffs[q.j, ia1], f.coeffs[q.k, ia2]
+        nb = dj.size
+        for il, lag in enumerate(lags):
+            if lag >= 0:
+                per_rep[r, il] = (dj[lag:] * np.conj(dk[:nb - lag])).mean()
+            else:
+                per_rep[r, il] = (dj[:nb + lag] * np.conj(dk[-lag:])).mean()
+
+    def jack(v):
+        r = v.size
+        loo = (v.sum() - v) / (r - 1)
+        return math.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2))
+
+    se_re = np.array([jack(per_rep[:, il].real) for il in range(len(lags))])
+    se_im = np.array([jack(per_rep[:, il].imag) for il in range(len(lags))])
+    return per_rep.mean(axis=0), se_re, se_im
+
+
+def loop_cross_spectrum(fields, q, omegas):
+    """Two vector-matrix products per field."""
+    ia1, ia2 = fields[0].scale_index(q.a1), fields[0].scale_index(q.a2)
+    shifts = fields[0].shifts
+    delta = shifts[1] - shifts[0]
+    taper = np.hanning(shifts.size)
+    norm = delta * np.sum(taper ** 2)
+    phase = np.exp(-1j * np.outer(shifts - shifts[0], omegas))
+    per_rep = np.array([
+        delta * ((taper * f.coeffs[q.j, ia1]) @ phase)
+        * np.conj(delta * ((taper * f.coeffs[q.k, ia2]) @ phase)) / norm
+        for f in fields])
+    return per_rep.mean(axis=0)
+
+
+class TestStreamedEstimators:
+    LAGS = [-17, -4, -1, 0, 1, 2, 5, 17, 60]
+
+    @pytest.fixture(scope="class")
+    def complex_fields(self):
+        paths = replicate_ensemble(PARAMS, 512, 1.0, seed=77, count=45)
+        wavelet = HermiteWavelet([(1.0, 1), (0.5j, 2)])
+        return list(cwt_ensemble(paths, wavelet, [4.0, 8.0]))
+
+    @pytest.mark.parametrize("q", [WaveletCovQuery(0, 1, 4.0, 4.0),
+                                   WaveletCovQuery(1, 0, 8.0, 4.0),
+                                   WaveletCovQuery(1, 1, 4.0, 4.0)])
+    def test_matches_loop_reference(self, fields, complex_fields, q):
+        # mean to 1e-14; the jackknife SE is a difference of sums whose
+        # condition number (|estimate| / its spread, about 20 here) scales
+        # the per-replicate rounding, so it is held to 1e-13
+        for flds in (fields, complex_fields):
+            out = empirical_wavelet_cov(flds, q, self.LAGS)
+            mean, se_re, se_im = loop_wavelet_cov(flds, q, self.LAGS)
+            scale = np.abs(mean).max()
+            np.testing.assert_allclose(out.mean, mean, rtol=1e-14, atol=1e-14 * scale)
+            se_scale = max(se_re.max(), se_im.max())
+            np.testing.assert_allclose(out.se_real, se_re, rtol=1e-13,
+                                       atol=1e-13 * se_scale)
+            np.testing.assert_allclose(out.se_imag, se_im, rtol=1e-13,
+                                       atol=1e-13 * se_scale)
+            assert out.replicates == len(flds)
+
+    def test_real_rows_give_zero_imaginary_part(self, fields):
+        out = empirical_wavelet_cov(fields, WaveletCovQuery(0, 1, 4.0, 8.0), self.LAGS)
+        assert not out.mean.imag.any() and not out.se_imag.any()
+
+    def test_generator_equals_list(self, fields, monkeypatch):
+        q = WaveletCovQuery(0, 1, 4.0, 8.0)
+        want = empirical_wavelet_cov(fields, q, self.LAGS)
+        # blocks of 7 fields: 240 replicates end in a partial block
+        monkeypatch.setattr(estimate, "_BLOCK_BYTES", 7 * 32 * fields[0].shifts.size)
+        for source in (fields, (f for f in fields)):
+            got = empirical_wavelet_cov(source, q, self.LAGS)
+            np.testing.assert_array_equal(got.mean, want.mean)
+            np.testing.assert_array_equal(got.se_real, want.se_real)
+            np.testing.assert_array_equal(got.se_imag, want.se_imag)
+            assert got.replicates == want.replicates
+
+    def test_too_few_from_generator(self, fields):
+        q = WaveletCovQuery(0, 1, 4.0, 4.0)
+        with pytest.raises(ValueError, match="need >= 30"):
+            empirical_wavelet_cov((f for f in fields[:29]), q, [0])
+        with pytest.raises(ValueError, match="need >= 30"):
+            empirical_wavelet_cov(iter(()), q, [0])
+
+    def test_cross_spectrum_matches_loop(self, fields, complex_fields, monkeypatch):
+        # the periodogram falls by more than ten decades over these
+        # frequencies, and far below its peak both versions hold DFT
+        # rounding only, so the agreement is normwise
+        omegas = np.linspace(0.05, 2.0, 64)
+        monkeypatch.setattr(estimate, "_BLOCK_BYTES", 7 * 32 * fields[0].shifts.size)
+        for flds in (fields, complex_fields):
+            q = WaveletCovQuery(0, 1, 4.0, 8.0)
+            want = loop_cross_spectrum(flds, q, omegas)
+            got = empirical_cross_spectrum((f for f in flds), q, omegas)
+            np.testing.assert_allclose(got.mean, want, rtol=0.0,
+                                       atol=1e-13 * np.abs(want).max())
+
+
 class TestEmpiricalDecaySlope:
     def test_decay_exponent_from_monte_carlo(self):
         # large-lag slope of the empirical cross-covariance approaches
         # H_j + H_k - 2M.  The slope spreads by 0.1-0.2 from seed to seed
         # at 1200 replicates, so 4800 are needed for the 0.15 tolerance; the
-        # fields are made 600 at a time and the equal-size block means
-        # averaged, to keep memory bounded
+        # fields are streamed from a generator, so only the paths are held
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
         paths = replicate_ensemble(params, 8192, 1.0, seed=607, count=4800)
         lags = np.array([0, 32, 48, 64, 96, 128])
-        means = []
-        for start in range(0, len(paths), 600):
-            flds = [cwt(p, WAVELET, [4.0]) for p in paths[start:start + 600]]
-            means.append(empirical_wavelet_cov(
-                flds, WaveletCovQuery(0, 1, 4.0, 4.0), lags).mean)
-        mean = np.mean(means, axis=0)
-        rep = fit_power_law(lags[1:].astype(float), np.abs(mean.real[1:]))
+        est = empirical_wavelet_cov(cwt_ensemble(paths, WAVELET, [4.0]),
+                                    WaveletCovQuery(0, 1, 4.0, 4.0), lags)
+        assert est.replicates == 4800
+        rep = fit_power_law(lags[1:].astype(float), np.abs(est.mean.real[1:]))
         assert rep.slope == pytest.approx(0.4 + 0.7 - 2.0, abs=0.15)
 
 

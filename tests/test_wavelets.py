@@ -4,12 +4,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
+import mfbmwave.wavelets as wavelets
+from mfbmwave.model import MfbmParams
+from mfbmwave.synth import replicate_ensemble
 from mfbmwave.wavelets import (
     HermiteWavelet,
+    GridError,
     gaussian_derivative,
     wavelet_autocorrelation,
     cwt,
+    cwt_ensemble,
+    shift_margin,
     valid_shift_range,
     TRUNCATION_RADIUS,
 )
@@ -189,3 +196,83 @@ class TestCwt:
         assert lo == 40 and hi == 215
         with pytest.raises(ValueError):
             valid_shift_range(64, 1.0, 4.0)
+
+
+def per_row_cwt(values, dt, wavelet, scales, shift_idx):
+    """One 1D fftconvolve per component and scale: the transform's definition
+    as a loop, kept apart from the batched code."""
+    out = np.empty((values.shape[0], len(scales), shift_idx.size), dtype=complex)
+    for ia, a in enumerate(scales):
+        L = shift_margin(a, dt)
+        t = np.arange(-L, L + 1) * dt / a
+        kernel = np.conj(wavelet.eval(t)) * (dt / math.sqrt(a))
+        if wavelet.is_real:
+            kernel = np.real(kernel)
+        for j in range(values.shape[0]):
+            out[j, ia] = fftconvolve(values[j], kernel[::-1])[shift_idx + L]
+    return out
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
+
+
+class TestCwtEnsemble:
+    COMPLEX = HermiteWavelet([(1.0, 1), (0.5j, 2)])
+
+    def check(self, paths, wavelet, scales, shifts=None):
+        fields = list(cwt_ensemble(paths, wavelet, scales, shifts=shifts))
+        assert len(fields) == len(paths)
+        for path, field in zip(paths, fields):
+            single = cwt(path, wavelet, scales, shifts=shifts)
+            assert_bits_equal(field.coeffs, single.coeffs)
+            np.testing.assert_array_equal(field.shifts, single.shifts)
+            np.testing.assert_array_equal(field.scales, single.scales)
+            assert field.seed == single.seed == path.seed
+            shift_idx = np.rint(single.shifts / path.dt).astype(int)
+            assert_bits_equal(single.coeffs, per_row_cwt(
+                path.values, path.dt, wavelet, single.scales, shift_idx))
+
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_bit_identical_to_per_path(self, count):
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 512, 0.5, seed=31, count=count)
+        self.check(paths, gaussian_derivative(2), [2.0, 5.0])
+
+    def test_across_chunk_boundaries(self, monkeypatch):
+        # chunks of 5 rows: pairs of bivariate replicates and a trailing one;
+        # then chunks of 2 rows, which split a trivariate replicate
+        params = MfbmParams.bivariate(0.3, 0.8, rho=0.4, eta=0.05)
+        paths = replicate_ensemble(params, 256, 1.0, seed=8, count=7)
+        monkeypatch.setattr(wavelets, "_CHUNK_BYTES", 5 * 8 * 256)
+        self.check(paths, gaussian_derivative(1), [4.0, 6.0])
+        tri = MfbmParams(H=[0.3, 0.5, 0.7], sigma=[1.0, 1.0, 1.0],
+                         rho=[[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]],
+                         eta=[[0.0, 0.05, 0.05], [-0.05, 0.0, 0.05],
+                              [-0.05, -0.05, 0.0]])
+        paths = replicate_ensemble(tri, 256, 1.0, seed=9, count=3)
+        monkeypatch.setattr(wavelets, "_CHUNK_BYTES", 2 * 8 * 256)
+        self.check(paths, gaussian_derivative(1), [4.0])
+
+    def test_default_chunks(self):
+        # 1 MB chunks hold 16 bivariate paths of n = 4096; 37 paths span three
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 4096, 1.0, seed=5, count=37)
+        self.check(paths, gaussian_derivative(2), [4.0])
+
+    def test_complex_wavelet_and_explicit_shifts(self):
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 512, 1.0, seed=12, count=5)
+        self.check(paths, self.COMPLEX, [4.0, 8.0])
+        self.check(paths, self.COMPLEX, [4.0, 8.0],
+                   shifts=[90.0, 91.0, 200.0, 333.0, 421.0])
+
+    def test_empty_and_invalid(self):
+        assert list(cwt_ensemble([], gaussian_derivative(1), [4.0])) == []
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 256, 1.0, seed=1, count=2)
+        with pytest.raises(GridError):
+            next(cwt_ensemble(paths, gaussian_derivative(1), [2.0]))
+        with pytest.raises(GridError):
+            next(cwt_ensemble(paths, gaussian_derivative(1), [40.0]))
