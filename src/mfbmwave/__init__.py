@@ -28,10 +28,8 @@ from .synth import (
     replicate_ensemble,
 )
 from .wavelets import (
-    Wavelet,
     HermiteWavelet,
     WaveletField,
-    InsufficientDecayError,
     GridError,
     gaussian_derivative,
     wavelet_autocorrelation,

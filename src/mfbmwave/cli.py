@@ -7,8 +7,10 @@ before any computation.  All outputs are plot-ready CSV or JSON written to
 the output directory; commands are deterministic given the seed and
 side-effect free outside that directory.
 
-Exit codes: 0 success, 1 verification suite failed, 2 validation error,
-3 embedding failure (clipped, approximate output was still written).
+Exit codes: 0 success, 1 verification suite failed, 2 validation error
+(bad config or parameters, an unresolvable scale or lag grid, a corrupt
+container), 3 embedding failure (clipped, approximate output was still
+written).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .model import InvalidParamsError, load_params
 from .synth import SEED_SCHEME, embedding_report, replicate_ensemble
-from .wavelets import GridError, gaussian_derivative, cwt, cwt_ensemble
+from .wavelets import GridError, _grid, gaussian_derivative, cwt, cwt_ensemble
 from .wavstats import (
     WaveletCovQuery,
     DegenerateAsymptoticsError,
@@ -33,6 +35,7 @@ from .wavstats import (
 from .spectral import cross_spectral_density, coherence, make_log_omega_grid, zeta
 from .estimate import MIN_REPLICATES, empirical_wavelet_cov, fit_power_law
 from .containers import (
+    ContainerError,
     field_to_csv_file,
     load_path_file,
     path_to_csv_file,
@@ -244,6 +247,14 @@ def cmd_estimate(args) -> int:
     a2 = float(config.get("a2", a1))
     scales = sorted({float(a) for a in config.get("scales", [])} | {a1, a2})
     lags = [int(l) for l in config.get("lags", [0, 1, 2, 4, 8])]
+    # the grid is checked before the ensemble is synthesized
+    _, shift_idx = _grid(n, dt, scales, None)
+    if 0 not in lags:
+        raise ConfigError("'estimate' lags must contain lag 0")
+    max_lag = max(abs(l) for l in lags)
+    if max_lag >= shift_idx.size:
+        raise ConfigError(f"lag {max_lag} exceeds available shifts "
+                          f"({shift_idx.size})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -325,8 +336,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidParamsError, GridError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, InvalidParamsError, GridError, ContainerError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

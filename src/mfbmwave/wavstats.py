@@ -13,9 +13,9 @@ atoms is a Hermite function, and the single integral reduces to confluent
 hypergeometric functions (DLMF 12.5.1, 12.7.14, 13.2.39):
 :func:`theoretical_wavelet_cov` evaluates that closed form in near and far
 field alike.  :func:`wavelet_cov_quadrature` keeps the one-dimensional
-adaptive quadrature, valid for any :class:`~mfbmwave.wavelets.Wavelet`, as the
-independent cross-check.  The module also exposes the scale-power law of the
-instantaneous covariance and the closed-form large-lag decay.
+adaptive quadrature as the independent cross-check.  The module also exposes
+the scale-power law of the instantaneous covariance and the closed-form
+large-lag decay.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from scipy.special import hyp1f1, rgamma
 from . import model
 from .model import MfbmParams
 from .quadrature import quad_checked
-from .wavelets import HermiteWavelet, Wavelet, TRUNCATION_RADIUS, \
+from .wavelets import HermiteWavelet, TRUNCATION_RADIUS, \
     _SQRT_2PI, _atom_pair_prefactor
 
 # Quadrature target of wavelet_cov_quadrature: QUADPACK stops once the error
@@ -178,7 +178,7 @@ def _log_integral(K: int, rho: float, eta: float, c: float) -> float:
     return _power_integral(K, 1.0, rho, 0.0, c) + eta * d_eta
 
 
-def _kernel_integral(params: MfbmParams, j: int, k: int, wavelet: Wavelet,
+def _kernel_integral(params: MfbmParams, j: int, k: int, wavelet: HermiteWavelet,
                      a1: float, a2: float, h: float) -> complex:
     """int w_jk(y - h) D(y) dy in closed form, D the pair correlation at (a1, a2).
 
@@ -187,10 +187,6 @@ def _kernel_integral(params: MfbmParams, j: int, k: int, wavelet: Wavelet,
     and using the homogeneity of w_jk leaves C s^(alpha+1) times the
     integral of _power_integral or _log_integral.
     """
-    if not isinstance(wavelet, HermiteWavelet):
-        raise TypeError(
-            f"the closed-form covariance covers HermiteWavelet only, not "
-            f"{type(wavelet).__name__}; use wavelet_cov_quadrature")
     rho = float(params.rho[j, k])
     eta = float(params.eta[j, k])
     log_branch = params.is_log_branch(j, k)
@@ -216,8 +212,8 @@ def theoretical_wavelet_cov(query: WaveletCovQuery, params: MfbmParams,
 
     Covers the Gaussian-derivative family (:class:`HermiteWavelet`) in near
     and far field, on both kernel branches, to within about 1e-13 relative of
-    30-digit references; other wavelets raise TypeError and go through
-    :func:`wavelet_cov_quadrature`.
+    30-digit references; :func:`wavelet_cov_quadrature` is the independent
+    cross-check.
     """
     j, k, a1, a2, h = query.j, query.k, query.a1, query.a2, query.h
     model._check_index(params, j, k)
@@ -226,8 +222,8 @@ def theoretical_wavelet_cov(query: WaveletCovQuery, params: MfbmParams,
 
 
 def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
-                           wavelet: Wavelet, tol: float = QUAD_TOL) -> complex:
-    """Wavelet cross-covariance by adaptive quadrature, for any wavelet.
+                           wavelet: HermiteWavelet, tol: float = QUAD_TOL) -> complex:
+    """Wavelet cross-covariance by adaptive quadrature.
 
     The independent numerical route behind :func:`theoretical_wavelet_cov`.
     Uses the one-dimensional form against the wavelet pair correlation.  For
@@ -242,7 +238,6 @@ def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
     therefore carry a large relative error: 3e-4 at M = 3, a1 = a2 = 1,
     h = 512, where the covariance is 8e-14.
     """
-    wavelet.require_certificate(2, "wavelet covariance")
     j, k, a1, a2, h = query.j, query.k, query.a1, query.a2, query.h
     model._check_index(params, j, k)
     D = wavelet.pair_correlation(a1, a2)
@@ -270,7 +265,7 @@ def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
 
 
 def theoretical_wavelet_cov_2d(query: WaveletCovQuery, params: MfbmParams,
-                               wavelet: Wavelet, tol: float = 1e-9) -> complex:
+                               wavelet: HermiteWavelet, tol: float = 1e-9) -> complex:
     """Independent two-dimensional quadrature of the defining double integral.
 
     The test oracle of :func:`theoretical_wavelet_cov` and
@@ -370,11 +365,10 @@ class AsymptoticLaw:
                        * self.kappa * t * abs(h) ** self.exponent)
 
 
-def asymptotic_law(params: MfbmParams, wavelet: Wavelet, j: int, k: int,
+def asymptotic_law(params: MfbmParams, wavelet: HermiteWavelet, j: int, k: int,
                    a1: float = 1.0, a2: float = 1.0) -> AsymptoticLaw:
     """Large-lag decay law of the wavelet cross-covariance."""
     M = wavelet.vanishing_moments
-    wavelet.require_certificate(2 * M + 1, "asymptotic covariance")
     model._check_index(params, j, k)
     alpha = params.alpha(j, k)
     rho = float(params.rho[j, k])
@@ -395,13 +389,13 @@ def asymptotic_law(params: MfbmParams, wavelet: Wavelet, j: int, k: int,
 
 
 def asymptotic_wavelet_cov(query: WaveletCovQuery, params: MfbmParams,
-                           wavelet: Wavelet) -> complex:
+                           wavelet: HermiteWavelet) -> complex:
     """Leading-order prediction of the covariance at large |h|."""
     law = asymptotic_law(params, wavelet, query.j, query.k, query.a1, query.a2)
     return law.value(query.h)
 
 
-def decay_exponent_fit(params: MfbmParams, wavelet: Wavelet, j: int, k: int,
+def decay_exponent_fit(params: MfbmParams, wavelet: HermiteWavelet, j: int, k: int,
                        h_grid, a1: float = 1.0, a2: float = 1.0,
                        enforce_h_min: bool = True):
     """Log-log regression of |cov| on |h| over a geometric lag grid.

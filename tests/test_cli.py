@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mfbmwave import cli
 from mfbmwave.cli import main
 from mfbmwave.model import MfbmParams, save_params
 
@@ -175,6 +176,50 @@ class TestValidationExitCodes:
                        {"path_file": str(path_file), "wavelet_m": 1,
                         "scales": [4.0, 8.0]})
         assert "path too short" in err
+
+    def test_cwt_garbage_path_file(self, tmp_path, capsys):
+        garbage = tmp_path / "garbage.mfbm"
+        garbage.write_bytes(bytes(range(256)) * 3)
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(garbage), "wavelet_m": 1,
+                        "scales": [4.0]})
+        assert "bad magic" in err
+
+    def test_cwt_cut_path_file(self, tmp_path, path_file, capsys):
+        cut = tmp_path / "cut.mfbm"
+        cut.write_bytes(path_file.read_bytes()[:20])
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(cut), "wavelet_m": 1,
+                        "scales": [4.0]})
+        assert "truncated container" in err
+
+    @pytest.fixture()
+    def no_synthesis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ensemble synthesized before the grid check")
+
+        monkeypatch.setattr(cli, "replicate_ensemble", refuse)
+
+    def test_estimate_lag_beyond_shifts(self, tmp_path, params_file, capsys,
+                                        no_synthesis):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": 1.0,
+                        "count": 30, "lags": [0, 300]})
+        assert "lag 300 exceeds available shifts" in err
+
+    def test_estimate_lags_without_zero(self, tmp_path, params_file, capsys,
+                                        no_synthesis):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": 1.0,
+                        "count": 30, "lags": [1, 2]})
+        assert "lag 0" in err
+
+    def test_estimate_scale_below_resolution(self, tmp_path, params_file,
+                                             capsys, no_synthesis):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 4096, "dt": 1.0,
+                        "count": 3000, "a1": 2.0})
+        assert "below resolution threshold" in err
 
 
 class TestCwtCommand:

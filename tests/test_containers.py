@@ -1,5 +1,6 @@
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mfbmwave.containers import (
     load_path,
     save_field,
     load_field,
+    load_path_file,
 )
 
 PARAMS = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
@@ -159,3 +161,36 @@ class TestBinary:
         raw = buf.getvalue()[:-16]
         with pytest.raises(ContainerError):
             load_path(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("kind", ["path", "field"])
+    def test_cut_at_every_offset(self, kind, path, field):
+        save, load, obj = {"path": (save_path, load_path, path),
+                           "field": (save_field, load_field, field)}[kind]
+        buf = io.BytesIO()
+        save(obj, buf)
+        raw = buf.getvalue()
+        for cut in range(len(raw)):
+            with pytest.raises(ContainerError):
+                load(io.BytesIO(raw[:cut]))
+
+    def test_stored_rho_diagonal_checked(self, path):
+        buf = io.BytesIO()
+        save_path(path, buf)
+        raw = buf.getvalue()
+        # header (8 bytes), p n dt seed (28), H and sigma (2 x 16), then rho_00
+        at = 8 + 28 + 32
+        assert struct.unpack("<d", raw[at:at + 8]) == (1.0,)
+        bad = raw[:at] + struct.pack("<d", 7.0) + raw[at + 8:]
+        with pytest.raises(ContainerError, match="unit diagonal"):
+            load_path(io.BytesIO(bad))
+
+    def test_size_field_beyond_file(self, path, tmp_path):
+        buf = io.BytesIO()
+        save_path(path, buf)
+        raw = bytearray(buf.getvalue())
+        # the path length n sits after the header (8 bytes) and p (4 bytes)
+        raw[12:20] = struct.pack("<Q", 1 << 61)
+        f = tmp_path / "huge.mfbm"
+        f.write_bytes(bytes(raw))
+        with pytest.raises(ContainerError, match="truncated"):
+            load_path_file(f)

@@ -36,6 +36,13 @@ class TestFitPowerLaw:
         assert rep.slope_se == pytest.approx(0.0, abs=1e-12)
         assert rep.n_used == 5 and rep.n_excluded == 0
 
+    def test_two_point_fit_has_no_standard_error(self):
+        rep = fit_power_law([2.0, 30.0], [1.0, 0.1])
+        assert rep.slope == pytest.approx(math.log(0.1) / math.log(15.0),
+                                          rel=1e-14)
+        assert math.isnan(rep.slope_se)
+        assert rep.n_used == 2
+
     def test_scale_law_slope_from_theory(self):
         scales = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
         covs = [theoretical_wavelet_cov(WaveletCovQuery(0, 1, a, a, 0.0),

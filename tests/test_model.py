@@ -14,6 +14,8 @@ from mfbmwave.model import (
     max_admissible_rho,
     params_to_text,
     params_from_text,
+    pack_triangles,
+    unpack_triangles,
 )
 
 
@@ -269,3 +271,29 @@ class TestTextFormat:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParamsFormatError):
             params_from_text("p: 1\nH: 0.5\nsigma: 1\nrho: 1\neta:\nbogus: 3\n")
+
+
+class TestTriangles:
+    def test_row_major_order_and_inverse(self):
+        params = random_params(np.random.default_rng(5), p=3)
+        rho_low, eta_low = pack_triangles(params)
+        r, e = params.rho, params.eta
+        np.testing.assert_array_equal(
+            rho_low, [r[0, 0], r[1, 0], r[1, 1], r[2, 0], r[2, 1], r[2, 2]])
+        np.testing.assert_array_equal(eta_low, [e[1, 0], e[2, 0], e[2, 1]])
+        rho, eta = unpack_triangles(3, rho_low, eta_low)
+        np.testing.assert_array_equal(rho, params.rho)
+        np.testing.assert_array_equal(eta, params.eta)
+
+    def test_text_document_layout(self):
+        params = MfbmParams(H=[0.3, 0.5, 0.7], sigma=[1.0, 2.0, 3.0],
+                            rho=[[1.0, 0.1, 0.2], [0.1, 1.0, 0.3], [0.2, 0.3, 1.0]],
+                            eta=[[0.0, -0.4, -0.5], [0.4, 0.0, -0.6],
+                                 [0.5, 0.6, 0.0]])
+        text = params_to_text(params)
+        assert text.splitlines()[3:] == ["rho: 1 0.10000000000000001 1 "
+                                         "0.20000000000000001 "
+                                         "0.29999999999999999 1",
+                                         "eta: 0.40000000000000002 0.5 "
+                                         "0.59999999999999998"]
+        assert params_to_text(params_from_text(text)) == text

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from mfbmwave.model import MfbmParams
 from mfbmwave.verify import XCHECK_ABS, XCHECK_REL
-from mfbmwave.wavelets import HermiteWavelet, Wavelet, gaussian_derivative
+from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 from mfbmwave.wavstats import (
     WaveletCovQuery,
     DegenerateAsymptoticsError,
@@ -175,17 +175,6 @@ class TestClosedForm:
             got = theoretical_wavelet_cov(WaveletCovQuery(0, 1, a1, a2, h), params,
                                           HermiteWavelet(terms))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    def test_other_wavelets_refused(self):
-        class OtherWavelet(Wavelet):
-            vanishing_moments = 1
-
-        params = MfbmParams.bivariate(0.3, 0.45, rho=0.5)
-        with pytest.raises(TypeError, match="wavelet_cov_quadrature"):
-            theoretical_wavelet_cov(WaveletCovQuery(0, 1, 1.0, 1.0), params,
-                                    OtherWavelet())
-        with pytest.raises(TypeError, match="wavelet_cov_quadrature"):
-            scale_law_constant(params, OtherWavelet(), 0, 1)
 
 
 class TestScaleLaw:
