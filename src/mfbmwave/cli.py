@@ -9,8 +9,8 @@ side-effect free outside that directory.
 
 Exit codes: 0 success, 1 verification suite failed, 2 validation error
 (bad config or parameters, an unresolvable scale or lag grid, a corrupt
-container), 3 embedding failure (clipped, approximate output was still
-written).
+container, a file that cannot be read or written), 3 embedding failure
+(clipped, approximate output was still written).
 """
 
 from __future__ import annotations
@@ -88,6 +88,23 @@ def _need(config, key, command):
     return config[key]
 
 
+def _typed(kind, value, key):
+    """``kind(value)`` for the config value of ``key``; a ConfigError if it
+    does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config key {key!r}: {value!r} is not "
+                          f"{'an' if kind is int else 'a'} {kind.__name__}") \
+            from None
+
+
+def _typed_list(kind, value, key) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+    return [_typed(kind, v, key) for v in value]
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -103,7 +120,7 @@ def _fmt_complex_cols(z) -> tuple:
 
 
 def _count(config, default, minimum, command) -> int:
-    count = int(config.get("count", default))
+    count = _typed(int, config.get("count", default), "count")
     if count < minimum:
         raise ConfigError(f"{command!r} needs count >= {minimum}, got {count}")
     return count
@@ -126,11 +143,12 @@ def _report_embedding(out: Path, params, n: int, dt: float) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args, "simulate")
-    params = load_params(_need(config, "params", "simulate"))
-    n = int(_need(config, "n", "simulate"))
-    dt = float(_need(config, "dt", "simulate"))
+    params = load_params(_typed(str, _need(config, "params", "simulate"),
+                                "params"))
+    n = _typed(int, _need(config, "n", "simulate"), "n")
+    dt = _typed(float, _need(config, "dt", "simulate"), "dt")
     count = _count(config, 1, 1, "simulate")
-    seed = int(config.get("seed", 0))
+    seed = _typed(int, config.get("seed", 0), "seed")
     basename = config.get("basename", "path")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,10 +163,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_cwt(args) -> int:
     config = _load_config(args, "cwt")
-    path = load_path_file(_need(config, "path_file", "cwt"))
-    wavelet = gaussian_derivative(int(_need(config, "wavelet_m", "cwt")))
-    scales = [float(a) for a in _need(config, "scales", "cwt")]
+    path = load_path_file(_typed(str, _need(config, "path_file", "cwt"),
+                                 "path_file"))
+    wavelet = gaussian_derivative(
+        _typed(int, _need(config, "wavelet_m", "cwt"), "wavelet_m"))
+    scales = _typed_list(float, _need(config, "scales", "cwt"), "scales")
     shifts = config.get("shifts")
+    if shifts is not None:
+        shifts = _typed_list(float, shifts, "shifts")
     field = cwt(path, wavelet, scales, shifts=shifts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -159,12 +181,17 @@ def cmd_cwt(args) -> int:
 
 
 def _theory_common(config):
-    params = load_params(_need(config, "params", "theory"))
-    wavelet = gaussian_derivative(int(config.get("wavelet_m", 1)))
-    j = int(config.get("j", 0))
-    k = int(config.get("k", min(1, params.p - 1)))
-    a1 = float(config.get("a1", 1.0))
-    a2 = float(config.get("a2", 1.0))
+    params = load_params(_typed(str, _need(config, "params", "theory"),
+                                "params"))
+    wavelet = gaussian_derivative(_typed(int, config.get("wavelet_m", 1),
+                                         "wavelet_m"))
+    j = _typed(int, config.get("j", 0), "j")
+    k = _typed(int, config.get("k", min(1, params.p - 1)), "k")
+    a1 = _typed(float, config.get("a1", 1.0), "a1")
+    a2 = _typed(float, config.get("a2", 1.0), "a2")
+    if not (a1 > 0.0 and a2 > 0.0):
+        raise ConfigError(f"'theory' scales must be positive, got a1 = {a1}, "
+                          f"a2 = {a2}")
     return params, wavelet, j, k, a1, a2
 
 
@@ -175,7 +202,8 @@ def cmd_theory(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.kind == "cov":
-        h_values = [float(h) for h in _need(config, "h_values", "theory cov")]
+        h_values = _typed_list(float, _need(config, "h_values", "theory cov"),
+                               "h_values")
         rows = []
         for h in h_values:
             q = WaveletCovQuery(j, k, a1, a2, h)
@@ -192,12 +220,13 @@ def cmd_theory(args) -> int:
                     "asymptotic_re", "asymptotic_im", "ratio"], rows)
     elif args.kind == "spectrum":
         if "omegas" in config:
-            omegas = np.asarray([float(w) for w in config["omegas"]])
+            omegas = np.asarray(_typed_list(float, config["omegas"], "omegas"))
         else:
             omegas = make_log_omega_grid(
-                float(config.get("omega_min", 1e-4)),
-                float(config.get("omega_max", 1e3)),
-                int(config.get("points_per_decade", 64)))
+                _typed(float, config.get("omega_min", 1e-4), "omega_min"),
+                _typed(float, config.get("omega_max", 1e3), "omega_max"),
+                _typed(int, config.get("points_per_decade", 64),
+                       "points_per_decade"))
         grid = cross_spectral_density(WaveletCovQuery(j, k, a1, a2), params,
                                       wavelet, omegas)
         rows = []
@@ -210,7 +239,7 @@ def cmd_theory(args) -> int:
                     "zeta_re", "zeta_im"], rows)
     elif args.kind == "coherence":
         if "omegas" in config:
-            omegas = np.asarray([float(w) for w in config["omegas"]])
+            omegas = np.asarray(_typed_list(float, config["omegas"], "omegas"))
         else:
             omegas = np.linspace(0.05, 2.0, 64)
         res = coherence(WaveletCovQuery(j, k, a1, a2), params, wavelet, omegas)
@@ -221,7 +250,11 @@ def cmd_theory(args) -> int:
                    ["omega", "closed_form_re", "closed_form_im",
                     "definition", "discrepancy_re", "discrepancy_im"], rows)
     else:  # scaling
-        scales = [float(a) for a in config.get("scales", [1.0, 2.0, 4.0, 8.0, 16.0])]
+        scales = _typed_list(
+            float, config.get("scales", [1.0, 2.0, 4.0, 8.0, 16.0]), "scales")
+        if not all(a > 0.0 for a in scales):
+            raise ConfigError(
+                f"'theory' scales must be positive, got {scales}")
         alpha = params.alpha(j, k)
         covs = [theoretical_wavelet_cov(WaveletCovQuery(j, k, a, a, 0.0),
                                         params, wavelet) for a in scales]
@@ -235,18 +268,21 @@ def cmd_theory(args) -> int:
 
 def cmd_estimate(args) -> int:
     config = _load_config(args, "estimate")
-    params = load_params(_need(config, "params", "estimate"))
-    wavelet = gaussian_derivative(int(config.get("wavelet_m", 1)))
-    n = int(_need(config, "n", "estimate"))
-    dt = float(_need(config, "dt", "estimate"))
+    params = load_params(_typed(str, _need(config, "params", "estimate"),
+                                "params"))
+    wavelet = gaussian_derivative(_typed(int, config.get("wavelet_m", 1),
+                                         "wavelet_m"))
+    n = _typed(int, _need(config, "n", "estimate"), "n")
+    dt = _typed(float, _need(config, "dt", "estimate"), "dt")
     count = _count(config, 100, MIN_REPLICATES, "estimate")
-    seed = int(config.get("seed", 0))
-    j = int(config.get("j", 0))
-    k = int(config.get("k", min(1, params.p - 1)))
-    a1 = float(config.get("a1", 4.0 * dt))
-    a2 = float(config.get("a2", a1))
-    scales = sorted({float(a) for a in config.get("scales", [])} | {a1, a2})
-    lags = [int(l) for l in config.get("lags", [0, 1, 2, 4, 8])]
+    seed = _typed(int, config.get("seed", 0), "seed")
+    j = _typed(int, config.get("j", 0), "j")
+    k = _typed(int, config.get("k", min(1, params.p - 1)), "k")
+    a1 = _typed(float, config.get("a1", 4.0 * dt), "a1")
+    a2 = _typed(float, config.get("a2", a1), "a2")
+    scales = sorted(set(_typed_list(float, config.get("scales", []), "scales"))
+                    | {a1, a2})
+    lags = _typed_list(int, config.get("lags", [0, 1, 2, 4, 8]), "lags")
     # the grid is checked before the ensemble is synthesized
     _, shift_idx = _grid(n, dt, scales, None)
     if 0 not in lags:
@@ -337,7 +373,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidParamsError, GridError, ContainerError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

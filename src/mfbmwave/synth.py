@@ -3,13 +3,13 @@
 The increments of the process on a uniform grid form a stationary Gaussian
 vector sequence whose matrix autocovariance is known in closed form.  The
 sequence is embedded into a block-circulant covariance, diagonalized by the
-FFT into one Hermitian p x p matrix per frequency, factored by
-eigendecomposition, excited with complex Gaussian noise and transformed
-back.  As long as every frequency matrix is positive semidefinite, the real
-and the imaginary part are two independent sequences with exactly the
-target covariance (Chan & Wood 1999; Helgason, Pipiras & Abry 2011), and
-both are used.  Paths are the cumulative sums of the increments, pinned to
-zero at the origin.
+FFT into one Hermitian p x p matrix per frequency, factored by its
+Hermitian square root on the half spectrum, excited with complex Gaussian
+noise and transformed back.  As long as every frequency matrix is positive
+semidefinite, the real and the imaginary part are two independent sequences
+with exactly the target covariance (Chan & Wood 1999; Helgason, Pipiras &
+Abry 2011), and both are used.  Paths are the cumulative sums of the
+increments, pinned to zero at the origin.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MfbmParams, InvalidParamsError, check_existence, \
-    increment_cross_covariance
+from .model import MfbmParams, InvalidParamsError, check_existence, kernel_w
 
 # Relative tolerance (w.r.t. the largest eigenvalue) below which negative
 # frequency-matrix eigenvalues count as numerical noise.
@@ -33,11 +32,19 @@ EMBED_REL_TOL = 1e-9
 # doubled at most this many times before falling back to eigenvalue clipping.
 MAX_DOUBLINGS = 6
 
-# Version of the map from (seed, replicate) to Gaussian variates.  Scheme 2:
-# replicates 2k and 2k + 1 are the real and the imaginary half of noise draw
-# k of one Philox stream keyed by the seed.  Scheme 1 keyed one stream per
-# replicate with derive_seed(seed, replicate).
-SEED_SCHEME = 2
+# Bytes a build may hold (_build_bytes) for a doubling to be tried; beyond
+# it the embedding is clipped at the current size.  2 GiB admits m = 2^23 at
+# p = 3 and m = 2^24 at p = 2.
+_BUILD_BUDGET = 2 << 30
+
+# Version of the map from (seed, replicate) to path values.  Scheme 1 keyed
+# one stream per replicate with derive_seed(seed, replicate).  Scheme 2 made
+# replicates 2k and 2k + 1 the real and the imaginary half of noise draw k
+# of one Philox stream keyed by the seed.  Scheme 3 keeps that noise map and
+# scheme 2's factor, the Hermitian square root of each frequency matrix, but
+# computes it on the half spectrum: values agree with scheme 2 to rounding,
+# about 1e-15 relative, and bits do not.
+SEED_SCHEME = 3
 
 # Complex noise per synthesis chunk, in bytes.  A chunk's working set is
 # about four times this; at 512 KB an ensemble's peak memory is that of
@@ -88,37 +95,93 @@ class SamplePath:
 class _CirculantFactor:
     def __init__(self, m: int, factor: np.ndarray, report: EmbeddingReport):
         self.m = m
-        self.factor = factor          # (m, p, p) complex
+        # (m/2 + 1, p, p) complex Hermitian square roots S(f) of Lambda(f)
+        # for f <= m/2; conj S(m - f) serves the frequencies above.  A view
+        # of a component-major array, so that factor[:, i, j] is contiguous.
+        self.factor = factor
         self.report = report
 
 
-def _increment_blocks(params: MfbmParams, lags: np.ndarray, dt: float) -> np.ndarray:
-    p = params.p
-    out = np.empty((lags.size, p, p))
+def _build_bytes(m: int, p: int) -> int:
+    """Bytes of the arrays a build at circulant size m holds.
+
+    The sum of the real blocks, the half spectrum, its eigenvectors (which
+    become the factor) and its eigenvalues.  They are never all alive at
+    once, so the sum is an upper estimate of the build's peak.
+    """
+    spectrum = (m // 2 + 1) * p * p * 16
+    return m * p * p * 8 + 2 * spectrum + (m // 2 + 1) * p * 8
+
+
+def _increment_blocks(params: MfbmParams, m: int, dt: float) -> np.ndarray:
+    """Increment covariance blocks at the circulant lags, shape (p, p, m).
+
+    Entry [j, k, i] is gamma_jk(h) at lag h = i for i <= m/2 and h = i - m
+    above.  One kernel evaluation per pair j <= k on the integer grid
+    |t| <= m/2 + 1 serves the three shifted terms of
+    :func:`increment_cross_covariance`, with the same floating-point
+    operations, and gamma_kj(h) = gamma_jk(-h) fills k > j.  The m/2 lag is
+    its own reflection; its block is symmetrized to keep the frequency
+    matrices Hermitian.
+    """
+    p, half = params.p, m // 2
+    s = np.arange(-half - 1.0, half + 2.0)
+    out = np.empty((p, p, m))
     for j in range(p):
-        for k in range(p):
-            out[:, j, k] = increment_cross_covariance(params, j, k, lags, dt=dt)
+        for k in range(j, p):
+            w = kernel_w(params, j, k, -dt * s)        # w_jk(-dt s)
+            c = 0.5 * params.sigma[j] * params.sigma[k]
+            g = c * (w[:-2] + w[2:] - 2.0 * w[1:-1])   # lags -m/2 .. m/2
+            out[j, k, :half + 1] = g[half:]
+            out[j, k, half + 1:] = g[1:half]
+            if k > j:
+                out[k, j, :half + 1] = g[half::-1]
+                out[k, j, half + 1:] = g[2 * half - 1:half:-1]
+    out[:, :, half] = 0.5 * (out[:, :, half] + out[:, :, half].T)
     return out
 
 
-def _try_embedding(params: MfbmParams, n: int, dt: float, m: int):
-    half = m // 2
-    lags = np.concatenate([np.arange(half + 1), np.arange(half + 1 - m, 0)])
-    blocks = _increment_blocks(params, lags.astype(float), dt)
-    # the half-way block is its own reflection; symmetrize to keep the
-    # frequency matrices Hermitian
-    blocks[half] = 0.5 * (blocks[half] + blocks[half].T)
-    lam = np.fft.fft(blocks, axis=0)
-    lam = 0.5 * (lam + np.conj(np.transpose(lam, (0, 2, 1))))
-    evals, evecs = np.linalg.eigh(lam)
-    return evals, evecs
+def _try_embedding(params: MfbmParams, dt: float, m: int):
+    """Eigenvalues and eigenvectors of the half spectrum Lambda(f), f = 0..m/2.
+
+    The blocks are real, so Lambda(m - f) = conj Lambda(f) and the half
+    spectrum has every eigenvalue of the full one.  Only the lower triangle
+    is symmetrized: it is all that ``eigh`` reads.
+    """
+    lam = np.fft.rfft(_increment_blocks(params, m, dt), axis=-1)
+    lam = lam.transpose(2, 0, 1)
+    for j in range(params.p):
+        for k in range(j + 1, params.p):
+            lam[:, k, j] = 0.5 * (lam[:, k, j] + np.conj(lam[:, j, k]))
+    return np.linalg.eigh(lam)
+
+
+def _square_root(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Hermitian square root S(f) = V sqrt(max(D, 0)) V^H, shape (p, p, f).
+
+    Computed as U U^H with U = V max(D, 0)^(1/4), which overwrites
+    ``evecs``.  S(m - f) = conj S(f) is the square root of Lambda(m - f).
+    """
+    np.multiply(evecs, np.sqrt(np.sqrt(np.clip(evals, 0.0, None)))[:, None, :],
+                out=evecs)
+    p = evecs.shape[1]
+    root = np.empty((p, p, evecs.shape[0]), dtype=complex)
+    for i in range(p):
+        for k in range(i + 1):
+            root[i, k] = np.einsum("fj,fj->f", evecs[:, i], np.conj(evecs[:, k]))
+            root[k, i] = np.conj(root[i, k])
+    return root
 
 
 def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
-    """Frequency-domain factor of the block-circulant embedding.
+    """Half-spectrum factor of the block-circulant embedding.
 
     Doubles the circulant size on failure, up to MAX_DOUBLINGS times, then
-    falls back to clipping the offending eigenvalues with a loud report.
+    falls back to clipping the offending eigenvalues with a loud report.  A
+    doubling is also refused, and the clip taken, when the next size would
+    hold more than _BUILD_BUDGET bytes (see _build_bytes).  Without that
+    budget MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 31 GB at
+    p = 3 (24 m p^2 + 4 m p bytes).
     """
     if n < 2:
         raise ValueError("need at least two grid points")
@@ -127,23 +190,28 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
         m *= 2
     attempts = 0
     while True:
-        evals, evecs = _try_embedding(params, n, dt, m)
+        evals, evecs = _try_embedding(params, dt, m)
         lam_min = float(evals.min())
         lam_max = float(evals.max())
         if lam_min >= -EMBED_REL_TOL * lam_max:
             correction = "none"
             break
         if attempts >= MAX_DOUBLINGS:
-            correction = "clip"
-            warnings.warn(
-                f"circulant embedding not nonnegative definite after "
-                f"{attempts} doublings (min eigenvalue {lam_min:.3e}); "
-                f"clipping to zero, simulation is approximate", RuntimeWarning)
-            break
-        m *= 2
-        attempts += 1
-    clipped = np.clip(evals, 0.0, None)
-    factor = np.einsum("fij,fj,fkj->fik", evecs, np.sqrt(clipped), np.conj(evecs))
+            reason = f"after {attempts} doublings"
+        elif (need := _build_bytes(2 * m, params.p)) > _BUILD_BUDGET:
+            reason = (f"at size {m}: the next size needs {need} bytes, over "
+                      f"the budget of {_BUILD_BUDGET}")
+        else:
+            m *= 2
+            attempts += 1
+            continue
+        correction = "clip"
+        warnings.warn(
+            f"circulant embedding not nonnegative definite {reason} "
+            f"(min eigenvalue {lam_min:.3e}); clipping to zero, simulation "
+            f"is approximate", RuntimeWarning)
+        break
+    factor = _square_root(evals, evecs).transpose(2, 0, 1)
     report = EmbeddingReport(circulant_size=m, min_eigenvalue=lam_min,
                              correction=correction)
     return _CirculantFactor(m=m, factor=factor, report=report)
@@ -201,14 +269,19 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
     """Values of ``count`` paths, shape (count, p, n), and the embedding report.
 
     Noise draw k is ``standard_normal((2, m, p))`` of one Philox stream keyed
-    by ``seed``, taken in chunks of whole draws; replicate 2k is the real
-    half of its inverse FFT and replicate 2k + 1 the imaginary half.  A
-    trailing odd replicate takes only the real half.
+    by ``seed``, taken in chunks of whole draws, and w = z[0] + i z[1] is
+    coloured by S(f) for f <= m/2 and by conj S(m - f) above; replicate 2k
+    is the real half of its inverse FFT and replicate 2k + 1 the imaginary
+    half.  A trailing odd replicate takes only the real half.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     fac = _cached_embedding(params, n, dt)
     m, p = fac.m, params.p
+    half = m // 2
+    lo, up = slice(0, half + 1), slice(half + 1, m)
+    root = fac.factor.transpose(1, 2, 0)        # (p, p, m/2 + 1)
+    mirror = root[:, :, half - 1:0:-1]          # S(m - f) for f > m/2
     scale = math.sqrt(m)
     out = np.empty((count, p, n))
     out[:, :, 0] = 0.0
@@ -218,19 +291,26 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
     for first in range(0, pairs, per_chunk):
         k = min(per_chunk, pairs - first)
         z = rng.standard_normal((k, 2, m, p))
-        w = z[:, 0] + 1j * z[:, 1]
+        # component-major noise, conjugated above m/2: conj(S) w is
+        # conj(S conj(w)), so both halves take plain products of S
+        w = np.empty((k, p, m), dtype=complex)
+        w.real = z[:, 0].transpose(0, 2, 1)
+        w.imag = z[:, 1].transpose(0, 2, 1)
+        np.negative(w.imag[:, :, up], out=w.imag[:, :, up])
         v = np.empty_like(w)
-        for b in range(k):
-            # one draw at a time: the batched contraction is slower and a
-            # matmul would change the bits
-            np.einsum("fij,fj->fi", fac.factor, w[b], out=v[b])
-        y = np.fft.ifft(v, axis=1)
-        for half, part in enumerate((y.real, y.imag)):
-            reps = range(2 * first + half, min(2 * (first + k), count), 2)
+        for i in range(p):
+            np.multiply(root[i, 0], w[:, 0, lo], out=v[:, i, lo])
+            np.multiply(mirror[i, 0], w[:, 0, up], out=v[:, i, up])
+            for j in range(1, p):
+                v[:, i, lo] += root[i, j] * w[:, j, lo]
+                v[:, i, up] += mirror[i, j] * w[:, j, up]
+        np.conjugate(v[:, :, up], out=v[:, :, up])
+        y = np.fft.ifft(v, axis=-1, out=v)
+        for imag, part in enumerate((y.real, y.imag)):
+            reps = range(2 * first + imag, min(2 * (first + k), count), 2)
             if reps:
-                inc = scale * part[:len(reps), :n - 1]
-                out[reps.start:reps.stop:2, :, 1:] = \
-                    np.cumsum(inc, axis=1).transpose(0, 2, 1)
+                inc = scale * part[:len(reps), :, :n - 1]
+                np.cumsum(inc, axis=-1, out=out[reps.start:reps.stop:2, :, 1:])
     return out, fac.report
 
 
@@ -238,7 +318,7 @@ def simulate(params: MfbmParams, n: int, dt: float, seed: int):
     """Simulate one path; deterministic in ``seed``.
 
     Returns (SamplePath, EmbeddingReport).  The path is replicate 0 of
-    ``replicate_ensemble`` with the same seed (seed scheme 2): the real half
+    ``replicate_ensemble`` with the same seed (seed scheme 3): the real half
     of the first noise draw of the counter-based Philox generator keyed by
     the seed, drawn in a fixed (frequency, component) order, so results do
     not depend on scheduling.
@@ -252,7 +332,7 @@ def replicate_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                        count: int):
     """``count`` independent paths from one Philox stream keyed by ``seed``.
 
-    Seed scheme 2 (``SEED_SCHEME``): replicates 2k and 2k + 1 are the real
+    Seed scheme 3 (``SEED_SCHEME``): replicates 2k and 2k + 1 are the real
     and the imaginary half of noise draw k, so replicate 0 is
     ``simulate(seed)`` and a smaller count gives a prefix of a larger one.
     Every path carries the ensemble seed in ``SamplePath.seed``; the values

@@ -91,7 +91,7 @@ class TestSimulate:
         assert (outs[0] / "path_0000.mfbm").read_bytes() == \
             (outs[1] / "path_0000.mfbm").read_bytes()
         report = json.loads((outs[1] / "embedding_report.json").read_text())
-        assert report["seed_scheme"] == 2
+        assert report["seed_scheme"] == 3
 
 
 class TestEmbeddingExitCode:
@@ -134,13 +134,35 @@ class TestEmbeddingExitCode:
         assert (out / "estimate_cov.csv").exists()
         report = json.loads((out / "embedding_report.json").read_text())
         assert report["correction"] == "clip"
-        assert report["seed_scheme"] == 2
+        assert report["seed_scheme"] == 3
+
+    def test_build_budget_clip_exits_3(self, tmp_path, monkeypatch):
+        from collections import OrderedDict
+
+        import mfbmwave.synth as synth
+
+        # not nonnegative definite at m = 64; the doubling to 128 would
+        # hold 128 * 4 * 8 + 2 * 65 * 4 * 16 + 65 * 2 * 8 = 13.4 kB
+        monkeypatch.setattr(synth, "_BUILD_BUDGET", 10_000)
+        monkeypatch.setattr(synth, "_factor_cache", OrderedDict())
+        params = tmp_path / "p.txt"
+        save_params(MfbmParams.bivariate(0.2, 0.95, rho=0.3697), params)
+        cfg = write_config(tmp_path, "sim.json",
+                           {"params": str(params), "n": 32, "dt": 1.0})
+        out = tmp_path / "o"
+        with pytest.warns(RuntimeWarning, match="budget"):
+            rc = main(["--config", str(cfg), "--out", str(out), "simulate"])
+        assert rc == 3
+        report = json.loads((out / "embedding_report.json").read_text())
+        assert report["correction"] == "clip"
+        assert report["circulant_size"] == 64
 
 
 class TestValidationExitCodes:
     def run(self, tmp_path, capsys, command, payload):
-        cfg = write_config(tmp_path, f"{command}.json", payload)
-        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), command])
+        words = command.split()
+        cfg = write_config(tmp_path, f"{words[0]}.json", payload)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"), *words])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -156,6 +178,30 @@ class TestValidationExitCodes:
                        {"params": str(params_file), "n": 256, "dt": 1.0,
                         "count": 29})
         assert "count >= 30" in err
+
+    def test_simulate_wrong_typed_n(self, tmp_path, params_file, capsys):
+        err = self.run(tmp_path, capsys, "simulate",
+                       {"params": str(params_file), "n": "abc", "dt": 1.0})
+        assert "'n': 'abc' is not an int" in err
+
+    def test_estimate_lags_not_a_list(self, tmp_path, params_file, capsys,
+                                      no_synthesis):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": 1.0,
+                        "count": 30, "lags": "0 1"})
+        assert "'lags' must be a list" in err
+
+    def test_theory_cov_negative_scale(self, tmp_path, params_file, capsys):
+        err = self.run(tmp_path, capsys, "theory cov",
+                       {"params": str(params_file), "h_values": [0.0],
+                        "a1": -1.0})
+        assert "scales must be positive" in err
+
+    def test_cwt_directory_as_path_file(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(tmp_path), "wavelet_m": 1,
+                        "scales": [4.0]})
+        assert str(tmp_path) in err
 
     @pytest.fixture()
     def path_file(self, tmp_path, params_file):
@@ -307,7 +353,7 @@ class TestEstimateCommand:
         assert z < 6.0
         report = json.loads((out / "embedding_report.json").read_text())
         assert report["correction"] == "none"
-        assert report["seed_scheme"] == 2
+        assert report["seed_scheme"] == 3
 
 
 class TestVerifyCommand:

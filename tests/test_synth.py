@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mfbmwave.model import (
     InvalidParamsError,
     cross_covariance,
     increment_cross_covariance,
+    params_from_text,
 )
 import mfbmwave.synth as synth
 from mfbmwave.synth import (
@@ -78,15 +81,27 @@ class TestBasics:
         assert all(path.seed == 5 for path in e1)
 
 
+def full_factor(fac):
+    """The stored half factor and its conjugate mirror, (m, p, p)."""
+    half = fac.m // 2
+    return np.concatenate([fac.factor, np.conj(fac.factor[half - 1:0:-1])])
+
+
 def reference_paths(params, n, dt, seed, count):
-    """Seed scheme 2 spelled out one noise draw at a time."""
+    """Seed scheme 3 spelled out one noise draw at a time."""
     fac = build_embedding(params, n, dt)
     m, p = fac.m, params.p
+    a = full_factor(fac)
     rng = np.random.Generator(np.random.Philox(key=seed))
     out = []
     while len(out) < count:
         z = rng.standard_normal((2, m, p))
-        v = np.einsum("fij,fj->fi", fac.factor, z[0] + 1j * z[1])
+        w = z[0] + 1j * z[1]
+        v = np.empty((m, p), dtype=complex)
+        for i in range(p):
+            v[:, i] = a[:, i, 0] * w[:, 0]
+            for j in range(1, p):
+                v[:, i] += a[:, i, j] * w[:, j]
         y = np.fft.ifft(v, axis=0)
         for half in (y.real, y.imag)[:count - len(out)]:
             inc = np.sqrt(m) * half[:n - 1]
@@ -246,3 +261,164 @@ class TestLaw:
         sd = x.std(axis=0, ddof=1) / np.sqrt(reps)
         ok = np.abs(mean[:, 1:]) <= 4.0 * sd[:, 1:]
         assert ok.mean() > 0.98
+
+
+TRIVARIATE = params_from_text(
+    "p: 3\nH: 0.3 0.5 0.7\nsigma: 1 1 1\n"
+    "rho: 1 0.3 1 0.2 0.3 1\neta: 0.05 0.05 0.05\n")
+LOG_PAIR = MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=0.2)
+# equal exponents and rho = 1: every frequency matrix has rank one
+RANK_ONE = MfbmParams.bivariate(0.6, 0.6, rho=1.0)
+# not nonnegative definite after MAX_DOUBLINGS doublings from n = 32
+CLIPPED = MfbmParams.bivariate(0.2, 0.95, rho=0.3697)
+
+
+def reference_blocks(params, m, dt):
+    """Circulant blocks (m, p, p), every pair and lag from the model."""
+    half = m // 2
+    lags = np.concatenate([np.arange(half + 1), np.arange(half + 1 - m, 0)])
+    out = np.empty((m, params.p, params.p))
+    for j in range(params.p):
+        for k in range(params.p):
+            out[:, j, k] = increment_cross_covariance(params, j, k,
+                                                      lags.astype(float), dt=dt)
+    out[half] = 0.5 * (out[half] + out[half].T)
+    return out
+
+
+def full_spectrum(params, m, dt):
+    """Hermitian frequency matrices of the embedding at all m frequencies."""
+    lam = np.fft.fft(reference_blocks(params, m, dt), axis=0)
+    return 0.5 * (lam + np.conj(np.swapaxes(lam, 1, 2)))
+
+
+def factor_square(fac):
+    a = full_factor(fac)
+    return a @ np.conj(np.swapaxes(a, 1, 2))
+
+
+def hermitian_root(lam):
+    d, v = np.linalg.eigh(lam)
+    return (v * np.sqrt(np.clip(d, 0.0, None))[:, None, :]) @ \
+        np.conj(np.swapaxes(v, 1, 2))
+
+
+class TestFactor:
+    @pytest.mark.parametrize("params", [LOG_PAIR, TRIVARIATE])
+    @pytest.mark.parametrize("n", [64, 1000])
+    def test_square_is_full_spectrum(self, params, n):
+        fac = build_embedding(params, n, 1.0)
+        assert fac.factor.shape == (fac.m // 2 + 1, params.p, params.p)
+        lam = full_spectrum(params, fac.m, 1.0)
+        scale = np.abs(lam).max()
+        assert np.abs(factor_square(fac) - lam).max() <= 1e-13 * scale
+        # the Hermitian square root, as the full-spectrum factor of scheme 2
+        root = hermitian_root(lam)
+        assert np.abs(full_factor(fac) - root).max() <= \
+            1e-12 * np.abs(root).max()
+        full_min = np.linalg.eigvalsh(lam).min()
+        assert fac.report.min_eigenvalue == pytest.approx(full_min, rel=1e-12,
+                                                          abs=1e-13 * scale)
+
+    @pytest.mark.parametrize("params, n, count",
+                             [(LOG_PAIR, 64, 5), (TRIVARIATE, 1000, 3)])
+    def test_paths_of_scheme_2_to_rounding(self, params, n, count):
+        # scheme 2 coloured the same noise by the root of the full spectrum
+        m = build_embedding(params, n, 1.0).m
+        root = hermitian_root(full_spectrum(params, m, 1.0))
+        rng = np.random.Generator(np.random.Philox(key=99))
+        want = []
+        while len(want) < count:
+            z = rng.standard_normal((2, m, params.p))
+            y = np.fft.ifft(np.einsum("fij,fj->fi", root, z[0] + 1j * z[1]),
+                            axis=0)
+            for part in (y.real, y.imag):
+                inc = np.sqrt(m) * part[:n - 1].T
+                want.append(np.hstack([np.zeros((params.p, 1)),
+                                       np.cumsum(inc, axis=1)]))
+        got = stacked_values(replicate_ensemble(params, n, 1.0, seed=99,
+                                                count=count))
+        want = np.stack(want[:count])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("params", [LOG_PAIR, TRIVARIATE])
+    @pytest.mark.parametrize("dt", [1.0, 0.37])
+    def test_blocks_bit_equal_to_model(self, params, dt):
+        m = 256
+        got = synth._increment_blocks(params, m, dt)
+        np.testing.assert_array_equal(got.transpose(2, 0, 1),
+                                      reference_blocks(params, m, dt))
+
+    def test_rank_one_factor(self):
+        fac = build_embedding(RANK_ONE, 16, 1.0)
+        assert fac.report.correction == "none"
+        lam = full_spectrum(RANK_ONE, fac.m, 1.0)
+        assert np.abs(factor_square(fac) - lam).max() <= \
+            1e-13 * np.abs(lam).max()
+
+    def test_rank_one_path_law(self):
+        n, reps = 16, 20_000
+        x = stacked_values(replicate_ensemble(RANK_ONE, n, 1.0, seed=64,
+                                              count=reps))
+        np.testing.assert_allclose(x[:, 0], x[:, 1], rtol=0.0, atol=1e-12)
+        x = x.reshape(reps, -1)
+        emp = x.T @ x / reps
+        theory = path_covariance(RANK_ONE, n)
+        var = np.diag(theory)
+        se = np.sqrt(np.maximum(np.outer(var, var) + theory ** 2, 0.0) / reps)
+        assert (np.abs(emp - theory) <= 4.0 * se + 1e-12).mean() > 0.99
+
+    def test_clip_path_clips(self):
+        with pytest.warns(RuntimeWarning, match="after 6 doublings"):
+            fac = build_embedding(CLIPPED, 32, 1.0)
+        assert fac.report.correction == "clip"
+        assert fac.m == 64 * 2 ** synth.MAX_DOUBLINGS
+        lam = full_spectrum(CLIPPED, fac.m, 1.0)
+        d, v = np.linalg.eigh(lam)
+        assert fac.report.min_eigenvalue == pytest.approx(d.min(), rel=1e-12)
+        assert d.min() < 0.0
+        clipped = (v * np.clip(d, 0.0, None)[:, None, :]) @ \
+            np.conj(np.swapaxes(v, 1, 2))
+        assert np.abs(factor_square(fac) - clipped).max() <= \
+            1e-13 * np.abs(lam).max()
+        assert np.abs(full_factor(fac) - hermitian_root(lam)).max() <= \
+            1e-12 * np.abs(full_factor(fac)).max()
+
+
+def build_bytes(m, p):
+    """Blocks, half spectrum, its eigenvectors and eigenvalues."""
+    blocks = m * p * p * 8
+    spectrum = (m // 2 + 1) * p * p * 16
+    return blocks + 2 * spectrum + (m // 2 + 1) * p * 8
+
+
+class TestMemory:
+    def test_budget_stops_doubling(self, monkeypatch):
+        sizes = []
+        attempt = synth._try_embedding
+        monkeypatch.setattr(synth, "_try_embedding",
+                            lambda params, dt, m: sizes.append(m)
+                            or attempt(params, dt, m))
+        monkeypatch.setattr(synth, "_BUILD_BUDGET", build_bytes(64, 2))
+        with pytest.warns(RuntimeWarning, match="budget"):
+            fac = build_embedding(CLIPPED, 32, 1.0)
+        assert sizes == [64]
+        assert fac.report.correction == "clip"
+        assert fac.report.circulant_size == 64
+
+    def test_budget_bounds_doublings(self):
+        # computed, not run: MAX_DOUBLINGS from n = 2^20 reaches m = 2^27
+        assert synth._build_bytes(2 ** 27, 3) == build_bytes(2 ** 27, 3)
+        assert build_bytes(2 ** 27, 3) > 30e9 > synth._BUILD_BUDGET
+
+    def test_build_peak(self):
+        n, p = 2 ** 14, 3
+        m = 2 * n
+        tracemalloc.start()
+        try:
+            fac = build_embedding(TRIVARIATE, n, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fac.m == m
+        assert peak <= build_bytes(m, p)
