@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .model import (
+    MfbmwaveError,
     MfbmParams,
     InvalidParamsError,
     ParamsFormatError,

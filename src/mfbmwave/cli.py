@@ -7,10 +7,13 @@ before any computation.  All outputs are plot-ready CSV or JSON written to
 the output directory; commands are deterministic given the seed and
 side-effect free outside that directory.
 
-Exit codes: 0 success, 1 verification suite failed, 2 validation error
-(bad config or parameters, an unresolvable scale or lag grid, a corrupt
-container, a file that cannot be read or written), 3 embedding failure
-(clipped, approximate output was still written).
+Exit codes: 0 success, 1 verification suite failed, 2 validation error,
+3 embedding failure (clipped, approximate output was still written).  Exit 2
+means an ``MfbmwaveError`` (bad config or parameters, an out-of-range size,
+seed, wavelet order, component index or scale, an unresolvable scale, shift
+or lag grid, a corrupt container), a file that cannot be read or written, or
+a config that is not JSON; it prints one ``error:`` line.
+``QuadratureError``, a numerical non-convergence, is not an MfbmwaveError.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import InvalidParamsError, load_params
-from .synth import SEED_SCHEME, embedding_report, replicate_ensemble
-from .wavelets import GridError, _grid, gaussian_derivative, cwt, cwt_ensemble
+from .model import MfbmwaveError, _check_index, load_params
+from .synth import SEED_SCHEME, _first_size, embedding_report, replicate_ensemble
+from .wavelets import _grid, gaussian_derivative, cwt, cwt_ensemble
 from .wavstats import (
     WaveletCovQuery,
     DegenerateAsymptoticsError,
@@ -33,9 +36,9 @@ from .wavstats import (
     theoretical_wavelet_cov,
 )
 from .spectral import cross_spectral_density, coherence, make_log_omega_grid, zeta
-from .estimate import MIN_REPLICATES, empirical_wavelet_cov, fit_power_law
+from .estimate import (MIN_REPLICATES, _check_lags, empirical_wavelet_cov,
+                       fit_power_law)
 from .containers import (
-    ContainerError,
     field_to_csv_file,
     load_path_file,
     path_to_csv_file,
@@ -50,7 +53,7 @@ EXIT_VALIDATION = 2
 EXIT_EMBEDDING = 3
 
 
-class ConfigError(ValueError):
+class ConfigError(MfbmwaveError):
     pass
 
 
@@ -90,8 +93,12 @@ def _need(config, key, command):
 
 def _typed(kind, value, key):
     """``kind(value)`` for the config value of ``key``; a ConfigError if it
-    does not convert."""
+    does not convert, or if an int is asked for and ``value`` is a bool or a
+    float with a fractional part."""
     try:
+        if kind is int and (isinstance(value, bool) or isinstance(value, float)
+                            and not value.is_integer()):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r}: {value!r} is not "
@@ -119,13 +126,6 @@ def _fmt_complex_cols(z) -> tuple:
     return (z.real, z.imag)
 
 
-def _count(config, default, minimum, command) -> int:
-    count = _typed(int, config.get("count", default), "count")
-    if count < minimum:
-        raise ConfigError(f"{command!r} needs count >= {minimum}, got {count}")
-    return count
-
-
 def _report_embedding(out: Path, params, n: int, dt: float) -> int:
     """Write embedding_report.json; EXIT_EMBEDDING if eigenvalues were clipped."""
     report = embedding_report(params, n, dt)
@@ -147,7 +147,7 @@ def cmd_simulate(args) -> int:
                                 "params"))
     n = _typed(int, _need(config, "n", "simulate"), "n")
     dt = _typed(float, _need(config, "dt", "simulate"), "dt")
-    count = _count(config, 1, 1, "simulate")
+    count = _typed(int, config.get("count", 1), "count")
     seed = _typed(int, config.get("seed", 0), "seed")
     basename = config.get("basename", "path")
     out = Path(args.out)
@@ -180,24 +180,18 @@ def cmd_cwt(args) -> int:
     return EXIT_OK
 
 
-def _theory_common(config):
+def cmd_theory(args) -> int:
+    config = _load_config(args, "theory")
     params = load_params(_typed(str, _need(config, "params", "theory"),
                                 "params"))
     wavelet = gaussian_derivative(_typed(int, config.get("wavelet_m", 1),
                                          "wavelet_m"))
     j = _typed(int, config.get("j", 0), "j")
     k = _typed(int, config.get("k", min(1, params.p - 1)), "k")
-    a1 = _typed(float, config.get("a1", 1.0), "a1")
-    a2 = _typed(float, config.get("a2", 1.0), "a2")
-    if not (a1 > 0.0 and a2 > 0.0):
-        raise ConfigError(f"'theory' scales must be positive, got a1 = {a1}, "
-                          f"a2 = {a2}")
-    return params, wavelet, j, k, a1, a2
-
-
-def cmd_theory(args) -> int:
-    config = _load_config(args, "theory")
-    params, wavelet, j, k, a1, a2 = _theory_common(config)
+    _check_index(params, j, k)
+    query = WaveletCovQuery(j, k, _typed(float, config.get("a1", 1.0), "a1"),
+                            _typed(float, config.get("a2", 1.0), "a2"))
+    a1, a2 = query.a1, query.a2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -227,8 +221,7 @@ def cmd_theory(args) -> int:
                 _typed(float, config.get("omega_max", 1e3), "omega_max"),
                 _typed(int, config.get("points_per_decade", 64),
                        "points_per_decade"))
-        grid = cross_spectral_density(WaveletCovQuery(j, k, a1, a2), params,
-                                      wavelet, omegas)
+        grid = cross_spectral_density(query, params, wavelet, omegas)
         rows = []
         for w, s in zip(grid.omegas, grid.values):
             z = zeta(params, j, k, w)
@@ -242,7 +235,7 @@ def cmd_theory(args) -> int:
             omegas = np.asarray(_typed_list(float, config["omegas"], "omegas"))
         else:
             omegas = np.linspace(0.05, 2.0, 64)
-        res = coherence(WaveletCovQuery(j, k, a1, a2), params, wavelet, omegas)
+        res = coherence(query, params, wavelet, omegas)
         rows = [(float(w), c.real, c.imag, float(d), disc.real, disc.imag)
                 for w, c, d, disc in zip(res.omegas, res.closed_form,
                                          res.definition, res.discrepancy)]
@@ -252,9 +245,8 @@ def cmd_theory(args) -> int:
     else:  # scaling
         scales = _typed_list(
             float, config.get("scales", [1.0, 2.0, 4.0, 8.0, 16.0]), "scales")
-        if not all(a > 0.0 for a in scales):
-            raise ConfigError(
-                f"'theory' scales must be positive, got {scales}")
+        if not scales:
+            raise ConfigError("'theory scaling' needs at least one scale")
         alpha = params.alpha(j, k)
         covs = [theoretical_wavelet_cov(WaveletCovQuery(j, k, a, a, 0.0),
                                         params, wavelet) for a in scales]
@@ -274,23 +266,24 @@ def cmd_estimate(args) -> int:
                                          "wavelet_m"))
     n = _typed(int, _need(config, "n", "estimate"), "n")
     dt = _typed(float, _need(config, "dt", "estimate"), "dt")
-    count = _count(config, 100, MIN_REPLICATES, "estimate")
+    count = _typed(int, config.get("count", 100), "count")
+    if count < MIN_REPLICATES:
+        raise ConfigError(f"'estimate' needs count >= {MIN_REPLICATES}, "
+                          f"got {count}")
     seed = _typed(int, config.get("seed", 0), "seed")
     j = _typed(int, config.get("j", 0), "j")
     k = _typed(int, config.get("k", min(1, params.p - 1)), "k")
+    _check_index(params, j, k)
     a1 = _typed(float, config.get("a1", 4.0 * dt), "a1")
     a2 = _typed(float, config.get("a2", a1), "a2")
     scales = sorted(set(_typed_list(float, config.get("scales", []), "scales"))
                     | {a1, a2})
     lags = _typed_list(int, config.get("lags", [0, 1, 2, 4, 8]), "lags")
-    # the grid is checked before the ensemble is synthesized
+    # size, grid and lags are checked before the ensemble is synthesized,
+    # the size first: the grid allocates n shift indices
+    _first_size(n, params.p)
     _, shift_idx = _grid(n, dt, scales, None)
-    if 0 not in lags:
-        raise ConfigError("'estimate' lags must contain lag 0")
-    max_lag = max(abs(l) for l in lags)
-    if max_lag >= shift_idx.size:
-        raise ConfigError(f"lag {max_lag} exceeds available shifts "
-                          f"({shift_idx.size})")
+    _check_lags(lags, shift_idx.size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -372,8 +365,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidParamsError, GridError, ContainerError,
-            OSError, json.JSONDecodeError) as exc:
+    except (MfbmwaveError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

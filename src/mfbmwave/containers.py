@@ -13,8 +13,8 @@ import struct
 
 import numpy as np
 
-from .model import (InvalidParamsError, MfbmParams, pack_triangles,
-                    unpack_triangles)
+from .model import (InvalidParamsError, MfbmParams, MfbmwaveError,
+                    pack_triangles, unpack_triangles)
 from .synth import SamplePath
 from .wavelets import WaveletField
 
@@ -26,7 +26,7 @@ KIND_FIELD = 2
 _F8 = np.dtype("<f8")
 
 
-class ContainerError(ValueError):
+class ContainerError(MfbmwaveError):
     """Malformed or mismatched binary container."""
 
 

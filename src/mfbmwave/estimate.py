@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import MfbmwaveError
 from .wavelets import WaveletField
 from .wavstats import WaveletCovQuery
 
@@ -65,8 +66,8 @@ def fit_power_law(xs, ys, fit_range=None) -> FitReport:
     y = np.log(ys[mask])
     n = x.size
     if n < 2:
-        raise ValueError(f"power-law fit needs >= 2 usable points, got {n} "
-                         f"({n_excluded} excluded)")
+        raise MfbmwaveError(f"power-law fit needs >= 2 usable points, got "
+                            f"{n} ({n_excluded} excluded)")
     sxx = np.sum((x - x.mean()) ** 2)
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * x.mean())
@@ -94,6 +95,18 @@ def jackknife_se(values: np.ndarray):
     return float(se) if se.ndim == 0 else se
 
 
+def _check_lags(lags, n_shifts=None) -> None:
+    """The lag grid of a covariance estimate holds lag 0 and, given the
+    number of shifts, no |lag| >= n_shifts."""
+    if 0 not in lags:
+        raise MfbmwaveError("lag grid must contain lag 0")
+    if n_shifts is None:
+        return
+    top = max(abs(int(lag)) for lag in lags)
+    if top >= n_shifts:
+        raise MfbmwaveError(f"lag {top} exceeds available shifts ({n_shifts})")
+
+
 @dataclass(frozen=True)
 class EmpiricalCov:
     """Replicate-averaged wavelet cross-covariance estimates per lag."""
@@ -107,8 +120,7 @@ class EmpiricalCov:
     shift_spacing: float
 
     def __post_init__(self):
-        if 0 not in np.asarray(self.lags):
-            raise ValueError("lag grid must contain lag 0")
+        _check_lags(np.asarray(self.lags))
         if np.any(np.asarray(self.se_real) < 0) or np.any(np.asarray(self.se_imag) < 0):
             raise ValueError("standard errors must be nonnegative")
 
@@ -123,7 +135,7 @@ def _row_blocks(fields, query: WaveletCovQuery):
     pending = iter(fields)
     f0 = next(pending, None)
     if f0 is None:
-        raise ValueError(f"need >= {MIN_REPLICATES} replicates, got 0")
+        raise MfbmwaveError(f"need >= {MIN_REPLICATES} replicates, got 0")
     ia1 = f0.scale_index(query.a1)
     ia2 = f0.scale_index(query.a2)
     per_block = max(1, _BLOCK_BYTES // (32 * f0.shifts.size))
@@ -139,8 +151,8 @@ def _row_blocks(fields, query: WaveletCovQuery):
 
 def _require_replicates(per_rep: np.ndarray) -> None:
     if per_rep.shape[0] < MIN_REPLICATES:
-        raise ValueError(f"need >= {MIN_REPLICATES} replicates, "
-                         f"got {per_rep.shape[0]}")
+        raise MfbmwaveError(f"need >= {MIN_REPLICATES} replicates, "
+                            f"got {per_rep.shape[0]}")
 
 
 def _lagged_means(dj: np.ndarray, dk: np.ndarray, lags: np.ndarray) -> np.ndarray:
@@ -181,9 +193,7 @@ def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
     lags = np.asarray(lags, dtype=int)
     f0, blocks = _row_blocks(fields, query)
     nb = f0.shifts.size
-    if lags.size and np.abs(lags).max() >= nb:
-        raise ValueError(f"lag {int(np.abs(lags).max())} exceeds available "
-                         f"shifts ({nb})")
+    _check_lags(lags, nb)
     spacing = float(f0.shifts[1] - f0.shifts[0]) if nb > 1 else f0.dt
 
     per_rep = np.concatenate([_lagged_means(dj, dk, lags) for dj, dk in blocks])

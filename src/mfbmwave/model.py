@@ -24,8 +24,21 @@ BRANCH_TOL = 1e-12
 EIG_TOL = 1e-10
 
 
-class InvalidParamsError(ValueError):
+class MfbmwaveError(ValueError):
+    """Base of the errors a caller's input causes: parameters, sizes, seeds,
+    wavelet orders, scale, shift and lag grids, config values, containers.
+
+    The command-line front end maps it to exit status 2.  Numerical
+    non-convergence (``quadrature.QuadratureError``) is not one of them.
+    """
+
+
+class InvalidParamsError(MfbmwaveError):
     """Raised when a parameter set violates the structural constraints."""
+
+
+class ComponentIndexError(MfbmwaveError, IndexError):
+    """A component index outside 0 .. p - 1."""
 
 
 class ParamsFormatError(InvalidParamsError):
@@ -127,7 +140,8 @@ class MfbmParams:
 
 def _check_index(params: MfbmParams, j: int, k: int) -> None:
     if not (0 <= j < params.p and 0 <= k < params.p):
-        raise IndexError(f"component indices ({j}, {k}) out of range for p={params.p}")
+        raise ComponentIndexError(
+            f"component indices ({j}, {k}) out of range for p={params.p}")
 
 
 def kernel_w(params: MfbmParams, j: int, k: int, h):

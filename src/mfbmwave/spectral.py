@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import MfbmParams
+from .model import MfbmParams, MfbmwaveError
 from .quadrature import quad_checked, quad_complex
 from .wavelets import HermiteWavelet
 from .wavstats import WaveletCovQuery, theoretical_wavelet_cov
@@ -59,8 +59,12 @@ def zeta(params: MfbmParams, j: int, k: int, omega):
 def make_log_omega_grid(w_min: float = 1e-4, w_max: float = 1e3,
                         points_per_decade: int = 64) -> np.ndarray:
     """Symmetric log-spaced frequency grid excluding zero."""
-    if not (0.0 < w_min < w_max):
-        raise ValueError("need 0 < w_min < w_max")
+    if not (0.0 < w_min < w_max and w_max / w_min < math.inf):
+        raise MfbmwaveError(f"need 0 < w_min < w_max with a finite ratio, got "
+                            f"w_min = {w_min}, w_max = {w_max}")
+    if not (points_per_decade > 0 and 10.0 ** (1 / points_per_decade) > 1.0):
+        raise MfbmwaveError(f"points_per_decade must be positive and give "
+                            f"distinct grid points, got {points_per_decade}")
     n = max(2, int(math.ceil(math.log10(w_max / w_min) * points_per_decade)))
     pos = np.logspace(math.log10(w_min), math.log10(w_max), n)
     return np.concatenate([-pos[::-1], pos])
@@ -78,11 +82,11 @@ class SpectrumGrid:
         omegas = np.asarray(self.omegas, dtype=float)
         values = np.asarray(self.values, dtype=complex)
         if omegas.shape != values.shape:
-            raise ValueError("frequency grid and values must align")
+            raise MfbmwaveError("frequency grid and values must align")
         if np.any(omegas == 0.0):
-            raise ValueError("zero frequency excluded from spectrum grids")
+            raise MfbmwaveError("zero frequency excluded from spectrum grids")
         if not np.all(np.isfinite(values.view(float))):
-            raise ValueError("spectral values must be finite")
+            raise MfbmwaveError("spectral values must be finite")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "values", values)
 
@@ -102,8 +106,8 @@ def cross_spectral_density(query: WaveletCovQuery, params: MfbmParams,
     """Pointwise cross-spectral density of the wavelet field on a grid."""
     omegas = np.asarray(omegas, dtype=float)
     if np.any(omegas == 0.0):
-        raise ValueError("zero frequency is excluded; its limit is described "
-                         "by zero_frequency_behavior")
+        raise MfbmwaveError("zero frequency is excluded; its limit is "
+                            "described by zero_frequency_behavior")
     return SpectrumGrid(query=query, omegas=omegas,
                         values=_spectral_values(query, params, wavelet, omegas))
 

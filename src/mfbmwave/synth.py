@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MfbmParams, InvalidParamsError, check_existence, kernel_w
+from .model import (MfbmParams, MfbmwaveError, InvalidParamsError,
+                    check_existence, kernel_w)
 
 # Relative tolerance (w.r.t. the largest eigenvalue) below which negative
 # frequency-matrix eigenvalues count as numerical noise.
@@ -34,7 +35,8 @@ MAX_DOUBLINGS = 6
 
 # Bytes a build may hold (_build_bytes) for a doubling to be tried; beyond
 # it the embedding is clipped at the current size.  2 GiB admits m = 2^23 at
-# p = 3 and m = 2^24 at p = 2.
+# p = 3 and m = 2^24 at p = 2.  A first size over it, or an ensemble whose
+# paths hold more, is refused before anything of that size is allocated.
 _BUILD_BUDGET = 2 << 30
 
 # Version of the map from (seed, replicate) to path values.  Scheme 1 keyed
@@ -113,6 +115,23 @@ def _build_bytes(m: int, p: int) -> int:
     return m * p * p * 8 + 2 * spectrum + (m // 2 + 1) * p * 8
 
 
+def _first_size(n: int, p: int) -> int:
+    """First circulant size, the smallest power of two >= 2 (n - 1).
+
+    An MfbmwaveError if n < 2 or if a build at that size would hold more
+    than _BUILD_BUDGET bytes; the check allocates nothing.
+    """
+    if n < 2:
+        raise MfbmwaveError(f"need at least two grid points, got n = {n}")
+    m = 1
+    while m < 2 * (n - 1):
+        m *= 2
+    if (need := _build_bytes(m, p)) > _BUILD_BUDGET:
+        raise MfbmwaveError(f"n = {n} needs an embedding of {need} bytes, over "
+                            f"the budget of {_BUILD_BUDGET}")
+    return m
+
+
 def _increment_blocks(params: MfbmParams, m: int, dt: float) -> np.ndarray:
     """Increment covariance blocks at the circulant lags, shape (p, p, m).
 
@@ -181,13 +200,10 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     doubling is also refused, and the clip taken, when the next size would
     hold more than _BUILD_BUDGET bytes (see _build_bytes).  Without that
     budget MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 31 GB at
-    p = 3 (24 m p^2 + 4 m p bytes).
+    p = 3 (24 m p^2 + 4 m p bytes).  A first size over the budget is an
+    MfbmwaveError (see _first_size).
     """
-    if n < 2:
-        raise ValueError("need at least two grid points")
-    m = 1
-    while m < 2 * (n - 1):
-        m *= 2
+    m = _first_size(n, params.p)
     attempts = 0
     while True:
         evals, evecs = _try_embedding(params, dt, m)
@@ -274,8 +290,13 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
     is the real half of its inverse FFT and replicate 2k + 1 the imaginary
     half.  A trailing odd replicate takes only the real half.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise MfbmwaveError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= seed < 2 ** 64:
+        raise MfbmwaveError(f"seed must lie in [0, 2**64), got {seed}")
+    if (need := count * params.p * n * 8) > _BUILD_BUDGET:
+        raise MfbmwaveError(f"{count} paths of {n} points need {need} bytes, "
+                            f"over the budget of {_BUILD_BUDGET}")
     fac = _cached_embedding(params, n, dt)
     m, p = fac.m, params.p
     half = m // 2
@@ -339,7 +360,7 @@ def replicate_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     are views into one (count, p, n) array.  ``derive_seed`` is not used.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise MfbmwaveError(f"need count >= 1, got {count}")
     values, _ = _synthesize(params, n, dt, seed, count)
     return [SamplePath(params=params, n=n, dt=dt, values=v, seed=int(seed))
             for v in values]

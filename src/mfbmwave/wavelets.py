@@ -19,6 +19,8 @@ import numpy as np
 from numpy.polynomial import hermite_e
 from scipy.signal import fftconvolve
 
+from .model import MfbmwaveError
+
 # Standardized truncation radius: wavelet support is treated as |t| <= 10,
 # where the Gaussian-derivative mass is < 1e-20, far below EDGE_TOL.
 TRUNCATION_RADIUS = 10.0
@@ -55,17 +57,17 @@ class HermiteWavelet:
     def __init__(self, terms):
         terms = [(complex(c), int(m)) for c, m in terms]
         if not terms:
-            raise ValueError("at least one atom required")
+            raise MfbmwaveError("at least one atom required")
         orders = [m for _, m in terms]
         if len(set(orders)) != len(orders):
-            raise ValueError("atom orders must be distinct")
+            raise MfbmwaveError("atom orders must be distinct")
         if min(orders) < 1:
-            raise ValueError("atom orders must be >= 1 (zero-mean requirement)")
+            raise MfbmwaveError("atom orders must be >= 1 (zero-mean requirement)")
         if max(orders) > 12:
-            raise ValueError("atom orders above 12 are rejected "
-                             "(Hermite recurrence conditioning)")
+            raise MfbmwaveError("atom orders above 12 are rejected "
+                                "(Hermite recurrence conditioning)")
         if any(c == 0 for c, _ in terms):
-            raise ValueError("zero coefficients are not allowed")
+            raise MfbmwaveError("zero coefficients are not allowed")
         self.terms = sorted(terms, key=lambda cm: cm[1])
         self.vanishing_moments = self.terms[0][1]
         self.is_real = all(c.imag == 0.0 for c, _ in self.terms)
@@ -119,8 +121,12 @@ def _atom_pair_prefactor(m1: int, a1: float, m2: int, a2: float) -> float:
     """Constant C of the atom pair correlation C He_K(tau/s) exp(-tau^2 / 2s^2)."""
     K = m1 + m2
     s = math.hypot(a1, a2)
-    return ((-1.0) ** m1 * _SQRT_2PI * a1 ** (m1 + 1) * a2 ** (m2 + 1)
-            * s ** (-1 - K))
+    try:
+        return ((-1.0) ** m1 * _SQRT_2PI * a1 ** (m1 + 1) * a2 ** (m2 + 1)
+                * s ** (-1 - K))
+    except OverflowError:
+        raise MfbmwaveError(f"scales {a1} and {a2} overflow the closed form "
+                            f"of order {K}") from None
 
 
 def _atom_pair_correlation(m1: int, a1: float, m2: int, a2: float, tau):
@@ -197,7 +203,7 @@ class WaveletField:
         return idx
 
 
-class GridError(ValueError):
+class GridError(MfbmwaveError):
     """A scale or shift grid that the sampled path cannot resolve."""
 
 
@@ -217,7 +223,14 @@ def valid_shift_range(n: int, dt: float, scale: float) -> tuple[int, int]:
 
 def _grid(n: int, dt: float, scales, shifts):
     """Sorted scales and shift indices of a transform, checked against the path."""
+    if not 0.0 < dt < math.inf:
+        raise GridError(f"sampling step dt must be positive and finite, got {dt}")
     scales = np.sort(np.atleast_1d(np.asarray(scales, dtype=float)))
+    if scales.size == 0 or not np.all(np.isfinite(scales)):
+        raise GridError(f"scales must be a non-empty list of finite values, "
+                        f"got {scales.tolist()}")
+    if np.any(np.diff(scales) == 0.0):
+        raise GridError(f"scales must be distinct, got {scales.tolist()}")
     for a in scales:
         if a < MIN_SCALE_FACTOR * dt:
             raise GridError(f"scale {a} below resolution threshold "
@@ -226,6 +239,8 @@ def _grid(n: int, dt: float, scales, shifts):
     if shifts is None:
         return scales, np.arange(lo, hi + 1)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    if shifts.size == 0:
+        raise GridError("shifts must be a non-empty list")
     shift_idx = np.rint(shifts / dt).astype(int)
     if not np.allclose(shift_idx * dt, shifts, rtol=0.0, atol=1e-9 * dt):
         raise GridError("shifts must lie on the sampling grid")
@@ -301,7 +316,7 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     pending = itertools.chain([first], pending)
     while chunk := list(itertools.islice(pending, per_chunk)):
         if any(float(path.dt) != dt for path in chunk):
-            raise ValueError("paths of an ensemble must share one sampling step")
+            raise MfbmwaveError("paths of an ensemble must share one sampling step")
         values = np.stack([np.asarray(path.values, dtype=float) for path in chunk])
         coeffs = _transform(values, dt, wavelet, scales, shift_idx)
         for path, c in zip(chunk, coeffs):

@@ -28,7 +28,7 @@ from scipy.integrate import dblquad
 from scipy.special import hyp1f1, rgamma
 
 from . import model
-from .model import MfbmParams
+from .model import MfbmParams, MfbmwaveError
 from .quadrature import quad_checked
 from .wavelets import HermiteWavelet, TRUNCATION_RADIUS, \
     _SQRT_2PI, _atom_pair_prefactor
@@ -47,7 +47,7 @@ H_MIN_FACTOR = 16.0
 _FAR_FACTOR = 2.0
 
 
-class DegenerateAsymptoticsError(ValueError):
+class DegenerateAsymptoticsError(MfbmwaveError):
     """Leading-order coefficient vanishes; only an o(|h|^(1-2M)) bound holds."""
 
 
@@ -62,8 +62,9 @@ class WaveletCovQuery:
     h: float = 0.0
 
     def __post_init__(self):
-        if self.a1 <= 0.0 or self.a2 <= 0.0:
-            raise ValueError("scales must be positive")
+        if not (0.0 < self.a1 < math.inf and 0.0 < self.a2 < math.inf):
+            raise MfbmwaveError(f"scales must be positive and finite, got "
+                                f"a1 = {self.a1}, a2 = {self.a2}")
 
 
 def binom_gen(alpha: float, ell: int) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,125 @@ class TestValidationExitCodes:
                         "count": 3000, "a1": 2.0})
         assert "below resolution threshold" in err
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range(self, tmp_path, params_file, capsys, seed):
+        err = self.run(tmp_path, capsys, "simulate",
+                       {"params": str(params_file), "n": 32, "dt": 1.0,
+                        "seed": seed})
+        assert "seed must lie in [0, 2**64)" in err
+        assert not list((tmp_path / "o").glob("path_*"))
+
+    def test_largest_seed(self, tmp_path, params_file):
+        cfg = write_config(tmp_path, "sim.json",
+                           {"params": str(params_file), "n": 32, "dt": 1.0,
+                            "seed": 2 ** 64 - 1})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "simulate"]) == 0
+
+    @pytest.mark.parametrize("key, value", [("j", 2), ("k", -1)])
+    def test_estimate_index_before_synthesis(self, tmp_path, params_file,
+                                             capsys, no_synthesis, key, value):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": 1.0,
+                        "count": 30, key: value})
+        assert "out of range for p=2" in err
+
+    @pytest.mark.parametrize("kind", ["cov", "spectrum", "coherence",
+                                      "scaling"])
+    def test_theory_index(self, tmp_path, params_file, capsys, kind):
+        err = self.run(tmp_path, capsys, f"theory {kind}",
+                       {"params": str(params_file), "j": 2,
+                        "h_values": [0.0]})
+        assert "out of range for p=2" in err
+
+    def test_estimate_first_size_over_budget(self, tmp_path, params_file,
+                                             capsys, no_synthesis, monkeypatch):
+        from mfbmwave import synth
+
+        # computed, not run: n = 10^8 at p = 2 starts at m = 2^28, ~28 GB
+        n = 10 ** 8
+        m = 2 ** 28
+        assert m // 2 < 2 * (n - 1) <= m
+        assert synth._build_bytes(m, 2) > 25e9 > synth._BUILD_BUDGET
+
+        def refuse(*args):
+            raise AssertionError("n-length shift grid allocated")
+
+        monkeypatch.setattr(cli, "_grid", refuse)
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": n, "dt": 1.0,
+                        "count": 30})
+        assert "over the budget" in err
+
+    @pytest.mark.parametrize("key, value", [("n", 32.9), ("n", True),
+                                            ("count", False), ("seed", 1.5)])
+    def test_int_keys_must_be_integral(self, tmp_path, params_file, capsys,
+                                       key, value):
+        err = self.run(tmp_path, capsys, "simulate",
+                       {"params": str(params_file), "n": 32, "dt": 1.0,
+                        key: value})
+        assert f"{value!r} is not an int" in err
+
+    def test_estimate_index_must_be_integral(self, tmp_path, params_file,
+                                             capsys, no_synthesis):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": 1.0,
+                        "count": 30, "j": -1.5})
+        assert "'j': -1.5 is not an int" in err
+
+    def test_integral_float_accepted(self, tmp_path, params_file):
+        cfg = write_config(tmp_path, "sim.json",
+                           {"params": str(params_file), "n": 32.0, "dt": 1.0,
+                            "count": 2.0})
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        assert len(list(out.glob("path_*.csv"))) == 2
+
+    @pytest.mark.parametrize("scales, message", [
+        ([], "at least one scale"), ([1.0, 0.0], "scales must be positive")])
+    def test_theory_scaling_scales(self, tmp_path, params_file, capsys,
+                                   scales, message):
+        err = self.run(tmp_path, capsys, "theory scaling",
+                       {"params": str(params_file), "scales": scales})
+        assert message in err
+
+    def test_theory_cov_overflowing_scale(self, tmp_path, params_file, capsys):
+        err = self.run(tmp_path, capsys, "theory cov",
+                       {"params": str(params_file), "a1": 1e300,
+                        "h_values": [0.0]})
+        assert "overflow" in err
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    def test_estimate_bad_dt(self, tmp_path, params_file, capsys,
+                             no_synthesis, dt):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": dt,
+                        "count": 30, "a1": 4.0})
+        assert "dt must be positive and finite" in err
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"scales": []}, "non-empty list of finite values"),
+        ({"scales": [4.0, float("nan")]}, "non-empty list of finite values"),
+        ({"scales": [4.0, 4.0]}, "scales must be distinct"),
+        ({"scales": [4.0], "shifts": []}, "shifts must be a non-empty list"),
+        ({"scales": [4.0], "wavelet_m": 13}, "above 12"),
+        ({"scales": [4.0], "wavelet_m": 0}, "orders must be >= 1"),
+    ])
+    def test_cwt_grid_and_order(self, tmp_path, path_file, capsys, payload,
+                                message):
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(path_file), "wavelet_m": 1,
+                        **payload})
+        assert message in err
+
+    @pytest.mark.parametrize("payload", [{"omegas": [0.0, 1.0]},
+                                         {"omega_min": 0.0},
+                                         {"points_per_decade": 10 ** 300}])
+    def test_theory_spectrum_grid(self, tmp_path, params_file, capsys,
+                                  payload):
+        self.run(tmp_path, capsys, "theory spectrum",
+                 {"params": str(params_file), **payload})
+
 
 class TestCwtCommand:
     def test_cwt_of_stored_path(self, tmp_path, params_file):
@@ -375,3 +495,104 @@ class TestVerifyCommand:
         rows = read_csv(out / "bahr_identities.csv")
         assert rows[0] == ["variant", "alpha", "v", "lhs", "rhs", "abs_err"]
         assert len(rows) > 100
+
+
+_FUZZ_BAD = [0, 1, -1, -1.5, 0.0, 2, 13, 1e300, [], [0], [-1.0], "x", None,
+             True, float("nan")]
+_FUZZ_HUGE = [float("nan"), float("inf"), 1e300, 10 ** 8, 2 ** 64, -(2 ** 63)]
+# valid sizes stay small; a huge value is drawn only where a check refuses
+# it before allocating (a points_per_decade of 10^8 would be admitted)
+_FUZZ_CAPS = {"n": 512, "count": 40, "points_per_decade": 512}
+
+
+def _fuzz_values(key):
+    """Values for one config key: the single bad values, wrong types and
+    signs, NaN, small sizes and sizes far over a budget."""
+    st = pytest.importorskip("hypothesis").strategies
+    huge = [v for v in _FUZZ_HUGE
+            if not (key == "points_per_decade" and v == 10 ** 8)]
+    number = st.one_of(st.integers(-3, _FUZZ_CAPS.get(key, 20)),
+                       st.floats(-20.0, 20.0), st.sampled_from(huge))
+    return st.one_of(st.sampled_from(_FUZZ_BAD), number,
+                     st.sampled_from(["x", "", "1"]), st.booleans(), st.none(),
+                     st.lists(number, max_size=3))
+
+
+_THEORY = {"params": "<params>", "wavelet_m": 1, "j": 0, "k": 1, "a1": 1.0,
+           "a2": 1.0}
+_FUZZ_COMMANDS = {
+    "simulate": {"params": "<params>", "n": 64, "dt": 1.0, "count": 2,
+                 "basename": "path", "seed": 1},
+    "cwt": {"path_file": "<path>", "wavelet_m": 1, "scales": [4.0],
+            "shifts": [60.0], "basename": "field"},
+    "theory cov": {**_THEORY, "h_values": [0.0, 8.0]},
+    "theory spectrum": {**_THEORY, "omega_min": 0.1, "omega_max": 10.0,
+                        "points_per_decade": 4},
+    "theory coherence": {**_THEORY, "omegas": [0.5, 1.0]},
+    "theory scaling": {**_THEORY, "scales": [1.0, 2.0]},
+    "estimate": {"params": "<params>", "wavelet_m": 1, "n": 256, "dt": 1.0,
+                 "count": 30, "j": 0, "k": 1, "a1": 4.0, "a2": 4.0,
+                 "scales": [8.0], "lags": [0, 1, 2], "fit_decay": True,
+                 "seed": 1},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    params = root / "params.txt"
+    save_params(MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1), params)
+    cfg = write_config(root, "sim.json", {"params": str(params), "n": 128,
+                                          "dt": 1.0})
+    assert main(["--config", str(cfg), "--out", str(root / "sim"),
+                 "simulate"]) == 0
+    return root, params, root / "sim" / "path_0000.mfbm"
+
+
+def _fuzz_case():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def case(draw):
+        command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+        payload = dict(_FUZZ_COMMANDS[command])
+        keys = sorted(cli._ALLOWED_KEYS[command.split()[0]])
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1,
+                                 max_size=3, unique=True)):
+            if draw(st.booleans()) and key in payload:
+                del payload[key]
+            else:
+                payload[key] = draw(_fuzz_values(key))
+        return command, payload
+
+    return case()
+
+
+def test_fuzzed_configs_exit_cleanly(fuzz_files, monkeypatch, capsys):
+    """No config value ends in a traceback: every run exits 0, 2 or 3, and
+    exit 2 prints exactly one ``error:`` line."""
+    hyp = pytest.importorskip("hypothesis")
+    root, params, path_file = fuzz_files
+    monkeypatch.chdir(root)
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(_fuzz_case())
+    def check(case):
+        command, payload = case
+        files = {"<params>": str(params), "<path>": str(path_file)}
+        payload = {k: files.get(v, v) if isinstance(v, str) else v
+                   for k, v in payload.items()}
+        cfg = write_config(root, "fuzz.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["--config", str(cfg), "--out", str(root / "o"),
+                       *command.split()])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3), (command, payload, rc)
+        if rc == 2:
+            lines = [l for l in err.splitlines() if l.startswith("error:")]
+            assert len(lines) == 1, (command, payload, err)
+
+    check()

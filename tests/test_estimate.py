@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mfbmwave.estimate as estimate
-from mfbmwave.model import MfbmParams
+from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.synth import replicate_ensemble
 from mfbmwave.wavelets import (
     WaveletField, HermiteWavelet, gaussian_derivative, cwt, cwt_ensemble)
@@ -364,3 +364,21 @@ class TestUnbiasedness:
             want = theoretical_wavelet_cov(q, params, WAVELET)
             zs.append((out.mean[0].real - want.real) / out.se_real[0])
         assert abs(np.mean(zs)) < 0.5
+
+
+class TestLagRule:
+    @pytest.mark.parametrize("lags, n_shifts, message", [
+        ([1, 2], None, "lag 0"), ([], 10, "lag 0"),
+        ([0, -10], 10, "lag 10 exceeds available shifts \\(10\\)"),
+        ([0, 10 ** 300], 10, "exceeds available shifts")])
+    def test_refused(self, lags, n_shifts, message):
+        with pytest.raises(MfbmwaveError, match=message):
+            estimate._check_lags(lags, n_shifts)
+
+    def test_admitted(self):
+        estimate._check_lags([0, -9, 9], 10)
+        estimate._check_lags(np.array([0, 3]))
+
+    def test_fit_needs_two_points(self):
+        with pytest.raises(MfbmwaveError, match="needs >= 2 usable points"):
+            fit_power_law([1.0], [1.0])

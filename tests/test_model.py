@@ -67,6 +67,28 @@ class TestValidation:
             kernel_w(params, 0, 2, 1.0)
 
 
+class TestErrorHierarchy:
+    def test_one_base(self):
+        import mfbmwave
+        from mfbmwave.cli import ConfigError
+
+        for cls in (ConfigError, InvalidParamsError, ParamsFormatError,
+                    mfbmwave.GridError, mfbmwave.DegenerateAsymptoticsError,
+                    mfbmwave.containers.ContainerError):
+            assert issubclass(cls, mfbmwave.MfbmwaveError)
+        assert issubclass(mfbmwave.MfbmwaveError, ValueError)
+        assert not issubclass(mfbmwave.QuadratureError, mfbmwave.MfbmwaveError)
+
+    def test_index_error_is_both(self):
+        from mfbmwave import MfbmwaveError
+
+        params = MfbmParams.bivariate(0.3, 0.4)
+        for j, k in ((2, 0), (0, -1)):
+            with pytest.raises(MfbmwaveError, match="out of range") as err:
+                kernel_w(params, j, k, 1.0)
+            assert isinstance(err.value, IndexError)
+
+
 class TestKernel:
     def test_brownian_diagonal(self):
         # rho_jj = 1, eta_jj = 0 gives |h|^(2H)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfbmwave.model import MfbmParams
+from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov
 from mfbmwave.spectral import (
@@ -288,3 +288,18 @@ class TestBranchContinuity:
             vals[d] = grid.values.real
         for d in (-1e-4, 1e-4):
             assert np.max(np.abs(vals[d] / vals[0.0] - 1.0)) < 1e-3
+
+
+@pytest.mark.parametrize("w_min, w_max, per_decade", [
+    (0.0, 1.0, 4), (1.0, 1.0, 4), (math.nan, 1.0, 4), (1.0, math.inf, 4),
+    (1e-309, 10.0, 4), (0.1, 10.0, 0), (0.1, 10.0, 10 ** 300)])
+def test_omega_grid_checks(w_min, w_max, per_decade):
+    with pytest.raises(MfbmwaveError):
+        make_log_omega_grid(w_min, w_max, per_decade)
+
+
+def test_zero_frequency_refused():
+    params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+    with pytest.raises(MfbmwaveError, match="zero frequency"):
+        cross_spectral_density(WaveletCovQuery(0, 1, 1.0, 1.0), params,
+                               gaussian_derivative(1), [0.0, 1.0])

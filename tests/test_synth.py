@@ -5,6 +5,7 @@ import pytest
 
 from mfbmwave.model import (
     MfbmParams,
+    MfbmwaveError,
     InvalidParamsError,
     cross_covariance,
     increment_cross_covariance,
@@ -422,3 +423,69 @@ class TestMemory:
             tracemalloc.stop()
         assert fac.m == m
         assert peak <= build_bytes(m, p)
+
+    def test_first_size_over_budget(self, monkeypatch):
+        attempt = synth._try_embedding
+        sizes = []
+        monkeypatch.setattr(synth, "_try_embedding",
+                            lambda params, dt, m: sizes.append(m)
+                            or attempt(params, dt, m))
+        monkeypatch.setattr(synth, "_BUILD_BUDGET", build_bytes(64, 2) - 1)
+        with pytest.raises(MfbmwaveError, match="over the budget"):
+            build_embedding(CLIPPED, 33, 1.0)
+        assert sizes == []
+        monkeypatch.setattr(synth, "_BUILD_BUDGET", build_bytes(64, 2))
+        assert build_embedding(MfbmParams.bivariate(0.3, 0.4), 33, 1.0).m == 64
+        assert sizes == [64]
+
+    def test_first_size_refused_before_allocation(self, monkeypatch):
+        # computed, not run: n = 10^8 at p = 2 starts at m = 2^28, ~28 GB
+        n = 10 ** 8
+        assert 2 ** 27 < 2 * (n - 1) <= 2 ** 28
+        assert build_bytes(2 ** 28, 2) > 25e9 > synth._BUILD_BUDGET
+
+        def refuse(*args):
+            raise AssertionError("embedding build attempted")
+
+        monkeypatch.setattr(synth, "_try_embedding", refuse)
+        with pytest.raises(MfbmwaveError, match="over the budget"):
+            simulate(MfbmParams.bivariate(0.3, 0.4), n, 1.0, seed=1)
+
+    def test_ensemble_over_budget(self, monkeypatch):
+        params = MfbmParams.bivariate(0.3, 0.4)
+        with pytest.raises(MfbmwaveError, match="over the budget"):
+            replicate_ensemble(params, 64, 1.0, seed=1, count=10 ** 300)
+        monkeypatch.setattr(synth, "_BUILD_BUDGET", 3 * 2 * 64 * 8 - 1)
+        with pytest.raises(MfbmwaveError, match="3 paths of 64 points"):
+            replicate_ensemble(params, 64, 1.0, seed=1, count=3)
+
+
+class TestInputChecks:
+    PARAMS = MfbmParams.bivariate(0.3, 0.4)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 10 ** 300])
+    def test_seed_range(self, seed):
+        with pytest.raises(MfbmwaveError,
+                           match=r"seed must lie in \[0, 2\*\*64\)"):
+            simulate(self.PARAMS, 16, 1.0, seed=seed)
+        with pytest.raises(MfbmwaveError, match="seed"):
+            replicate_ensemble(self.PARAMS, 16, 1.0, seed=seed, count=2)
+
+    def test_seed_bounds_admitted(self):
+        for seed in (0, 2 ** 64 - 1):
+            path, _ = simulate(self.PARAMS, 16, 1.0, seed=seed)
+            assert path.seed == seed
+
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_too_few_points(self, n):
+        with pytest.raises(MfbmwaveError, match="at least two grid points"):
+            simulate(self.PARAMS, n, 1.0, seed=1)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_step(self, dt):
+        with pytest.raises(MfbmwaveError, match="dt must be positive and finite"):
+            simulate(self.PARAMS, 16, dt, seed=1)
+
+    def test_count(self):
+        with pytest.raises(MfbmwaveError, match="count >= 1"):
+            replicate_ensemble(self.PARAMS, 16, 1.0, seed=1, count=0)

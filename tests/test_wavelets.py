@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 import mfbmwave.wavelets as wavelets
-from mfbmwave.model import MfbmParams
+from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.synth import replicate_ensemble
 from mfbmwave.wavelets import (
     HermiteWavelet,
@@ -280,3 +280,37 @@ class TestCwtEnsemble:
             next(cwt_ensemble(paths, gaussian_derivative(1), [2.0]))
         with pytest.raises(GridError):
             next(cwt_ensemble(paths, gaussian_derivative(1), [40.0]))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("scales, shifts", [
+        ([], None), ([4.0, float("nan")], None), ([float("inf")], None),
+        ([4.0], [])])
+    def test_empty_or_nonfinite_grid(self, scales, shifts):
+        with pytest.raises(GridError, match="non-empty"):
+            wavelets._grid(128, 1.0, scales, shifts)
+
+    def test_repeated_scale(self):
+        with pytest.raises(GridError, match="scales must be distinct"):
+            wavelets._grid(128, 1.0, [4.0, 5.0, 4.0], None)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_step(self, dt):
+        with pytest.raises(GridError, match="dt must be positive and finite"):
+            wavelets._grid(128, dt, [4.0], None)
+
+    @pytest.mark.parametrize("order", [0, 13])
+    def test_order_range(self, order):
+        with pytest.raises(MfbmwaveError, match="atom orders"):
+            gaussian_derivative(order)
+
+    def test_overflowing_scale(self):
+        with pytest.raises(MfbmwaveError, match="overflow the closed form"):
+            wavelets._atom_pair_prefactor(1, 1e300, 1, 1.0)
+
+    def test_ensemble_of_mixed_steps(self):
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = [*replicate_ensemble(params, 128, 1.0, seed=1, count=1),
+                 *replicate_ensemble(params, 128, 0.5, seed=1, count=1)]
+        with pytest.raises(MfbmwaveError, match="one sampling step"):
+            list(cwt_ensemble(paths, gaussian_derivative(1), [4.0]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mfbmwave.model import MfbmParams
+from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.verify import XCHECK_ABS, XCHECK_REL
 from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 from mfbmwave.wavstats import (
@@ -313,3 +313,10 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             decay_exponent_fit(params, gaussian_derivative(1), 0, 1,
                                [4.0, 8.0, 16.0])
+
+
+@pytest.mark.parametrize("a1, a2", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0),
+                                    (1.0, math.inf)])
+def test_query_scales_positive_and_finite(a1, a2):
+    with pytest.raises(MfbmwaveError, match="scales must be positive"):
+        WaveletCovQuery(0, 1, a1, a2)
