@@ -372,5 +372,11 @@ def save_params(params: MfbmParams, path) -> None:
 
 
 def load_params(path) -> MfbmParams:
-    with open(path, "r", encoding="utf-8") as f:
-        return params_from_text(f.read())
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParamsFormatError(data.count(b"\n", 0, exc.start) + 1,
+                                f"not UTF-8 text ({exc.reason})") from None
+    return params_from_text(text)

@@ -201,12 +201,16 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     hold more than _BUILD_BUDGET bytes (see _build_bytes).  Without that
     budget MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 31 GB at
     p = 3 (24 m p^2 + 4 m p bytes).  A first size over the budget is an
-    MfbmwaveError (see _first_size).
+    MfbmwaveError (see _first_size), and so is a spectrum that is not finite
+    (a dt at which the covariance kernel overflows), which no doubling mends.
     """
     m = _first_size(n, params.p)
     attempts = 0
     while True:
         evals, evecs = _try_embedding(params, dt, m)
+        if not np.all(np.isfinite(evals)):
+            raise MfbmwaveError(f"the increment covariance overflows at "
+                                f"dt = {dt}: its spectrum is not finite")
         lam_min = float(evals.min())
         lam_max = float(evals.max())
         if lam_min >= -EMBED_REL_TOL * lam_max:

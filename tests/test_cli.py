@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import mfbmwave
 from mfbmwave import cli
 from mfbmwave.cli import main
 from mfbmwave.model import MfbmParams, save_params
@@ -33,6 +37,20 @@ def write_config(tmp_path, name, payload):
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal is most of the import cost of the package; nothing in it
+    # is needed
+    src = os.path.dirname(os.path.dirname(mfbmwave.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
+    code = ("import sys, mfbmwave, mfbmwave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSimulate:
@@ -381,11 +399,37 @@ class TestValidationExitCodes:
 
     @pytest.mark.parametrize("payload", [{"omegas": [0.0, 1.0]},
                                          {"omega_min": 0.0},
-                                         {"points_per_decade": 10 ** 300}])
+                                         {"points_per_decade": 10 ** 300},
+                                         {"points_per_decade": 10 ** 8},
+                                         {"points_per_decade": 10 ** 15}])
     def test_theory_spectrum_grid(self, tmp_path, params_file, capsys,
                                   payload):
         self.run(tmp_path, capsys, "theory spectrum",
                  {"params": str(params_file), **payload})
+
+    def test_simulate_params_not_utf8(self, tmp_path, capsys):
+        params = tmp_path / "params.bin"
+        params.write_bytes(bytes(range(256)))
+        err = self.run(tmp_path, capsys, "simulate",
+                       {"params": str(params), "n": 64, "dt": 1.0})
+        assert "not UTF-8 text" in err
+
+    def test_simulate_overflowing_step(self, tmp_path, capsys, monkeypatch):
+        import mfbmwave.synth as synth
+
+        sizes = []
+        attempt = synth._try_embedding
+        monkeypatch.setattr(synth, "_try_embedding",
+                            lambda params, dt, m: sizes.append(m)
+                            or attempt(params, dt, m))
+        params = tmp_path / "p.txt"
+        save_params(MfbmParams.bivariate(0.7, 0.8, rho=0.5), params)
+        with np.errstate(all="ignore"):
+            err = self.run(tmp_path, capsys, "simulate",
+                           {"params": str(params), "n": 64, "dt": 1e300})
+        assert "spectrum is not finite" in err
+        assert sizes == [128]
+        assert not list((tmp_path / "o").glob("path_*"))
 
 
 class TestCwtCommand:
@@ -500,8 +544,7 @@ class TestVerifyCommand:
 _FUZZ_BAD = [0, 1, -1, -1.5, 0.0, 2, 13, 1e300, [], [0], [-1.0], "x", None,
              True, float("nan")]
 _FUZZ_HUGE = [float("nan"), float("inf"), 1e300, 10 ** 8, 2 ** 64, -(2 ** 63)]
-# valid sizes stay small; a huge value is drawn only where a check refuses
-# it before allocating (a points_per_decade of 10^8 would be admitted)
+# valid sizes stay small; a huge value is refused before anything is allocated
 _FUZZ_CAPS = {"n": 512, "count": 40, "points_per_decade": 512}
 
 
@@ -509,10 +552,8 @@ def _fuzz_values(key):
     """Values for one config key: the single bad values, wrong types and
     signs, NaN, small sizes and sizes far over a budget."""
     st = pytest.importorskip("hypothesis").strategies
-    huge = [v for v in _FUZZ_HUGE
-            if not (key == "points_per_decade" and v == 10 ** 8)]
     number = st.one_of(st.integers(-3, _FUZZ_CAPS.get(key, 20)),
-                       st.floats(-20.0, 20.0), st.sampled_from(huge))
+                       st.floats(-20.0, 20.0), st.sampled_from(_FUZZ_HUGE))
     return st.one_of(st.sampled_from(_FUZZ_BAD), number,
                      st.sampled_from(["x", "", "1"]), st.booleans(), st.none(),
                      st.lists(number, max_size=3))

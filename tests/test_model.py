@@ -14,6 +14,7 @@ from mfbmwave.model import (
     max_admissible_rho,
     params_to_text,
     params_from_text,
+    load_params,
     pack_triangles,
     unpack_triangles,
 )
@@ -293,6 +294,13 @@ class TestTextFormat:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParamsFormatError):
             params_from_text("p: 1\nH: 0.5\nsigma: 1\nrho: 1\neta:\nbogus: 3\n")
+
+    def test_file_not_utf8(self, tmp_path):
+        f = tmp_path / "params.bin"
+        f.write_bytes(b"p: 2\nH: 0.4 0.7\n\xff\xfe\n")
+        with pytest.raises(ParamsFormatError, match="not UTF-8 text") as err:
+            load_params(f)
+        assert err.value.line == 3
 
 
 class TestTriangles:

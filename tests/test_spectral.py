@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mfbmwave import synth
 from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov
@@ -296,6 +297,23 @@ class TestBranchContinuity:
 def test_omega_grid_checks(w_min, w_max, per_decade):
     with pytest.raises(MfbmwaveError):
         make_log_omega_grid(w_min, w_max, per_decade)
+
+
+def test_omega_grid_budget(monkeypatch):
+    # 2 decades at 8 points each: 2 * 16 points of 8 + 16 bytes
+    assert make_log_omega_grid(0.1, 10.0, 8).size == 32
+    monkeypatch.setattr(synth, "_BUILD_BUDGET", 32 * 24 - 1)
+    with pytest.raises(MfbmwaveError, match="over the budget"):
+        make_log_omega_grid(0.1, 10.0, 8)
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "logspace", refuse)
+    for per_decade in (10 ** 8, 10 ** 15):
+        with pytest.raises(MfbmwaveError, match="over the budget"):
+            make_log_omega_grid(0.1, 10.0, per_decade)
 
 
 def test_zero_frequency_refused():

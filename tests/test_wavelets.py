@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 import mfbmwave.wavelets as wavelets
 from mfbmwave.model import MfbmParams, MfbmwaveError
@@ -167,18 +167,29 @@ class TestCwt:
                                    rtol=1e-12, atol=1e-12)
 
     def test_matches_direct_sum(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(300)
-        dt, a = 0.5, 3.0
-        w = gaussian_derivative(2)
-        field = cwt(make_path(x, dt), w, scales=[a])
-        t = np.arange(300) * dt
-        for b_idx in (60, 150, 220):
-            b = t[b_idx]
-            direct = np.sum(x * np.conj(w.eval((t - b) / a))) * dt / math.sqrt(a)
-            pos = np.where(np.isclose(field.shifts, b))[0]
-            assert pos.size == 1
-            assert complex(field.coeffs[0, 0, pos[0]]) == pytest.approx(direct, rel=1e-10)
+        # both ends of the largest scale's shift range, a smaller scale, a
+        # complex wavelet, explicit shifts; n = 307 is prime, so the rows
+        # are zero-filled to a longer FFT length
+        dt, scales = 0.5, [2.25, 3.0]
+        for n in (300, 307):
+            x = np.random.default_rng(9).standard_normal(n)
+            t = np.arange(n) * dt
+            lo, hi = valid_shift_range(n, dt, scales[-1])
+            picked = (lo, 97, hi - 1, hi)
+            for w in (gaussian_derivative(2), HermiteWavelet([(1, 1), (0.5j, 2)])):
+                path = make_path(x, dt)
+                cases = [(cwt(path, w, scales), (lo, lo + 1, 60, 150, 220, hi)),
+                         (cwt(path, w, scales, shifts=t[list(picked)]), picked)]
+                for field, b_indices in cases:
+                    for ia, a in enumerate(scales):
+                        for b_idx in b_indices:
+                            b = t[b_idx]
+                            direct = (np.sum(x * np.conj(w.eval((t - b) / a)))
+                                      * dt / math.sqrt(a))
+                            pos = np.where(np.isclose(field.shifts, b))[0]
+                            assert pos.size == 1
+                            assert complex(field.coeffs[0, ia, pos[0]]) == \
+                                pytest.approx(direct, rel=1e-10)
 
     def test_scale_below_resolution_rejected(self):
         path = make_path(np.zeros(256), dt=1.0)
@@ -203,18 +214,28 @@ class TestCwt:
 
 
 def per_row_cwt(values, dt, wavelet, scales, shift_idx):
-    """One 1D fftconvolve per component and scale: the transform's definition
-    as a loop, kept apart from the batched code."""
-    out = np.empty((values.shape[0], len(scales), shift_idx.size), dtype=complex)
-    for ia, a in enumerate(scales):
-        L = shift_margin(a, dt)
-        t = np.arange(-L, L + 1) * dt / a
-        kernel = np.conj(wavelet.eval(t)) * (dt / math.sqrt(a))
-        if wavelet.is_real:
-            kernel = np.real(kernel)
-        for j in range(values.shape[0]):
-            out[j, ia] = fftconvolve(values[j], kernel[::-1])[shift_idx + L]
+    """One numpy real FFT correlation per component, scale and kernel part:
+    the transform's circular correlation as a loop, kept apart from the
+    batched code."""
+    p, n = values.shape
+    N = next_fast_len(n, real=True)
+    out = np.zeros((p, len(scales), shift_idx.size), dtype=complex)
+    for j in range(p):
+        spectrum = np.fft.rfft(values[j], N)
+        for ia, a in enumerate(scales):
+            L = shift_margin(a, dt)
+            m = np.arange(-L, L + 1)
+            kernel = np.conj(wavelet.eval(m * dt / a)) * (dt / math.sqrt(a))
+            out[j, ia].real = correlate(spectrum, kernel.real, m, N)[shift_idx]
+            if not wavelet.is_real:
+                out[j, ia].imag = correlate(spectrum, kernel.imag, m, N)[shift_idx]
     return out
+
+
+def correlate(spectrum, taps, m, N):
+    g = np.zeros(N)
+    g[m % N] = taps
+    return np.fft.irfft(spectrum * np.conj(np.fft.rfft(g)), N)
 
 
 def assert_bits_equal(a, b):
@@ -271,6 +292,14 @@ class TestCwtEnsemble:
         self.check(paths, self.COMPLEX, [4.0, 8.0])
         self.check(paths, self.COMPLEX, [4.0, 8.0],
                    shifts=[90.0, 91.0, 200.0, 333.0, 421.0])
+
+    def test_length_not_fast(self):
+        # n = 509 is prime; the FFT length is the next fast one
+        assert next_fast_len(509, real=True) > 509
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 509, 1.0, seed=4, count=3)
+        self.check(paths, gaussian_derivative(2), [4.0, 7.0])
+        self.check(paths, self.COMPLEX, [4.0, 7.0])
 
     def test_empty_and_invalid(self):
         assert list(cwt_ensemble([], gaussian_derivative(1), [4.0])) == []
