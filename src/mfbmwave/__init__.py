@@ -33,7 +33,6 @@ from .wavelets import (
     WaveletField,
     GridError,
     gaussian_derivative,
-    wavelet_autocorrelation,
     cwt,
     cwt_ensemble,
 )
@@ -43,7 +42,6 @@ from .wavstats import (
     AsymptoticLaw,
     DegenerateAsymptoticsError,
     theoretical_wavelet_cov,
-    theoretical_wavelet_cov_2d,
     wavelet_cov_quadrature,
     scale_law_constant,
     asymptotic_law,

@@ -3,6 +3,11 @@
 Two interchange formats per object: RFC-4180 CSV with 17 significant digits
 (lossless for IEEE doubles), and a little-endian binary container with the
 magic bytes ``MFBM1``, a kind byte and a format version.
+
+A wavelet field is written with a real and an imaginary part per
+coefficient whatever its dtype, the imaginary parts of a real field as 0.
+The container does not record whether the wavelet was real, so
+``load_field`` returns complex128 coefficients.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ Fields are streamed: the estimators read them in blocks of about 4 MB of
 stacked coefficient rows (``_BLOCK_BYTES``), so a generator such as
 ``cwt_ensemble`` is never held in full.  Beside one block, memory grows
 only with replicates x lags (or frequencies) of per-replicate estimates.
+A field of a real wavelet holds float64 coefficients and one of a complex
+wavelet complex128; a block is sized from the field's item size, and the
+imaginary parts enter the products only for complex fields.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ class EmpiricalCov:
     def __post_init__(self):
         _check_lags(np.asarray(self.lags))
         if np.any(np.asarray(self.se_real) < 0) or np.any(np.asarray(self.se_imag) < 0):
-            raise ValueError("standard errors must be nonnegative")
+            raise MfbmwaveError("standard errors must be nonnegative")
 
 
 def _row_blocks(fields, query: WaveletCovQuery):
@@ -138,7 +141,7 @@ def _row_blocks(fields, query: WaveletCovQuery):
         raise MfbmwaveError(f"need >= {MIN_REPLICATES} replicates, got 0")
     ia1 = f0.scale_index(query.a1)
     ia2 = f0.scale_index(query.a2)
-    per_block = max(1, _BLOCK_BYTES // (32 * f0.shifts.size))
+    per_block = max(1, _BLOCK_BYTES // (2 * f0.coeffs.itemsize * f0.shifts.size))
 
     def blocks():
         rest = itertools.chain([f0], pending)
@@ -159,13 +162,15 @@ def _lagged_means(dj: np.ndarray, dk: np.ndarray, lags: np.ndarray) -> np.ndarra
     """Shift averages of dj[:, b + lag] conj(dk[:, b]), shape (B, n_lags).
 
     In real arithmetic, one row-wise dot product per part and lag; the
-    imaginary parts enter only if a row has one (a complex wavelet).
+    imaginary parts enter only for complex rows (a complex wavelet).
     """
     nb = dj.shape[1]
-    complex_rows = bool(dj.imag.any() or dk.imag.any())
-    jr, kr = dj.real.copy(), dk.real.copy()
+    complex_rows = np.iscomplexobj(dj) or np.iscomplexobj(dk)
     if complex_rows:
+        jr, kr = dj.real.copy(), dk.real.copy()
         ji, ki = dj.imag.copy(), dk.imag.copy()
+    else:
+        jr, kr = dj, dk
     re = np.zeros((dj.shape[0], lags.size))
     im = np.zeros_like(re)
     for il, lag in enumerate(lags):
@@ -227,10 +232,10 @@ def empirical_cross_spectrum(fields, query: WaveletCovQuery,
     f0, blocks = _row_blocks(fields, query)
     shifts = f0.shifts
     if shifts.size < 8:
-        raise ValueError("too few shifts for a periodogram")
+        raise MfbmwaveError("too few shifts for a periodogram")
     spacing = np.diff(shifts)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
-        raise ValueError("shift grid must be uniform")
+        raise MfbmwaveError("shift grid must be uniform")
     delta = float(spacing[0])
     taper = np.hanning(shifts.size)
     norm = delta * float(np.sum(taper ** 2))

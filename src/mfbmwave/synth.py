@@ -165,9 +165,12 @@ def _try_embedding(params: MfbmParams, dt: float, m: int):
 
     The blocks are real, so Lambda(m - f) = conj Lambda(f) and the half
     spectrum has every eigenvalue of the full one.  Only the lower triangle
-    is symmetrized: it is all that ``eigh`` reads.
+    is symmetrized: it is all that ``eigh`` reads.  Overflow in the kernel
+    is not warned about here: ``build_embedding`` refuses a spectrum that is
+    not finite.
     """
-    lam = np.fft.rfft(_increment_blocks(params, m, dt), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.fft.rfft(_increment_blocks(params, m, dt), axis=-1)
     lam = lam.transpose(2, 0, 1)
     for j in range(params.p):
         for k in range(j + 1, params.p):

@@ -150,29 +150,12 @@ def gaussian_derivative(M: int) -> HermiteWavelet:
     return HermiteWavelet([(1.0, M)])
 
 
-def wavelet_autocorrelation(wavelet: HermiteWavelet, a1: float, a2: float, h: float):
-    """Correlation between the dilated-shifted wavelets at scales a1, a2, lag h.
-
-    Returns an evaluator for
-    Gamma(v) = int psi_{a1,b+h}(u) conj(psi_{a2,b}(u+v)) du,
-    which is independent of the base point b.
-    """
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise ValueError("scales must be positive")
-    D = wavelet.pair_correlation(a1, a2)
-    norm = 1.0 / math.sqrt(a1 * a2)
-
-    def gamma(v):
-        return norm * np.conj(D(np.asarray(v, dtype=float) + h))
-
-    return gamma
-
-
 @dataclass(frozen=True)
 class WaveletField:
     """Wavelet coefficients d[j, scale, shift] of a sampled multivariate path."""
 
-    coeffs: np.ndarray          # complex, shape (p, n_scales, n_shifts)
+    coeffs: np.ndarray          # shape (p, n_scales, n_shifts); float64 from a
+                                # real wavelet, complex128 from a complex one
     scales: np.ndarray          # strictly positive, sorted ascending
     shifts: np.ndarray          # shift times b, uniform grid
     dt: float                   # sampling step of the source path
@@ -180,14 +163,16 @@ class WaveletField:
     seed: int | None = None     # source path seed, if any
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex)
+        coeffs = np.asarray(self.coeffs)
+        coeffs = coeffs.astype(complex if np.iscomplexobj(coeffs) else float,
+                               copy=False)
         scales = np.asarray(self.scales, dtype=float)
         shifts = np.asarray(self.shifts, dtype=float)
         if coeffs.ndim != 3 or coeffs.shape[1] != scales.size \
                 or coeffs.shape[2] != shifts.size:
-            raise ValueError("coefficient array inconsistent with scale/shift grids")
+            raise MfbmwaveError("coefficient array inconsistent with scale/shift grids")
         if np.any(scales <= 0.0) or np.any(np.diff(scales) <= 0.0):
-            raise ValueError("scales must be strictly positive and sorted")
+            raise MfbmwaveError("scales must be strictly positive and sorted")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "shifts", shifts)
@@ -263,21 +248,37 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
     complex kernel is correlated as its real and imaginary parts.  Every
     admissible shift keeps b + m inside [0, n) (``valid_shift_range``), so
     the circular sum is the defining one.
+
+    The coefficients are float64 for a real wavelet and complex128 for a
+    complex one.  The spectrum product and the correlation rows are written
+    into two buffers made once per call, and consecutive shift indices (the
+    default grid) are read from the correlation as one slice.
     """
     count, p, n = values.shape
+    rows = count * p
     N = next_fast_len(n, real=True)
-    spectra = np.fft.rfft(values.reshape(count * p, n), N, axis=-1)
-    out = np.zeros((count * p, scales.size, shift_idx.size), dtype=complex)
+    spectra = np.fft.rfft(values.reshape(rows, n), N, axis=-1)
+    product = np.empty_like(spectra)
+    corr = np.empty((rows, N))
+    first = shift_idx[0]
+    if np.array_equal(shift_idx, np.arange(first, first + shift_idx.size)):
+        taken = slice(first, first + shift_idx.size)
+    else:
+        taken = shift_idx
+    out = np.empty((rows, scales.size, shift_idx.size),
+                   dtype=float if wavelet.is_real else complex)
+    targets = (out,) if wavelet.is_real else (out.real, out.imag)
     for ia, a in enumerate(scales):
         L = shift_margin(a, dt)
         m = np.arange(-L, L + 1)
         kernel = np.conj(wavelet.eval(m * dt / a)) * (dt / math.sqrt(a))
         parts = [kernel] if wavelet.is_real else [kernel.real, kernel.imag]
-        for part, target in zip(parts, (out.real, out.imag)):
+        for part, target in zip(parts, targets):
             g = np.zeros(N)
             g[m % N] = part
-            corr = np.fft.irfft(spectra * np.conj(np.fft.rfft(g)), N, axis=-1)
-            target[:, ia] = corr[:, shift_idx]
+            np.multiply(spectra, np.conj(np.fft.rfft(g)), out=product)
+            np.fft.irfft(product, N, axis=-1, out=corr)
+            target[:, ia] = corr[:, taken]
     return out.reshape(count, p, scales.size, shift_idx.size)
 
 
@@ -301,6 +302,8 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     paths are transformed about 1 MB of values at a time (``_CHUNK_BYTES``,
     at least one path) and only the current chunk's coefficients are held,
     so an ensemble streams into ``empirical_wavelet_cov`` in bounded memory.
+    The coefficients are float64 for a real wavelet and complex128 for a
+    complex one.
     """
     pending = iter(paths)
     first = next(pending, None)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
 from scipy.special import hyp1f1, rgamma
 
 from . import model
@@ -262,32 +261,6 @@ def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
                       epsabs=epsabs, epsrel=1e-11, points=points)
     im = quad_checked(lambda y: np.imag(f(y)), -L, L,
                       epsabs=epsabs, epsrel=1e-11, points=points)
-    return pref * complex(re, im)
-
-
-def theoretical_wavelet_cov_2d(query: WaveletCovQuery, params: MfbmParams,
-                               wavelet: HermiteWavelet, tol: float = 1e-9) -> complex:
-    """Independent two-dimensional quadrature of the defining double integral.
-
-    The test oracle of :func:`theoretical_wavelet_cov` and
-    :func:`wavelet_cov_quadrature`, both of which must agree with it to the
-    quadrature tolerance; at seconds per call it is too slow for anything
-    else.
-    """
-    j, k, a1, a2, h = query.j, query.k, query.a1, query.a2, query.h
-    R = TRUNCATION_RADIUS
-    pref = -0.5 * params.sigma[j] * params.sigma[k] * math.sqrt(a1 * a2)
-
-    def integrand(t2, t1):
-        return (model.kernel_w(params, j, k, a2 * t2 - a1 * t1 - h)
-                * np.conj(wavelet.eval(t1)) * wavelet.eval(t2))
-
-    re, _ = dblquad(lambda t2, t1: np.real(integrand(t2, t1)),
-                    -R, R, -R, R, epsabs=tol, epsrel=1e-9)
-    if wavelet.is_real:
-        return complex(pref * re)
-    im, _ = dblquad(lambda t2, t1: np.imag(integrand(t2, t1)),
-                    -R, R, -R, R, epsabs=tol, epsrel=1e-9)
     return pref * complex(re, im)
 
 

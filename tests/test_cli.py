@@ -39,17 +39,22 @@ def read_csv(path):
         return list(csv.reader(f))
 
 
-def test_import_leaves_out_scipy_signal():
-    # scipy.signal is most of the import cost of the package; nothing in it
-    # is needed
+def package_env():
+    """The environment of a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(mfbmwave.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal is most of the import cost of the package; nothing in it
+    # is needed
     code = ("import sys, mfbmwave, mfbmwave.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 
@@ -424,12 +429,28 @@ class TestValidationExitCodes:
                             or attempt(params, dt, m))
         params = tmp_path / "p.txt"
         save_params(MfbmParams.bivariate(0.7, 0.8, rho=0.5), params)
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             err = self.run(tmp_path, capsys, "simulate",
                            {"params": str(params), "n": 64, "dt": 1e300})
         assert "spectrum is not finite" in err
         assert sizes == [128]
         assert not list((tmp_path / "o").glob("path_*"))
+
+    def test_simulate_overflowing_step_stderr(self, tmp_path):
+        # a fresh interpreter: numpy's floating-point warnings would reach
+        # stderr ahead of the one error line
+        params = tmp_path / "p.txt"
+        save_params(MfbmParams.bivariate(0.7, 0.8, rho=0.5), params)
+        cfg = write_config(tmp_path, "sim.json",
+                           {"params": str(params), "n": 64, "dt": 1e300})
+        run = subprocess.run(
+            [sys.executable, "-m", "mfbmwave.cli", "--config", str(cfg),
+             "--out", str(tmp_path / "o"), "simulate"],
+            env=package_env(), capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert "spectrum is not finite" in run.stderr
 
 
 class TestCwtCommand:

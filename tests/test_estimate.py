@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,7 +280,8 @@ class TestStreamedEstimators:
         q = WaveletCovQuery(0, 1, 4.0, 8.0)
         want = empirical_wavelet_cov(fields, q, self.LAGS)
         # blocks of 7 fields: 240 replicates end in a partial block
-        monkeypatch.setattr(estimate, "_BLOCK_BYTES", 7 * 32 * fields[0].shifts.size)
+        monkeypatch.setattr(estimate, "_BLOCK_BYTES",
+                            7 * 2 * fields[0].coeffs.itemsize * fields[0].shifts.size)
         for source in (fields, (f for f in fields)):
             got = empirical_wavelet_cov(source, q, self.LAGS)
             np.testing.assert_array_equal(got.mean, want.mean)
@@ -299,13 +301,83 @@ class TestStreamedEstimators:
         # frequencies, and far below its peak both versions hold DFT
         # rounding only, so the agreement is normwise
         omegas = np.linspace(0.05, 2.0, 64)
-        monkeypatch.setattr(estimate, "_BLOCK_BYTES", 7 * 32 * fields[0].shifts.size)
         for flds in (fields, complex_fields):
+            monkeypatch.setattr(estimate, "_BLOCK_BYTES",
+                                7 * 2 * flds[0].coeffs.itemsize * flds[0].shifts.size)
             q = WaveletCovQuery(0, 1, 4.0, 8.0)
             want = loop_cross_spectrum(flds, q, omegas)
             got = empirical_cross_spectrum((f for f in flds), q, omegas)
             np.testing.assert_allclose(got.mean, want, rtol=0.0,
                                        atol=1e-13 * np.abs(want).max())
+
+
+class TestRealFields:
+    """A real field and the same field cast to complex give the same bits."""
+
+    LAGS = np.array([-17, -4, -1, 0, 1, 2, 5, 17, 60])
+
+    @staticmethod
+    def as_complex(fields):
+        return [replace(f, coeffs=f.coeffs.astype(complex)) for f in fields]
+
+    def test_fields_are_real(self, fields):
+        assert fields[0].coeffs.dtype == np.float64
+
+    def test_lagged_means(self, fields):
+        dj = np.stack([f.coeffs[0, 0] for f in fields[:40]])
+        dk = np.stack([f.coeffs[1, 1] for f in fields[:40]])
+        real = estimate._lagged_means(dj, dk, self.LAGS)
+        cast = estimate._lagged_means(dj.astype(complex), dk.astype(complex),
+                                      self.LAGS)
+        assert_bits_equal(real, cast)
+
+    def test_wavelet_cov(self, fields):
+        q = WaveletCovQuery(0, 1, 4.0, 8.0)
+        real = empirical_wavelet_cov(fields, q, self.LAGS)
+        cast = empirical_wavelet_cov(self.as_complex(fields), q, self.LAGS)
+        for name in ("mean", "se_real", "se_imag"):
+            assert_bits_equal(getattr(real, name), getattr(cast, name))
+
+    def test_cross_spectrum(self, fields):
+        q = WaveletCovQuery(0, 1, 4.0, 8.0)
+        omegas = np.linspace(0.05, 2.0, 16)
+        real = empirical_cross_spectrum(fields[:60], q, omegas)
+        cast = empirical_cross_spectrum(self.as_complex(fields[:60]), q, omegas)
+        for name in ("mean", "se_real", "se_imag"):
+            assert_bits_equal(getattr(real, name), getattr(cast, name))
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestErrorContract:
+    """Each input check of the estimators raises the package's one error."""
+
+    @staticmethod
+    def field(shifts):
+        return WaveletField(coeffs=np.zeros((1, 1, len(shifts))),
+                            scales=np.array([4.0]), shifts=shifts, dt=1.0, n=64)
+
+    def test_too_few_shifts(self):
+        fld = self.field(np.arange(7.0))
+        with pytest.raises(MfbmwaveError, match="too few shifts"):
+            empirical_cross_spectrum([fld] * 30, WaveletCovQuery(0, 0, 4.0, 4.0),
+                                     np.array([0.5]))
+
+    def test_nonuniform_shifts(self):
+        fld = self.field(np.array([0.0, 1.0, 2.0, 3.0, 4.5, 6.0, 7.0, 8.0, 9.0]))
+        with pytest.raises(MfbmwaveError, match="shift grid must be uniform"):
+            empirical_cross_spectrum([fld] * 30, WaveletCovQuery(0, 0, 4.0, 4.0),
+                                     np.array([0.5]))
+
+    def test_negative_standard_error(self):
+        with pytest.raises(MfbmwaveError, match="standard errors must be nonnegative"):
+            estimate.EmpiricalCov(query=WaveletCovQuery(0, 0, 4.0, 4.0),
+                                  lags=np.array([0]), mean=np.zeros(1),
+                                  se_real=np.array([-1.0]), se_imag=np.zeros(1),
+                                  replicates=30, shift_spacing=1.0)
 
 
 class TestEmpiricalDecaySlope:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,13 +14,13 @@ from mfbmwave.wavelets import (
     HermiteWavelet,
     GridError,
     gaussian_derivative,
-    wavelet_autocorrelation,
     cwt,
     cwt_ensemble,
     shift_margin,
     valid_shift_range,
     TRUNCATION_RADIUS,
 )
+from oracles import wavelet_autocorrelation
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -216,10 +217,11 @@ class TestCwt:
 def per_row_cwt(values, dt, wavelet, scales, shift_idx):
     """One numpy real FFT correlation per component, scale and kernel part:
     the transform's circular correlation as a loop, kept apart from the
-    batched code."""
+    batched code.  Float64 for a real wavelet, complex128 otherwise."""
     p, n = values.shape
     N = next_fast_len(n, real=True)
-    out = np.zeros((p, len(scales), shift_idx.size), dtype=complex)
+    out = np.zeros((p, len(scales), shift_idx.size),
+                   dtype=float if wavelet.is_real else complex)
     for j in range(p):
         spectrum = np.fft.rfft(values[j], N)
         for ia, a in enumerate(scales):
@@ -301,6 +303,44 @@ class TestCwtEnsemble:
         self.check(paths, gaussian_derivative(2), [4.0, 7.0])
         self.check(paths, self.COMPLEX, [4.0, 7.0])
 
+    def test_coefficient_dtype(self):
+        # real coefficients for a real wavelet, complex for a complex one
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 256, 1.0, seed=2, count=3)
+        for wavelet, dtype in ((gaussian_derivative(2), np.float64),
+                               (self.COMPLEX, np.complex128)):
+            assert cwt(paths[0], wavelet, [4.0, 6.0]).coeffs.dtype == dtype
+            for field in cwt_ensemble(paths, wavelet, [4.0, 6.0]):
+                assert field.coeffs.dtype == dtype
+
+    def test_explicit_shifts_match_default_grid(self):
+        # gathered shifts, out of order and with a repeat, read the same
+        # correlation values as the sliced default grid
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        path = replicate_ensemble(params, 512, 1.0, seed=6, count=1)[0]
+        for wavelet in (gaussian_derivative(2), self.COMPLEX):
+            full = cwt(path, wavelet, [4.0, 8.0])
+            picked = [0, 1, 7, 50, 3, full.shifts.size - 1, 7]
+            some = cwt(path, wavelet, [4.0, 8.0], shifts=full.shifts[picked])
+            assert_bits_equal(some.coeffs,
+                              np.ascontiguousarray(full.coeffs[:, :, picked]))
+
+    def test_peak_memory_below_complex_field(self):
+        # the float64 field and the per-call FFT buffers stay below the
+        # bytes of the same field held as complex128
+        values = np.cumsum(np.random.default_rng(1).standard_normal((3, 2 ** 16)),
+                           axis=1)
+        path = SimpleNamespace(values=values, dt=1.0, n=2 ** 16, seed=None)
+        scales = [4.0 * 2.0 ** (k / 2) for k in range(8)]
+        tracemalloc.start()
+        try:
+            field = cwt(path, gaussian_derivative(2), scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        complex_bytes = field.coeffs.size * np.dtype(complex).itemsize
+        assert peak < complex_bytes
+
     def test_empty_and_invalid(self):
         assert list(cwt_ensemble([], gaussian_derivative(1), [4.0])) == []
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
@@ -336,6 +376,16 @@ class TestInputChecks:
     def test_overflowing_scale(self):
         with pytest.raises(MfbmwaveError, match="overflow the closed form"):
             wavelets._atom_pair_prefactor(1, 1e300, 1, 1.0)
+
+    def test_field_grid_mismatch(self):
+        with pytest.raises(MfbmwaveError, match="inconsistent with scale/shift"):
+            wavelets.WaveletField(coeffs=np.zeros((1, 2, 5)), scales=[4.0],
+                                  shifts=np.arange(5.0), dt=1.0, n=64)
+
+    def test_field_scales_unsorted(self):
+        with pytest.raises(MfbmwaveError, match="strictly positive and sorted"):
+            wavelets.WaveletField(coeffs=np.zeros((1, 2, 5)), scales=[6.0, 4.0],
+                                  shifts=np.arange(5.0), dt=1.0, n=64)
 
     def test_ensemble_of_mixed_steps(self):
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)

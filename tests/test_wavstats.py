@@ -11,7 +11,6 @@ from mfbmwave.wavstats import (
     WaveletCovQuery,
     DegenerateAsymptoticsError,
     theoretical_wavelet_cov,
-    theoretical_wavelet_cov_2d,
     wavelet_cov_quadrature,
     scale_law_constant,
     asymptotic_law,
@@ -19,6 +18,7 @@ from mfbmwave.wavstats import (
     decay_exponent_fit,
     binom_gen,
 )
+from oracles import theoretical_wavelet_cov_2d
 
 
 def flandrin_variance(h, sigma, a, wavelet):
