@@ -215,13 +215,13 @@ class RepresentationKernel:
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise MfbmwaveError(f"unknown variant {self.variant!r}")
         if self.variant == "hlog":
             if self.alpha != 1.0:
-                raise ValueError("hlog realizes the alpha -> 1- limit; set alpha = 1")
+                raise MfbmwaveError("hlog realizes the alpha -> 1- limit; set alpha = 1")
         else:
             if not (0.0 < self.alpha < 2.0) or self.alpha == 1.0:
-                raise ValueError("power variants need alpha in (0, 2) \\ {1}")
+                raise MfbmwaveError("power variants need alpha in (0, 2) \\ {1}")
 
     @property
     def g_alpha(self) -> str:

@@ -65,7 +65,7 @@ class EmbeddingReport:
 
     def __post_init__(self):
         if self.correction not in ("none", "clip"):
-            raise ValueError("correction must be 'none' or 'clip'")
+            raise MfbmwaveError("correction must be 'none' or 'clip'")
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,9 @@ class SamplePath:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.params.p, self.n):
-            raise ValueError("values shape inconsistent with params.p and n")
+            raise MfbmwaveError("values shape inconsistent with params.p and n")
         if np.any(values[:, 0] != 0.0):
-            raise ValueError("paths must start at zero")
+            raise MfbmwaveError("paths must start at zero")
         object.__setattr__(self, "values", values)
 
     @property

@@ -2,8 +2,9 @@
 
 Each suite confronts closed-form results with an independent numerical route
 and returns a machine-auditable report: one entry per check with the
-measured value, target, tolerance, provenance tag and pass flag.  Checks
-marked advisory document known discrepancies without failing the suite.
+measured value, target, tolerance, provenance tag, pass flag and runtime.
+Checks marked advisory document known discrepancies without failing the
+suite.
 """
 
 from __future__ import annotations
@@ -82,13 +83,31 @@ def _closed_vs_quadrature(label, queries, params, wavelet):
     return entry
 
 
-def _finish(suite, checks, started, extra=None):
+class _Checks(list):
+    """A suite's check entries, each given its ``runtime_seconds`` on append.
+
+    A check's runtime is the wall time since the previous append (or since
+    the list was made, for the first check): the work that produced it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.started = self._lap = time.perf_counter()
+
+    def append(self, entry):
+        now = time.perf_counter()
+        entry["runtime_seconds"] = round(now - self._lap, 6)
+        self._lap = now
+        super().append(entry)
+
+
+def _finish(suite, checks, extra=None):
     report = {
         "suite": suite,
         "generator": f"mfbmwave {__version__}",
-        "checks": checks,
+        "checks": list(checks),
         "passed": all(c["passed"] or c["advisory"] for c in checks),
-        "runtime_seconds": round(time.perf_counter() - started, 3),
+        "runtime_seconds": round(time.perf_counter() - checks.started, 3),
     }
     if extra:
         report.update(extra)
@@ -97,8 +116,7 @@ def _finish(suite, checks, started, extra=None):
 
 def verify_existence() -> dict:
     """Admissibility bound checks for the bivariate parameter set."""
-    t0 = time.perf_counter()
-    checks = []
+    checks = _Checks()
     for h in (0.35, 0.5):
         checks.append(_check(
             f"equal-hurst-unconstrained-H{h}", max_admissible_rho(h, h), 1.0,
@@ -128,13 +146,12 @@ def verify_existence() -> dict:
         float(check_existence(MfbmParams.bivariate(0.1, 0.8, rho=0.50)).admissible
               and not check_existence(MfbmParams.bivariate(0.1, 0.8, rho=0.52)).admissible),
         1.0, 0.0, "derived"))
-    return _finish("existence", checks, t0)
+    return _finish("existence", checks)
 
 
 def verify_bahr() -> dict:
     """Trigonometric representation identities, quadrature vs closed form."""
-    t0 = time.perf_counter()
-    checks = []
+    checks = _Checks()
     rows = []
     for variant in ("abs", "sign_abs", "plus", "minus"):
         worst = 0.0
@@ -170,7 +187,7 @@ def verify_bahr() -> dict:
         exact = max(exact, abs(p - 0.5 * (a + s)), abs(m - 0.5 * (a - s)))
     checks.append(_check("one-sided-half-sum-identity", exact, 0.0, 0.0,
                          "exact-identity"))
-    return _finish("bahr", checks, t0, extra={"rows": rows})
+    return _finish("bahr", checks, extra={"rows": rows})
 
 
 _SCALING_SETS = (
@@ -182,10 +199,9 @@ _SCALING_SETS = (
 
 def verify_scaling() -> dict:
     """Scale-power law of the instantaneous covariance."""
-    t0 = time.perf_counter()
+    checks = _Checks()
     wavelet = gaussian_derivative(2)
     scales = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    checks = []
     for label, params in _SCALING_SETS:
         alpha = params.alpha(0, 1)
         covs = [theoretical_wavelet_cov(WaveletCovQuery(0, 1, a, a, 0.0),
@@ -206,7 +222,7 @@ def verify_scaling() -> dict:
         checks.append(_closed_vs_quadrature(
             label, [WaveletCovQuery(0, 1, a, a, 0.0) for a in (1.0, 16.0)],
             params, wavelet))
-    return _finish("scaling", checks, t0)
+    return _finish("scaling", checks)
 
 
 _DECAY_CONFIGS = (
@@ -218,8 +234,7 @@ _DECAY_CONFIGS = (
 
 def verify_decay() -> dict:
     """Large-lag decay of the wavelet covariance against its closed-form law."""
-    t0 = time.perf_counter()
-    checks = []
+    checks = _Checks()
     hs = np.geomspace(2.0 ** 5, 2.0 ** 9, 9)
     for label, params, M, slope_target in _DECAY_CONFIGS:
         wavelet = gaussian_derivative(M)
@@ -256,13 +271,12 @@ def verify_decay() -> dict:
              "the sign is fixed by the 2M-th moment of the wavelet pair "
              "correlation and confirmed here against the exact covariance, "
              "itself cross-checked against quadrature"))
-    return _finish("decay", checks, t0)
+    return _finish("decay", checks)
 
 
 def verify_spectrum_consistency() -> dict:
     """Inverse spectral transform against the closed-form covariance."""
-    t0 = time.perf_counter()
-    checks = []
+    checks = _Checks()
     configs = (
         ("power-branch", MfbmParams.bivariate(0.35, 0.35, rho=0.5, eta=0.1), 1),
         ("log-branch", MfbmParams.bivariate(0.3, 0.7, rho=0.3, eta=0.2), 1),
@@ -299,7 +313,7 @@ def verify_spectrum_consistency() -> dict:
         note="the definition-based coherence differs from the literal closed "
              "form by the diagonal weights sin(pi H_j) sin(pi H_k); the factor "
              "is reported, not asserted"))
-    return _finish("spectrum-consistency", checks, t0)
+    return _finish("spectrum-consistency", checks)
 
 
 SUITES = {

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy.fft import next_fast_len
 
 from .model import MfbmwaveError
 
@@ -236,18 +235,38 @@ def _grid(n: int, dt: float, scales, shifts):
     return scales, shift_idx
 
 
+def _fast_len(n: int) -> int:
+    """Least 5-smooth integer 2^a 3^b 5^c >= n, the N of ``_transform``.
+
+    Every 3^b 5^c below the next power of two is raised to the least power
+    of two times it that reaches n; the smallest of those is the answer, the
+    value of scipy.fft.next_fast_len(n, real=True).
+    """
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
                scales: np.ndarray, shift_idx: np.ndarray) -> np.ndarray:
     """Coefficients of a (count, p, n) value array, shape (count, p, S, n_shifts).
 
-    One real FFT of each (replicate, component) row, zero-filled to the fast
-    length N >= n, serves every scale.  Per scale the kernel
-    g(m) = conj(psi(m dt / a)) dt / sqrt(a), |m| <= L, is placed circularly
-    at index m mod N, and the coefficient at shift b is the circular
-    correlation sum_m x(b + m) g(m) = irfft(rfft(x) conj(rfft(g)))(b); a
-    complex kernel is correlated as its real and imaginary parts.  Every
-    admissible shift keeps b + m inside [0, n) (``valid_shift_range``), so
-    the circular sum is the defining one.
+    One real FFT of each (replicate, component) row, zero-filled to the
+    5-smooth length N = ``_fast_len(n)`` >= n, serves every scale.  Per
+    scale the kernel g(m) = conj(psi(m dt / a)) dt / sqrt(a), |m| <= L, is
+    placed circularly at index m mod N, and the coefficient at shift b is
+    the circular correlation sum_m x(b + m) g(m) =
+    irfft(rfft(x) conj(rfft(g)))(b); a complex kernel is correlated as its
+    real and imaginary parts.  Every admissible shift keeps b + m inside
+    [0, n) (``valid_shift_range``), so the circular sum is the defining one.
+    N is scipy's real fast length, computed here so that the transform
+    never imports scipy.
 
     The coefficients are float64 for a real wavelet and complex128 for a
     complex one.  The spectrum product and the correlation rows are written
@@ -256,7 +275,7 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
     """
     count, p, n = values.shape
     rows = count * p
-    N = next_fast_len(n, real=True)
+    N = _fast_len(n)
     spectra = np.fft.rfft(values.reshape(rows, n), N, axis=-1)
     product = np.empty_like(spectra)
     corr = np.empty((rows, N))

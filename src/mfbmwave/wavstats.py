@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp1f1, rgamma
 
 from . import model
 from .model import MfbmParams, MfbmwaveError
@@ -136,6 +135,15 @@ def _residual_kernel(params: MfbmParams, j: int, k: int, h: float, order: int):
 
 _SQRT_PI = math.sqrt(math.pi)
 
+# scipy.special's hyp1f1 and rgamma, bound by the first closed-form query
+# (_kernel_integral) so that importing the package loads no scipy.
+hyp1f1 = rgamma = None
+
+
+def _bind_special():
+    global hyp1f1, rgamma
+    from scipy.special import hyp1f1, rgamma
+
 
 def _power_integral(K: int, alpha: float, rho: float, eta: float, c: float) -> float:
     """int (rho - eta sign(x)) |x|^alpha He_K(x + c) exp(-(x + c)^2 / 2) dx.
@@ -187,6 +195,8 @@ def _kernel_integral(params: MfbmParams, j: int, k: int, wavelet: HermiteWavelet
     and using the homogeneity of w_jk leaves C s^(alpha+1) times the
     integral of _power_integral or _log_integral.
     """
+    if hyp1f1 is None:
+        _bind_special()
     rho = float(params.rho[j, k])
     eta = float(params.eta[j, k])
     log_branch = params.is_log_branch(j, k)
@@ -327,7 +337,7 @@ class AsymptoticLaw:
 
     def value(self, h: float) -> complex:
         if h == 0.0:
-            raise ValueError("asymptotic prediction requires |h| > 0")
+            raise MfbmwaveError("asymptotic prediction requires |h| > 0")
         t = self.tau(h)
         if t == 0.0:
             raise DegenerateAsymptoticsError(
@@ -382,10 +392,10 @@ def decay_exponent_fit(params: MfbmParams, wavelet: HermiteWavelet, j: int, k: i
 
     h_grid = np.sort(np.asarray(h_grid, dtype=float))
     if np.any(h_grid <= 0.0):
-        raise ValueError("lag grid must be positive")
+        raise MfbmwaveError("lag grid must be positive")
     h_min = H_MIN_FACTOR * max(a1, a2)
     if enforce_h_min and h_grid[0] < h_min:
-        raise ValueError(f"h_min {h_grid[0]} below asymptotic threshold {h_min}")
+        raise MfbmwaveError(f"h_min {h_grid[0]} below asymptotic threshold {h_min}")
     mags = np.array([
         abs(theoretical_wavelet_cov(WaveletCovQuery(j, k, a1, a2, h), params, wavelet))
         for h in h_grid])

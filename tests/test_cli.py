@@ -48,14 +48,33 @@ def package_env():
     return env
 
 
-def test_import_leaves_out_scipy_signal():
-    # scipy.signal is most of the import cost of the package; nothing in it
-    # is needed
-    code = ("import sys, mfbmwave, mfbmwave.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def test_import_leaves_out_scipy():
+    # scipy is most of the import cost of the package; scipy.special and
+    # scipy.integrate load on their first use
+    code = f"import sys, mfbmwave, mfbmwave.cli; print({SCIPY_LOADED})"
     out = subprocess.run([sys.executable, "-c", code], env=package_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_simulate_and_cwt_leave_out_scipy(tmp_path, params_file):
+    sim = write_config(tmp_path, "sim.json",
+                       {"params": str(params_file), "n": 256, "dt": 1.0})
+    cwt = write_config(tmp_path, "cwt.json",
+                       {"path_file": str(tmp_path / "o" / "path_0000.mfbm"),
+                        "wavelet_m": 2, "scales": [4.0, 8.0]})
+    for cfg, command in ((sim, "simulate"), (cwt, "cwt")):
+        code = (f"import sys; from mfbmwave.cli import main; "
+                f"rc = main(['--config', {str(cfg)!r}, '--seed', '5', "
+                f"'--out', {str(tmp_path / 'o')!r}, {command!r}]); "
+                f"print(rc, {SCIPY_LOADED})")
+        out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "0 []", command
+    assert (tmp_path / "o" / "field.csv").exists()
 
 
 class TestSimulate:
@@ -560,6 +579,17 @@ class TestVerifyCommand:
         rows = read_csv(out / "bahr_identities.csv")
         assert rows[0] == ["variant", "alpha", "v", "lhs", "rhs", "abs_err"]
         assert len(rows) > 100
+
+    @pytest.mark.parametrize("suite", sorted(cli.SUITES))
+    def test_check_runtimes(self, tmp_path, suite):
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "verify", suite]) == 0
+        report = json.loads((out / f"verify_{suite}.json").read_text())
+        runtimes = [c["runtime_seconds"] for c in report["checks"]]
+        assert runtimes and all(t >= 0.0 for t in runtimes)
+        # the checks split the suite's time: their sum is the suite runtime,
+        # up to the rounding of each
+        assert sum(runtimes) <= report["runtime_seconds"] + 5e-4 + 5e-7 * len(runtimes)
 
 
 _FUZZ_BAD = [0, 1, -1, -1.5, 0.0, 2, 13, 1e300, [], [0], [-1.0], "x", None,

@@ -176,6 +176,15 @@ class TestRepresentations:
         assert RepresentationKernel(alpha=0.5, variant="abs").g_alpha == "zero"
         assert RepresentationKernel(alpha=1.5, variant="abs").g_alpha == "identity"
 
+    @pytest.mark.parametrize("alpha, variant, message", [
+        (0.5, "weird", "unknown variant"),
+        (0.5, "hlog", "set alpha = 1"),
+        (2.0, "plus", r"alpha in \(0, 2\)"),
+    ])
+    def test_kernel_errors_in_contract(self, alpha, variant, message):
+        with pytest.raises(MfbmwaveError, match=message):
+            RepresentationKernel(alpha=alpha, variant=variant)
+
     def test_spot_values(self):
         k = RepresentationKernel(alpha=0.5, variant="abs")
         assert bahr_essen_eval(k, 1.0) == pytest.approx(1.0, abs=1e-6)

@@ -14,6 +14,8 @@ from mfbmwave.model import (
 import mfbmwave.synth as synth
 from mfbmwave.synth import (
     build_embedding,
+    EmbeddingReport,
+    SamplePath,
     embedding_report,
     simulate,
     replicate_ensemble,
@@ -489,3 +491,18 @@ class TestInputChecks:
     def test_count(self):
         with pytest.raises(MfbmwaveError, match="count >= 1"):
             replicate_ensemble(self.PARAMS, 16, 1.0, seed=1, count=0)
+
+    def test_report_correction(self):
+        with pytest.raises(MfbmwaveError, match="correction must be"):
+            EmbeddingReport(circulant_size=32, min_eigenvalue=0.0,
+                            correction="shift")
+
+    def test_path_shape(self):
+        with pytest.raises(MfbmwaveError, match="values shape inconsistent"):
+            SamplePath(self.PARAMS, 16, 1.0, np.zeros((2, 15)), seed=1)
+
+    def test_path_start(self):
+        values = np.zeros((2, 16))
+        values[1, 0] = 1.0
+        with pytest.raises(MfbmwaveError, match="paths must start at zero"):
+            SamplePath(self.PARAMS, 16, 1.0, values, seed=1)

@@ -245,6 +245,13 @@ def assert_bits_equal(a, b):
     np.testing.assert_array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
 
 
+def test_fast_len_matches_scipy():
+    # the transform's N is scipy's real fast length, so coefficients keep
+    # their bits without importing scipy.fft
+    for n in [*range(1, 2 ** 16 + 1), 2 ** 19 - 1, 2 ** 19 + 1, 2 ** 20 + 1]:
+        assert wavelets._fast_len(n) == next_fast_len(n, real=True), n
+
+
 class TestCwtEnsemble:
     COMPLEX = HermiteWavelet([(1.0, 1), (0.5j, 2)])
 

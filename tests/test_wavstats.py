@@ -243,6 +243,12 @@ class TestAsymptotics:
         assert law.tau_plus == pytest.approx(-0.1, rel=1e-12)
         assert law.tau_minus == pytest.approx(+0.1, rel=1e-12)
 
+    def test_prediction_at_zero_lag(self):
+        law = asymptotic_law(MfbmParams.bivariate(0.3, 0.4, rho=0.5),
+                             gaussian_derivative(1), 0, 1)
+        with pytest.raises(MfbmwaveError, match=r"requires \|h\| > 0"):
+            law.value(0.0)
+
     def test_ratio_approaches_one(self):
         params = MfbmParams.bivariate(0.35, 0.35, rho=1.0)
         w = gaussian_derivative(1)
@@ -310,9 +316,15 @@ class TestDecayFit:
 
     def test_h_min_enforced(self):
         params = MfbmParams.bivariate(0.4, 0.8, rho=0.6)
-        with pytest.raises(ValueError):
+        with pytest.raises(MfbmwaveError, match="below asymptotic threshold"):
             decay_exponent_fit(params, gaussian_derivative(1), 0, 1,
                                [4.0, 8.0, 16.0])
+
+    def test_lag_grid_positive(self):
+        params = MfbmParams.bivariate(0.4, 0.8, rho=0.6)
+        with pytest.raises(MfbmwaveError, match="lag grid must be positive"):
+            decay_exponent_fit(params, gaussian_derivative(1), 0, 1,
+                               [0.0, 32.0, 64.0], enforce_h_min=False)
 
 
 @pytest.mark.parametrize("a1, a2", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0),
