@@ -61,6 +61,7 @@ from .spectral import (
     fit_zero_frequency_slope,
     coherence,
     representation_lhs,
+    bahr_essen_batch,
     bahr_essen_eval,
     inverse_spectral_cov,
     spectral_vs_time_consistency,

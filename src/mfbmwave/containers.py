@@ -226,11 +226,6 @@ def path_to_csv_file(path: SamplePath, filename) -> None:
         path_to_csv(path, f)
 
 
-def path_from_csv_file(filename, params: MfbmParams, seed: int = 0) -> SamplePath:
-    with open(filename, "r", newline="", encoding="utf-8") as f:
-        return path_from_csv(f, params, seed=seed)
-
-
 def field_to_csv_file(field: WaveletField, filename) -> None:
     with open(filename, "w", newline="", encoding="utf-8") as f:
         field_to_csv(field, f)

@@ -11,6 +11,8 @@ antisymmetric (eta) parameters.  The module also evaluates the trigonometric
 integral representations of |v|^a, sign(v)|v|^a, v_+^a, v_-^a and of the
 v log|v| limit that underlie the spectral formula, each by direct numerical
 quadrature so the closed forms can be confronted with an independent route.
+Those integrals are even or odd in v, so a batch of points integrates each
+distinct |v| once and applies the sign of v afterwards.
 """
 
 from __future__ import annotations
@@ -273,56 +275,98 @@ def _sign_integral(alpha: float, v: float) -> float:
     return 2.0 * (head + tail_sin + tail_lin)
 
 
-def _eval_abs(alpha: float, v: float) -> float:
-    pref = math.gamma(alpha + 1.0) * math.sin(math.pi * alpha / 2.0) / math.pi
-    return pref * _abs_integral(alpha, abs(v))
-
-
-def _eval_sign(alpha: float, v: float) -> float:
-    pref = math.gamma(alpha + 1.0) * math.cos(math.pi * alpha / 2.0) / math.pi
-    return math.copysign(1.0, v) * pref * _sign_integral(alpha, abs(v))
-
-
-def _hlog_at(alpha: float, v: float) -> float:
+def _hlog_integrals(alpha: float, mags) -> dict:
     # renormalized frequency integral
     #   -(1/2) int sign(w) [sin(w v) - v sin(w)] |w|^(-alpha-1) dw;
     # the subtracted linear term removes the 1/(1 - alpha) divergence, which
-    # is invisible to any zero-mean wavelet correlation.  Odd in v.
-    av = abs(v)
-    A = 60.0 * math.pi / min(av, 1.0)
-    head = quad_checked(
-        lambda w: (np.sin(w * av) - av * np.sin(w)) * w ** (-alpha - 1.0),
-        0.0, A, epsabs=1e-12, epsrel=1e-12, limit=800)
-    tail_v = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
-                          weight="sin", wvar=av, epsabs=1e-13)
-    tail_1 = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
-                          weight="sin", wvar=1.0, epsabs=1e-13)
-    return -math.copysign(1.0, v) * (head + tail_v - av * tail_1)
+    # is invisible to any zero-mean wavelet correlation.  Odd in v: this maps
+    # each |v| in ``mags`` to head + tail_v - |v| tail_1, and the caller
+    # multiplies by -sign(v).  tail_1 depends on v only through the cut A,
+    # and at |v| = 1 it is tail_v, so each sine tail is integrated once.
+    tails = {}
+
+    def sin_tail(A, wvar):
+        if (A, wvar) not in tails:
+            tails[A, wvar] = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
+                                          weight="sin", wvar=wvar, epsabs=1e-13)
+        return tails[A, wvar]
+
+    out = {}
+    for av in mags:
+        A = 60.0 * math.pi / min(av, 1.0)
+        head = quad_checked(
+            lambda w: (np.sin(w * av) - av * np.sin(w)) * w ** (-alpha - 1.0),
+            0.0, A, epsabs=1e-12, epsrel=1e-12, limit=800)
+        out[av] = head + sin_tail(A, av) - av * sin_tail(A, 1.0)
+    return out
 
 
-def _eval_hlog(v: float) -> float:
-    vals = [_hlog_at(1.0 - eps, v) for eps in LIMIT_EPS]
-    first = [(10.0 * b - a) / 9.0 for a, b in zip(vals, vals[1:])]
-    return (100.0 * first[1] - first[0]) / 99.0
+def bahr_essen_batch(kernels, vs) -> list[list[float]]:
+    """Numerical right sides of several representation identities at several points.
+
+    Returns one row per kernel, holding its value at each v of ``vs``.  Each
+    distinct quadrature runs once per call, and none is kept across calls:
+
+    - the 'abs' integral is even in v and the 'sign_abs' integral odd, so
+      each is integrated once per (alpha, |v|), and v and -v share it with
+      the sign of v applied afterwards;
+    - 'plus' and 'minus' are the exact half sum and half difference of the
+      'abs' and 'sign_abs' values, mirroring their derivation;
+    - the 'hlog' integral is odd in v: its head and v-tail run once per
+      (eps, |v|), and its unit-frequency tail once per (eps, cut).  The sign
+      is applied to each eps value, before the Richardson extrapolation.
+    """
+    kernels = list(kernels)
+    vs = [float(v) for v in vs]
+    mags = sorted({abs(v) for v in vs if v != 0.0})
+
+    def alphas(*variants):
+        return sorted({k.alpha for k in kernels if k.variant in variants})
+
+    abs_int = {(a, m): _abs_integral(a, m)
+               for a in alphas("abs", "plus", "minus") for m in mags}
+    sign_int = {(a, m): _sign_integral(a, m)
+                for a in alphas("sign_abs", "plus", "minus") for m in mags}
+    hlog_int = ({eps: _hlog_integrals(1.0 - eps, mags) for eps in LIMIT_EPS}
+                if any(k.variant == "hlog" for k in kernels) else {})
+
+    def abs_val(a, v):
+        pref = math.gamma(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi
+        return pref * abs_int[a, abs(v)]
+
+    def sign_val(a, v):
+        pref = math.gamma(a + 1.0) * math.cos(math.pi * a / 2.0) / math.pi
+        return math.copysign(1.0, v) * pref * sign_int[a, abs(v)]
+
+    def value(kernel, v):
+        a = kernel.alpha
+        if v == 0.0:
+            return 0.0
+        if kernel.variant == "abs":
+            return abs_val(a, v)
+        if kernel.variant == "sign_abs":
+            return sign_val(a, v)
+        if kernel.variant == "plus":
+            return 0.5 * (abs_val(a, v) + sign_val(a, v))
+        if kernel.variant == "minus":
+            return 0.5 * (abs_val(a, v) - sign_val(a, v))
+        vals = [-math.copysign(1.0, v) * hlog_int[eps][abs(v)] for eps in LIMIT_EPS]
+        first = [(10.0 * y - x) / 9.0 for x, y in zip(vals, vals[1:])]
+        return (100.0 * first[1] - first[0]) / 99.0
+
+    return [[value(k, v) for v in vs] for k in kernels]
 
 
 def bahr_essen_eval(kernel: RepresentationKernel, v: float) -> float:
     """Numerical right side of the selected representation identity.
 
-    The one-sided powers are evaluated as exact half sums and differences of
-    the 'abs' and 'sign_abs' quadratures, mirroring their derivation.
+    A batch of one of :func:`bahr_essen_batch`, so each distinct integral is
+    computed once: the integrals are even ('abs') or odd ('sign_abs',
+    'hlog') in v and run at |v|, and the one-sided powers are exact half
+    sums and differences of one 'abs' and one 'sign_abs' evaluation,
+    mirroring their derivation.
     """
-    if v == 0.0:
-        return 0.0
-    if kernel.variant == "abs":
-        return _eval_abs(kernel.alpha, v)
-    if kernel.variant == "sign_abs":
-        return _eval_sign(kernel.alpha, v)
-    if kernel.variant == "plus":
-        return 0.5 * (_eval_abs(kernel.alpha, v) + _eval_sign(kernel.alpha, v))
-    if kernel.variant == "minus":
-        return 0.5 * (_eval_abs(kernel.alpha, v) - _eval_sign(kernel.alpha, v))
-    return _eval_hlog(v)
+    return bahr_essen_batch([kernel], [v])[0][0]
 
 
 # ---------------------------------------------------------------------------

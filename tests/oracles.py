@@ -3,8 +3,10 @@
 ``theoretical_wavelet_cov_2d`` is the two-dimensional quadrature of the
 defining double integral of the wavelet cross-covariance, and
 ``wavelet_autocorrelation`` the correlation of two dilated-shifted wavelets
-built on ``HermiteWavelet.pair_correlation``.  Nothing in the library calls
-them.
+built on ``HermiteWavelet.pair_correlation``.  ``bahr_essen_pointwise`` is
+the representation right side evaluated one point at a time, each variant
+with its own quadratures, in the arithmetic order the batch route must keep.
+Nothing in the library calls them.
 """
 
 import math
@@ -14,6 +16,8 @@ from scipy.integrate import dblquad
 
 from mfbmwave import model
 from mfbmwave.model import MfbmParams
+from mfbmwave.quadrature import quad_checked
+from mfbmwave.spectral import LIMIT_EPS, RepresentationKernel, _abs_integral, _sign_integral
 from mfbmwave.wavelets import HermiteWavelet, TRUNCATION_RADIUS
 from mfbmwave.wavstats import WaveletCovQuery
 
@@ -60,3 +64,35 @@ def theoretical_wavelet_cov_2d(query: WaveletCovQuery, params: MfbmParams,
     im, _ = dblquad(lambda t2, t1: np.imag(integrand(t2, t1)),
                     -R, R, -R, R, epsabs=tol, epsrel=1e-9)
     return pref * complex(re, im)
+
+
+def _hlog_at(alpha: float, v: float) -> float:
+    av = abs(v)
+    A = 60.0 * math.pi / min(av, 1.0)
+    head = quad_checked(
+        lambda w: (np.sin(w * av) - av * np.sin(w)) * w ** (-alpha - 1.0),
+        0.0, A, epsabs=1e-12, epsrel=1e-12, limit=800)
+    tail_v = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
+                          weight="sin", wvar=av, epsabs=1e-13)
+    tail_1 = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
+                          weight="sin", wvar=1.0, epsabs=1e-13)
+    return -math.copysign(1.0, v) * (head + tail_v - av * tail_1)
+
+
+def bahr_essen_pointwise(kernel: RepresentationKernel, v: float) -> float:
+    """Right side of one representation identity at one point, nothing shared."""
+    a = kernel.alpha
+    if v == 0.0:
+        return 0.0
+    if kernel.variant == "hlog":
+        vals = [_hlog_at(1.0 - eps, v) for eps in LIMIT_EPS]
+        first = [(10.0 * y - x) / 9.0 for x, y in zip(vals, vals[1:])]
+        return (100.0 * first[1] - first[0]) / 99.0
+    abs_val = (math.gamma(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi
+               * _abs_integral(a, abs(v)))
+    sign_val = (math.copysign(1.0, v)
+                * (math.gamma(a + 1.0) * math.cos(math.pi * a / 2.0) / math.pi)
+                * _sign_integral(a, abs(v)))
+    return {"abs": abs_val, "sign_abs": sign_val,
+            "plus": 0.5 * (abs_val + sign_val),
+            "minus": 0.5 * (abs_val - sign_val)}[kernel.variant]

@@ -1,9 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from mfbmwave import synth
+from mfbmwave import spectral, synth
 from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov
@@ -20,6 +21,9 @@ from mfbmwave.spectral import (
     inverse_spectral_cov,
     spectral_vs_time_consistency,
 )
+from mfbmwave.verify import verify_bahr
+
+from oracles import bahr_essen_pointwise
 
 ALPHAS = (0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 VS = (-5.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 5.0)
@@ -223,6 +227,33 @@ class TestRepresentations:
             lhs = representation_lhs(kern, v)
             rhs = bahr_essen_eval(kern, v)
             assert abs(rhs - lhs) / max(1.0, abs(lhs)) < 1e-5
+
+    def test_suite_rows_keep_pointwise_bits(self):
+        # bytes, not ==, so that +0.0 and -0.0 differ
+        rows = verify_bahr()["rows"]
+        assert len(rows) == 4 * len(ALPHAS) * len(VS) + len(VS)
+        for variant, alpha, v, _, rhs, _ in rows:
+            kern = RepresentationKernel(alpha, variant)
+            got = struct.pack("<d", rhs)
+            assert got == struct.pack("<d", bahr_essen_eval(kern, v)), (variant, alpha, v)
+            assert got == struct.pack("<d", bahr_essen_pointwise(kern, v)), (variant, alpha, v)
+
+    def test_suite_quadratures_once_per_call(self, monkeypatch):
+        # 4 |v| x 6 alpha x 2 integrals x 2 quadratures, plus per eps 4 heads,
+        # 4 v-tails and the unit-frequency tail at the one cut no v-tail shares
+        calls = []
+        inner = spectral.quad_checked
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "quad_checked", counted)
+        verify_bahr()
+        first = len(calls)
+        verify_bahr()
+        assert 0 < first <= 123
+        assert len(calls) - first == first
 
 
 class TestInversion:
