@@ -17,6 +17,7 @@ distinct |v| once and applies the sign of v afterwards.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import model, synth
 from .model import MfbmParams, MfbmwaveError
 from .quadrature import quad_checked, quad_complex
-from .wavelets import HermiteWavelet
+from .wavelets import HermiteWavelet, _SQRT_2PI
 from .wavstats import WaveletCovQuery, theoretical_wavelet_cov
 
 # Absolute target for the representation-identity quadratures.
@@ -383,6 +384,34 @@ def _ft_cutoff(wavelet: HermiteWavelet, a1: float, a2: float, alpha: float) -> f
     return float(ws[above[-1]] * 1.5)
 
 
+def _spectral_integrand(query: WaveletCovQuery, params: MfbmParams,
+                        wavelet: HermiteWavelet):
+    """S(w) of ``_spectral_values`` as a closure over plain floats, w != 0.
+
+    The prefactor times zeta on each side of w = 0 and the transform
+    coefficients c (-i)^m are hoisted out, so a float w costs one polynomial
+    and one exponential per scale and a complex S(w) comes back.
+    """
+    j, k, a1, a2 = query.j, query.k, query.a1, query.a2
+    alpha = params.alpha(j, k)
+    pref = float(math.sqrt(a1 * a2) * params.sigma[j] * params.sigma[k]
+                 * math.gamma(alpha + 1.0))
+    z_pos = pref * zeta(params, j, k, 1.0)
+    z_neg = pref * zeta(params, j, k, -1.0)
+    expo = alpha + 1.0
+    ft = [(c * (-1j) ** m, m) for c, m in wavelet.terms]
+
+    def psi_hat(x):
+        return (sum(d * x ** m for d, m in ft)
+                * (_SQRT_2PI * math.exp(-0.5 * x * x)))
+
+    def S(w):
+        q = psi_hat(a1 * w).conjugate() * psi_hat(a2 * w)
+        return (z_pos if w > 0.0 else z_neg) * q / abs(w) ** expo
+
+    return S
+
+
 def inverse_spectral_cov(query: WaveletCovQuery, params: MfbmParams,
                          wavelet: HermiteWavelet, h: float) -> complex:
     """Covariance at lag h from the spectral density: (1/2 pi) int S e^{iwh} dw.
@@ -390,30 +419,33 @@ def inverse_spectral_cov(query: WaveletCovQuery, params: MfbmParams,
     For real analyzing wavelets S(-w) = conj(S(w)), so the integral is folded
     onto w > 0 and doubled on the real part, which keeps the result real by
     construction.  Oscillatory lags use the QUADPACK cosine/sine weights.
+    The integrand S is built once per query (``_spectral_integrand``) and
+    evaluated in plain floats at each QUADPACK point, with the phase
+    exp(i w h) from ``cmath.exp``.
     """
     j, k = query.j, query.k
     alpha = params.alpha(j, k)
     W = _ft_cutoff(wavelet, query.a1, query.a2, alpha)
-    S = lambda w: _spectral_values(query, params, wavelet, np.asarray(w, dtype=float))
+    S = _spectral_integrand(query, params, wavelet)
 
     if not wavelet.is_real:
-        up = quad_complex(lambda w: S(w) * np.exp(1j * w * h), 0.0, W,
+        up = quad_complex(lambda w: S(w) * cmath.exp(1j * w * h), 0.0, W,
                           epsabs=1e-12, epsrel=1e-11, limit=800)
-        down = quad_complex(lambda w: S(-w) * np.exp(-1j * w * h), 0.0, W,
+        down = quad_complex(lambda w: S(-w) * cmath.exp(-1j * w * h), 0.0, W,
                             epsabs=1e-12, epsrel=1e-11, limit=800)
         return (up + down) / (2.0 * math.pi)
 
     if h == 0.0:
-        val = quad_checked(lambda w: np.real(S(w)), 0.0, W,
+        val = quad_checked(lambda w: S(w).real, 0.0, W,
                            epsabs=1e-12, epsrel=1e-11, limit=800)
         return complex(val / math.pi)
     # split the integrable |w|^(2M-1-alpha) head from the oscillatory part
     w0 = min(0.5, 0.5 / abs(h), W / 4.0)
-    head = quad_checked(lambda w: np.real(S(w) * np.exp(1j * w * h)), 0.0, w0,
+    head = quad_checked(lambda w: (S(w) * cmath.exp(1j * w * h)).real, 0.0, w0,
                         epsabs=1e-12, epsrel=1e-11, limit=400)
-    re = quad_checked(lambda w: np.real(S(w)), w0, W,
+    re = quad_checked(lambda w: S(w).real, w0, W,
                       weight="cos", wvar=h, epsabs=1e-12)
-    im = quad_checked(lambda w: np.imag(S(w)), w0, W,
+    im = quad_checked(lambda w: S(w).imag, w0, W,
                       weight="sin", wvar=h, epsabs=1e-12)
     return complex((head + re - im) / math.pi)
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 from .model import MfbmwaveError
 
@@ -38,10 +37,18 @@ _CHUNK_BYTES = 1 << 20
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _hermite(n: int, x):
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    return hermite_e.hermeval(x, c)
+def _hermite_unit(K: int, x):
+    """He_K(x) for K >= 1, in the operations of ``hermeval(x, e_K)``.
+
+    Clenshaw's recurrence b_n = c_n + x b_(n+1) - (n + 1) b_(n+2) with a
+    single unit coefficient, in numpy's order, so the values keep the bits
+    of ``numpy.polynomial.hermite_e.hermeval``.  A float x gives a float, an
+    array x an array.
+    """
+    c0, c1 = 0.0, 1.0
+    for n in range(K - 1, 0, -1):
+        c0, c1 = 0.0 - c1 * n, c0 + c1 * x
+    return c0 + c1 * x
 
 
 class HermiteWavelet:
@@ -78,7 +85,7 @@ class HermiteWavelet:
     def eval(self, t):
         t = np.asarray(t, dtype=float)
         g = np.exp(-0.5 * t * t)
-        out = sum(c * _hermite(m, t) for c, m in self.terms) * g
+        out = sum(c * _hermite_unit(m, t) for c, m in self.terms) * g
         return out if not self.is_real else np.real(out)
 
     def eval_ft(self, omega):
@@ -101,23 +108,47 @@ class HermiteWavelet:
         return (-1j) ** M * self.moment / math.factorial(M)
 
     def pair_correlation(self, a1: float, a2: float):
-        """Return D(tau) = int conj(psi(t/a1)) psi((t+tau)/a2) dt as a callable."""
-        terms = self.terms
+        """Return D(tau) = int conj(psi(t/a1)) psi((t+tau)/a2) dt as a callable.
+
+        Each atom pair (m1, m2) contributes C He_K(tau/s) exp(-tau^2 / 2s^2)
+        with K = m1 + m2 and s = hypot(a1, a2) (``_atom_pair_prefactor``).
+        The pairs are merged by K once, here, into coefficients b_K; D sums
+        b_K He_K(tau/s), each He_K by its three-term recurrence
+        (``_hermite_unit``), and multiplies by one exponential.  A Python
+        float tau gives a float (a complex for a complex wavelet) with no
+        array made, which is what a QUADPACK integrand calls; an array tau
+        gives an array.
+        """
+        s = math.hypot(a1, a2)
+        merged = {}
+        for c1, m1 in self.terms:
+            for c2, m2 in self.terms:
+                K = m1 + m2
+                merged[K] = (merged.get(K, 0j) + c1.conjugate() * c2
+                             * _atom_pair_prefactor(m1, a1, m2, a2))
+        coeffs = sorted((K, b.real if self.is_real else b) for K, b in merged.items())
 
         def D(tau):
-            tau_arr = np.asarray(tau, dtype=float)
-            out = np.zeros(np.shape(tau_arr), dtype=complex)
-            for c1, m1 in terms:
-                for c2, m2 in terms:
-                    out = out + np.conj(c1) * c2 * _atom_pair_correlation(
-                        m1, a1, m2, a2, tau_arr)
-            return out if not self.is_real else np.real(out)
+            if isinstance(tau, (int, float)):
+                x, exp = tau / s, math.exp
+            else:
+                x, exp = np.asarray(tau, dtype=float) / s, np.exp
+            acc = 0.0
+            for K, b in coeffs:
+                acc = acc + b * _hermite_unit(K, x)
+            return acc * exp(-0.5 * x * x)
 
         return D
 
 
 def _atom_pair_prefactor(m1: int, a1: float, m2: int, a2: float) -> float:
-    """Constant C of the atom pair correlation C He_K(tau/s) exp(-tau^2 / 2s^2)."""
+    """Constant C of the atom pair correlation C He_K(tau/s) exp(-tau^2 / 2s^2).
+
+    The closed form of int psi_m1(t/a1) psi_m2((t+tau)/a2) dt, obtained in
+    the frequency domain: the product of atom transforms is a polynomial
+    times a Gaussian of variance s^2 = a1^2 + a2^2, whose inverse transform
+    is a Hermite function of tau/s.
+    """
     K = m1 + m2
     s = math.hypot(a1, a2)
     try:
@@ -126,18 +157,6 @@ def _atom_pair_prefactor(m1: int, a1: float, m2: int, a2: float) -> float:
     except OverflowError:
         raise MfbmwaveError(f"scales {a1} and {a2} overflow the closed form "
                             f"of order {K}") from None
-
-
-def _atom_pair_correlation(m1: int, a1: float, m2: int, a2: float, tau):
-    """int psi_m1(t/a1) psi_m2((t+tau)/a2) dt in closed form.
-
-    Obtained in the frequency domain: the product of atom transforms is a
-    polynomial times a Gaussian of variance s^2 = a1^2 + a2^2, whose inverse
-    transform is a Hermite function of tau/s.
-    """
-    x = np.asarray(tau, dtype=float) / math.hypot(a1, a2)
-    return (_atom_pair_prefactor(m1, a1, m2, a2)
-            * _hermite(m1 + m2, x) * np.exp(-0.5 * x * x))
 
 
 def gaussian_derivative(M: int) -> HermiteWavelet:

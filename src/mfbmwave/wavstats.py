@@ -13,9 +13,11 @@ atoms is a Hermite function, and the single integral reduces to confluent
 hypergeometric functions (DLMF 12.5.1, 12.7.14, 13.2.39):
 :func:`theoretical_wavelet_cov` evaluates that closed form in near and far
 field alike.  :func:`wavelet_cov_quadrature` keeps the one-dimensional
-adaptive quadrature as the independent cross-check.  The module also exposes
-the scale-power law of the instantaneous covariance and the closed-form
-large-lag decay.
+adaptive quadrature as the independent cross-check; its integrand, kernel
+times pair correlation, is built once per query and evaluated in plain
+floats at each QUADPACK point, with no closed form inside.  The module also
+exposes the scale-power law of the instantaneous covariance and the
+closed-form large-lag decay.
 """
 
 from __future__ import annotations
@@ -79,6 +81,36 @@ def _half_width(a1: float, a2: float) -> float:
     return TRUNCATION_RADIUS * (a1 + a2)
 
 
+def _near_kernel(params: MfbmParams, j: int, k: int):
+    """w_jk(u) of ``model.kernel_w`` as a closure over plain floats.
+
+    The same two branch formulas, (rho - eta sign(u)) |u|^alpha and
+    rho |u| + eta u log|u|, with 0 at u = 0, for a float u at a time.
+    """
+    rho = float(params.rho[j, k])
+    eta = float(params.eta[j, k])
+    alpha = params.alpha(j, k)
+    power = np.power
+
+    if params.is_log_branch(j, k):
+        def w(u):
+            if u == 0.0:
+                return 0.0
+            au = abs(u)
+            return rho * au + eta * u * math.log(au)
+    else:
+        # numpy's power, not the float ** (libm's pow): on CPUs where numpy
+        # runs its own SIMD pow the two differ in the last bit for about 5 %
+        # of arguments, and the cancelling near-field integrals pass that
+        # on.  One scalar ufunc call keeps kernel_w's bits.
+        def w(u):
+            if u == 0.0:
+                return 0.0
+            return (rho - eta if u > 0.0 else rho + eta) * float(power(abs(u), alpha))
+
+    return w
+
+
 def _residual_kernel(params: MfbmParams, j: int, k: int, h: float, order: int):
     """w_jk(y - h) minus its Taylor polynomial of degree < order around y = 0.
 
@@ -86,49 +118,49 @@ def _residual_kernel(params: MfbmParams, j: int, k: int, h: float, order: int):
     series so that no cancellation occurs.  Polynomials of degree < order
     integrate to zero against the pair correlation of a wavelet with
     2 * vanishing_moments >= order, so subtracting them leaves the covariance
-    unchanged while removing the large |h|^alpha foreground.
+    unchanged while removing the large |h|^alpha foreground.  The closure
+    takes and returns plain floats.
     """
-    rho = params.rho[j, k]
-    eta = params.eta[j, k]
+    eta = float(params.eta[j, k])
     alpha = params.alpha(j, k)
-    sgn = 1.0 if h > 0 else -1.0
 
     if params.is_log_branch(j, k):
         # rho |y - h| is exactly linear on |y| < |h|, so only the logarithmic
         # part survives: c_d = -eta h^(1-d) / (d (d-1)) for d >= max(order, 2)
         start = max(order, 2)
+        h_pow = h ** (1 - start)
 
         def residual(y):
-            y = np.asarray(y, dtype=float)
             x = y / h
-            acc = np.zeros_like(y)
-            powe = y ** start * h ** (1 - start)
+            acc = 0.0
+            powe = y ** start * h_pow
             for d in range(start, start + 220):
                 t = -eta * powe / (d * (d - 1))
                 acc += t
                 powe = powe * x
-                if np.all(np.abs(t) <= 1e-18 * (np.abs(acc) + 1e-300)):
+                if abs(t) <= 1e-18 * (abs(acc) + 1e-300):
                     break
             return acc
 
         return residual
 
-    coeff = rho + eta * sgn
+    sgn = 1.0 if h > 0 else -1.0
+    scale = (float(params.rho[j, k]) + eta * sgn) * abs(h) ** alpha
+    c0 = binom_gen(alpha, order)
 
     def residual(y):
-        y = np.asarray(y, dtype=float)
         x = -y / h
-        acc = np.zeros_like(y)
-        c = binom_gen(alpha, order)
+        acc = 0.0
+        c = c0
         powx = x ** order
         for ell in range(order, order + 220):
             t = c * powx
             acc += t
             c *= (alpha - ell) / (ell + 1)
             powx = powx * x
-            if np.all(np.abs(t) <= 1e-18 * (np.abs(acc) + 1e-300)):
+            if abs(t) <= 1e-18 * (abs(acc) + 1e-300):
                 break
-        return coeff * abs(h) ** alpha * acc
+        return scale * acc
 
     return residual
 
@@ -239,7 +271,10 @@ def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
     Uses the one-dimensional form against the wavelet pair correlation.  For
     |h| far outside the correlation support the kernel is replaced by its
     series residual of degree >= 2M, which removes the cancellation against
-    the |h|^alpha foreground.
+    the |h|^alpha foreground.  The integrand is built once per query, from
+    the kernel closure (``_near_kernel`` or ``_residual_kernel``) and the
+    pair correlation, and each QUADPACK point is evaluated in plain floats.
+    No closed form of the covariance enters it.
 
     The accuracy target is absolute: QUADPACK stops once its error estimate
     of the kernel integral (before the factor
@@ -259,17 +294,17 @@ def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
         f = lambda y: wtilde(y) * D(y)
         points = None
     else:
-        f = lambda y: model.kernel_w(params, j, k, y - h) * D(y)
+        w = _near_kernel(params, j, k)
+        f = lambda y: w(y - h) * D(y)
         points = [h] if -L < h < L else None
 
     epsabs = tol * 1e-3
     if wavelet.is_real:
-        val = quad_checked(lambda y: np.real(f(y)), -L, L,
-                           epsabs=epsabs, epsrel=1e-11, points=points)
+        val = quad_checked(f, -L, L, epsabs=epsabs, epsrel=1e-11, points=points)
         return complex(pref * val)
-    re = quad_checked(lambda y: np.real(f(y)), -L, L,
+    re = quad_checked(lambda y: f(y).real, -L, L,
                       epsabs=epsabs, epsrel=1e-11, points=points)
-    im = quad_checked(lambda y: np.imag(f(y)), -L, L,
+    im = quad_checked(lambda y: f(y).imag, -L, L,
                       epsabs=epsabs, epsrel=1e-11, points=points)
     return pref * complex(re, im)
 

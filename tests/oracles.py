@@ -1,7 +1,9 @@
 """Slow independent references used only by the tests.
 
 ``theoretical_wavelet_cov_2d`` is the two-dimensional quadrature of the
-defining double integral of the wavelet cross-covariance, and
+defining double integral of the wavelet cross-covariance, evaluated in plain
+floats through ``wavelet_at`` and ``kernel_at`` (written here, sharing no
+code with the library's quadrature integrands), and
 ``wavelet_autocorrelation`` the correlation of two dilated-shifted wavelets
 built on ``HermiteWavelet.pair_correlation``.  ``bahr_essen_pointwise`` is
 the representation right side evaluated one point at a time, each variant
@@ -14,7 +16,6 @@ import math
 import numpy as np
 from scipy.integrate import dblquad
 
-from mfbmwave import model
 from mfbmwave.model import MfbmParams
 from mfbmwave.quadrature import quad_checked
 from mfbmwave.spectral import LIMIT_EPS, RepresentationKernel, _abs_integral, _sign_integral
@@ -40,28 +41,65 @@ def wavelet_autocorrelation(wavelet: HermiteWavelet, a1: float, a2: float, h: fl
     return gamma
 
 
+def wavelet_at(wavelet: HermiteWavelet):
+    """psi(t) of ``wavelet.eval`` for one float t, as a float (complex if complex).
+
+    Sums c He_m(t) over the atoms, He_m by the forward recurrence
+    He_(n+1) = t He_n - n He_(n-1), times one ``math.exp``.
+    """
+    terms = [(c.real if wavelet.is_real else c, m) for c, m in wavelet.terms]
+    top = max(m for _, m in terms)
+
+    def psi(t):
+        he = [1.0, t]
+        for n in range(1, top):
+            he.append(t * he[n] - n * he[n - 1])
+        return sum(c * he[m] for c, m in terms) * math.exp(-0.5 * t * t)
+
+    return psi
+
+
+def kernel_at(params: MfbmParams, j: int, k: int):
+    """w_jk(u) of ``model.kernel_w`` for one float u, as a float."""
+    rho = float(params.rho[j, k])
+    eta = float(params.eta[j, k])
+    alpha = params.alpha(j, k)
+    log_branch = params.is_log_branch(j, k)
+
+    def w(u):
+        if u == 0.0:
+            return 0.0
+        if log_branch:
+            return rho * abs(u) + eta * u * math.log(abs(u))
+        return (rho - (eta if u > 0.0 else -eta)) * abs(u) ** alpha
+
+    return w
+
+
 def theoretical_wavelet_cov_2d(query: WaveletCovQuery, params: MfbmParams,
                                wavelet: HermiteWavelet, tol: float = 1e-9) -> complex:
     """Independent two-dimensional quadrature of the defining double integral.
 
     The test oracle of :func:`theoretical_wavelet_cov` and
     :func:`wavelet_cov_quadrature`, both of which must agree with it to the
-    quadrature tolerance; at seconds per call it is too slow for anything
-    else.
+    quadrature tolerance; at a fraction of a second per call in floats it is
+    still too slow for anything else.
     """
     j, k, a1, a2, h = query.j, query.k, query.a1, query.a2, query.h
     R = TRUNCATION_RADIUS
     pref = -0.5 * params.sigma[j] * params.sigma[k] * math.sqrt(a1 * a2)
+    psi = wavelet_at(wavelet)
+    w = kernel_at(params, j, k)
 
     def integrand(t2, t1):
-        return (model.kernel_w(params, j, k, a2 * t2 - a1 * t1 - h)
-                * np.conj(wavelet.eval(t1)) * wavelet.eval(t2))
+        return w(a2 * t2 - a1 * t1 - h) * psi(t1).conjugate() * psi(t2)
 
-    re, _ = dblquad(lambda t2, t1: np.real(integrand(t2, t1)),
-                    -R, R, -R, R, epsabs=tol, epsrel=1e-9)
     if wavelet.is_real:
+        re, _ = dblquad(integrand, -R, R, -R, R, epsabs=tol, epsrel=1e-9)
         return complex(pref * re)
-    im, _ = dblquad(lambda t2, t1: np.imag(integrand(t2, t1)),
+    re, _ = dblquad(lambda t2, t1: integrand(t2, t1).real,
+                    -R, R, -R, R, epsabs=tol, epsrel=1e-9)
+    im, _ = dblquad(lambda t2, t1: integrand(t2, t1).imag,
                     -R, R, -R, R, epsabs=tol, epsrel=1e-9)
     return pref * complex(re, im)
 

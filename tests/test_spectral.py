@@ -299,10 +299,31 @@ class TestInversion:
     def test_complex_wavelet_inversion(self):
         params = MfbmParams.bivariate(0.3, 0.5, rho=0.4, eta=0.1)
         w = HermiteWavelet([(1.0, 1), (0.5j, 2)])
-        q = WaveletCovQuery(0, 1, 1.0, 1.0, 0.0)
-        time_val = theoretical_wavelet_cov(q, params, w)
-        freq_val = inverse_spectral_cov(q, params, w, 0.0)
-        assert freq_val == pytest.approx(time_val, rel=1e-7)
+        # h != 0 exercises the phase exp(+-i w h) of the complex branch
+        for h in (0.0, 1.5, -3.0):
+            q = WaveletCovQuery(0, 1, 1.0, 1.0, h)
+            time_val = theoretical_wavelet_cov(q, params, w)
+            freq_val = inverse_spectral_cov(q, params, w, h)
+            assert freq_val == pytest.approx(time_val, rel=1e-7)
+
+    @pytest.mark.parametrize("params", [
+        MfbmParams.bivariate(0.35, 0.35, rho=0.5, eta=0.1),
+        MfbmParams.bivariate(0.3, 0.7, rho=0.3, eta=0.2),       # log branch
+    ])
+    @pytest.mark.parametrize("wavelet", [
+        gaussian_derivative(1), gaussian_derivative(2),
+        HermiteWavelet([(1.0, 1), (0.5j, 2)]),
+    ], ids=repr)
+    def test_float_integrand_matches_grid_values(self, params, wavelet):
+        q = WaveletCovQuery(0, 1, 1.0, 2.0)
+        S = spectral._spectral_integrand(q, params, wavelet)
+        pos = np.logspace(-4.0, 1.2, 79)          # S(w) is nonzero throughout
+        omegas = np.concatenate([-pos[::-1], pos])
+        want = spectral._spectral_values(q, params, wavelet, omegas)
+        for w, ref in zip(omegas.tolist(), want):
+            got = S(w)
+            assert type(got) is complex
+            assert abs(got - ref) <= 1e-14 * abs(ref)
 
     def test_large_lag_tail_matches_decay_law(self):
         params = MfbmParams.bivariate(0.35, 0.35, rho=1.0)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
@@ -100,6 +101,48 @@ class TestHermiteCombination:
             im, _ = quad(lambda t: np.imag(f(t)), -R, R, limit=200)
             assert complex(D_closed(tau)) == pytest.approx(complex(re, im),
                                                            abs=1e-9)
+
+
+PAIR_WAVELETS = (gaussian_derivative(1), gaussian_derivative(2),
+                 gaussian_derivative(3), HermiteWavelet([(1, 1), (0.5j, 2)]))
+
+
+def per_atom_pair_correlation(wavelet, a1, a2, tau):
+    """D(tau) and the sum of its terms' moduli, one term per atom pair.
+
+    Each pair is conj(c1) c2 C He_(m1+m2)(tau/s) exp(-tau^2 / 2s^2), with
+    C = (-1)^m1 sqrt(2 pi) a1^(m1+1) a2^(m2+1) s^(-1-m1-m2), s = hypot(a1, a2).
+    """
+    s = math.hypot(a1, a2)
+    x = np.asarray(tau, dtype=float) / s
+    total, size = 0j, 0.0
+    for c1, m1 in wavelet.terms:
+        for c2, m2 in wavelet.terms:
+            K = m1 + m2
+            C = (-1.0) ** m1 * SQRT_2PI * a1 ** (m1 + 1) * a2 ** (m2 + 1) * s ** (-1 - K)
+            term = (np.conj(c1) * c2 * C * hermite_e.hermeval(x, [0.0] * K + [1.0])
+                    * np.exp(-0.5 * x * x))
+            total, size = total + term, size + np.abs(term)
+    return total, size
+
+
+class TestPairCorrelationFloats:
+    """D(float), the QUADPACK integrand's form, against arrays and atom pairs."""
+
+    @pytest.mark.parametrize("wavelet", PAIR_WAVELETS, ids=repr)
+    @pytest.mark.parametrize("a1, a2", [(1.0, 1.0), (1.5, 2.0), (3.0, 0.7)])
+    def test_float_matches_array_and_atom_pairs(self, wavelet, a1, a2):
+        D = wavelet.pair_correlation(a1, a2)
+        taus = math.hypot(a1, a2) * np.linspace(-14.0, 14.0, 113)
+        from_array = D(taus)
+        assert from_array.dtype == (np.float64 if wavelet.is_real else np.complex128)
+        want, size = per_atom_pair_correlation(wavelet, a1, a2, taus)
+        for tau, arr, ref, bound in zip(taus.tolist(), from_array, want, size):
+            got = D(tau)
+            assert type(got) is (float if wavelet.is_real else complex)
+            assert abs(got - arr) <= 1e-14 * abs(arr)
+            # relative to the terms' moduli: the atom pairs' sum may cancel
+            assert abs(got - ref) <= 1e-14 * bound
 
 
 class TestAutocorrelation:

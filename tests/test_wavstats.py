@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mfbmwave.model import MfbmParams, MfbmwaveError
+from mfbmwave import wavstats
+from mfbmwave.model import MfbmParams, MfbmwaveError, kernel_w
 from mfbmwave.verify import XCHECK_ABS, XCHECK_REL
 from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 from mfbmwave.wavstats import (
@@ -18,7 +19,7 @@ from mfbmwave.wavstats import (
     decay_exponent_fit,
     binom_gen,
 )
-from oracles import theoretical_wavelet_cov_2d
+from oracles import theoretical_wavelet_cov_2d, wavelet_at
 
 
 def flandrin_variance(h, sigma, a, wavelet):
@@ -26,16 +27,37 @@ def flandrin_variance(h, sigma, a, wavelet):
 
     Var(d_a) = a^(2H+1) * (-sigma^2/2) * int int |t2-t1|^(2H) psi(t1) psi(t2),
     reduced to one dimension through the plain autocorrelation of psi,
-    computed here by direct quadrature (no closed forms).
+    computed here by direct quadrature (no closed forms), with psi evaluated
+    in floats by ``oracles.wavelet_at`` for a real wavelet.
     """
+    psi = wavelet_at(wavelet)
+
     def phi(v):
-        val, _ = quad(lambda t: np.real(wavelet.eval(t) * wavelet.eval(t + v)),
-                      -12, 12, limit=300)
+        val, _ = quad(lambda t: psi(t) * psi(t + v), -12, 12, limit=300)
         return val
 
     inner, _ = quad(lambda v: abs(v) ** (2 * h) * phi(v), -24, 24,
                     limit=400, points=[0.0])
     return a ** (2 * h + 1) * (-0.5 * sigma ** 2) * inner
+
+
+class TestNearKernel:
+    """The quadrature's float kernel closure against ``model.kernel_w``."""
+
+    @pytest.mark.parametrize("params, j, k", [
+        (MfbmParams.bivariate(0.3, 0.6, rho=0.5, eta=0.1), 0, 1),
+        (MfbmParams.bivariate(0.3, 0.6, rho=0.5, eta=0.1), 1, 0),
+        (MfbmParams.bivariate(0.4, 0.8, rho=0.6), 1, 1),
+        (MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=0.2), 0, 1),   # log branch
+        (MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=0.2), 1, 0),   # log branch
+    ])
+    def test_matches_kernel_w(self, params, j, k):
+        w = wavstats._near_kernel(params, j, k)
+        assert w(0.0) == 0.0
+        for u in (-600.0, -37.25, -1.0, -0.3, -1e-9, 1e-9, 0.3, 1.0, 2.5, 512.0):
+            got, want = w(u), kernel_w(params, j, k, u)
+            assert type(got) is float
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestTheoreticalCov:
