@@ -279,8 +279,8 @@ def cmd_estimate(args) -> int:
     scales = sorted(set(_typed_list(float, config.get("scales", []), "scales"))
                     | {a1, a2})
     lags = _typed_list(int, config.get("lags", [0, 1, 2, 4, 8]), "lags")
-    # size, grid and lags are checked before the ensemble is synthesized,
-    # the size first: the grid allocates n shift indices
+    # size (first: the grid allocates n shift indices), grid and lags are
+    # checked before synthesis; the largest scale fixes the shift grid
     _first_size(n, params.p)
     _, shift_idx = _grid(n, dt, scales, None)
     _check_lags(lags, shift_idx.size)
@@ -289,7 +289,8 @@ def cmd_estimate(args) -> int:
 
     paths = replicate_ensemble(params, n, dt, seed, count)
     query = WaveletCovQuery(j, k, a1, a2)
-    emp = empirical_wavelet_cov(cwt_ensemble(paths, wavelet, scales), query, lags)
+    fields = cwt_ensemble(paths, wavelet, sorted({a1, a2}), shift_idx * dt)
+    emp = empirical_wavelet_cov(fields, query, lags)
     rows = []
     for il, lag in enumerate(emp.lags):
         h = lag * emp.shift_spacing

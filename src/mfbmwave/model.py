@@ -23,6 +23,11 @@ BRANCH_TOL = 1e-12
 # absorbs floating-point noise on structurally PSD matrices.
 EIG_TOL = 1e-10
 
+# Bytes that a config-sized array may hold, checked by require_bytes before
+# it is allocated: the embedding build, an ensemble's paths, a frequency grid,
+# a wavelet field.  2 GiB admits m = 2^23 at p = 3 and m = 2^24 at p = 2.
+MEMORY_BUDGET = 2 << 30
+
 
 class MfbmwaveError(ValueError):
     """Base of the errors a caller's input causes: parameters, sizes, seeds,
@@ -47,6 +52,13 @@ class ParamsFormatError(InvalidParamsError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+def require_bytes(need: int, what: str) -> None:
+    """An MfbmwaveError if ``what`` needs more than MEMORY_BUDGET bytes."""
+    if need > MEMORY_BUDGET:
+        raise MfbmwaveError(f"{what} needs {need} bytes, over the budget of "
+                            f"{MEMORY_BUDGET}")
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, synth
-from .model import MfbmParams, MfbmwaveError
+from . import model
+from .model import MfbmParams, MfbmwaveError, require_bytes
 from .quadrature import quad_checked, quad_complex
 from .wavelets import HermiteWavelet, _SQRT_2PI
 from .wavstats import WaveletCovQuery, theoretical_wavelet_cov
@@ -69,10 +69,8 @@ def make_log_omega_grid(w_min: float = 1e-4, w_max: float = 1e3,
         raise MfbmwaveError(f"points_per_decade must be positive and give "
                             f"distinct grid points, got {points_per_decade}")
     n = max(2, int(math.ceil(math.log10(w_max / w_min) * points_per_decade)))
-    if (need := 2 * n * (8 + 16)) > synth._BUILD_BUDGET:
-        raise MfbmwaveError(f"a grid of {2 * n} frequencies and their spectral "
-                            f"values needs {need} bytes, over the budget of "
-                            f"{synth._BUILD_BUDGET}")
+    require_bytes(2 * n * (8 + 16), f"a grid of {2 * n} frequencies and "
+                  f"their spectral values")
     pos = np.logspace(math.log10(w_min), math.log10(w_max), n)
     return np.concatenate([-pos[::-1], pos])
 

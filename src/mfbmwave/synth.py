@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import (MfbmParams, MfbmwaveError, InvalidParamsError,
-                    check_existence, kernel_w)
+                    check_existence, kernel_w, require_bytes)
 
 # Relative tolerance (w.r.t. the largest eigenvalue) below which negative
 # frequency-matrix eigenvalues count as numerical noise.
@@ -32,12 +33,6 @@ EMBED_REL_TOL = 1e-9
 # The circulant size starts at the smallest power of two >= 2 (n - 1) and is
 # doubled at most this many times before falling back to eigenvalue clipping.
 MAX_DOUBLINGS = 6
-
-# Bytes a build may hold (_build_bytes) for a doubling to be tried; beyond
-# it the embedding is clipped at the current size.  2 GiB admits m = 2^23 at
-# p = 3 and m = 2^24 at p = 2.  A first size over it, or an ensemble whose
-# paths hold more, is refused before anything of that size is allocated.
-_BUILD_BUDGET = 2 << 30
 
 # Version of the map from (seed, replicate) to path values.  Scheme 1 keyed
 # one stream per replicate with derive_seed(seed, replicate).  Scheme 2 made
@@ -118,17 +113,15 @@ def _build_bytes(m: int, p: int) -> int:
 def _first_size(n: int, p: int) -> int:
     """First circulant size, the smallest power of two >= 2 (n - 1).
 
-    An MfbmwaveError if n < 2 or if a build at that size would hold more
-    than _BUILD_BUDGET bytes; the check allocates nothing.
+    An MfbmwaveError if n < 2 or if a build at that size would exceed the
+    memory budget (``require_bytes``); the check allocates nothing.
     """
     if n < 2:
         raise MfbmwaveError(f"need at least two grid points, got n = {n}")
     m = 1
     while m < 2 * (n - 1):
         m *= 2
-    if (need := _build_bytes(m, p)) > _BUILD_BUDGET:
-        raise MfbmwaveError(f"n = {n} needs an embedding of {need} bytes, over "
-                            f"the budget of {_BUILD_BUDGET}")
+    require_bytes(_build_bytes(m, p), f"the embedding of n = {n}")
     return m
 
 
@@ -201,9 +194,9 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     Doubles the circulant size on failure, up to MAX_DOUBLINGS times, then
     falls back to clipping the offending eigenvalues with a loud report.  A
     doubling is also refused, and the clip taken, when the next size would
-    hold more than _BUILD_BUDGET bytes (see _build_bytes).  Without that
-    budget MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 31 GB at
-    p = 3 (24 m p^2 + 4 m p bytes).  A first size over the budget is an
+    exceed ``model.MEMORY_BUDGET``, the budget of ``require_bytes``.  Without
+    it MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 31 GB at
+    p = 3 (24 m p^2 + 4 m p bytes).  A first size beyond the budget is an
     MfbmwaveError (see _first_size), and so is a spectrum that is not finite
     (a dt at which the covariance kernel overflows), which no doubling mends.
     """
@@ -221,9 +214,9 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
             break
         if attempts >= MAX_DOUBLINGS:
             reason = f"after {attempts} doublings"
-        elif (need := _build_bytes(2 * m, params.p)) > _BUILD_BUDGET:
-            reason = (f"at size {m}: the next size needs {need} bytes, over "
-                      f"the budget of {_BUILD_BUDGET}")
+        elif (need := _build_bytes(2 * m, params.p)) > model.MEMORY_BUDGET:
+            reason = (f"at size {m}: the next size needs {need} bytes, more "
+                      f"than the budget of {model.MEMORY_BUDGET}")
         else:
             m *= 2
             attempts += 1
@@ -301,9 +294,7 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
         raise MfbmwaveError(f"dt must be positive and finite, got {dt}")
     if not 0 <= seed < 2 ** 64:
         raise MfbmwaveError(f"seed must lie in [0, 2**64), got {seed}")
-    if (need := count * params.p * n * 8) > _BUILD_BUDGET:
-        raise MfbmwaveError(f"{count} paths of {n} points need {need} bytes, "
-                            f"over the budget of {_BUILD_BUDGET}")
+    require_bytes(count * params.p * n * 8, f"{count} paths of {n} points")
     fac = _cached_embedding(params, n, dt)
     m, p = fac.m, params.p
     half = m // 2

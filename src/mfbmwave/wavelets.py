@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MfbmwaveError
+from .model import MfbmwaveError, require_bytes
 
 # Standardized truncation radius: wavelet support is treated as |t| <= 10,
 # where the Gaussian-derivative mass is < 1e-20, far below EDGE_TOL.
@@ -29,9 +29,9 @@ MIN_SCALE_FACTOR = 4.0
 # Maximal fraction of wavelet L1 mass allowed to fall outside the sampled path.
 EDGE_TOL = 1e-8
 
-# Path values per cwt_ensemble chunk, in bytes (at least one path).  Chunks
-# of 256 KB to 4 MB streaming 300 bivariate paths of n = 4096 into
-# empirical_wavelet_cov were within 10 % of each other; 1 MB was the fastest.
+# Bytes per cwt_ensemble chunk, a path counted as the larger of its values and
+# its field (at least one path).  Streaming 300 bivariate paths of n = 4096
+# into empirical_wavelet_cov, 256 KB to 4 MB were within 10 %; 1 MB was best.
 _CHUNK_BYTES = 1 << 20
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -112,21 +112,15 @@ class HermiteWavelet:
 
         Each atom pair (m1, m2) contributes C He_K(tau/s) exp(-tau^2 / 2s^2)
         with K = m1 + m2 and s = hypot(a1, a2) (``_atom_pair_prefactor``).
-        The pairs are merged by K once, here, into coefficients b_K; D sums
-        b_K He_K(tau/s), each He_K by its three-term recurrence
+        The pairs are merged by K into coefficients b_K (``_merged_pairs``);
+        D sums b_K He_K(tau/s), each He_K by its three-term recurrence
         (``_hermite_unit``), and multiplies by one exponential.  A Python
         float tau gives a float (a complex for a complex wavelet) with no
         array made, which is what a QUADPACK integrand calls; an array tau
         gives an array.
         """
         s = math.hypot(a1, a2)
-        merged = {}
-        for c1, m1 in self.terms:
-            for c2, m2 in self.terms:
-                K = m1 + m2
-                merged[K] = (merged.get(K, 0j) + c1.conjugate() * c2
-                             * _atom_pair_prefactor(m1, a1, m2, a2))
-        coeffs = sorted((K, b.real if self.is_real else b) for K, b in merged.items())
+        coeffs = self._merged_pairs(a1, a2)
 
         def D(tau):
             if isinstance(tau, (int, float)):
@@ -139,6 +133,17 @@ class HermiteWavelet:
             return acc * exp(-0.5 * x * x)
 
         return D
+
+    def _merged_pairs(self, a1: float, a2: float) -> list:
+        """(K, b_K) by ascending K = m1 + m2, b_K the sum over its atom pairs
+        of conj(c1) c2 ``_atom_pair_prefactor``; real for a real wavelet."""
+        merged = {}
+        for c1, m1 in self.terms:
+            for c2, m2 in self.terms:
+                K = m1 + m2
+                merged[K] = (merged.get(K, 0j) + c1.conjugate() * c2
+                             * _atom_pair_prefactor(m1, a1, m2, a2))
+        return sorted((K, b.real if self.is_real else b) for K, b in merged.items())
 
 
 def _atom_pair_prefactor(m1: int, a1: float, m2: int, a2: float) -> float:
@@ -337,9 +342,9 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     """Wavelet fields of paths that share one grid, made chunk by chunk.
 
     A generator: field r is ``cwt(paths[r], ...)``, bit for bit, but the
-    paths are transformed about 1 MB of values at a time (``_CHUNK_BYTES``,
-    at least one path) and only the current chunk's coefficients are held,
-    so an ensemble streams into ``empirical_wavelet_cov`` in bounded memory.
+    paths are transformed about 1 MB at a time (``_CHUNK_BYTES``), so an
+    ensemble streams into ``empirical_wavelet_cov`` in bounded memory; a
+    field over the memory budget (``require_bytes``) is refused first.
     The coefficients are float64 for a real wavelet and complex128 for a
     complex one.
     """
@@ -351,7 +356,10 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     dt = float(first.dt)
     scales, shift_idx = _grid(n, dt, scales, shifts)
     shift_times = shift_idx * dt
-    per_chunk = max(1, _CHUNK_BYTES // (8 * p * n))
+    nbytes = (8 if wavelet.is_real else 16) * p * scales.size * shift_idx.size
+    require_bytes(nbytes, f"a wavelet field of {p} components, "
+                  f"{scales.size} scales and {shift_idx.size} shifts")
+    per_chunk = max(1, _CHUNK_BYTES // max(8 * p * n, nbytes))
     pending = itertools.chain([first], pending)
     while chunk := list(itertools.islice(pending, per_chunk)):
         if any(float(path.dt) != dt for path in chunk):

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import model
 from .model import MfbmParams, MfbmwaveError
-from .quadrature import quad_checked
-from .wavelets import HermiteWavelet, TRUNCATION_RADIUS, \
-    _SQRT_2PI, _atom_pair_prefactor
+from .quadrature import quad_checked, quad_complex
+from .wavelets import HermiteWavelet, TRUNCATION_RADIUS, _SQRT_2PI
 
 # Quadrature target of wavelet_cov_quadrature: QUADPACK stops once the error
 # estimate of the kernel integral is below QUAD_TOL * 1e-3 absolute or 1e-11
@@ -222,10 +221,10 @@ def _kernel_integral(params: MfbmParams, j: int, k: int, wavelet: HermiteWavelet
                      a1: float, a2: float, h: float) -> complex:
     """int w_jk(y - h) D(y) dy in closed form, D the pair correlation at (a1, a2).
 
-    Per atom pair the pair correlation is C He_K(y/s) exp(-y^2 / 2s^2) with
-    K = m1 + m2 and s = hypot(a1, a2); substituting y = s (x + c), c = h/s,
-    and using the homogeneity of w_jk leaves C s^(alpha+1) times the
-    integral of _power_integral or _log_integral.
+    D is the sum of b_K He_K(y/s) exp(-y^2 / 2s^2), s = hypot(a1, a2), over
+    the atom pairs merged by K (``HermiteWavelet._merged_pairs``).  With
+    y = s (x + c), c = h/s, the homogeneity of w_jk leaves b_K s^(alpha+1)
+    times one _power_integral or _log_integral per K.
     """
     if hyp1f1 is None:
         _bind_special()
@@ -235,16 +234,10 @@ def _kernel_integral(params: MfbmParams, j: int, k: int, wavelet: HermiteWavelet
     alpha = 1.0 if log_branch else params.alpha(j, k)
     s = math.hypot(a1, a2)
     c = h / s
-    total = 0j
-    for c1, m1 in wavelet.terms:
-        for c2, m2 in wavelet.terms:
-            K = m1 + m2
-            if log_branch:
-                core = _log_integral(K, rho, eta, c)
-            else:
-                core = _power_integral(K, alpha, rho, eta, c)
-            total += (np.conj(c1) * c2 * _atom_pair_prefactor(m1, a1, m2, a2)
-                      * s ** (alpha + 1.0) * core)
+    total = sum(b * s ** (alpha + 1.0)
+                * (_log_integral(K, rho, eta, c) if log_branch
+                   else _power_integral(K, alpha, rho, eta, c))
+                for K, b in wavelet._merged_pairs(a1, a2))
     return complex(total.real) if wavelet.is_real else complex(total)
 
 
@@ -302,11 +295,8 @@ def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
     if wavelet.is_real:
         val = quad_checked(f, -L, L, epsabs=epsabs, epsrel=1e-11, points=points)
         return complex(pref * val)
-    re = quad_checked(lambda y: f(y).real, -L, L,
-                      epsabs=epsabs, epsrel=1e-11, points=points)
-    im = quad_checked(lambda y: f(y).imag, -L, L,
-                      epsabs=epsabs, epsrel=1e-11, points=points)
-    return pref * complex(re, im)
+    return pref * quad_complex(f, -L, L, epsabs=epsabs, epsrel=1e-11,
+                               points=points)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import mfbmwave
-from mfbmwave import cli
+from mfbmwave import cli, model, wavelets
 from mfbmwave.cli import main
 from mfbmwave.model import MfbmParams, save_params
 
@@ -186,7 +187,7 @@ class TestEmbeddingExitCode:
 
         # not nonnegative definite at m = 64; the doubling to 128 would
         # hold 128 * 4 * 8 + 2 * 65 * 4 * 16 + 65 * 2 * 8 = 13.4 kB
-        monkeypatch.setattr(synth, "_BUILD_BUDGET", 10_000)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 10_000)
         monkeypatch.setattr(synth, "_factor_cache", OrderedDict())
         params = tmp_path / "p.txt"
         save_params(MfbmParams.bivariate(0.2, 0.95, rho=0.3697), params)
@@ -265,6 +266,21 @@ class TestValidationExitCodes:
                        {"path_file": str(path_file), "wavelet_m": 1,
                         "scales": [4.0, 8.0]})
         assert "path too short" in err
+
+    def test_cwt_field_over_budget(self, tmp_path, path_file, capsys,
+                                   monkeypatch):
+        # n = 128, scale 4: 128 - 2 * 40 = 48 shifts of 2 float64 components
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 2 * 48 * 8 - 1)
+
+        def refuse(*args):
+            raise AssertionError("field transformed")
+
+        monkeypatch.setattr(wavelets, "_transform", refuse)
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(path_file), "wavelet_m": 1,
+                        "scales": [4.0]})
+        assert "a wavelet field of 2 components, 1 scales and 48 shifts " \
+               "needs 768 bytes, over the budget of 767" in err
 
     def test_cwt_garbage_path_file(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.mfbm"
@@ -349,7 +365,7 @@ class TestValidationExitCodes:
         n = 10 ** 8
         m = 2 ** 28
         assert m // 2 < 2 * (n - 1) <= m
-        assert synth._build_bytes(m, 2) > 25e9 > synth._BUILD_BUDGET
+        assert synth._build_bytes(m, 2) > 25e9 > model.MEMORY_BUDGET
 
         def refuse(*args):
             raise AssertionError("n-length shift grid allocated")
@@ -560,6 +576,33 @@ class TestEstimateCommand:
         assert report["seed_scheme"] == 3
 
 
+    def test_unread_scales_change_neither_output_nor_peak(self, tmp_path,
+                                                          params_file):
+        # 40 scales in [4, 32] and [32] alone fix the same shift grid; only
+        # a1 and a2 are transformed, so output bytes and traced peak agree.
+        # A first run fills the factor cache and imports scipy.special.
+        base = {"params": str(params_file), "wavelet_m": 2, "n": 2048,
+                "dt": 1.0, "count": 30, "seed": 5, "a1": 4.0, "a2": 8.0,
+                "lags": [0, 1, 4]}
+        runs = [("warm", [32.0]), ("one", [32.0]),
+                ("many", np.linspace(4.0, 32.0, 40).tolist())]
+        peaks = {}
+        for name, scales in runs:
+            cfg = write_config(tmp_path, f"{name}.json",
+                               {**base, "scales": scales})
+            tracemalloc.start()
+            try:
+                rc = main(["--config", str(cfg), "--out", str(tmp_path / name),
+                           "estimate"])
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert (tmp_path / "one" / "estimate_cov.csv").read_bytes() == \
+            (tmp_path / "many" / "estimate_cov.csv").read_bytes()
+        assert abs(peaks["many"] - peaks["one"]) <= 0.1 * peaks["one"]
+
+
 class TestVerifyCommand:
     def test_existence_suite(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -597,6 +640,9 @@ _FUZZ_BAD = [0, 1, -1, -1.5, 0.0, 2, 13, 1e300, [], [0], [-1.0], "x", None,
 _FUZZ_HUGE = [float("nan"), float("inf"), 1e300, 10 ** 8, 2 ** 64, -(2 ** 63)]
 # valid sizes stay small; a huge value is refused before anything is allocated
 _FUZZ_CAPS = {"n": 512, "count": 40, "points_per_decade": 512}
+# the memory budget during the fuzz: the default payloads fit, and a long
+# scale list on the 128-point path may make a field that does not
+_FUZZ_BUDGET = 1 << 17
 
 
 def _fuzz_values(key):
@@ -656,6 +702,15 @@ def _fuzz_case():
                 del payload[key]
             else:
                 payload[key] = draw(_fuzz_values(key))
+        if command in ("cwt", "estimate") and draw(st.booleans()):
+            # up to 300 scales that the fuzz paths resolve; without its one
+            # fixed shift, a cwt field of many scales exceeds _FUZZ_BUDGET
+            size = draw(st.integers(1, 300))
+            payload["scales"] = draw(st.lists(st.floats(4.0, 4.5),
+                                              min_size=size, max_size=size,
+                                              unique=True))
+            if command == "cwt" and draw(st.booleans()):
+                payload.pop("shifts", None)
         return command, payload
 
     return case()
@@ -667,6 +722,7 @@ def test_fuzzed_configs_exit_cleanly(fuzz_files, monkeypatch, capsys):
     hyp = pytest.importorskip("hypothesis")
     root, params, path_file = fuzz_files
     monkeypatch.chdir(root)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", _FUZZ_BUDGET)
 
     @hyp.settings(max_examples=150, deadline=None, derandomize=True,
                   suppress_health_check=list(hyp.HealthCheck))

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from mfbmwave import spectral, synth
+from mfbmwave import model, spectral
 from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov
@@ -363,7 +363,7 @@ def test_omega_grid_checks(w_min, w_max, per_decade):
 def test_omega_grid_budget(monkeypatch):
     # 2 decades at 8 points each: 2 * 16 points of 8 + 16 bytes
     assert make_log_omega_grid(0.1, 10.0, 8).size == 32
-    monkeypatch.setattr(synth, "_BUILD_BUDGET", 32 * 24 - 1)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 32 * 24 - 1)
     with pytest.raises(MfbmwaveError, match="over the budget"):
         make_log_omega_grid(0.1, 10.0, 8)
     monkeypatch.undo()

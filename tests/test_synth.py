@@ -11,6 +11,7 @@ from mfbmwave.model import (
     increment_cross_covariance,
     params_from_text,
 )
+import mfbmwave.model as model
 import mfbmwave.synth as synth
 from mfbmwave.synth import (
     build_embedding,
@@ -402,7 +403,7 @@ class TestMemory:
         monkeypatch.setattr(synth, "_try_embedding",
                             lambda params, dt, m: sizes.append(m)
                             or attempt(params, dt, m))
-        monkeypatch.setattr(synth, "_BUILD_BUDGET", build_bytes(64, 2))
+        monkeypatch.setattr(model, "MEMORY_BUDGET", build_bytes(64, 2))
         with pytest.warns(RuntimeWarning, match="budget"):
             fac = build_embedding(CLIPPED, 32, 1.0)
         assert sizes == [64]
@@ -412,7 +413,7 @@ class TestMemory:
     def test_budget_bounds_doublings(self):
         # computed, not run: MAX_DOUBLINGS from n = 2^20 reaches m = 2^27
         assert synth._build_bytes(2 ** 27, 3) == build_bytes(2 ** 27, 3)
-        assert build_bytes(2 ** 27, 3) > 30e9 > synth._BUILD_BUDGET
+        assert build_bytes(2 ** 27, 3) > 30e9 > model.MEMORY_BUDGET
 
     def test_build_peak(self):
         n, p = 2 ** 14, 3
@@ -432,11 +433,11 @@ class TestMemory:
         monkeypatch.setattr(synth, "_try_embedding",
                             lambda params, dt, m: sizes.append(m)
                             or attempt(params, dt, m))
-        monkeypatch.setattr(synth, "_BUILD_BUDGET", build_bytes(64, 2) - 1)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", build_bytes(64, 2) - 1)
         with pytest.raises(MfbmwaveError, match="over the budget"):
             build_embedding(CLIPPED, 33, 1.0)
         assert sizes == []
-        monkeypatch.setattr(synth, "_BUILD_BUDGET", build_bytes(64, 2))
+        monkeypatch.setattr(model, "MEMORY_BUDGET", build_bytes(64, 2))
         assert build_embedding(MfbmParams.bivariate(0.3, 0.4), 33, 1.0).m == 64
         assert sizes == [64]
 
@@ -444,7 +445,7 @@ class TestMemory:
         # computed, not run: n = 10^8 at p = 2 starts at m = 2^28, ~28 GB
         n = 10 ** 8
         assert 2 ** 27 < 2 * (n - 1) <= 2 ** 28
-        assert build_bytes(2 ** 28, 2) > 25e9 > synth._BUILD_BUDGET
+        assert build_bytes(2 ** 28, 2) > 25e9 > model.MEMORY_BUDGET
 
         def refuse(*args):
             raise AssertionError("embedding build attempted")
@@ -457,7 +458,7 @@ class TestMemory:
         params = MfbmParams.bivariate(0.3, 0.4)
         with pytest.raises(MfbmwaveError, match="over the budget"):
             replicate_ensemble(params, 64, 1.0, seed=1, count=10 ** 300)
-        monkeypatch.setattr(synth, "_BUILD_BUDGET", 3 * 2 * 64 * 8 - 1)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 3 * 2 * 64 * 8 - 1)
         with pytest.raises(MfbmwaveError, match="3 paths of 64 points"):
             replicate_ensemble(params, 64, 1.0, seed=1, count=3)
 

@@ -8,6 +8,7 @@ from numpy.polynomial import hermite_e
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
 
+import mfbmwave.model as model
 import mfbmwave.wavelets as wavelets
 from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.synth import replicate_ensemble
@@ -399,6 +400,46 @@ class TestCwtEnsemble:
             next(cwt_ensemble(paths, gaussian_derivative(1), [2.0]))
         with pytest.raises(GridError):
             next(cwt_ensemble(paths, gaussian_derivative(1), [40.0]))
+
+    def test_field_over_budget(self, monkeypatch):
+        # n = 256, scales 4 and 6: 256 - 2 * 60 = 136 shifts, and a field of
+        # 2 x 2 x 136 float64 coefficients, twice that for a complex wavelet
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 256, 1.0, seed=1, count=3)
+        need = 2 * 2 * 136 * 8
+        monkeypatch.setattr(model, "MEMORY_BUDGET", need)
+        assert len(list(cwt_ensemble(paths, gaussian_derivative(1),
+                                     [4.0, 6.0]))) == 3
+
+        def refuse(*args):
+            raise AssertionError("field transformed")
+
+        monkeypatch.setattr(wavelets, "_transform", refuse)
+        fields = cwt_ensemble(paths, self.COMPLEX, [4.0, 6.0])
+        with pytest.raises(MfbmwaveError, match=f"needs {2 * need} bytes, "
+                                                f"over the budget of {need}"):
+            next(fields)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(MfbmwaveError, match="wavelet field of 2 "
+                                                "components, 2 scales"):
+            next(cwt_ensemble(paths, gaussian_derivative(1), [4.0, 6.0]))
+
+    def test_chunks_sized_by_field(self, monkeypatch):
+        # 40 scales make a field of 2 x 40 x 352 float64 coefficients, 27
+        # times its path's values; a chunk holds three such fields
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 512, 1.0, seed=3, count=7)
+        scales = np.linspace(4.0, 8.0, 40)
+        monkeypatch.setattr(wavelets, "_CHUNK_BYTES", 3 * 2 * 40 * 352 * 8)
+        rows = []
+        transform = wavelets._transform
+        monkeypatch.setattr(wavelets, "_transform", lambda values, *args:
+                            rows.append(values.shape[0])
+                            or transform(values, *args))
+        fields = list(cwt_ensemble(paths, gaussian_derivative(2), scales))
+        assert rows == [3, 3, 1]
+        assert fields[0].coeffs.shape == (2, 40, 352)
+        self.check(paths, gaussian_derivative(2), scales)
 
 
 class TestInputChecks:

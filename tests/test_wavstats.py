@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ class TestTheoreticalCov:
                                              params, w)
             assert abs(q_far - closed) <= XCHECK_ABS + XCHECK_REL * abs(closed)
 
+    def test_complex_quadrature_bytes(self):
+        # a complex wavelet's real and imaginary quadratures, near (|h| < L)
+        # and far (|h| >= 2 L = 60) from the pair correlation's support
+        params = MfbmParams.bivariate(0.35, 0.6, rho=0.4, eta=0.15)
+        w = HermiteWavelet([(1.0, 1), (0.4j, 2)])
+        for h, want in ((1.5, ("5db856a04da3ed3f", "7db2a8d177ccd63f")),
+                        (80.0, ("c1aaffe7a61b63bf", "ddc6975d3f4b03bf"))):
+            got = wavelet_cov_quadrature(WaveletCovQuery(0, 1, 1.0, 2.0, h),
+                                         params, w)
+            assert (struct.pack("<d", got.real).hex(),
+                    struct.pack("<d", got.imag).hex()) == want
+
     def test_even_odd_parameter_decomposition(self):
         # rho part even in h, eta part odd in h, for a real wavelet
         w = gaussian_derivative(1)
@@ -197,6 +210,17 @@ class TestClosedForm:
             got = theoretical_wavelet_cov(WaveletCovQuery(0, 1, a1, a2, h), params,
                                           HermiteWavelet(terms))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_one_integral_per_hermite_order(self, monkeypatch):
+        # atoms of orders 1, 2, 3 form 9 pairs but only K = 2 .. 6
+        orders = []
+        power = wavstats._power_integral
+        monkeypatch.setattr(wavstats, "_power_integral",
+                            lambda K, *args: orders.append(K) or power(K, *args))
+        w = HermiteWavelet([(1.0, 1), (0.5j, 2), (-0.25, 3)])
+        theoretical_wavelet_cov(WaveletCovQuery(0, 1, 1.0, 2.0, 3.0),
+                                MfbmParams.bivariate(0.3, 0.45, rho=0.5), w)
+        assert orders == [2, 3, 4, 5, 6]
 
 
 class TestScaleLaw:
