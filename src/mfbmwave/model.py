@@ -61,6 +61,12 @@ def require_bytes(need: int, what: str) -> None:
                             f"{MEMORY_BUDGET}")
 
 
+def _close(x: float, y: float) -> bool:
+    """np.isclose(x, y, atol=1e-12, rtol=0.0) for two floats: equal infinities
+    are close, NaN is close to nothing."""
+    return x == y or abs(x - y) <= 1e-12
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -72,9 +78,9 @@ class MfbmParams:
     """Parameter set (H, sigma, rho, eta) of a p-component process.
 
     H      : Hurst exponents, each in the open interval (0, 1).
-    sigma  : positive amplitudes; sigma_j^2 is Var(x_j(1)).
+    sigma  : positive finite amplitudes; sigma_j^2 is Var(x_j(1)).
     rho    : symmetric correlation matrix with unit diagonal, entries in [-1, 1].
-    eta    : antisymmetric matrix with zero diagonal.
+    eta    : antisymmetric matrix with zero diagonal and finite entries.
 
     Construction checks only the structural constraints above.  Whether the
     parameters define a valid process is a separate spectral condition, see
@@ -94,20 +100,28 @@ class MfbmParams:
         p = H.shape[0]
         if H.ndim != 1 or p < 1:
             raise InvalidParamsError("H must be a non-empty vector")
-        if np.any(H <= 0.0) or np.any(H >= 1.0):
+        # The checks below compare plain floats: a p of 2 or 3 costs a few
+        # microseconds, where np.allclose and np.any cost tens each.
+        if not all(0.0 < h < 1.0 for h in H.tolist()):
             raise InvalidParamsError("every Hurst exponent must lie in (0, 1)")
-        if sigma.shape != (p,) or np.any(sigma <= 0.0):
+        if sigma.shape != (p,) or any(s <= 0.0 for s in sigma.tolist()):
             raise InvalidParamsError("sigma must be a length-p vector of positive amplitudes")
+        if not all(math.isfinite(s) for s in sigma.tolist()):
+            raise InvalidParamsError("every amplitude sigma must be finite")
         if rho.shape != (p, p) or eta.shape != (p, p):
             raise InvalidParamsError("rho and eta must be p x p matrices")
-        if not np.allclose(rho, rho.T, atol=1e-12, rtol=0.0):
+        r, e = rho.tolist(), eta.tolist()
+        pairs = [(j, k) for j in range(p) for k in range(p)]
+        if not all(_close(r[j][k], r[k][j]) for j, k in pairs):
             raise InvalidParamsError("rho must be symmetric")
-        if not np.allclose(np.diag(rho), 1.0, atol=1e-12, rtol=0.0):
+        if not all(_close(r[j][j], 1.0) for j in range(p)):
             raise InvalidParamsError("rho must have unit diagonal")
-        if np.any(np.abs(rho) > 1.0 + 1e-12):
+        if any(abs(r[j][k]) > 1.0 + 1e-12 for j, k in pairs):
             raise InvalidParamsError("rho entries must lie in [-1, 1]")
-        if not np.allclose(eta, -eta.T, atol=1e-12, rtol=0.0):
+        if not all(_close(e[j][k], -e[k][j]) for j, k in pairs):
             raise InvalidParamsError("eta must be antisymmetric")
+        if not all(math.isfinite(e[j][k]) for j, k in pairs):
+            raise InvalidParamsError("every eta entry must be finite")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rho", rho)
@@ -360,8 +374,13 @@ def params_from_text(text: str) -> MfbmParams:
     for v in sv:
         if v <= 0.0:
             raise ParamsFormatError(ln_s, f"sigma entry {v} must be positive")
+        if not math.isfinite(v):
+            raise ParamsFormatError(ln_s, f"sigma entry {v} must be finite")
     ln_r, rv = expect("rho", p * (p + 1) // 2)
     ln_e, ev = expect("eta", p * (p - 1) // 2)
+    for v in ev:
+        if math.isinf(v):
+            raise ParamsFormatError(ln_e, f"eta entry {v} must be finite")
 
     for i, j, v in zip(*np.tril_indices(p), rv):
         if i == j:

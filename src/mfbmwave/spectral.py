@@ -12,7 +12,9 @@ integral representations of |v|^a, sign(v)|v|^a, v_+^a, v_-^a and of the
 v log|v| limit that underlie the spectral formula, each by direct numerical
 quadrature so the closed forms can be confronted with an independent route.
 Those integrals are even or odd in v, so a batch of points integrates each
-distinct |v| once and applies the sign of v afterwards.
+distinct |v| once and applies the sign of v afterwards.  Their integrands are
+closures over plain floats, with math.cos/math.sin and the exponent -alpha - 1
+hoisted, so a QUADPACK point costs no numpy call.
 """
 
 from __future__ import annotations
@@ -249,27 +251,31 @@ def _abs_integral(alpha: float, v: float) -> float:
     # 2 int_0^inf (1 - cos(w v)) w^(-alpha-1) dw, v > 0; the non-oscillatory
     # tail is added in closed form, the cosine tail by the QUADPACK Fourier
     # integrator.
+    alpha, v = float(alpha), float(v)
+    expo = -alpha - 1.0
     A = 60.0 * math.pi / v
-    head = quad_checked(lambda w: (1.0 - np.cos(w * v)) * w ** (-alpha - 1.0),
+    head = quad_checked(lambda w: (1.0 - math.cos(w * v)) * w ** expo,
                         0.0, A, epsabs=1e-11, epsrel=1e-11, limit=600)
     tail_pow = A ** (-alpha) / alpha
-    tail_cos = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
+    tail_cos = quad_checked(lambda w: w ** expo, A, np.inf,
                             weight="cos", wvar=v, epsabs=1e-12)
     return 2.0 * (head + tail_pow - tail_cos)
 
 
 def _sign_integral(alpha: float, v: float) -> float:
     # 2 int_0^inf (sin(w v) - g_alpha(w v)) w^(-alpha-1) dw, v > 0
+    alpha, v = float(alpha), float(v)
+    expo = -alpha - 1.0
     A = 60.0 * math.pi / v
     if alpha > 1.0:
-        head = quad_checked(lambda w: (np.sin(w * v) - w * v) * w ** (-alpha - 1.0),
+        head = quad_checked(lambda w: (math.sin(w * v) - w * v) * w ** expo,
                             0.0, A, epsabs=1e-11, epsrel=1e-11, limit=600)
         tail_lin = -v * A ** (1.0 - alpha) / (alpha - 1.0)
     else:
-        head = quad_checked(lambda w: np.sin(w * v) * w ** (-alpha - 1.0),
+        head = quad_checked(lambda w: math.sin(w * v) * w ** expo,
                             0.0, A, epsabs=1e-11, epsrel=1e-11, limit=600)
         tail_lin = 0.0
-    tail_sin = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
+    tail_sin = quad_checked(lambda w: w ** expo, A, np.inf,
                             weight="sin", wvar=v, epsabs=1e-12)
     return 2.0 * (head + tail_sin + tail_lin)
 
@@ -282,11 +288,12 @@ def _hlog_integrals(alpha: float, mags) -> dict:
     # each |v| in ``mags`` to head + tail_v - |v| tail_1, and the caller
     # multiplies by -sign(v).  tail_1 depends on v only through the cut A,
     # and at |v| = 1 it is tail_v, so each sine tail is integrated once.
+    expo = -alpha - 1.0
     tails = {}
 
     def sin_tail(A, wvar):
         if (A, wvar) not in tails:
-            tails[A, wvar] = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
+            tails[A, wvar] = quad_checked(lambda w: w ** expo, A, np.inf,
                                           weight="sin", wvar=wvar, epsabs=1e-13)
         return tails[A, wvar]
 
@@ -294,7 +301,7 @@ def _hlog_integrals(alpha: float, mags) -> dict:
     for av in mags:
         A = 60.0 * math.pi / min(av, 1.0)
         head = quad_checked(
-            lambda w: (np.sin(w * av) - av * np.sin(w)) * w ** (-alpha - 1.0),
+            lambda w: (math.sin(w * av) - av * math.sin(w)) * w ** expo,
             0.0, A, epsabs=1e-12, epsrel=1e-12, limit=800)
         out[av] = head + sin_tail(A, av) - av * sin_tail(A, 1.0)
     return out

@@ -277,6 +277,25 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _transform_bytes(count: int, p: int, n: int, dt: float, real: bool,
+                     scales: np.ndarray, n_shifts: int) -> int:
+    """Bytes ``_transform`` holds at once for ``count`` paths, an upper bound.
+
+    Per (path, component) row: its stacked values, its spectrum and product
+    rows, its length-N correlation row, its gathered shifts and its
+    coefficients.  Once per call: two placed kernels (one is replaced while
+    the other is alive), a kernel spectrum, its conjugate and an FFT row
+    buffer, the kernel taps at the largest scale, and the shift indices and
+    times.
+    """
+    N = _fast_len(n)
+    spec = 16 * (N // 2 + 1)
+    item = 8 if real else 16
+    per_row = 8 * n + 2 * spec + 8 * N + 8 * n_shifts + item * scales.size * n_shifts
+    taps = 2 * shift_margin(scales[-1], dt) + 1
+    return count * p * per_row + 16 * N + 3 * spec + 48 * taps + 16 * n_shifts
+
+
 def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
                scales: np.ndarray, shift_idx: np.ndarray) -> np.ndarray:
     """Coefficients of a (count, p, n) value array, shape (count, p, S, n_shifts).
@@ -343,10 +362,11 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
 
     A generator: field r is ``cwt(paths[r], ...)``, bit for bit, but the
     paths are transformed about 1 MB at a time (``_CHUNK_BYTES``), so an
-    ensemble streams into ``empirical_wavelet_cov`` in bounded memory; a
-    field over the memory budget (``require_bytes``) is refused first.
-    The coefficients are float64 for a real wavelet and complex128 for a
-    complex one.
+    ensemble streams into ``empirical_wavelet_cov`` in bounded memory.  The
+    first chunk, the largest, is refused before it is transformed if the
+    transform's working set (``_transform_bytes``) is over the memory budget
+    (``require_bytes``).  The coefficients are float64 for a real wavelet
+    and complex128 for a complex one.
     """
     pending = iter(paths)
     first = next(pending, None)
@@ -357,11 +377,14 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     scales, shift_idx = _grid(n, dt, scales, shifts)
     shift_times = shift_idx * dt
     nbytes = (8 if wavelet.is_real else 16) * p * scales.size * shift_idx.size
-    require_bytes(nbytes, f"a wavelet field of {p} components, "
-                  f"{scales.size} scales and {shift_idx.size} shifts")
     per_chunk = max(1, _CHUNK_BYTES // max(8 * p * n, nbytes))
-    pending = itertools.chain([first], pending)
-    while chunk := list(itertools.islice(pending, per_chunk)):
+    chunk = [first, *itertools.islice(pending, per_chunk - 1)]
+    require_bytes(_transform_bytes(len(chunk), p, n, dt, wavelet.is_real, scales,
+                                   shift_idx.size),
+                  f"the wavelet transform of {len(chunk)} path(s) of {p} "
+                  f"components at {scales.size} scale(s) and {shift_idx.size} "
+                  f"shifts")
+    while chunk:
         if any(float(path.dt) != dt for path in chunk):
             raise MfbmwaveError("paths of an ensemble must share one sampling step")
         values = np.stack([np.asarray(path.values, dtype=float) for path in chunk])
@@ -369,3 +392,4 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
         for path, c in zip(chunk, coeffs):
             yield WaveletField(coeffs=c, scales=scales, shifts=shift_times,
                                dt=dt, n=n, seed=getattr(path, "seed", None))
+        chunk = list(itertools.islice(pending, per_chunk))

@@ -7,7 +7,8 @@ code with the library's quadrature integrands), and
 ``wavelet_autocorrelation`` the correlation of two dilated-shifted wavelets
 built on ``HermiteWavelet.pair_correlation``.  ``bahr_essen_pointwise`` is
 the representation right side evaluated one point at a time, each variant
-with its own quadratures, in the arithmetic order the batch route must keep.
+with its own quadratures written here with numpy's ``np.cos``/``np.sin``,
+in the arithmetic order the library's float closures must keep bit for bit.
 Nothing in the library calls them.
 """
 
@@ -18,7 +19,7 @@ from scipy.integrate import dblquad
 
 from mfbmwave.model import MfbmParams
 from mfbmwave.quadrature import quad_checked
-from mfbmwave.spectral import LIMIT_EPS, RepresentationKernel, _abs_integral, _sign_integral
+from mfbmwave.spectral import LIMIT_EPS, RepresentationKernel
 from mfbmwave.wavelets import HermiteWavelet, TRUNCATION_RADIUS
 from mfbmwave.wavstats import WaveletCovQuery
 
@@ -104,6 +105,31 @@ def theoretical_wavelet_cov_2d(query: WaveletCovQuery, params: MfbmParams,
     return pref * complex(re, im)
 
 
+def _abs_at(alpha: float, av: float) -> float:
+    A = 60.0 * math.pi / av
+    head = quad_checked(lambda w: (1.0 - np.cos(w * av)) * w ** (-alpha - 1.0),
+                        0.0, A, epsabs=1e-11, epsrel=1e-11, limit=600)
+    tail_pow = A ** (-alpha) / alpha
+    tail_cos = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
+                            weight="cos", wvar=av, epsabs=1e-12)
+    return 2.0 * (head + tail_pow - tail_cos)
+
+
+def _sign_at(alpha: float, av: float) -> float:
+    A = 60.0 * math.pi / av
+    if alpha > 1.0:
+        head = quad_checked(lambda w: (np.sin(w * av) - w * av) * w ** (-alpha - 1.0),
+                            0.0, A, epsabs=1e-11, epsrel=1e-11, limit=600)
+        tail_lin = -av * A ** (1.0 - alpha) / (alpha - 1.0)
+    else:
+        head = quad_checked(lambda w: np.sin(w * av) * w ** (-alpha - 1.0),
+                            0.0, A, epsabs=1e-11, epsrel=1e-11, limit=600)
+        tail_lin = 0.0
+    tail_sin = quad_checked(lambda w: w ** (-alpha - 1.0), A, np.inf,
+                            weight="sin", wvar=av, epsabs=1e-12)
+    return 2.0 * (head + tail_sin + tail_lin)
+
+
 def _hlog_at(alpha: float, v: float) -> float:
     av = abs(v)
     A = 60.0 * math.pi / min(av, 1.0)
@@ -127,10 +153,10 @@ def bahr_essen_pointwise(kernel: RepresentationKernel, v: float) -> float:
         first = [(10.0 * y - x) / 9.0 for x, y in zip(vals, vals[1:])]
         return (100.0 * first[1] - first[0]) / 99.0
     abs_val = (math.gamma(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi
-               * _abs_integral(a, abs(v)))
+               * _abs_at(a, abs(v)))
     sign_val = (math.copysign(1.0, v)
                 * (math.gamma(a + 1.0) * math.cos(math.pi * a / 2.0) / math.pi)
-                * _sign_integral(a, abs(v)))
+                * _sign_at(a, abs(v)))
     return {"abs": abs_val, "sign_abs": sign_val,
             "plus": 0.5 * (abs_val + sign_val),
             "minus": 0.5 * (abs_val - sign_val)}[kernel.variant]

@@ -217,6 +217,14 @@ class TestValidationExitCodes:
                        {"params": str(params_file), "n": 64, "dt": 1.0, "count": 0})
         assert "count >= 1" in err
 
+    def test_simulate_infinite_sigma(self, tmp_path, capsys):
+        # refused when the file is read, not as an overflowing covariance
+        params = tmp_path / "inf.txt"
+        params.write_text("p: 2\nH: 0.4 0.7\nsigma: 1 inf\nrho: 1 0.5 1\neta: 0.1\n")
+        err = self.run(tmp_path, capsys, "simulate",
+                       {"params": str(params), "n": 64, "dt": 1.0})
+        assert err == "error: line 3: sigma entry inf must be finite\n"
+
     def test_estimate_too_few_replicates(self, tmp_path, params_file, capsys):
         err = self.run(tmp_path, capsys, "estimate",
                        {"params": str(params_file), "n": 256, "dt": 1.0,
@@ -267,10 +275,13 @@ class TestValidationExitCodes:
                         "scales": [4.0, 8.0]})
         assert "path too short" in err
 
-    def test_cwt_field_over_budget(self, tmp_path, path_file, capsys,
-                                   monkeypatch):
-        # n = 128, scale 4: 128 - 2 * 40 = 48 shifts of 2 float64 components
-        monkeypatch.setattr(model, "MEMORY_BUDGET", 2 * 48 * 8 - 1)
+    def test_cwt_working_set_over_budget(self, tmp_path, path_file, capsys,
+                                         monkeypatch):
+        # n = 128, scale 4: 128 - 2 * 40 = 48 shifts of 2 float64 components,
+        # a field of 768 bytes that fits; the transform's working set does not
+        need = wavelets._transform_bytes(1, 2, 128, 1.0, True, np.array([4.0]), 48)
+        assert need == 19616
+        monkeypatch.setattr(model, "MEMORY_BUDGET", need - 1)
 
         def refuse(*args):
             raise AssertionError("field transformed")
@@ -279,8 +290,9 @@ class TestValidationExitCodes:
         err = self.run(tmp_path, capsys, "cwt",
                        {"path_file": str(path_file), "wavelet_m": 1,
                         "scales": [4.0]})
-        assert "a wavelet field of 2 components, 1 scales and 48 shifts " \
-               "needs 768 bytes, over the budget of 767" in err
+        assert "the wavelet transform of 1 path(s) of 2 components at 1 " \
+               "scale(s) and 48 shifts needs 19616 bytes, over the budget " \
+               "of 19615" in err
 
     def test_cwt_garbage_path_file(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.mfbm"
@@ -640,9 +652,10 @@ _FUZZ_BAD = [0, 1, -1, -1.5, 0.0, 2, 13, 1e300, [], [0], [-1.0], "x", None,
 _FUZZ_HUGE = [float("nan"), float("inf"), 1e300, 10 ** 8, 2 ** 64, -(2 ** 63)]
 # valid sizes stay small; a huge value is refused before anything is allocated
 _FUZZ_CAPS = {"n": 512, "count": 40, "points_per_decade": 512}
-# the memory budget during the fuzz: the default payloads fit, and a long
-# scale list on the 128-point path may make a field that does not
-_FUZZ_BUDGET = 1 << 17
+# the memory budget during the fuzz: the default payloads fit (the estimate
+# transform's first chunk, 30 paths of 256 points, holds 0.6 MB), and an
+# estimate ensemble near the size caps may make a transform that does not
+_FUZZ_BUDGET = 1 << 20
 
 
 def _fuzz_values(key):
@@ -703,8 +716,8 @@ def _fuzz_case():
             else:
                 payload[key] = draw(_fuzz_values(key))
         if command in ("cwt", "estimate") and draw(st.booleans()):
-            # up to 300 scales that the fuzz paths resolve; without its one
-            # fixed shift, a cwt field of many scales exceeds _FUZZ_BUDGET
+            # up to 300 scales that the fuzz paths resolve, with or without
+            # cwt's one fixed shift
             size = draw(st.integers(1, 300))
             payload["scales"] = draw(st.lists(st.floats(4.0, 4.5),
                                               min_size=size, max_size=size,

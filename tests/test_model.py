@@ -18,6 +18,7 @@ from mfbmwave.model import (
     pack_triangles,
     unpack_triangles,
 )
+from mfbmwave.verify import verify_existence
 
 
 def random_params(rng, p=3):
@@ -66,6 +67,56 @@ class TestValidation:
         params = MfbmParams.bivariate(0.3, 0.4)
         with pytest.raises(IndexError):
             kernel_w(params, 0, 2, 1.0)
+
+    # each bad input and its exact message; the non-finite sigma, eta and H
+    # entries marked "new" were accepted before the checks compared floats
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(H=[]), "H must be a non-empty vector"),
+        (dict(H=[[0.3, 0.4]]), "H must be a non-empty vector"),
+        (dict(H=[0.0, 0.4]), "every Hurst exponent must lie in (0, 1)"),
+        (dict(H=[0.3, 1.0]), "every Hurst exponent must lie in (0, 1)"),
+        (dict(H=[0.3, math.inf]), "every Hurst exponent must lie in (0, 1)"),
+        (dict(H=[-math.inf, 0.4]), "every Hurst exponent must lie in (0, 1)"),
+        (dict(H=[0.3, math.nan]), "every Hurst exponent must lie in (0, 1)"),  # new
+        (dict(sigma=[0.0, 1.0]), "sigma must be a length-p vector of positive amplitudes"),
+        (dict(sigma=[1.0, -2.0]), "sigma must be a length-p vector of positive amplitudes"),
+        (dict(sigma=[-math.inf, 1.0]), "sigma must be a length-p vector of positive amplitudes"),
+        (dict(sigma=[1.0]), "sigma must be a length-p vector of positive amplitudes"),
+        (dict(sigma=[1.0, math.inf]), "every amplitude sigma must be finite"),  # new
+        (dict(sigma=[math.nan, 1.0]), "every amplitude sigma must be finite"),  # new
+        (dict(rho=np.eye(3)), "rho and eta must be p x p matrices"),
+        (dict(eta=np.zeros((1, 1))), "rho and eta must be p x p matrices"),
+        (dict(rho=[[1.0, 0.5], [0.4, 1.0]]), "rho must be symmetric"),
+        (dict(rho=[[1.0, math.nan], [math.nan, 1.0]]), "rho must be symmetric"),
+        (dict(rho=[[1.1, 0.0], [0.0, 1.0]]), "rho must have unit diagonal"),
+        (dict(rho=[[math.inf, 0.0], [0.0, 1.0]]), "rho must have unit diagonal"),
+        (dict(rho=[[1.0 + 2e-12, 0.0], [0.0, 1.0]]), "rho must have unit diagonal"),
+        (dict(rho=[[1.0, 1.5], [1.5, 1.0]]), "rho entries must lie in [-1, 1]"),
+        (dict(rho=[[1.0, math.inf], [math.inf, 1.0]]), "rho entries must lie in [-1, 1]"),
+        (dict(rho=[[1.0, -math.inf], [-math.inf, 1.0]]), "rho entries must lie in [-1, 1]"),
+        (dict(eta=[[0.0, 0.2], [0.2, 0.0]]), "eta must be antisymmetric"),
+        (dict(eta=[[0.1, 0.0], [0.0, 0.0]]), "eta must be antisymmetric"),
+        (dict(eta=[[0.0, math.nan], [-math.nan, 0.0]]), "eta must be antisymmetric"),
+        (dict(eta=[[math.inf, 0.0], [0.0, 0.0]]), "eta must be antisymmetric"),
+        (dict(eta=[[0.0, math.inf], [-math.inf, 0.0]]), "every eta entry must be finite"),  # new
+        (dict(eta=[[0.0, -math.inf], [math.inf, 0.0]]), "every eta entry must be finite"),  # new
+    ])
+    def test_bad_input_messages(self, kwargs, message):
+        args = dict(H=[0.3, 0.4], sigma=[1.0, 1.0], rho=np.eye(2),
+                    eta=np.zeros((2, 2)))
+        args.update(kwargs)
+        with pytest.raises(InvalidParamsError) as err:
+            MfbmParams(**{k: np.array(v, dtype=float) for k, v in args.items()})
+        assert str(err.value) == message
+
+    def test_tolerances_kept(self):
+        # entries within 1e-12 of symmetry, of a unit diagonal and of the
+        # [-1, 1] range pass
+        MfbmParams(H=[0.3, 0.4], sigma=[1.0, 1.0],
+                   rho=[[1.0 + 5e-13, 0.5 + 5e-13], [0.5, 1.0]],
+                   eta=[[0.0, 0.1 + 5e-13], [-0.1, 0.0]])
+        MfbmParams.bivariate(0.3, 0.4, rho=1.0 + 1e-12)
+        MfbmParams.bivariate(0.3, 0.4, rho=-1.0 - 1e-12)
 
 
 class TestErrorHierarchy:
@@ -263,6 +314,22 @@ class TestMaxAdmissibleRho:
         assert max_admissible_rho(0.25, 0.65) == pytest.approx(
             max_admissible_rho(0.65, 0.25), abs=2e-4)
 
+    @pytest.mark.parametrize("pair, bits", [
+        ((0.1, 0.8), "0x1.072c000000000p-1"),
+        ((0.8, 0.1), "0x1.072c000000000p-1"),
+        ((0.1, 0.2), "0x1.e364000000000p-1"),
+        ((0.35, 0.35), "0x1.0000000000000p+0"),
+    ])
+    def test_bisection_bits(self, pair, bits):
+        assert max_admissible_rho(*pair).hex() == bits
+
+    def test_existence_suite_bits(self):
+        measured = [c["measured"].hex() for c in verify_existence()["checks"]]
+        assert measured == ["0x1.0000000000000p+0", "0x1.0000000000000p+0",
+                            "0x1.072c000000000p-1", "0x1.072c000000000p-1",
+                            "0x1.e364000000000p-1", "0x1.072c000000000p-1",
+                            "0x1.0000000000000p+0"]
+
 
 class TestTextFormat:
     def test_round_trip(self):
@@ -294,6 +361,19 @@ class TestTextFormat:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParamsFormatError):
             params_from_text("p: 1\nH: 0.5\nsigma: 1\nrho: 1\neta:\nbogus: 3\n")
+
+    def test_nonfinite_entries_name_their_line(self):
+        text = "p: 2\nH: 0.4 0.7\nsigma: 1 {}\nrho: 1 0.5 1\neta: {}\n"
+        for sigma, eta, line, message in (
+                ("inf", "0.1", 3, "sigma entry inf must be finite"),
+                ("nan", "0.1", 3, "sigma entry nan must be finite"),
+                ("1", "-inf", 5, "eta entry -inf must be finite")):
+            with pytest.raises(ParamsFormatError) as err:
+                params_from_text(text.format(sigma, eta))
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+        # a NaN eta keeps the message it had: the antisymmetry test fails
+        with pytest.raises(ParamsFormatError, match="line 2: eta must be antisymmetric"):
+            params_from_text(text.format("1", "nan"))
 
     def test_file_not_utf8(self, tmp_path):
         f = tmp_path / "params.bin"

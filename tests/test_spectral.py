@@ -255,6 +255,23 @@ class TestRepresentations:
         assert 0 < first <= 123
         assert len(calls) - first == first
 
+    def test_suite_integrands_return_floats(self, monkeypatch):
+        # every head integrand (the finite intervals) gives a Python float,
+        # not a numpy scalar, at its interval's midpoint
+        heads = []
+        inner = spectral.quad_checked
+
+        def probed(f, a, b, **kwargs):
+            if math.isfinite(b):
+                heads.append(type(f(0.5 * (a + b))))
+            return inner(f, a, b, **kwargs)
+
+        monkeypatch.setattr(spectral, "quad_checked", probed)
+        verify_bahr()
+        # 4 |v| x 6 alpha x 2 integrals, plus 3 eps x 4 |v| for the hlog heads
+        assert len(heads) == 60
+        assert set(heads) == {float}
+
 
 class TestInversion:
     def test_consistency_power_branch(self):

@@ -401,12 +401,18 @@ class TestCwtEnsemble:
         with pytest.raises(GridError):
             next(cwt_ensemble(paths, gaussian_derivative(1), [40.0]))
 
-    def test_field_over_budget(self, monkeypatch):
-        # n = 256, scales 4 and 6: 256 - 2 * 60 = 136 shifts, and a field of
-        # 2 x 2 x 136 float64 coefficients, twice that for a complex wavelet
+    def test_working_set_over_budget(self, monkeypatch):
+        # n = 256, scales 4 and 6: 256 - 2 * 60 = 136 shifts.  Three paths
+        # make one chunk of 6 rows, each holding 256 values, two spectra of
+        # 129 complex bins, a 256-point correlation, 136 gathered shifts and
+        # 2 x 136 float64 coefficients; once per call come two placed
+        # kernels, three spectra, the 121 taps at scale 6 and two shift grids
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
         paths = replicate_ensemble(params, 256, 1.0, seed=1, count=3)
-        need = 2 * 2 * 136 * 8
+        row = 8 * 256 + 2 * 16 * 129 + 8 * 256 + 8 * 136
+        once = 16 * 256 + 3 * 16 * 129 + 48 * 121 + 16 * 136
+        need = 6 * (row + 2 * 136 * 8) + once
+        assert need == 87200
         monkeypatch.setattr(model, "MEMORY_BUDGET", need)
         assert len(list(cwt_ensemble(paths, gaussian_derivative(1),
                                      [4.0, 6.0]))) == 3
@@ -416,13 +422,33 @@ class TestCwtEnsemble:
 
         monkeypatch.setattr(wavelets, "_transform", refuse)
         fields = cwt_ensemble(paths, self.COMPLEX, [4.0, 6.0])
-        with pytest.raises(MfbmwaveError, match=f"needs {2 * need} bytes, "
-                                                f"over the budget of {need}"):
+        with pytest.raises(MfbmwaveError, match=f"needs {need + 6 * 2 * 136 * 8} "
+                                                f"bytes, over the budget of {need}"):
             next(fields)
         monkeypatch.setattr(model, "MEMORY_BUDGET", need - 1)
-        with pytest.raises(MfbmwaveError, match="wavelet field of 2 "
-                                                "components, 2 scales"):
+        with pytest.raises(MfbmwaveError, match=r"wavelet transform of 3 path\(s\) "
+                                                r"of 2 components at 2 scale\(s\) "
+                                                r"and 136 shifts needs 87200"):
             next(cwt_ensemble(paths, gaussian_derivative(1), [4.0, 6.0]))
+
+    @pytest.mark.parametrize("wavelet", [gaussian_derivative(2), COMPLEX])
+    def test_working_set_bounds_traced_peak(self, wavelet, monkeypatch):
+        # the predicted bytes of one path of n = 2^16 at one scale are at
+        # least what the transform allocates through numpy
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        path = replicate_ensemble(params, 1 << 16, 1.0, seed=2, count=1)[0]
+        predicted = []
+        monkeypatch.setattr(wavelets, "require_bytes",
+                            lambda need, what: predicted.append(need))
+        tracemalloc.start()
+        try:
+            field = cwt(path, wavelet, [8.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.coeffs.shape == (2, 1, (1 << 16) - 160)
+        assert len(predicted) == 1
+        assert predicted[0] >= peak > field.coeffs.nbytes
 
     def test_chunks_sized_by_field(self, monkeypatch):
         # 40 scales make a field of 2 x 40 x 352 float64 coefficients, 27
