@@ -11,6 +11,7 @@ from .model import (
     kernel_w,
     cross_covariance,
     increment_cross_covariance,
+    zeta,
     existence_matrix,
     check_existence,
     max_admissible_rho,
@@ -54,7 +55,6 @@ from .spectral import (
     ZeroFrequencyLaw,
     CoherenceResult,
     ConsistencyReport,
-    zeta,
     make_log_omega_grid,
     cross_spectral_density,
     zero_frequency_behavior,

@@ -216,11 +216,6 @@ def save_field_file(field: WaveletField, filename) -> None:
         save_field(field, f)
 
 
-def load_field_file(filename) -> WaveletField:
-    with open(filename, "rb") as f:
-        return load_field(f)
-
-
 def path_to_csv_file(path: SamplePath, filename) -> None:
     with open(filename, "w", newline="", encoding="utf-8") as f:
         path_to_csv(path, f)

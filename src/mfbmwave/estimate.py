@@ -46,10 +46,6 @@ class FitReport:
     n_excluded: int
     residuals: np.ndarray
 
-    @property
-    def max_abs_residual(self) -> float:
-        return float(np.max(np.abs(self.residuals))) if self.residuals.size else 0.0
-
 
 def fit_power_law(xs, ys, fit_range=None) -> FitReport:
     """OLS of log|y| on log x; returns slope, intercept and slope standard error.

@@ -6,7 +6,9 @@ H_1, ..., H_p.  Its full second-order structure is determined by the
 amplitudes sigma_j, the symmetric instantaneous correlations rho_jk and the
 antisymmetric time-asymmetry parameters eta_jk.  This module holds the
 parameter container, the two-branch kernel w_jk, the cross-covariance, the
-increment covariance, and the admissibility (existence) test.
+increment covariance, the complex frequency weight zeta_jk, and the
+admissibility (existence) test, whose matrix is Gamma(H_j + H_k + 1) zeta_jk
+at negative frequency.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ class MfbmParams:
             raise InvalidParamsError("H must be a non-empty vector")
         # The checks below compare plain floats: a p of 2 or 3 costs a few
         # microseconds, where np.allclose and np.any cost tens each.
-        if not all(0.0 < h < 1.0 for h in H.tolist()):
+        hs = H.tolist()
+        if not all(0.0 < h < 1.0 for h in hs):
             raise InvalidParamsError("every Hurst exponent must lie in (0, 1)")
         if sigma.shape != (p,) or any(s <= 0.0 for s in sigma.tolist()):
             raise InvalidParamsError("sigma must be a length-p vector of positive amplitudes")
@@ -126,6 +129,8 @@ class MfbmParams:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "eta", eta)
+        # plain floats for alpha, which every kernel and spectral query calls
+        object.__setattr__(self, "_hs", tuple(hs))
 
     @property
     def p(self) -> int:
@@ -133,7 +138,7 @@ class MfbmParams:
 
     def alpha(self, j: int, k: int) -> float:
         """Combined exponent H_j + H_k of the (j, k) kernel."""
-        return float(self.H[j] + self.H[k])
+        return self._hs[j] + self._hs[k]
 
     def is_log_branch(self, j: int, k: int) -> bool:
         return abs(self.alpha(j, k) - 1.0) <= BRANCH_TOL
@@ -187,7 +192,7 @@ def kernel_w(params: MfbmParams, j: int, k: int, h):
     out = np.zeros_like(h_arr)
     nz = h_arr != 0.0
     ah = np.abs(h_arr[nz])
-    if abs(alpha - 1.0) <= BRANCH_TOL:
+    if params.is_log_branch(j, k):
         out[nz] = rho * ah + eta * h_arr[nz] * np.log(ah)
     else:
         out[nz] = (rho - eta * np.sign(h_arr[nz])) * ah ** alpha
@@ -222,25 +227,43 @@ def increment_cross_covariance(params: MfbmParams, j: int, k: int, h, dt: float 
                 - 2.0 * kernel_w(params, j, k, dt * (-h_arr)))
 
 
+def zeta(params: MfbmParams, j: int, k: int, omega):
+    """Complex frequency weight zeta_jk(w) of the cross-spectral density.
+
+    rho_jk sin(pi a/2) + i eta_jk cos(pi a/2) sign(w) for a = H_j + H_k != 1,
+    rho_jk + i (pi/2) eta_jk sign(w) on the log branch a = 1.  Only the sign
+    of ``omega`` enters.  A Python float (or int) gives a complex computed in
+    plain floats; anything else is taken as an array.
+    """
+    _check_index(params, j, k)
+    if isinstance(omega, (int, float)):
+        # np.sign's value (0 at zero, NaN at NaN) without a numpy call
+        sgn = 1.0 if omega > 0 else -1.0 if omega < 0 else float(abs(omega))
+    else:
+        sgn = np.sign(np.asarray(omega, dtype=float))
+    rho = params.rho.item(j, k)
+    eta = params.eta.item(j, k)
+    if params.is_log_branch(j, k):
+        out = rho + 1j * (math.pi / 2.0) * eta * sgn
+    else:
+        a = params.alpha(j, k)
+        out = (rho * math.sin(math.pi * a / 2.0)
+               + 1j * eta * math.cos(math.pi * a / 2.0) * sgn)
+    return out if isinstance(sgn, np.ndarray) else complex(out)
+
+
 def existence_matrix(params: MfbmParams) -> np.ndarray:
     """Hermitian matrix whose positive semidefiniteness characterizes existence.
 
-    Entry (j, k) is Gamma(H_j+H_k+1) * xi_jk with
-    xi_jk = rho_jk sin(pi a/2) - i eta_jk cos(pi a/2)   for a = H_j+H_k != 1,
-    xi_jk = rho_jk - i (pi/2) eta_jk                    for a = 1.
-    The diagonal reduces to Gamma(2 H_j + 1) sin(pi H_j).
+    Entry (j, k) is Gamma(H_j+H_k+1) zeta_jk(w) at any w < 0, that is
+    Gamma(a+1) (rho_jk sin(pi a/2) - i eta_jk cos(pi a/2)) for a = H_j+H_k
+    off the log branch.  The diagonal reduces to Gamma(2 H_j + 1) sin(pi H_j).
     """
     p = params.p
     G = np.empty((p, p), dtype=complex)
     for j in range(p):
         for k in range(p):
-            a = params.alpha(j, k)
-            if abs(a - 1.0) <= BRANCH_TOL:
-                xi = params.rho[j, k] - 1j * (math.pi / 2.0) * params.eta[j, k]
-            else:
-                xi = (params.rho[j, k] * math.sin(math.pi * a / 2.0)
-                      - 1j * params.eta[j, k] * math.cos(math.pi * a / 2.0))
-            G[j, k] = math.gamma(a + 1.0) * xi
+            G[j, k] = math.gamma(params.alpha(j, k) + 1.0) * zeta(params, j, k, -1.0)
     return G
 
 
@@ -253,18 +276,18 @@ class ExistenceResult:
         return self.admissible
 
 
-def check_existence(params: MfbmParams, eig_tol: float = EIG_TOL) -> ExistenceResult:
-    """Admissibility test: smallest eigenvalue of the existence matrix >= -eig_tol."""
+def check_existence(params: MfbmParams) -> ExistenceResult:
+    """Admissibility test: smallest eigenvalue of the existence matrix >= -EIG_TOL."""
     evals = np.linalg.eigvalsh(existence_matrix(params))
     lam_min = float(evals[0])
-    return ExistenceResult(admissible=lam_min >= -eig_tol, min_eigenvalue=lam_min)
+    return ExistenceResult(admissible=lam_min >= -EIG_TOL, min_eigenvalue=lam_min)
 
 
-def max_admissible_rho(h1: float, h2: float, resolution: float = 1e-4) -> float:
+def max_admissible_rho(h1: float, h2: float) -> float:
     """Supremum of admissible rho_12 for a bivariate process with eta = 0.
 
     Bisection of the admissibility test over rho in [0, 1], resolved to
-    ``resolution``.  Returns 1.0 when no constraint binds (e.g. h1 = h2).
+    1e-4.  Returns 1.0 when no constraint binds (e.g. h1 = h2).
     """
     if not (0.0 < h1 < 1.0 and 0.0 < h2 < 1.0):
         raise InvalidParamsError("Hurst exponents must lie in (0, 1)")
@@ -275,7 +298,7 @@ def max_admissible_rho(h1: float, h2: float, resolution: float = 1e-4) -> float:
     if ok(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > resolution:
+    while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

@@ -6,29 +6,32 @@ spectral representation cov(h) = (1/2 pi) int S(w) exp(i w h) dw with
     S(w) = sqrt(a1 a2) sigma_j sigma_k Gamma(a+1) zeta_jk(w)
            * conj(psi_hat(a1 w)) psi_hat(a2 w) / |w|^(a+1),      a = H_j + H_k,
 
-where the complex weight zeta_jk combines the symmetric (rho) and
-antisymmetric (eta) parameters.  The module also evaluates the trigonometric
-integral representations of |v|^a, sign(v)|v|^a, v_+^a, v_-^a and of the
-v log|v| limit that underlie the spectral formula, each by direct numerical
-quadrature so the closed forms can be confronted with an independent route.
-Those integrals are even or odd in v, so a batch of points integrates each
-distinct |v| once and applies the sign of v afterwards.  Their integrands are
-closures over plain floats, with math.cos/math.sin and the exponent -alpha - 1
-hoisted, so a QUADPACK point costs no numpy call.
+where the complex weight zeta_jk (``model.zeta``) combines the symmetric
+(rho) and antisymmetric (eta) parameters and psi_hat is
+``HermiteWavelet.eval_ft``.  S is written once: a float w gives a complex
+with no numpy call, an array of w an array.  The module also evaluates the
+trigonometric integral representations of |v|^a, sign(v)|v|^a, v_+^a, v_-^a
+and of the v log|v| limit that underlie the spectral formula, each by direct
+numerical quadrature so the closed forms can be confronted with an
+independent route.  Those integrals are even or odd in v, so a batch asks
+for each at |v| and applies the sign of v afterwards, and a memo made per
+call runs each distinct quadrature once.  Their integrands are closures over
+plain floats, with math.cos/math.sin and the exponent -alpha - 1 hoisted, so
+a QUADPACK point costs no numpy call.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .model import MfbmParams, MfbmwaveError, require_bytes
+from .model import MfbmParams, MfbmwaveError, require_bytes, zeta
 from .quadrature import quad_checked, quad_complex
-from .wavelets import HermiteWavelet, _SQRT_2PI
+from .wavelets import HermiteWavelet
 from .wavstats import WaveletCovQuery, theoretical_wavelet_cov
 
 # Absolute target for the representation-identity quadratures.
@@ -39,26 +42,6 @@ REP_TOL = 1e-8
 LIMIT_EPS = (1e-4, 1e-5, 1e-6)
 
 _VARIANTS = ("abs", "sign_abs", "plus", "minus", "hlog")
-
-
-def zeta(params: MfbmParams, j: int, k: int, omega):
-    """Complex frequency weight of the cross-spectral density.
-
-    rho_jk sin(pi a/2) + i eta_jk cos(pi a/2) sign(w) off the critical
-    exponent; rho_jk + i (pi/2) eta_jk sign(w) at a = 1.  Only the sign of
-    ``omega`` enters.
-    """
-    model._check_index(params, j, k)
-    sgn = np.sign(np.asarray(omega, dtype=float))
-    rho = params.rho[j, k]
-    eta = params.eta[j, k]
-    a = params.alpha(j, k)
-    if params.is_log_branch(j, k):
-        out = rho + 1j * (math.pi / 2.0) * eta * sgn
-    else:
-        out = (rho * math.sin(math.pi * a / 2.0)
-               + 1j * eta * math.cos(math.pi * a / 2.0) * sgn)
-    return out if np.ndim(omega) else complex(out)
 
 
 def make_log_omega_grid(w_min: float = 1e-4, w_max: float = 1e3,
@@ -98,14 +81,32 @@ class SpectrumGrid:
         object.__setattr__(self, "values", values)
 
 
-def _spectral_values(query: WaveletCovQuery, params: MfbmParams,
-                     wavelet: HermiteWavelet, omegas: np.ndarray) -> np.ndarray:
+def _spectral_density(query: WaveletCovQuery, params: MfbmParams,
+                      wavelet: HermiteWavelet):
+    """S(w) of the query as a callable, for w != 0.
+
+    The prefactor times zeta on each side of w = 0 is hoisted out.  A Python
+    float w gives a complex with no numpy call, one polynomial and one
+    exponential per scale; an array gives an array.
+    """
     j, k, a1, a2 = query.j, query.k, query.a1, query.a2
     alpha = params.alpha(j, k)
-    pref = (math.sqrt(a1 * a2) * params.sigma[j] * params.sigma[k]
-            * math.gamma(alpha + 1.0))
-    q = np.conj(wavelet.eval_ft(a1 * omegas)) * wavelet.eval_ft(a2 * omegas)
-    return pref * zeta(params, j, k, omegas) * q / np.abs(omegas) ** (alpha + 1.0)
+    pref = float(math.sqrt(a1 * a2) * params.sigma[j] * params.sigma[k]
+                 * math.gamma(alpha + 1.0))
+    z_pos = pref * zeta(params, j, k, 1.0)
+    z_neg = pref * zeta(params, j, k, -1.0)
+    expo = alpha + 1.0
+    psi_hat = wavelet.eval_ft
+
+    def S(w):
+        if isinstance(w, np.ndarray):
+            z = np.where(w > 0.0, z_pos, z_neg)
+        else:
+            z = z_pos if w > 0.0 else z_neg
+        q = psi_hat(a1 * w).conjugate() * psi_hat(a2 * w)
+        return z * q / abs(w) ** expo
+
+    return S
 
 
 def cross_spectral_density(query: WaveletCovQuery, params: MfbmParams,
@@ -116,7 +117,7 @@ def cross_spectral_density(query: WaveletCovQuery, params: MfbmParams,
         raise MfbmwaveError("zero frequency is excluded; its limit is "
                             "described by zero_frequency_behavior")
     return SpectrumGrid(query=query, omegas=omegas,
-                        values=_spectral_values(query, params, wavelet, omegas))
+                        values=_spectral_density(query, params, wavelet)(omegas))
 
 
 @dataclass(frozen=True)
@@ -146,12 +147,12 @@ def zero_frequency_behavior(query: WaveletCovQuery, params: MfbmParams,
 
 
 def fit_zero_frequency_slope(query: WaveletCovQuery, params: MfbmParams,
-                             wavelet: HermiteWavelet, w_lo: float = 1e-4,
-                             w_hi: float = 1e-2, n: int = 48):
-    """Log-log fit of |S| on [w_lo, w_hi]; validates the zero-frequency law."""
+                             wavelet: HermiteWavelet):
+    """Log-log fit of |S| at 48 points on [1e-4, 1e-2]; validates the
+    zero-frequency law."""
     from .estimate import fit_power_law
 
-    omegas = np.logspace(math.log10(w_lo), math.log10(w_hi), n)
+    omegas = np.logspace(-4.0, -2.0, 48)
     grid = cross_spectral_density(query, params, wavelet, omegas)
     return fit_power_law(omegas, np.abs(grid.values))
 
@@ -188,9 +189,9 @@ def coherence(query: WaveletCovQuery, params: MfbmParams, wavelet: HermiteWavele
     phase = (f1 * np.conj(f2)) / (np.conj(f1) * f2)
     closed = np.abs(z) ** 2 * g_ratio * phase
 
-    s12 = _spectral_values(query, params, wavelet, omegas)
-    s11 = _spectral_values(WaveletCovQuery(j, j, a1, a1), params, wavelet, omegas)
-    s22 = _spectral_values(WaveletCovQuery(k, k, a2, a2), params, wavelet, omegas)
+    s12 = _spectral_density(query, params, wavelet)(omegas)
+    s11 = _spectral_density(WaveletCovQuery(j, j, a1, a1), params, wavelet)(omegas)
+    s22 = _spectral_density(WaveletCovQuery(k, k, a2, a2), params, wavelet)(omegas)
     definition = np.abs(s12) ** 2 / (s11.real * s22.real)
 
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -280,69 +281,61 @@ def _sign_integral(alpha: float, v: float) -> float:
     return 2.0 * (head + tail_sin + tail_lin)
 
 
-def _hlog_integrals(alpha: float, mags) -> dict:
-    # renormalized frequency integral
-    #   -(1/2) int sign(w) [sin(w v) - v sin(w)] |w|^(-alpha-1) dw;
-    # the subtracted linear term removes the 1/(1 - alpha) divergence, which
-    # is invisible to any zero-mean wavelet correlation.  Odd in v: this maps
-    # each |v| in ``mags`` to head + tail_v - |v| tail_1, and the caller
-    # multiplies by -sign(v).  tail_1 depends on v only through the cut A,
-    # and at |v| = 1 it is tail_v, so each sine tail is integrated once.
+def _hlog_head(alpha: float, av: float, A: float) -> float:
+    # head of the renormalized frequency integral
+    #   -(1/2) int sign(w) [sin(w v) - v sin(w)] |w|^(-alpha-1) dw
+    # at v = av > 0; the subtracted linear term removes the 1/(1 - alpha)
+    # divergence, which is invisible to any zero-mean wavelet correlation.
     expo = -alpha - 1.0
-    tails = {}
+    return quad_checked(
+        lambda w: (math.sin(w * av) - av * math.sin(w)) * w ** expo,
+        0.0, A, epsabs=1e-12, epsrel=1e-12, limit=800)
 
-    def sin_tail(A, wvar):
-        if (A, wvar) not in tails:
-            tails[A, wvar] = quad_checked(lambda w: w ** expo, A, np.inf,
-                                          weight="sin", wvar=wvar, epsabs=1e-13)
-        return tails[A, wvar]
 
-    out = {}
-    for av in mags:
-        A = 60.0 * math.pi / min(av, 1.0)
-        head = quad_checked(
-            lambda w: (math.sin(w * av) - av * math.sin(w)) * w ** expo,
-            0.0, A, epsabs=1e-12, epsrel=1e-12, limit=800)
-        out[av] = head + sin_tail(A, av) - av * sin_tail(A, 1.0)
-    return out
+def _sin_tail(alpha: float, A: float, wvar: float) -> float:
+    # int_A^inf sin(wvar w) w^(-alpha-1) dw
+    expo = -alpha - 1.0
+    return quad_checked(lambda w: w ** expo, A, np.inf,
+                        weight="sin", wvar=wvar, epsabs=1e-13)
 
 
 def bahr_essen_batch(kernels, vs) -> list[list[float]]:
     """Numerical right sides of several representation identities at several points.
 
     Returns one row per kernel, holding its value at each v of ``vs``.  Each
-    distinct quadrature runs once per call, and none is kept across calls:
+    quadrature function is wrapped in a memo made for this call, so each
+    distinct quadrature runs once per call and none is kept across calls:
 
     - the 'abs' integral is even in v and the 'sign_abs' integral odd, so
-      each is integrated once per (alpha, |v|), and v and -v share it with
-      the sign of v applied afterwards;
+      each is asked for at (alpha, |v|), and v and -v share it with the
+      sign of v applied afterwards;
     - 'plus' and 'minus' are the exact half sum and half difference of the
       'abs' and 'sign_abs' values, mirroring their derivation;
-    - the 'hlog' integral is odd in v: its head and v-tail run once per
-      (eps, |v|), and its unit-frequency tail once per (eps, cut).  The sign
-      is applied to each eps value, before the Richardson extrapolation.
+    - the 'hlog' integral is odd in v: its head and v-tail are asked for at
+      (eps, |v|), and its unit-frequency tail at (eps, cut), which every
+      |v| >= 1 shares.  The sign is applied to each eps value, before the
+      Richardson extrapolation.
     """
-    kernels = list(kernels)
-    vs = [float(v) for v in vs]
-    mags = sorted({abs(v) for v in vs if v != 0.0})
-
-    def alphas(*variants):
-        return sorted({k.alpha for k in kernels if k.variant in variants})
-
-    abs_int = {(a, m): _abs_integral(a, m)
-               for a in alphas("abs", "plus", "minus") for m in mags}
-    sign_int = {(a, m): _sign_integral(a, m)
-                for a in alphas("sign_abs", "plus", "minus") for m in mags}
-    hlog_int = ({eps: _hlog_integrals(1.0 - eps, mags) for eps in LIMIT_EPS}
-                if any(k.variant == "hlog" for k in kernels) else {})
+    abs_int = functools.cache(_abs_integral)
+    sign_int = functools.cache(_sign_integral)
+    hlog_head = functools.cache(_hlog_head)
+    sin_tail = functools.cache(_sin_tail)
 
     def abs_val(a, v):
         pref = math.gamma(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi
-        return pref * abs_int[a, abs(v)]
+        return pref * abs_int(a, abs(v))
 
     def sign_val(a, v):
         pref = math.gamma(a + 1.0) * math.cos(math.pi * a / 2.0) / math.pi
-        return math.copysign(1.0, v) * pref * sign_int[a, abs(v)]
+        return math.copysign(1.0, v) * pref * sign_int(a, abs(v))
+
+    def hlog_val(alpha, v):
+        # head + tail_v - |v| tail_1 at |v|; tail_1 depends on v only
+        # through the cut A, and at |v| = 1 it is tail_v
+        av = abs(v)
+        A = 60.0 * math.pi / min(av, 1.0)
+        odd = hlog_head(alpha, av, A) + sin_tail(alpha, A, av) - av * sin_tail(alpha, A, 1.0)
+        return -math.copysign(1.0, v) * odd
 
     def value(kernel, v):
         a = kernel.alpha
@@ -356,22 +349,17 @@ def bahr_essen_batch(kernels, vs) -> list[list[float]]:
             return 0.5 * (abs_val(a, v) + sign_val(a, v))
         if kernel.variant == "minus":
             return 0.5 * (abs_val(a, v) - sign_val(a, v))
-        vals = [-math.copysign(1.0, v) * hlog_int[eps][abs(v)] for eps in LIMIT_EPS]
+        vals = [hlog_val(1.0 - eps, v) for eps in LIMIT_EPS]
         first = [(10.0 * y - x) / 9.0 for x, y in zip(vals, vals[1:])]
         return (100.0 * first[1] - first[0]) / 99.0
 
+    vs = [float(v) for v in vs]
     return [[value(k, v) for v in vs] for k in kernels]
 
 
 def bahr_essen_eval(kernel: RepresentationKernel, v: float) -> float:
-    """Numerical right side of the selected representation identity.
-
-    A batch of one of :func:`bahr_essen_batch`, so each distinct integral is
-    computed once: the integrals are even ('abs') or odd ('sign_abs',
-    'hlog') in v and run at |v|, and the one-sided powers are exact half
-    sums and differences of one 'abs' and one 'sign_abs' evaluation,
-    mirroring their derivation.
-    """
+    """Numerical right side of the selected representation identity: a batch
+    of one of :func:`bahr_essen_batch`."""
     return bahr_essen_batch([kernel], [v])[0][0]
 
 
@@ -389,34 +377,6 @@ def _ft_cutoff(wavelet: HermiteWavelet, a1: float, a2: float, alpha: float) -> f
     return float(ws[above[-1]] * 1.5)
 
 
-def _spectral_integrand(query: WaveletCovQuery, params: MfbmParams,
-                        wavelet: HermiteWavelet):
-    """S(w) of ``_spectral_values`` as a closure over plain floats, w != 0.
-
-    The prefactor times zeta on each side of w = 0 and the transform
-    coefficients c (-i)^m are hoisted out, so a float w costs one polynomial
-    and one exponential per scale and a complex S(w) comes back.
-    """
-    j, k, a1, a2 = query.j, query.k, query.a1, query.a2
-    alpha = params.alpha(j, k)
-    pref = float(math.sqrt(a1 * a2) * params.sigma[j] * params.sigma[k]
-                 * math.gamma(alpha + 1.0))
-    z_pos = pref * zeta(params, j, k, 1.0)
-    z_neg = pref * zeta(params, j, k, -1.0)
-    expo = alpha + 1.0
-    ft = [(c * (-1j) ** m, m) for c, m in wavelet.terms]
-
-    def psi_hat(x):
-        return (sum(d * x ** m for d, m in ft)
-                * (_SQRT_2PI * math.exp(-0.5 * x * x)))
-
-    def S(w):
-        q = psi_hat(a1 * w).conjugate() * psi_hat(a2 * w)
-        return (z_pos if w > 0.0 else z_neg) * q / abs(w) ** expo
-
-    return S
-
-
 def inverse_spectral_cov(query: WaveletCovQuery, params: MfbmParams,
                          wavelet: HermiteWavelet, h: float) -> complex:
     """Covariance at lag h from the spectral density: (1/2 pi) int S e^{iwh} dw.
@@ -424,28 +384,33 @@ def inverse_spectral_cov(query: WaveletCovQuery, params: MfbmParams,
     For real analyzing wavelets S(-w) = conj(S(w)), so the integral is folded
     onto w > 0 and doubled on the real part, which keeps the result real by
     construction.  Oscillatory lags use the QUADPACK cosine/sine weights.
-    The integrand S is built once per query (``_spectral_integrand``) and
-    evaluated in plain floats at each QUADPACK point, with the phase
-    exp(i w h) from ``cmath.exp``.
+    For a complex wavelet the two half lines are folded into one integrand
+    S(w) e^{iwh} + S(-w) e^{-iwh} on (0, W), one pass for the real part and
+    one for the imaginary part.  The integrand S is built once per query
+    (``_spectral_density``) and evaluated in plain floats at each QUADPACK
+    point, with the phase exp(i w h) from ``cmath.exp``.
     """
     j, k = query.j, query.k
     alpha = params.alpha(j, k)
     W = _ft_cutoff(wavelet, query.a1, query.a2, alpha)
-    S = _spectral_integrand(query, params, wavelet)
+    S = _spectral_density(query, params, wavelet)
+    # at h != 0 the integrable |w|^(2M-1-alpha) head is split from the
+    # oscillatory part at w0
+    w0 = min(0.5, 0.5 / abs(h), W / 4.0) if h != 0.0 else None
 
     if not wavelet.is_real:
-        up = quad_complex(lambda w: S(w) * cmath.exp(1j * w * h), 0.0, W,
-                          epsabs=1e-12, epsrel=1e-11, limit=800)
-        down = quad_complex(lambda w: S(-w) * cmath.exp(-1j * w * h), 0.0, W,
-                            epsabs=1e-12, epsrel=1e-11, limit=800)
-        return (up + down) / (2.0 * math.pi)
+        # without the breakpoint w0, QUADPACK's error estimate can miss the
+        # head of the folded integrand and stop early
+        val = quad_complex(
+            lambda w: S(w) * cmath.exp(1j * w * h) + S(-w) * cmath.exp(-1j * w * h),
+            0.0, W, epsabs=1e-12, epsrel=1e-11, limit=800,
+            points=None if w0 is None else [w0])
+        return val / (2.0 * math.pi)
 
-    if h == 0.0:
+    if w0 is None:
         val = quad_checked(lambda w: S(w).real, 0.0, W,
                            epsabs=1e-12, epsrel=1e-11, limit=800)
         return complex(val / math.pi)
-    # split the integrable |w|^(2M-1-alpha) head from the oscillatory part
-    w0 = min(0.5, 0.5 / abs(h), W / 4.0)
     head = quad_checked(lambda w: (S(w) * cmath.exp(1j * w * h)).real, 0.0, w0,
                         epsabs=1e-12, epsrel=1e-11, limit=400)
     re = quad_checked(lambda w: S(w).real, w0, W,
@@ -473,14 +438,14 @@ class ConsistencyReport:
 
 
 def spectral_vs_time_consistency(query: WaveletCovQuery, params: MfbmParams,
-                                 wavelet: HermiteWavelet, h_values=(0.0, 1.0, 4.0),
-                                 tol: float = 1e-3) -> ConsistencyReport:
+                                 wavelet: HermiteWavelet) -> ConsistencyReport:
     """Max relative deviation between the two independent covariance routes.
 
+    Compared at the lags 0, 1 and 4, against the tolerance 1e-3.
     ``time_values`` come from the closed form :func:`theoretical_wavelet_cov`,
     ``freq_values`` from :func:`inverse_spectral_cov`.
     """
-    h_values = np.asarray(h_values, dtype=float)
+    h_values = np.array([0.0, 1.0, 4.0])
     time_vals = np.array([
         theoretical_wavelet_cov(
             WaveletCovQuery(query.j, query.k, query.a1, query.a2, h),
@@ -493,4 +458,4 @@ def spectral_vs_time_consistency(query: WaveletCovQuery, params: MfbmParams,
     return ConsistencyReport(query=query, h_values=h_values,
                              time_values=time_vals, freq_values=freq_vals,
                              rel_errors=rel, max_rel_error=float(rel.max()),
-                             tol=tol)
+                             tol=1e-3)

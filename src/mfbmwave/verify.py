@@ -286,8 +286,7 @@ def verify_spectrum_consistency() -> dict:
     )
     for label, params, M in configs:
         rep = spectral_vs_time_consistency(
-            WaveletCovQuery(0, 1, 1.0, 2.0), params, gaussian_derivative(M),
-            h_values=(0.0, 1.0, 4.0))
+            WaveletCovQuery(0, 1, 1.0, 2.0), params, gaussian_derivative(M))
         checks.append(_check(f"inverse-transform-{label}", rep.max_rel_error,
                              0.0, 1e-3, "spectral-inversion-vs-closed-form",
                              note="lags {0, 1, 4}, relative deviation"))

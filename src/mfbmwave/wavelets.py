@@ -77,6 +77,8 @@ class HermiteWavelet:
         self.terms = sorted(terms, key=lambda cm: cm[1])
         self.vanishing_moments = self.terms[0][1]
         self.is_real = all(c.imag == 0.0 for c, _ in self.terms)
+        # psi_hat(w) = sqrt(2 pi) exp(-w^2/2) sum_m c_m (-i)^m w^m
+        self._ft_terms = [(c * (-1j) ** m, m) for c, m in self.terms]
 
     def __repr__(self):
         body = " + ".join(f"({c:g})*psi_{m}" for c, m in self.terms)
@@ -89,9 +91,17 @@ class HermiteWavelet:
         return out if not self.is_real else np.real(out)
 
     def eval_ft(self, omega):
-        w = np.asarray(omega, dtype=float)
-        g = _SQRT_2PI * np.exp(-0.5 * w * w)
-        return sum(c * (-1j) ** m * w ** m for c, m in self.terms) * g
+        """psi_hat(omega), from the coefficients c_m (-i)^m made at construction.
+
+        A Python float (or int) gives a complex with no array made, which is
+        what a QUADPACK integrand calls; anything else is taken as an array.
+        """
+        if isinstance(omega, (int, float)):
+            w, exp = omega, math.exp
+        else:
+            w, exp = np.asarray(omega, dtype=float), np.exp
+        return (sum(d * w ** m for d, m in self._ft_terms)
+                * (_SQRT_2PI * exp(-0.5 * w * w)))
 
     @property
     def moment(self) -> complex:
@@ -103,9 +113,9 @@ class HermiteWavelet:
 
     @property
     def ft_leading_coeff(self) -> complex:
-        """Leading Taylor coefficient of psi_hat at 0: psi_hat^(M)(0) / M!."""
-        M = self.vanishing_moments
-        return (-1j) ** M * self.moment / math.factorial(M)
+        """Leading Taylor coefficient of psi_hat at 0: psi_hat^(M)(0) / M!,
+        which is sqrt(2 pi) c_M (-i)^M."""
+        return self._ft_terms[0][0] * _SQRT_2PI
 
     def pair_correlation(self, a1: float, a2: float):
         """Return D(tau) = int conj(psi(t/a1)) psi((t+tau)/a2) dt as a callable.

@@ -257,7 +257,7 @@ def theoretical_wavelet_cov(query: WaveletCovQuery, params: MfbmParams,
 
 
 def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
-                           wavelet: HermiteWavelet, tol: float = QUAD_TOL) -> complex:
+                           wavelet: HermiteWavelet) -> complex:
     """Wavelet cross-covariance by adaptive quadrature.
 
     The independent numerical route behind :func:`theoretical_wavelet_cov`.
@@ -271,7 +271,7 @@ def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
 
     The accuracy target is absolute: QUADPACK stops once its error estimate
     of the kernel integral (before the factor
-    -sigma_j sigma_k / (2 sqrt(a1 a2))) is below ``tol * 1e-3`` or 1e-11
+    -sigma_j sigma_k / (2 sqrt(a1 a2))) is below ``QUAD_TOL * 1e-3`` or 1e-11
     relative, whichever is looser.  Values near or below the absolute target
     therefore carry a large relative error: 3e-4 at M = 3, a1 = a2 = 1,
     h = 512, where the covariance is 8e-14.
@@ -291,7 +291,7 @@ def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,
         f = lambda y: w(y - h) * D(y)
         points = [h] if -L < h < L else None
 
-    epsabs = tol * 1e-3
+    epsabs = QUAD_TOL * 1e-3
     if wavelet.is_real:
         val = quad_checked(f, -L, L, epsabs=epsabs, epsrel=1e-11, points=points)
         return complex(pref * val)
@@ -356,9 +356,6 @@ class AsymptoticLaw:
 
     def tau(self, h: float) -> float:
         return self.tau_plus if h > 0 else self.tau_minus
-
-    def is_degenerate(self, h: float) -> bool:
-        return self.tau(h) == 0.0
 
     def value(self, h: float) -> complex:
         if h == 0.0:

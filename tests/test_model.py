@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from mfbmwave.model import (
     cross_covariance,
     increment_cross_covariance,
     check_existence,
+    existence_matrix,
     max_admissible_rho,
+    zeta,
     params_to_text,
     params_from_text,
     load_params,
@@ -291,6 +294,26 @@ class TestExistence:
                 rho=np.eye(params.p) + c * (params.rho - np.eye(params.p)),
                 eta=c * params.eta)
             assert check_existence(shrunk).admissible
+
+
+class TestExistenceMatrix:
+    P3 = MfbmParams(H=np.array([0.3, 0.7, 0.45]), sigma=np.array([1.0, 1.3, 0.8]),
+                    rho=np.array([[1, 0.3, 0.1], [0.3, 1, -0.2], [0.1, -0.2, 1]]),
+                    eta=np.array([[0, 0.2, -0.1], [-0.2, 0, 0.05],
+                                  [0.1, -0.05, 0]]))
+
+    def test_is_gamma_times_zeta_at_negative_frequency(self):
+        assert self.P3.is_log_branch(0, 1)
+        G = existence_matrix(self.P3)
+        for j in range(3):
+            for k in range(3):
+                want = math.gamma(self.P3.alpha(j, k) + 1.0) * zeta(self.P3, j, k, -1.0)
+                assert G[j, k] == want, (j, k)
+
+    def test_bits(self):
+        # SHA-256 recorded before the matrix was built from zeta
+        got = hashlib.sha256(existence_matrix(self.P3).tobytes()).hexdigest()
+        assert got == "f471ff1abfcf38a42f809d3f20217cb4744136263c9cbb08c928c61a0547ecb3"
 
 
 class TestMaxAdmissibleRho:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -46,8 +47,48 @@ class TestZeta:
         assert zeta(params, 0, 1, -2.0) == pytest.approx(
             np.conj(zeta(params, 0, 1, 2.0)), rel=1e-14)
 
+    def test_one_definition(self):
+        assert zeta is model.zeta
+
+    @pytest.mark.parametrize("params", [
+        MfbmParams.bivariate(0.35, 0.5, rho=0.4, eta=0.15),
+        MfbmParams.bivariate(0.3, 0.7, rho=0.3, eta=0.2),       # log branch
+    ])
+    def test_float_and_array_paths_agree(self, params):
+        # bytes, so that signed zeros count; np.sign's 0 at zero and NaN
+        omegas = [-2.0, -0.0, 0.0, 1e-300, 3.0, math.nan]
+        arr = zeta(params, 0, 1, np.array(omegas))
+        for w, want in zip(omegas, arr):
+            got = zeta(params, 0, 1, w)
+            assert type(got) is complex
+            assert struct.pack("<dd", got.real, got.imag) == struct.pack(
+                "<dd", want.real, want.imag), w
+
+
+def _sha(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
 
 class TestSpectrumGrid:
+    def test_grid_bits(self):
+        # SHA-256 of the values recorded before S(w) had one definition
+        # (log branch, complex wavelet)
+        params = MfbmParams.bivariate(0.3, 0.7, rho=0.3, eta=0.2)
+        grid = cross_spectral_density(WaveletCovQuery(0, 1, 1.0, 2.0), params,
+                                      HermiteWavelet([(1.0, 1), (0.5j, 2)]),
+                                      make_log_omega_grid(1e-3, 1e2, 8))
+        assert grid.values.size == 80
+        assert _sha(grid.values) == (
+            "b13836eb8570311ffd86e3cf275dcc839038f80a50b14c76520daa9738ef62df")
+
+    def test_coherence_bits(self):
+        # the verify spectrum-consistency coherence, recorded the same way
+        res = coherence(WaveletCovQuery(0, 1, 2.0, 2.0),
+                        MfbmParams.bivariate(0.35, 0.6, rho=0.4, eta=0.15),
+                        gaussian_derivative(2), np.linspace(0.05, 2.0, 64))
+        assert _sha(res.closed_form, res.definition, res.discrepancy) == (
+            "944897d16fc074dcc5be966f18411c1e18618b32d8c23e42012dc08975b09ea6")
+
     def test_rejects_zero_frequency(self):
         params = MfbmParams.bivariate(0.3, 0.4, rho=0.5)
         with pytest.raises(ValueError):
@@ -323,6 +364,17 @@ class TestInversion:
             freq_val = inverse_spectral_cov(q, params, w, h)
             assert freq_val == pytest.approx(time_val, rel=1e-7)
 
+    def test_complex_folded_integrand_head(self):
+        # folding both half lines into one integrand without a breakpoint
+        # at the head stopped early here, 2.8e-9 off the closed form
+        params = MfbmParams.bivariate(0.35, 0.6, rho=0.4, eta=0.15)
+        w = HermiteWavelet([(1.0, 1), (0.5j, 2)])
+        for h in (1.5, 8.0):
+            q = WaveletCovQuery(0, 1, 1.0, 2.0, h)
+            time_val = theoretical_wavelet_cov(q, params, w)
+            freq_val = inverse_spectral_cov(q, params, w, h)
+            assert abs(freq_val - time_val) <= 1e-12 * abs(time_val)
+
     @pytest.mark.parametrize("params", [
         MfbmParams.bivariate(0.35, 0.35, rho=0.5, eta=0.1),
         MfbmParams.bivariate(0.3, 0.7, rho=0.3, eta=0.2),       # log branch
@@ -332,11 +384,13 @@ class TestInversion:
         HermiteWavelet([(1.0, 1), (0.5j, 2)]),
     ], ids=repr)
     def test_float_integrand_matches_grid_values(self, params, wavelet):
+        # the one S(w): float calls (math.exp, what QUADPACK calls) against
+        # one array call (np.exp, what the grids call)
         q = WaveletCovQuery(0, 1, 1.0, 2.0)
-        S = spectral._spectral_integrand(q, params, wavelet)
+        S = spectral._spectral_density(q, params, wavelet)
         pos = np.logspace(-4.0, 1.2, 79)          # S(w) is nonzero throughout
         omegas = np.concatenate([-pos[::-1], pos])
-        want = spectral._spectral_values(q, params, wavelet, omegas)
+        want = S(omegas)
         for w, ref in zip(omegas.tolist(), want):
             got = S(w)
             assert type(got) is complex

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -62,6 +63,28 @@ class TestGaussianDerivative:
     def test_ft_zero_at_origin(self):
         for M in (1, 2, 4):
             assert gaussian_derivative(M).eval_ft(0.0) == 0.0
+
+    def test_ft_array_bits(self):
+        # SHA-256 recorded before the coefficients c (-i)^m were made once
+        w = HermiteWavelet([(1.0, 1), (0.5j, 2)])
+        got = w.eval_ft(np.linspace(-12.0, 12.0, 896))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "67c88daf24aac7a8a2febd4177bf5b3ea41c94616f9187eba22181b77ce3b632")
+
+    @pytest.mark.parametrize("omega, re, im", [
+        (0.37, "-0x1.48252332cb8d6p-3", "-0x1.bb7074c12ebf1p-1"),
+        (-1.25, "-0x1.cb0c169a086d6p-1", "0x1.6f3cdee1a0578p+0"),
+        (2.0, "-0x1.5b607c16eda24p-1", "-0x1.5b607c16eda24p-1"),
+        # math.exp and np.exp differ in the last bit here; the float path
+        # takes math.exp, as the spectral integrand always did
+        (-2.5, "-0x1.606d699665d68p-2", "0x1.19f121451e453p-2"),
+    ])
+    def test_ft_float_bits(self, omega, re, im):
+        # recorded from the float psi_hat of the spectral integrand before
+        # eval_ft became the only psi_hat
+        got = HermiteWavelet([(1.0, 1), (0.5, 2)]).eval_ft(omega)
+        assert type(got) is complex
+        assert (got.real.hex(), got.imag.hex()) == (re, im)
 
     def test_ft_matches_quadrature(self):
         # psi_hat(w) = int psi(t) exp(-i w t) dt on a frequency grid
