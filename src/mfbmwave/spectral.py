@@ -43,6 +43,13 @@ LIMIT_EPS = (1e-4, 1e-5, 1e-6)
 
 _VARIANTS = ("abs", "sign_abs", "plus", "minus", "hlog")
 
+# Bytes per frequency that a grid and ``cross_spectral_density`` on it hold
+# at once, an upper bound: at the peak of S (``_spectral_density``) the grid
+# (8), the weights zeta (16), conj psi_hat(a1 w) (16), a2 w (8), and in
+# psi_hat(a2 w) a partial sum, the next term and their sum (3 x 16).  Numpy's
+# reuse of temporaries only lowers it.
+_DENSITY_BYTES = 8 + 16 + 16 + 8 + 3 * 16
+
 
 def make_log_omega_grid(w_min: float = 1e-4, w_max: float = 1e3,
                         points_per_decade: int = 64) -> np.ndarray:
@@ -54,8 +61,8 @@ def make_log_omega_grid(w_min: float = 1e-4, w_max: float = 1e3,
         raise MfbmwaveError(f"points_per_decade must be positive and give "
                             f"distinct grid points, got {points_per_decade}")
     n = max(2, int(math.ceil(math.log10(w_max / w_min) * points_per_decade)))
-    require_bytes(2 * n * (8 + 16), f"a grid of {2 * n} frequencies and "
-                  f"their spectral values")
+    require_bytes(2 * n * _DENSITY_BYTES, f"a grid of {2 * n} frequencies and "
+                  f"the working set of their spectral density")
     pos = np.logspace(math.log10(w_min), math.log10(w_max), n)
     return np.concatenate([-pos[::-1], pos])
 

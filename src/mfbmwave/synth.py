@@ -77,7 +77,10 @@ class SamplePath:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.params.p, self.n):
             raise MfbmwaveError("values shape inconsistent with params.p and n")
-        if np.any(values[:, 0] != 0.0):
+        # plain floats: a non-zero, NaN or infinite origin is truthy, -0.0 is
+        # not; np.any on the two-element column costs several microseconds,
+        # more than a path of n = 64 takes to draw
+        if any(values[:, 0].tolist()):
             raise MfbmwaveError("paths must start at zero")
         object.__setattr__(self, "values", values)
 
@@ -360,5 +363,5 @@ def replicate_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     if count < 1:
         raise MfbmwaveError(f"need count >= 1, got {count}")
     values, _ = _synthesize(params, n, dt, seed, count)
-    return [SamplePath(params=params, n=n, dt=dt, values=v, seed=int(seed))
-            for v in values]
+    seed = int(seed)
+    return [SamplePath(params, n, dt, v, seed) for v in values]

@@ -189,7 +189,7 @@ class WaveletField:
 
     coeffs: np.ndarray          # shape (p, n_scales, n_shifts); float64 from a
                                 # real wavelet, complex128 from a complex one
-    scales: np.ndarray          # strictly positive, sorted ascending
+    scales: np.ndarray          # finite, strictly positive, ascending
     shifts: np.ndarray          # shift times b, uniform grid
     dt: float                   # sampling step of the source path
     n: int                      # source path length
@@ -201,11 +201,14 @@ class WaveletField:
                                copy=False)
         scales = np.asarray(self.scales, dtype=float)
         shifts = np.asarray(self.shifts, dtype=float)
-        if coeffs.ndim != 3 or coeffs.shape[1] != scales.size \
+        if coeffs.ndim != 3 or scales.ndim != 1 or coeffs.shape[1] != scales.size \
                 or coeffs.shape[2] != shifts.size:
             raise MfbmwaveError("coefficient array inconsistent with scale/shift grids")
-        if np.any(scales <= 0.0) or np.any(np.diff(scales) <= 0.0):
-            raise MfbmwaveError("scales must be strictly positive and sorted")
+        # plain floats, as in SamplePath; NaN fails both comparisons
+        s = scales.tolist()
+        if not (all(0.0 < a < math.inf for a in s)
+                and all(a < b for a, b in zip(s, s[1:]))):
+            raise MfbmwaveError("scales must be finite, strictly positive and sorted")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "shifts", shifts)

@@ -169,6 +169,7 @@ class TestCriterion6ZeroFrequency:
 
 
 class TestCriterion7MonteCarloClosure:
+    @pytest.mark.slow
     def test_monte_carlo_closure(self):
         t0 = time.perf_counter()
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
@@ -222,6 +223,7 @@ class TestCriterion7MonteCarloClosure:
 
 
 class TestCriterion8SimulationExactness:
+    @pytest.mark.slow
     def test_small_n_covariance(self):
         t0 = time.perf_counter()
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)

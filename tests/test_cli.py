@@ -729,6 +729,7 @@ def _fuzz_case():
     return case()
 
 
+@pytest.mark.slow
 def test_fuzzed_configs_exit_cleanly(fuzz_files, monkeypatch, capsys):
     """No config value ends in a traceback: every run exits 0, 2 or 3, and
     exit 2 prints exactly one ``error:`` line."""

@@ -184,6 +184,18 @@ class TestBinary:
         with pytest.raises(ContainerError, match="unit diagonal"):
             load_path(io.BytesIO(bad))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_stored_scale_not_finite(self, field, bad):
+        buf = io.BytesIO()
+        save_field(field, buf)
+        raw = buf.getvalue()
+        # header (8 bytes), p n_scales n_shifts dt n seed (40), then scales
+        at = 8 + 40 + 8
+        assert struct.unpack("<d", raw[at:at + 8]) == (4.0,)
+        bad_raw = raw[:at] + struct.pack("<d", bad) + raw[at + 8:]
+        with pytest.raises(ContainerError, match="invalid stored field"):
+            load_field(io.BytesIO(bad_raw))
+
     def test_size_field_beyond_file(self, path, tmp_path):
         buf = io.BytesIO()
         save_path(path, buf)

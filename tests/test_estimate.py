@@ -381,6 +381,7 @@ class TestErrorContract:
 
 
 class TestEmpiricalDecaySlope:
+    @pytest.mark.slow
     def test_decay_exponent_from_monte_carlo(self):
         # large-lag slope of the empirical cross-covariance approaches
         # H_j + H_k - 2M.  The slope spreads by 0.1-0.2 from seed to seed

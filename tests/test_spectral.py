@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,28 @@ class TestInversion:
             freq_val = inverse_spectral_cov(q, params, w, h)
             assert freq_val == pytest.approx(time_val, rel=1e-7)
 
+    def test_complex_inversion_one_evaluation_per_point(self, monkeypatch):
+        # before quad_complex shared its two passes' values it made 630, 714,
+        # 840 and 1260 integrand calls here; the values keep their bits
+        params = MfbmParams.bivariate(0.35, 0.6, rho=0.5, eta=0.1)
+        w = HermiteWavelet([(1.0, 1), (0.4j, 2)])
+        quad_complex = spectral.quad_complex
+        seen = []
+
+        def counted(f, a, b, **kwargs):
+            xs = []
+            seen.append(xs)
+            return quad_complex(lambda x: xs.append(x) or f(x), a, b, **kwargs)
+
+        monkeypatch.setattr(spectral, "quad_complex", counted)
+        values = [inverse_spectral_cov(WaveletCovQuery(0, 1, 1.0, 2.0, h),
+                                       params, w, h)
+                  for h in (0.0, 1.5, -3.0, 8.0)]
+        assert [len(xs) for xs in seen] == [315, 378, 462, 714]
+        assert [len(set(xs)) for xs in seen] == [315, 378, 462, 714]
+        assert _sha(np.array(values)) == (
+            "7be95d81bc07c73c8b1a78dde878a2fd6cb6014a706440e65e9f41d900b8f0ee")
+
     def test_complex_folded_integrand_head(self):
         # folding both half lines into one integrand without a breakpoint
         # at the head stopped early here, 2.8e-9 off the closed form
@@ -432,9 +455,10 @@ def test_omega_grid_checks(w_min, w_max, per_decade):
 
 
 def test_omega_grid_budget(monkeypatch):
-    # 2 decades at 8 points each: 2 * 16 points of 8 + 16 bytes
+    # 2 decades at 8 points each: 2 * 16 points of _DENSITY_BYTES (96)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 32 * 96)
     assert make_log_omega_grid(0.1, 10.0, 8).size == 32
-    monkeypatch.setattr(model, "MEMORY_BUDGET", 32 * 24 - 1)
+    monkeypatch.setattr(model, "MEMORY_BUDGET", 32 * 96 - 1)
     with pytest.raises(MfbmwaveError, match="over the budget"):
         make_log_omega_grid(0.1, 10.0, 8)
     monkeypatch.undo()
@@ -446,6 +470,29 @@ def test_omega_grid_budget(monkeypatch):
     for per_decade in (10 ** 8, 10 ** 15):
         with pytest.raises(MfbmwaveError, match="over the budget"):
             make_log_omega_grid(0.1, 10.0, per_decade)
+
+
+@pytest.mark.parametrize("wavelet", [
+    gaussian_derivative(1),
+    HermiteWavelet([(1.0, 1), (0.4j, 2), (0.3, 3), (0.1j, 5)])])
+def test_omega_grid_bounds_traced_peak(wavelet, monkeypatch):
+    # the counted bytes of a 210,000-point grid are at least what the grid
+    # and its spectral density allocate through numpy
+    predicted = []
+    monkeypatch.setattr(spectral, "require_bytes",
+                        lambda need, what: predicted.append(need))
+    params = MfbmParams.bivariate(0.35, 0.6, rho=0.5, eta=0.1)
+    tracemalloc.start()
+    try:
+        omegas = make_log_omega_grid(1e-4, 1e3, 15_000)
+        grid = cross_spectral_density(WaveletCovQuery(0, 1, 1.0, 2.0), params,
+                                      wavelet, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.values.size == 210_000
+    assert predicted == [210_000 * spectral._DENSITY_BYTES]
+    assert predicted[0] >= peak > 210_000 * (8 + 16)
 
 
 def test_zero_frequency_refused():

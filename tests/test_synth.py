@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,15 @@ class TestSeedScheme:
         single, _ = simulate(self.PARAMS, 64, 1.0, seed=17)
         np.testing.assert_array_equal(single.values, want[0])
 
+    def test_paths_view_one_block(self):
+        paths = replicate_ensemble(self.PARAMS, 64, 1.0, seed=17, count=5)
+        block = paths[0].values.base
+        assert block is not None and block.shape == (5, 2, 64)
+        for r, path in enumerate(paths):
+            assert path.values.base is block
+            assert np.shares_memory(path.values, block[r])
+            assert path.seed == 17 and type(path.seed) is int
+
     def test_odd_count_ends_with_real_half(self):
         odd = replicate_ensemble(self.PARAMS, 64, 1.0, seed=23, count=3)
         even = replicate_ensemble(self.PARAMS, 64, 1.0, seed=23, count=4)
@@ -275,6 +285,20 @@ LOG_PAIR = MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=0.2)
 RANK_ONE = MfbmParams.bivariate(0.6, 0.6, rho=1.0)
 # not nonnegative definite after MAX_DOUBLINGS doublings from n = 32
 CLIPPED = MfbmParams.bivariate(0.2, 0.95, rho=0.3697)
+
+
+@pytest.mark.parametrize("params, n, seed, count, digest", [
+    (TestSeedScheme.PARAMS, 64, 17, 5,
+     "c2e44745eafbd32627b979c25500941880e3c06cc2fb2f2f8adef2f1e8857d99"),
+    (TRIVARIATE, 100, 29, 3,
+     "14b2fb41446c756edb7fa738c194741d619c9610e79ffc5023811556a5c9c72a")])
+def test_ensemble_values_pinned(params, n, seed, count, digest):
+    # a change of these bits is a new seed scheme: bump SEED_SCHEME
+    values = stacked_values(replicate_ensemble(params, n, 1.0, seed=seed,
+                                               count=count))
+    assert values.shape == (count, params.p, n)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+    assert synth.SEED_SCHEME == 3
 
 
 def reference_blocks(params, m, dt):
@@ -502,8 +526,19 @@ class TestInputChecks:
         with pytest.raises(MfbmwaveError, match="values shape inconsistent"):
             SamplePath(self.PARAMS, 16, 1.0, np.zeros((2, 15)), seed=1)
 
-    def test_path_start(self):
+    @pytest.mark.parametrize("origin", [1.0, -1e-300, float("nan"),
+                                        float("inf"), -float("inf")])
+    def test_path_start(self, origin):
         values = np.zeros((2, 16))
-        values[1, 0] = 1.0
+        values[1, 0] = origin
         with pytest.raises(MfbmwaveError, match="paths must start at zero"):
             SamplePath(self.PARAMS, 16, 1.0, values, seed=1)
+
+    def test_path_start_accepted(self):
+        values = np.zeros((2, 16))
+        values[0, 0] = -0.0
+        path = SamplePath(self.PARAMS, 16, 1.0, values, seed=1)
+        assert path.values is values
+        listed = SamplePath(self.PARAMS, 16, 1.0, values.tolist(), seed=1)
+        assert listed.values.dtype == float
+        np.testing.assert_array_equal(listed.values, values)

@@ -312,6 +312,7 @@ def assert_bits_equal(a, b):
     np.testing.assert_array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
 
 
+@pytest.mark.slow
 def test_fast_len_matches_scipy():
     # the transform's N is scipy's real fast length, so coefficients keep
     # their bits without importing scipy.fft
@@ -522,9 +523,18 @@ class TestInputChecks:
             wavelets.WaveletField(coeffs=np.zeros((1, 2, 5)), scales=[4.0],
                                   shifts=np.arange(5.0), dt=1.0, n=64)
 
-    def test_field_scales_unsorted(self):
-        with pytest.raises(MfbmwaveError, match="strictly positive and sorted"):
-            wavelets.WaveletField(coeffs=np.zeros((1, 2, 5)), scales=[6.0, 4.0],
+    @pytest.mark.parametrize("scales", [
+        [6.0, 4.0], [4.0, 4.0], [0.0, 4.0], [-1.0, 4.0],
+        [4.0, float("nan")], [float("nan"), 4.0], [4.0, float("inf")]])
+    def test_field_scales_refused(self, scales):
+        # NaN and +inf passed the numpy comparisons of scales <= 0
+        with pytest.raises(MfbmwaveError, match="finite, strictly positive and sorted"):
+            wavelets.WaveletField(coeffs=np.zeros((1, 2, 5)), scales=scales,
+                                  shifts=np.arange(5.0), dt=1.0, n=64)
+
+    def test_field_scales_two_dimensional(self):
+        with pytest.raises(MfbmwaveError, match="inconsistent with scale/shift"):
+            wavelets.WaveletField(coeffs=np.zeros((1, 2, 5)), scales=[[4.0, 6.0]],
                                   shifts=np.arange(5.0), dt=1.0, n=64)
 
     def test_ensemble_of_mixed_steps(self):
