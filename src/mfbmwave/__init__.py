@@ -69,9 +69,7 @@ from .spectral import (
 from .estimate import (
     FitReport,
     EmpiricalCov,
-    EmpiricalSpectrum,
     fit_power_law,
     empirical_wavelet_cov,
-    empirical_cross_spectrum,
 )
 from .quadrature import QuadratureError

@@ -1,16 +1,16 @@
 """Empirical second-order statistics of simulated wavelet fields.
 
 Estimators close the loop against the exact theory: sample cross-covariance
-across replicates (and along shifts, exploiting stationarity), a tapered
-cross-periodogram, and the shared log-log regression used for every power-law
-exponent check.  Standard errors come from a replicate-level jackknife only;
-coefficients along one path are correlated, so within-path averaging is used
-for variance reduction but not for inference.
+across replicates (and along shifts, exploiting stationarity), and the shared
+log-log regression used for every power-law exponent check.  Standard errors
+come from a replicate-level jackknife only; coefficients along one path are
+correlated, so within-path averaging is used for variance reduction but not
+for inference.
 
-Fields are streamed: the estimators read them in blocks of about 4 MB of
-stacked coefficient rows (``_BLOCK_BYTES``), so a generator such as
+Fields are streamed: the covariance estimator reads them in blocks of about
+4 MB of stacked coefficient rows (``_BLOCK_BYTES``), so a generator such as
 ``cwt_ensemble`` is never held in full.  Beside one block, memory grows
-only with replicates x lags (or frequencies) of per-replicate estimates.
+only with replicates x lags of per-replicate estimates.
 A field of a real wavelet holds float64 coefficients and one of a complex
 wavelet complex128; a block is sized from the field's item size, and the
 imaginary parts enter the products only for complex fields.
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MfbmwaveError
-from .wavelets import WaveletField
 from .wavstats import WaveletCovQuery
 
 MIN_REPLICATES = 30
@@ -124,36 +123,6 @@ class EmpiricalCov:
             raise MfbmwaveError("standard errors must be nonnegative")
 
 
-def _row_blocks(fields, query: WaveletCovQuery):
-    """First field and an iterator over blocks of stacked coefficient rows.
-
-    A block is (d^j at scale a1, d^k at scale a2), each of shape
-    (B, n_shifts), from B consecutive fields; ``fields`` is read one block at
-    a time.
-    """
-    pending = iter(fields)
-    f0 = next(pending, None)
-    if f0 is None:
-        raise MfbmwaveError(f"need >= {MIN_REPLICATES} replicates, got 0")
-    ia1 = f0.scale_index(query.a1)
-    ia2 = f0.scale_index(query.a2)
-    per_block = max(1, _BLOCK_BYTES // (2 * f0.coeffs.itemsize * f0.shifts.size))
-
-    def blocks():
-        rest = itertools.chain([f0], pending)
-        while block := list(itertools.islice(rest, per_block)):
-            yield (np.stack([f.coeffs[query.j, ia1, :] for f in block]),
-                   np.stack([f.coeffs[query.k, ia2, :] for f in block]))
-
-    return f0, blocks()
-
-
-def _require_replicates(per_rep: np.ndarray) -> None:
-    if per_rep.shape[0] < MIN_REPLICATES:
-        raise MfbmwaveError(f"need >= {MIN_REPLICATES} replicates, "
-                            f"got {per_rep.shape[0]}")
-
-
 def _lagged_means(dj: np.ndarray, dk: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """Shift averages of dj[:, b + lag] conj(dk[:, b]), shape (B, n_lags).
 
@@ -189,66 +158,41 @@ def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
 
     Averages along shifts within each replicate, then across replicates;
     standard errors are delete-one jackknife over replicates.  ``fields``
-    may be any iterable, a generator included; it is read block by block.
+    may be any iterable, a generator included; it is read one block at a
+    time, a block being the rows d^j at scale a1 and d^k at scale a2 of
+    consecutive fields, stacked.  A lag counts shifts, so the shift grid
+    must be uniform and strictly ascending.
     """
     lags = np.asarray(lags, dtype=int)
-    f0, blocks = _row_blocks(fields, query)
+    pending = iter(fields)
+    f0 = next(pending, None)
+    if f0 is None:
+        raise MfbmwaveError(f"need >= {MIN_REPLICATES} replicates, got 0")
+    ia1 = f0.scale_index(query.a1)
+    ia2 = f0.scale_index(query.a2)
     nb = f0.shifts.size
     _check_lags(lags, nb)
-    spacing = float(f0.shifts[1] - f0.shifts[0]) if nb > 1 else f0.dt
+    spacing = f0.dt
+    if nb > 1:
+        steps = np.diff(f0.shifts)
+        spacing = float(steps[0])
+        if not (spacing > 0.0
+                and np.allclose(steps, spacing, rtol=1e-9, atol=0.0)):
+            raise MfbmwaveError("shift grid must be uniform and strictly "
+                                "ascending")
 
-    per_rep = np.concatenate([_lagged_means(dj, dk, lags) for dj, dk in blocks])
-    _require_replicates(per_rep)
+    per_block = max(1, _BLOCK_BYTES // (2 * f0.coeffs.itemsize * nb))
+    rest = itertools.chain([f0], pending)
+    per_rep = []
+    while block := list(itertools.islice(rest, per_block)):
+        per_rep.append(_lagged_means(
+            np.stack([f.coeffs[query.j, ia1, :] for f in block]),
+            np.stack([f.coeffs[query.k, ia2, :] for f in block]), lags))
+    per_rep = np.concatenate(per_rep)
+    if per_rep.shape[0] < MIN_REPLICATES:
+        raise MfbmwaveError(f"need >= {MIN_REPLICATES} replicates, "
+                            f"got {per_rep.shape[0]}")
     return EmpiricalCov(query=query, lags=lags, mean=per_rep.mean(axis=0),
                         se_real=jackknife_se(per_rep.real.T),
                         se_imag=jackknife_se(per_rep.imag.T),
                         replicates=per_rep.shape[0], shift_spacing=spacing)
-
-
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
-    """Tapered cross-periodogram averaged over replicates, with scatter bands."""
-
-    query: WaveletCovQuery
-    omegas: np.ndarray
-    mean: np.ndarray            # complex
-    se_real: np.ndarray
-    se_imag: np.ndarray
-    replicates: int
-
-
-def empirical_cross_spectrum(fields, query: WaveletCovQuery,
-                             omegas) -> EmpiricalSpectrum:
-    """Hann-tapered cross-periodogram of the coefficient sequences along shifts.
-
-    Normalized so that the expectation matches the continuous-parameter
-    cross-spectral density of the wavelet field sampled at the shift spacing.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    f0, blocks = _row_blocks(fields, query)
-    shifts = f0.shifts
-    if shifts.size < 8:
-        raise MfbmwaveError("too few shifts for a periodogram")
-    spacing = np.diff(shifts)
-    if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
-        raise MfbmwaveError("shift grid must be uniform")
-    delta = float(spacing[0])
-    taper = np.hanning(shifts.size)
-    norm = delta * float(np.sum(taper ** 2))
-    t = shifts - shifts[0]
-    phase = np.exp(-1j * np.outer(t, omegas))   # (n_shifts, n_omega)
-
-    per_rep = []
-    for dj, dk in blocks:
-        # one matmul per block: the j rows on top of the k rows
-        x = delta * ((taper * np.concatenate([dj, dk])) @ phase)
-        b = dj.shape[0]
-        per_rep.append(x[:b] * np.conj(x[b:]) / norm)
-    per_rep = np.concatenate(per_rep)
-    _require_replicates(per_rep)
-    mean = per_rep.mean(axis=0)
-    r = per_rep.shape[0]
-    se_re = per_rep.real.std(axis=0, ddof=1) / math.sqrt(r)
-    se_im = per_rep.imag.std(axis=0, ddof=1) / math.sqrt(r)
-    return EmpiricalSpectrum(query=query, omegas=omegas, mean=mean,
-                             se_real=se_re, se_imag=se_im, replicates=r)

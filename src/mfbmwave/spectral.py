@@ -234,10 +234,6 @@ class RepresentationKernel:
             if not (0.0 < self.alpha < 2.0) or self.alpha == 1.0:
                 raise MfbmwaveError("power variants need alpha in (0, 2) \\ {1}")
 
-    @property
-    def g_alpha(self) -> str:
-        return "identity" if self.alpha > 1.0 else "zero"
-
 
 def representation_lhs(kernel: RepresentationKernel, v: float) -> float:
     """Closed-form left side of the representation identity."""

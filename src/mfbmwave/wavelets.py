@@ -190,7 +190,9 @@ class WaveletField:
     coeffs: np.ndarray          # shape (p, n_scales, n_shifts); float64 from a
                                 # real wavelet, complex128 from a complex one
     scales: np.ndarray          # finite, strictly positive, ascending
-    shifts: np.ndarray          # shift times b, uniform grid
+    shifts: np.ndarray          # shift times b on the sampling grid; cwt
+                                # takes any, empirical_wavelet_cov needs
+                                # them uniform and ascending
     dt: float                   # sampling step of the source path
     n: int                      # source path length
     seed: int | None = None     # source path seed, if any

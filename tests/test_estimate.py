@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -10,12 +11,10 @@ from mfbmwave.synth import replicate_ensemble
 from mfbmwave.wavelets import (
     WaveletField, HermiteWavelet, gaussian_derivative, cwt, cwt_ensemble)
 from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov, scale_law_constant
-from mfbmwave.spectral import cross_spectral_density
 from mfbmwave.estimate import (
     fit_power_law,
     jackknife_se,
     empirical_wavelet_cov,
-    empirical_cross_spectrum,
 )
 
 PARAMS = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
@@ -155,57 +154,6 @@ class TestEmpiricalCov:
         assert got == pytest.approx(want.real, abs=0.05)
 
 
-class TestEmpiricalSpectrum:
-    def test_white_coefficients_flat(self):
-        rng = np.random.default_rng(11)
-        s2, nb, reps = 1.7, 512, 60
-        flds = []
-        for _ in range(reps):
-            coeffs = math.sqrt(s2) * (rng.standard_normal((1, 1, nb))
-                                      + 0j * np.zeros((1, 1, nb)))
-            flds.append(WaveletField(coeffs=coeffs, scales=np.array([4.0]),
-                                     shifts=np.arange(float(nb)), dt=1.0, n=1024))
-        omegas = np.linspace(0.3, 2.8, 12)
-        out = empirical_cross_spectrum(flds, WaveletCovQuery(0, 0, 4.0, 4.0), omegas)
-        # sampled white sequence has flat density s2 * spacing
-        target = s2 * 1.0
-        z = np.abs(out.mean.real - target) / out.se_real
-        assert np.mean(z < 4.0) > 0.9
-
-    def test_matches_spectral_density(self):
-        # scale 2 keeps the Gaussian transform roll-off inside the tested
-        # band; at larger scales the density falls below the leakage floor
-        # well before omega = 2
-        paths = replicate_ensemble(PARAMS, 1024, 0.5, seed=202, count=240)
-        flds = [cwt(p, WAVELET, [2.0]) for p in paths]
-        q = WaveletCovQuery(0, 1, 2.0, 2.0)
-        omegas = np.linspace(0.05, 2.0, 24)
-        out = empirical_cross_spectrum(flds, q, omegas)
-        theory = cross_spectral_density(q, PARAMS, WAVELET, omegas).values
-        z_re = np.abs(out.mean.real - theory.real) / out.se_real
-        z_im = np.abs(out.mean.imag - theory.imag) / out.se_imag
-        assert np.mean(z_re < 4.0) > 0.85
-        assert np.mean(z_im < 4.0) > 0.85
-
-    def test_parseval_consistency(self, fields):
-        q = WaveletCovQuery(0, 0, 4.0, 4.0)
-        spacing = 1.0
-        omegas = np.linspace(1e-3, math.pi / spacing, 2048)
-        out = empirical_cross_spectrum(fields, q, omegas)
-        integral = 2.0 * np.trapezoid(out.mean.real, omegas) / (2.0 * math.pi)
-        lag0 = empirical_wavelet_cov(fields, q, [0]).mean[0].real
-        assert integral == pytest.approx(lag0, rel=0.05)
-
-    def test_rejects_nonuniform_shifts(self):
-        coeffs = np.zeros((1, 1, 9), dtype=complex)
-        shifts = np.array([0.0, 1.0, 2.0, 3.0, 4.5, 6.0, 7.0, 8.0, 9.0])
-        fld = WaveletField(coeffs=coeffs, scales=np.array([4.0]),
-                           shifts=shifts, dt=1.0, n=64)
-        with pytest.raises(ValueError):
-            empirical_cross_spectrum([fld] * 30, WaveletCovQuery(0, 0, 4.0, 4.0),
-                                     np.array([0.5]))
-
-
 def loop_wavelet_cov(fields, q, lags):
     """Per-replicate, per-lag complex means and a scalar jackknife per lag."""
     ia1, ia2 = fields[0].scale_index(q.a1), fields[0].scale_index(q.a2)
@@ -227,21 +175,6 @@ def loop_wavelet_cov(fields, q, lags):
     se_re = np.array([jack(per_rep[:, il].real) for il in range(len(lags))])
     se_im = np.array([jack(per_rep[:, il].imag) for il in range(len(lags))])
     return per_rep.mean(axis=0), se_re, se_im
-
-
-def loop_cross_spectrum(fields, q, omegas):
-    """Two vector-matrix products per field."""
-    ia1, ia2 = fields[0].scale_index(q.a1), fields[0].scale_index(q.a2)
-    shifts = fields[0].shifts
-    delta = shifts[1] - shifts[0]
-    taper = np.hanning(shifts.size)
-    norm = delta * np.sum(taper ** 2)
-    phase = np.exp(-1j * np.outer(shifts - shifts[0], omegas))
-    per_rep = np.array([
-        delta * ((taper * f.coeffs[q.j, ia1]) @ phase)
-        * np.conj(delta * ((taper * f.coeffs[q.k, ia2]) @ phase)) / norm
-        for f in fields])
-    return per_rep.mean(axis=0)
 
 
 class TestStreamedEstimators:
@@ -276,18 +209,30 @@ class TestStreamedEstimators:
         out = empirical_wavelet_cov(fields, WaveletCovQuery(0, 1, 4.0, 8.0), self.LAGS)
         assert not out.mean.imag.any() and not out.se_imag.any()
 
-    def test_generator_equals_list(self, fields, monkeypatch):
+    # SHA-256 of the bytes of mean, se_real and se_imag, in that order: how
+    # the fields are read, whole or in blocks, must not move a bit
+    PINS = {"fields": "d1d2336a5bda0d85ac03485b6048d4e8"
+                      "8ba38453e7c21edb38e622c7ecb1ad20",
+            "complex_fields": "0f14cf9c2d2efed982a008781bcfd218"
+                              "f371a939ec5ed038ff7bc6aeebe69d07"}
+
+    @pytest.mark.parametrize("name", ["fields", "complex_fields"])
+    def test_generator_equals_list(self, name, request, monkeypatch):
+        flds = request.getfixturevalue(name)
         q = WaveletCovQuery(0, 1, 4.0, 8.0)
-        want = empirical_wavelet_cov(fields, q, self.LAGS)
-        # blocks of 7 fields: 240 replicates end in a partial block
-        monkeypatch.setattr(estimate, "_BLOCK_BYTES",
-                            7 * 2 * fields[0].coeffs.itemsize * fields[0].shifts.size)
-        for source in (fields, (f for f in fields)):
-            got = empirical_wavelet_cov(source, q, self.LAGS)
-            np.testing.assert_array_equal(got.mean, want.mean)
-            np.testing.assert_array_equal(got.se_real, want.se_real)
-            np.testing.assert_array_equal(got.se_imag, want.se_imag)
-            assert got.replicates == want.replicates
+        # one block at the default size; then blocks of 7 fields, so 240 and
+        # 45 replicates each end in a partial block
+        for per_block in (None, 7):
+            if per_block:
+                monkeypatch.setattr(estimate, "_BLOCK_BYTES", per_block * 2
+                                    * flds[0].coeffs.itemsize * flds[0].shifts.size)
+            for source in (flds, (f for f in flds)):
+                got = empirical_wavelet_cov(source, q, self.LAGS)
+                digest = hashlib.sha256(b"".join(
+                    getattr(got, part).tobytes()
+                    for part in ("mean", "se_real", "se_imag"))).hexdigest()
+                assert digest == self.PINS[name]
+                assert got.replicates == len(flds)
 
     def test_too_few_from_generator(self, fields):
         q = WaveletCovQuery(0, 1, 4.0, 4.0)
@@ -295,20 +240,6 @@ class TestStreamedEstimators:
             empirical_wavelet_cov((f for f in fields[:29]), q, [0])
         with pytest.raises(ValueError, match="need >= 30"):
             empirical_wavelet_cov(iter(()), q, [0])
-
-    def test_cross_spectrum_matches_loop(self, fields, complex_fields, monkeypatch):
-        # the periodogram falls by more than ten decades over these
-        # frequencies, and far below its peak both versions hold DFT
-        # rounding only, so the agreement is normwise
-        omegas = np.linspace(0.05, 2.0, 64)
-        for flds in (fields, complex_fields):
-            monkeypatch.setattr(estimate, "_BLOCK_BYTES",
-                                7 * 2 * flds[0].coeffs.itemsize * flds[0].shifts.size)
-            q = WaveletCovQuery(0, 1, 4.0, 8.0)
-            want = loop_cross_spectrum(flds, q, omegas)
-            got = empirical_cross_spectrum((f for f in flds), q, omegas)
-            np.testing.assert_allclose(got.mean, want, rtol=0.0,
-                                       atol=1e-13 * np.abs(want).max())
 
 
 class TestRealFields:
@@ -338,14 +269,6 @@ class TestRealFields:
         for name in ("mean", "se_real", "se_imag"):
             assert_bits_equal(getattr(real, name), getattr(cast, name))
 
-    def test_cross_spectrum(self, fields):
-        q = WaveletCovQuery(0, 1, 4.0, 8.0)
-        omegas = np.linspace(0.05, 2.0, 16)
-        real = empirical_cross_spectrum(fields[:60], q, omegas)
-        cast = empirical_cross_spectrum(self.as_complex(fields[:60]), q, omegas)
-        for name in ("mean", "se_real", "se_imag"):
-            assert_bits_equal(getattr(real, name), getattr(cast, name))
-
 
 def assert_bits_equal(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
@@ -360,17 +283,19 @@ class TestErrorContract:
         return WaveletField(coeffs=np.zeros((1, 1, len(shifts))),
                             scales=np.array([4.0]), shifts=shifts, dt=1.0, n=64)
 
-    def test_too_few_shifts(self):
-        fld = self.field(np.arange(7.0))
-        with pytest.raises(MfbmwaveError, match="too few shifts"):
-            empirical_cross_spectrum([fld] * 30, WaveletCovQuery(0, 0, 4.0, 4.0),
-                                     np.array([0.5]))
-
-    def test_nonuniform_shifts(self):
-        fld = self.field(np.array([0.0, 1.0, 2.0, 3.0, 4.5, 6.0, 7.0, 8.0, 9.0]))
-        with pytest.raises(MfbmwaveError, match="shift grid must be uniform"):
-            empirical_cross_spectrum([fld] * 30, WaveletCovQuery(0, 0, 4.0, 4.0),
-                                     np.array([0.5]))
+    @pytest.mark.parametrize("shifts", [
+        [40, 41, 43, 47, 55, 71, 103, 167, 300, 400],   # non-uniform
+        [50, 40, 45],                                    # unsorted
+        [50, 45, 40, 35],                                # descending
+        [40, 40, 40]])                                   # repeated
+    def test_shift_grid_refused(self, shifts):
+        # a lag counts shifts, so only a uniform ascending grid has one
+        # time step per lag
+        fld = self.field(np.array(shifts, dtype=float))
+        with pytest.raises(MfbmwaveError, match="shift grid must be uniform "
+                                                "and strictly ascending"):
+            empirical_wavelet_cov([fld] * 30, WaveletCovQuery(0, 0, 4.0, 4.0),
+                                  [0, 1])
 
     def test_negative_standard_error(self):
         with pytest.raises(MfbmwaveError, match="standard errors must be nonnegative"):

@@ -219,8 +219,6 @@ class TestRepresentations:
             RepresentationKernel(alpha=0.5, variant="hlog")
         with pytest.raises(ValueError):
             RepresentationKernel(alpha=0.5, variant="weird")
-        assert RepresentationKernel(alpha=0.5, variant="abs").g_alpha == "zero"
-        assert RepresentationKernel(alpha=1.5, variant="abs").g_alpha == "identity"
 
     @pytest.mark.parametrize("alpha, variant, message", [
         (0.5, "weird", "unknown variant"),
