@@ -120,6 +120,24 @@ class TestEmpiricalCov:
             hits += z < 3.0
         assert hits >= 4
 
+    def test_spaced_grid_matches_theory(self, fields):
+        # every second shift: lag h is time lag 2h, and the estimate must
+        # be read against the theory there
+        spaced = [replace(f, coeffs=f.coeffs[:, :, ::2], shifts=f.shifts[::2])
+                  for f in fields]
+        q = WaveletCovQuery(0, 1, 4.0, 4.0)
+        lags = [0, 1, 2, 4]
+        out = empirical_wavelet_cov(spaced, q, lags)
+        assert out.shift_spacing == 2.0 * fields[0].dt
+        hits = 0
+        for il, lag in enumerate(lags):
+            want = theoretical_wavelet_cov(
+                WaveletCovQuery(0, 1, 4.0, 4.0, lag * out.shift_spacing),
+                PARAMS, WAVELET)
+            z = abs(out.mean[il].real - want.real) / out.se_real[il]
+            hits += z < 3.0
+        assert hits >= 3
+
     def test_cross_scale_matches_theory(self, fields):
         q = WaveletCovQuery(0, 1, 4.0, 8.0)
         out = empirical_wavelet_cov(fields, q, [0, 2])
@@ -296,6 +314,14 @@ class TestErrorContract:
                                                 "and strictly ascending"):
             empirical_wavelet_cov([fld] * 30, WaveletCovQuery(0, 0, 4.0, 4.0),
                                   [0, 1])
+
+    @pytest.mark.parametrize("shifts, spacing", [
+        ([40.0], 1.0),                  # one shift: only lag 0, spacing dt
+        ([40.0, 42.0, 44.0, 46.0], 2.0)])  # uniform, not unit
+    def test_shift_grid_admitted(self, shifts, spacing):
+        out = empirical_wavelet_cov([self.field(np.array(shifts))] * 30,
+                                    WaveletCovQuery(0, 0, 4.0, 4.0), [0])
+        assert out.shift_spacing == spacing and out.replicates == 30
 
     def test_negative_standard_error(self):
         with pytest.raises(MfbmwaveError, match="standard errors must be nonnegative"):
