@@ -153,6 +153,16 @@ def _lagged_means(dj: np.ndarray, dk: np.ndarray, lags: np.ndarray) -> np.ndarra
     return (re / count) + 1j * (im / count)
 
 
+def _require_grid(r: int, name: str, grid: np.ndarray, first: np.ndarray) -> None:
+    """Refuse field r if its grid is not the first field's.
+
+    ``cwt_ensemble`` gives every field the same grid arrays, so the
+    comparison is by identity first.
+    """
+    if grid is not first and not np.array_equal(grid, first):
+        raise MfbmwaveError(f"field {r} has other {name} than field 0")
+
+
 def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
     """Estimate E[d^j_{a1, b+h} conj(d^k_{a2, b})] at integer shift lags.
 
@@ -161,7 +171,8 @@ def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
     may be any iterable, a generator included; it is read one block at a
     time, a block being the rows d^j at scale a1 and d^k at scale a2 of
     consecutive fields, stacked.  A lag counts shifts, so the shift grid
-    must be uniform and strictly ascending.
+    must be uniform and strictly ascending, and every field must have the
+    scales and shifts of the first.
     """
     lags = np.asarray(lags, dtype=int)
     pending = iter(fields)
@@ -184,7 +195,12 @@ def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
     per_block = max(1, _BLOCK_BYTES // (2 * f0.coeffs.itemsize * nb))
     rest = itertools.chain([f0], pending)
     per_rep = []
+    seen = 0
     while block := list(itertools.islice(rest, per_block)):
+        for r, f in enumerate(block, seen):
+            _require_grid(r, "scales", f.scales, f0.scales)
+            _require_grid(r, "shifts", f.shifts, f0.shifts)
+        seen += len(block)
         per_rep.append(_lagged_means(
             np.stack([f.coeffs[query.j, ia1, :] for f in block]),
             np.stack([f.coeffs[query.k, ia2, :] for f in block]), lags))

@@ -15,6 +15,7 @@ increments, pinned to zero at the origin.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import warnings
 from collections import OrderedDict
@@ -105,9 +106,11 @@ class _CirculantFactor:
 def _build_bytes(m: int, p: int) -> int:
     """Bytes of the arrays a build at circulant size m holds.
 
-    The sum of the real blocks, the half spectrum, its eigenvectors (which
-    become the factor) and its eigenvalues.  They are never all alive at
-    once, so the sum is an upper estimate of the build's peak.
+    The sum of the real blocks, the half spectrum, one more array of its
+    size and its eigenvalues.  They are never all alive at once: the blocks
+    and the spectrum live together during the FFT; then the factor overwrites the
+    spectrum piece by piece, while each worker holds the eigenvectors of
+    one piece (about 1 MB at p = 3).
     """
     spectrum = (m // 2 + 1) * p * p * 16
     return m * p * p * 8 + 2 * spectrum + (m // 2 + 1) * p * 8
@@ -156,39 +159,111 @@ def _increment_blocks(params: MfbmParams, m: int, dt: float) -> np.ndarray:
     return out
 
 
-def _try_embedding(params: MfbmParams, dt: float, m: int):
-    """Eigenvalues and eigenvectors of the half spectrum Lambda(f), f = 0..m/2.
+def _workers() -> int:
+    """Threads a build may use: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity mask outside Linux
+        return os.cpu_count() or 1
 
-    The blocks are real, so Lambda(m - f) = conj Lambda(f) and the half
-    spectrum has every eigenvalue of the full one.  Only the lower triangle
-    is symmetrized: it is all that ``eigh`` reads.  Overflow in the kernel
-    is not warned about here: ``build_embedding`` refuses a spectrum that is
-    not finite.
+
+def _run_pieces(work, count: int) -> None:
+    """Call ``work(i)`` for i = 0 .. count - 1, on up to ``_workers()`` threads.
+
+    The caller is one of the workers; with one piece or one CPU it is the
+    only one and no thread starts.  Every worker runs under the caller's
+    floating-point error state, which numpy keeps per thread.  The first
+    exception stops new pieces and is raised here once every thread ends.
+    """
+    extra = min(_workers(), count) - 1
+    if extra <= 0:
+        for i in range(count):
+            work(i)
+        return
+    todo = iter(range(count))       # next() on it holds the GIL
+    errstate = np.geterr()
+    failed = []
+
+    def run():
+        try:
+            with np.errstate(**errstate):
+                for i in todo:
+                    if failed:
+                        return
+                    work(i)
+        except Exception as exc:    # noqa: BLE001 - raised in the caller
+            failed.append(exc)
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(extra)]
+    for thread in threads:
+        thread.start()
+    try:
+        run()
+    finally:
+        failed.append(None)         # no new pieces, also after an interrupt
+        for thread in threads:
+            thread.join()
+    errors = [exc for exc in failed if exc is not None]
+    if errors:
+        raise errors[0]
+
+
+# Frequency matrices per piece of the eigendecomposition and square root.
+# A half spectrum of fewer than two pieces' worth is one piece, factored
+# inline; pieces of a larger one hold between this and twice as many.
+_PIECE_MATRICES = 4096
+
+
+def _try_embedding(params: MfbmParams, dt: float, m: int):
+    """Factor of the half spectrum Lambda(f), f = 0..m/2, and its eigenvalue range.
+
+    Returns (root, lam_min, lam_max) with root the (p, p, m/2 + 1) Hermitian
+    square roots of :func:`_square_root`.  The blocks are real, so
+    Lambda(m - f) = conj Lambda(f) and the half spectrum has every
+    eigenvalue of the full one.  Only the lower triangle is symmetrized: it
+    is all that ``eigh`` reads.  ``eigh`` and the root run on contiguous
+    pieces of the spectrum (``_run_pieces``), and each piece's root
+    overwrites its spectrum.  A piece with an eigenvalue that is not finite
+    has a min or max that is not (both propagate NaN) and takes no root;
+    lam_min and lam_max are then NaN.  Overflow in the kernel is not warned
+    about here: ``build_embedding`` refuses a spectrum that is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.fft.rfft(_increment_blocks(params, m, dt), axis=-1)
-    lam = lam.transpose(2, 0, 1)
+        root = np.fft.rfft(_increment_blocks(params, m, dt), axis=-1)
+    lam = root.transpose(2, 0, 1)
     for j in range(params.p):
         for k in range(j + 1, params.p):
             lam[:, k, j] = 0.5 * (lam[:, k, j] + np.conj(lam[:, j, k]))
-    return np.linalg.eigh(lam)
+    freqs = lam.shape[0]
+    pieces = max(1, freqs // _PIECE_MATRICES)
+    ranges = [None] * pieces
+
+    def piece(i):
+        lo, hi = i * freqs // pieces, (i + 1) * freqs // pieces
+        evals, evecs = np.linalg.eigh(lam[lo:hi])
+        low, high = ranges[i] = float(evals.min()), float(evals.max())
+        if math.isfinite(low) and math.isfinite(high):
+            _square_root(evals, evecs, root[:, :, lo:hi])
+
+    _run_pieces(piece, pieces)
+    lows, highs = zip(*ranges)
+    if not all(map(math.isfinite, lows + highs)):
+        return root, math.nan, math.nan
+    return root, min(lows), max(highs)
 
 
-def _square_root(evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """Hermitian square root S(f) = V sqrt(max(D, 0)) V^H, shape (p, p, f).
+def _square_root(evals: np.ndarray, evecs: np.ndarray, out: np.ndarray) -> None:
+    """Hermitian square root S(f) = V sqrt(max(D, 0)) V^H into ``out`` (p, p, f).
 
     Computed as U U^H with U = V max(D, 0)^(1/4), which overwrites
     ``evecs``.  S(m - f) = conj S(f) is the square root of Lambda(m - f).
     """
     np.multiply(evecs, np.sqrt(np.sqrt(np.clip(evals, 0.0, None)))[:, None, :],
                 out=evecs)
-    p = evecs.shape[1]
-    root = np.empty((p, p, evecs.shape[0]), dtype=complex)
-    for i in range(p):
+    for i in range(evecs.shape[1]):
         for k in range(i + 1):
-            root[i, k] = np.einsum("fj,fj->f", evecs[:, i], np.conj(evecs[:, k]))
-            root[k, i] = np.conj(root[i, k])
-    return root
+            out[i, k] = np.einsum("fj,fj->f", evecs[:, i], np.conj(evecs[:, k]))
+            out[k, i] = np.conj(out[i, k])
 
 
 def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
@@ -202,16 +277,23 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     p = 3 (24 m p^2 + 4 m p bytes).  A first size beyond the budget is an
     MfbmwaveError (see _first_size), and so is a spectrum that is not finite
     (a dt at which the covariance kernel overflows), which no doubling mends.
+
+    The blocks and their FFT are computed on the calling thread.  ``eigh``
+    and the square root run on pieces of about 4096 frequency matrices
+    (``_PIECE_MATRICES``), shared by the caller and worker threads, one per
+    CPU this process may run on (``os.sched_getaffinity``) beyond the
+    caller's own; a half spectrum of one piece, or a single CPU, starts no
+    thread.  Each matrix goes through the same LAPACK call wherever it
+    runs, so the factor and the report do not depend on the split or the
+    number of threads, bit for bit.
     """
     m = _first_size(n, params.p)
     attempts = 0
     while True:
-        evals, evecs = _try_embedding(params, dt, m)
-        if not np.all(np.isfinite(evals)):
+        root, lam_min, lam_max = _try_embedding(params, dt, m)
+        if not math.isfinite(lam_min):
             raise MfbmwaveError(f"the increment covariance overflows at "
                                 f"dt = {dt}: its spectrum is not finite")
-        lam_min = float(evals.min())
-        lam_max = float(evals.max())
         if lam_min >= -EMBED_REL_TOL * lam_max:
             correction = "none"
             break
@@ -221,6 +303,7 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
             reason = (f"at size {m}: the next size needs {need} bytes, more "
                       f"than the budget of {model.MEMORY_BUDGET}")
         else:
+            del root
             m *= 2
             attempts += 1
             continue
@@ -230,7 +313,7 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
             f"(min eigenvalue {lam_min:.3e}); clipping to zero, simulation "
             f"is approximate", RuntimeWarning)
         break
-    factor = _square_root(evals, evecs).transpose(2, 0, 1)
+    factor = root.transpose(2, 0, 1)
     report = EmbeddingReport(circulant_size=m, min_eigenvalue=lam_min,
                              correction=correction)
     return _CirculantFactor(m=m, factor=factor, report=report)

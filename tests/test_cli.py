@@ -61,6 +61,16 @@ def test_import_leaves_out_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_leaves_out_executors_and_logging():
+    # the embedding build runs its pieces on plain threads; these two
+    # modules would add about 7 ms to every import
+    code = ("import sys, mfbmwave, mfbmwave.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] in ('concurrent', 'logging')))")
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_simulate_and_cwt_leave_out_scipy(tmp_path, params_file):
     sim = write_config(tmp_path, "sim.json",
                        {"params": str(params_file), "n": 256, "dt": 1.0})

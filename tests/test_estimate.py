@@ -323,6 +323,40 @@ class TestErrorContract:
                                     WaveletCovQuery(0, 0, 4.0, 4.0), [0])
         assert out.shift_spacing == spacing and out.replicates == 30
 
+    def test_mixed_shift_grids_refused(self, monkeypatch):
+        # as many shifts at spacing 1 as at spacing 2: read at the first
+        # field's spacing, half the lag-1 products would be at time lag 2
+        paths = replicate_ensemble(MfbmParams.bivariate(0.4, 0.7, rho=0.5),
+                                   512, 1.0, seed=11, count=40)
+        wavelet = gaussian_derivative(2)
+        flds = [cwt(path, wavelet, [4.0],
+                    range(40, 240) if r < 20 else range(40, 440, 2))
+                for r, path in enumerate(paths)]
+        assert flds[0].shifts.size == flds[20].shifts.size
+        query = WaveletCovQuery(0, 1, 4.0, 4.0)
+        monkeypatch.setattr(estimate, "_BLOCK_BYTES", 7 * 2 * 8 * 200)
+        for fields in (flds, iter(flds)):
+            with pytest.raises(MfbmwaveError,
+                               match="field 20 has other shifts than field 0"):
+                empirical_wavelet_cov(fields, query, [0, 1])
+        assert empirical_wavelet_cov(flds[20:] * 2, query, [0, 1]).shift_spacing \
+            == 2.0
+
+    def test_other_scales_refused(self):
+        # scale 8 is row 1 of the first field and row 0 of field 31
+        same = self.field(np.arange(40.0, 50.0))
+        fld = WaveletField(coeffs=np.zeros((1, 2, 10)), scales=[4.0, 8.0],
+                           shifts=np.arange(40.0, 50.0), dt=1.0, n=64)
+        other = replace(fld, scales=np.array([8.0, 16.0]))
+        with pytest.raises(MfbmwaveError,
+                           match="field 31 has other scales than field 0"):
+            empirical_wavelet_cov([fld] * 31 + [other] * 9,
+                                  WaveletCovQuery(0, 0, 8.0, 8.0), [0])
+        with pytest.raises(MfbmwaveError,
+                           match="field 30 has other scales than field 0"):
+            empirical_wavelet_cov([same] * 30 + [fld],
+                                  WaveletCovQuery(0, 0, 4.0, 4.0), [0])
+
     def test_negative_standard_error(self):
         with pytest.raises(MfbmwaveError, match="standard errors must be nonnegative"):
             estimate.EmpiricalCov(query=WaveletCovQuery(0, 0, 4.0, 4.0),

@@ -1,5 +1,11 @@
 import hashlib
+import importlib.util
+import sys
+import threading
 import tracemalloc
+import warnings
+from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +446,14 @@ class TestMemory:
         assert build_bytes(2 ** 27, 3) > 30e9 > model.MEMORY_BUDGET
 
     def test_build_peak(self):
+        self.check_build_peak()
+
+    def test_build_peak_split(self, monkeypatch):
+        split(monkeypatch, 64, 2)       # 256 pieces on two threads
+        self.check_build_peak()
+
+    @staticmethod
+    def check_build_peak():
         n, p = 2 ** 14, 3
         m = 2 * n
         tracemalloc.start()
@@ -485,6 +499,169 @@ class TestMemory:
         monkeypatch.setattr(model, "MEMORY_BUDGET", 3 * 2 * 64 * 8 - 1)
         with pytest.raises(MfbmwaveError, match="3 paths of 64 points"):
             replicate_ensemble(params, 64, 1.0, seed=1, count=3)
+
+
+def digest(fac):
+    """SHA-256 of the factor and of the report's minimum eigenvalue."""
+    return (hashlib.sha256(np.ascontiguousarray(fac.factor).tobytes()).hexdigest(),
+            hashlib.sha256(np.float64(fac.report.min_eigenvalue).tobytes())
+            .hexdigest())
+
+
+def split(monkeypatch, piece, workers):
+    """Force ``piece`` frequency matrices per piece on ``workers`` threads."""
+    monkeypatch.setattr(synth, "_PIECE_MATRICES", piece)
+    monkeypatch.setattr(synth, "_workers", lambda: workers)
+
+
+def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
+                  fail_at=None):
+    """Record the thread of every call of ``owner.name``, a per-piece step.
+
+    The first call of each thread waits until ``meet`` threads have made
+    one, so that each of them runs a piece however fast the others are;
+    call number ``fail_at`` raises a LinAlgError.
+    """
+    seen, lock, step = [], threading.Lock(), getattr(owner, name)
+    barrier = threading.Barrier(meet, timeout=30)
+
+    def record(*args):
+        with lock:
+            me = threading.get_ident()
+            first = me not in seen
+            seen.append(me)
+            if len(seen) == fail_at:
+                raise np.linalg.LinAlgError("forced failure")
+        if first:
+            barrier.wait()
+        return step(*args)
+
+    monkeypatch.setattr(owner, name, record)
+    return seen
+
+
+class TestPieces:
+    """The half spectrum is factored in pieces, on one thread or several."""
+
+    @pytest.mark.parametrize("params, n", [(LOG_PAIR, 64), (TRIVARIATE, 100),
+                                           (RANK_ONE, 16), (CLIPPED, 32)])
+    def test_bits_do_not_depend_on_split(self, monkeypatch, params, n):
+        builds = []
+        for piece, workers in ((2 ** 62, 1), (3, 1), (3, 2), (5, 2)):
+            split(monkeypatch, piece, workers)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # CLIPPED
+                builds.append(build_embedding(params, n, 1.0))
+        inline = builds[0]
+        assert (params is CLIPPED) == (inline.report.correction == "clip")
+        for fac in builds[1:]:
+            assert fac.m == inline.m and fac.report == inline.report
+            assert digest(fac) == digest(inline)
+
+    def test_factor_pinned(self):
+        # the bits of one eigh call over the whole half spectrum
+        fac = build_embedding(TRIVARIATE, 2 ** 14, 1.0)
+        assert fac.m == 2 ** 15 and fac.report.correction == "none"
+        assert digest(fac) == (
+            "16ba728c628d26c10ce6f55f13bac6617a6454bab91b0ee3c63187fb6d2a30b3",
+            "d199ab32ca3a29cfbb8c27ea8b2f81b90573244351067d2da27f6bfbd81b5456")
+
+    def test_split_runs_on_threads(self, monkeypatch):
+        split(monkeypatch, 3, 2)
+        seen = piece_threads(monkeypatch, meet=2)
+        build_embedding(TRIVARIATE, 100, 1.0)
+        assert len(seen) == (256 // 2 + 1) // 3
+        assert len(set(seen)) == 2
+        for piece, workers in ((3, 1), (2 ** 62, 2)):
+            split(monkeypatch, piece, workers)
+            seen = piece_threads(monkeypatch)
+            build_embedding(TRIVARIATE, 100, 1.0)
+            assert set(seen) == {threading.get_ident()}
+
+    def test_workers_take_callers_error_state(self, monkeypatch):
+        # numpy keeps its floating-point error state per thread
+        split(monkeypatch, 3, 2)
+        seen = piece_threads(monkeypatch, meet=2)
+        states, root = [], synth._square_root
+        monkeypatch.setattr(synth, "_square_root",
+                            lambda *args: states.append(np.geterr())
+                            or root(*args))
+        with np.errstate(divide="ignore", over="raise", under="warn",
+                         invalid="print"):
+            want = np.geterr()
+            build_embedding(TRIVARIATE, 100, 1.0)
+        assert len(set(seen)) == 2
+        assert len(states) == len(seen) and all(s == want for s in states)
+
+    def test_overflow_refused_without_warning(self, monkeypatch):
+        # the pieces of a spectrum that is not finite take no square root
+        split(monkeypatch, 3, 2)
+        seen = piece_threads(monkeypatch, meet=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MfbmwaveError, match="spectrum is not finite"):
+                build_embedding(MfbmParams.bivariate(0.7, 0.8, rho=0.5), 64,
+                                1e300)
+        assert len(set(seen)) == 2
+
+    def test_traced_names_stay_on_main_thread(self, monkeypatch):
+        # the benchmark's span stack assumes one thread
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        calls = []
+
+        def recorder(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every reference the library holds, as the tracer replaces them
+        traced = [(name, getattr(importlib.import_module(f"mfbmwave.{mod}"),
+                                 name)) for mod, name in spans.TRACED]
+        modules = [m for key, m in list(sys.modules.items())
+                   if key == "mfbmwave" or key.startswith("mfbmwave.")]
+        for name, fn in traced:
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, recorder(name, fn))
+        monkeypatch.setattr(synth, "_factor_cache", OrderedDict())
+        split(monkeypatch, 3, 2)
+        # check_existence calls eigh too, on the main thread
+        seen = piece_threads(monkeypatch, synth, "_square_root", meet=2)
+        synth.replicate_ensemble(TRIVARIATE, 100, 1.0, seed=3, count=2)
+        assert {"replicate_ensemble", "check_existence", "build_embedding"} \
+            <= {name for name, _ in calls}
+        assert all(t is threading.main_thread() for _, t in calls)
+        assert len(set(seen)) == 2
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # one matrix per piece on 8 threads that switch every microsecond:
+        # each piece runs once, and the bits hold
+        inline = digest(build_embedding(TRIVARIATE, 100, 1.0))
+        split(monkeypatch, 1, 8)
+        before = threading.active_count()
+        seen = piece_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fac = build_embedding(TRIVARIATE, 100, 1.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 256 // 2 + 1
+        assert digest(fac) == inline
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_at", [1, 5, 40])
+    def test_piece_error_reaches_caller(self, monkeypatch, fail_at):
+        split(monkeypatch, 3, 2)
+        before = threading.active_count()
+        piece_threads(monkeypatch, fail_at=fail_at)
+        with pytest.raises(np.linalg.LinAlgError, match="forced failure"):
+            build_embedding(TRIVARIATE, 100, 1.0)
+        assert threading.active_count() == before
 
 
 class TestInputChecks:
