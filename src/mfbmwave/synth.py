@@ -104,13 +104,13 @@ class _CirculantFactor:
 
 
 def _build_bytes(m: int, p: int) -> int:
-    """Bytes of the arrays a build at circulant size m holds.
+    """Upper estimate of the bytes a build at circulant size m holds.
 
-    The sum of the real blocks, the half spectrum, one more array of its
-    size and its eigenvalues.  They are never all alive at once: the blocks
-    and the spectrum live together during the FFT; then the factor overwrites the
-    spectrum piece by piece, while each worker holds the eigenvectors of
-    one piece (about 1 MB at p = 3).
+    The sum of the real blocks, twice the half spectrum and its
+    eigenvalues.  The factor now overwrites the spectrum piece by piece, so
+    no second spectrum-sized array exists; the formula is kept as it was so
+    that the budget check and the doubling decisions stay unchanged.  At
+    p = 3 it is a loose bound: the traced peak is about 0.64 of it.
     """
     spectrum = (m // 2 + 1) * p * p * 16
     return m * p * p * 8 + 2 * spectrum + (m // 2 + 1) * p * 8
@@ -176,10 +176,6 @@ def _run_pieces(work, count: int) -> None:
     exception stops new pieces and is raised here once every thread ends.
     """
     extra = min(_workers(), count) - 1
-    if extra <= 0:
-        for i in range(count):
-            work(i)
-        return
     todo = iter(range(count))       # next() on it holds the GIL
     errstate = np.geterr()
     failed = []
@@ -285,7 +281,10 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     caller's own; a half spectrum of one piece, or a single CPU, starts no
     thread.  Each matrix goes through the same LAPACK call wherever it
     runs, so the factor and the report do not depend on the split or the
-    number of threads, bit for bit.
+    number of threads, bit for bit.  The speed-up of the threads has been
+    measured on 2 CPUs only (about 1.3 times on ``eigh`` and the root);
+    how the build scales on more CPUs, or under a CPU quota below the
+    affinity mask, is not known.
     """
     m = _first_size(n, params.p)
     attempts = 0
