@@ -8,12 +8,16 @@ antisymmetric time-asymmetry parameters eta_jk.  This module holds the
 parameter container, the two-branch kernel w_jk, the cross-covariance, the
 increment covariance, the complex frequency weight zeta_jk, and the
 admissibility (existence) test, whose matrix is Gamma(H_j + H_k + 1) zeta_jk
-at negative frequency.
+at negative frequency.  Beside the memory budget it holds the runner that
+the synthesis and the wavelet transform use to run large pieces of work on
+threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +28,11 @@ BRANCH_TOL = 1e-12
 # Absolute tolerance on the smallest eigenvalue in the admissibility test;
 # absorbs floating-point noise on structurally PSD matrices.
 EIG_TOL = 1e-10
+
+# Samples (array elements) a piece of threaded work must hold for a call to
+# be split: below it a call is one piece on the caller.  At 2^18 a piece is
+# a few milliseconds of FFT, far above the cost of a thread start.
+PIECE_SAMPLES = 1 << 18
 
 # Bytes that a config-sized array may hold, checked by require_bytes before
 # it is allocated: the embedding build, an ensemble's paths, a frequency grid,
@@ -61,6 +70,59 @@ def require_bytes(need: int, what: str) -> None:
     if need > MEMORY_BUDGET:
         raise MfbmwaveError(f"{what} needs {need} bytes, over the budget of "
                             f"{MEMORY_BUDGET}")
+
+
+def workers(count: int) -> int:
+    """Workers ``run_pieces`` uses for ``count`` pieces, the caller included.
+
+    One per CPU this process may run on (its affinity mask), at most one per
+    piece.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity mask outside Linux
+        cpus = os.cpu_count() or 1
+    return min(cpus, count)
+
+
+def run_pieces(work, count: int) -> None:
+    """Call ``work(i)`` for i = 0 .. count - 1 on ``workers(count)`` workers.
+
+    The caller is one of the workers; with one piece or one CPU it is the
+    only one and no thread starts.  Every thread runs under the caller's
+    floating-point error state, which numpy keeps per thread.  The first
+    exception stops new pieces and is raised here once every thread ends.
+    """
+    todo = iter(range(count))       # next() on it holds the GIL
+    failed = []
+
+    def run():
+        try:
+            for i in todo:
+                if failed:
+                    return
+                work(i)
+        except Exception as exc:    # noqa: BLE001 - raised in the caller
+            failed.append(exc)
+
+    def run_thread(errstate):
+        with np.errstate(**errstate):
+            run()
+
+    threads = [threading.Thread(target=run_thread, args=(np.geterr(),),
+                                daemon=True)
+               for _ in range(workers(count) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        run()
+    finally:
+        failed.append(None)         # no new pieces, also after an interrupt
+        for thread in threads:
+            thread.join()
+    errors = [exc for exc in failed if exc is not None]
+    if errors:
+        raise errors[0]
 
 
 def _close(x: float, y: float) -> bool:

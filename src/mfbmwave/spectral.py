@@ -94,7 +94,8 @@ def _spectral_density(query: WaveletCovQuery, params: MfbmParams,
 
     The prefactor times zeta on each side of w = 0 is hoisted out.  A Python
     float w gives a complex with no numpy call, one polynomial and one
-    exponential per scale; an array gives an array.
+    exponential per scale; an array gives an array.  ``S(w, f1, f2)`` takes
+    psi_hat(a1 w) and psi_hat(a2 w) as given, for a caller that has them.
     """
     j, k, a1, a2 = query.j, query.k, query.a1, query.a2
     alpha = params.alpha(j, k)
@@ -105,12 +106,14 @@ def _spectral_density(query: WaveletCovQuery, params: MfbmParams,
     expo = alpha + 1.0
     psi_hat = wavelet.eval_ft
 
-    def S(w):
+    def S(w, f1=None, f2=None):
         if isinstance(w, np.ndarray):
             z = np.where(w > 0.0, z_pos, z_neg)
         else:
             z = z_pos if w > 0.0 else z_neg
-        q = psi_hat(a1 * w).conjugate() * psi_hat(a2 * w)
+        # psi_hat(a1 w) is freed once conjugated, before psi_hat(a2 w)
+        q = ((psi_hat(a1 * w) if f1 is None else f1).conjugate()
+             * (psi_hat(a2 * w) if f2 is None else f2))
         return z * q / abs(w) ** expo
 
     return S
@@ -196,9 +199,11 @@ def coherence(query: WaveletCovQuery, params: MfbmParams, wavelet: HermiteWavele
     phase = (f1 * np.conj(f2)) / (np.conj(f1) * f2)
     closed = np.abs(z) ** 2 * g_ratio * phase
 
-    s12 = _spectral_density(query, params, wavelet)(omegas)
-    s11 = _spectral_density(WaveletCovQuery(j, j, a1, a1), params, wavelet)(omegas)
-    s22 = _spectral_density(WaveletCovQuery(k, k, a2, a2), params, wavelet)(omegas)
+    s12 = _spectral_density(query, params, wavelet)(omegas, f1, f2)
+    s11 = _spectral_density(WaveletCovQuery(j, j, a1, a1), params,
+                            wavelet)(omegas, f1, f1)
+    s22 = _spectral_density(WaveletCovQuery(k, k, a2, a2), params,
+                            wavelet)(omegas, f2, f2)
     definition = np.abs(s12) ** 2 / (s11.real * s22.real)
 
     with np.errstate(invalid="ignore", divide="ignore"):

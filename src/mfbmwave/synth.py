@@ -15,7 +15,6 @@ increments, pinned to zero at the origin.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import warnings
 from collections import OrderedDict
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import model
 from .model import (MfbmParams, MfbmwaveError, InvalidParamsError,
-                    check_existence, kernel_w, require_bytes)
+                    check_existence, kernel_w, require_bytes, run_pieces)
 
 # Relative tolerance (w.r.t. the largest eigenvalue) below which negative
 # frequency-matrix eigenvalues count as numerical noise.
@@ -44,8 +43,8 @@ MAX_DOUBLINGS = 6
 # about 1e-15 relative, and bits do not.
 SEED_SCHEME = 3
 
-# Complex noise per synthesis chunk, in bytes.  A chunk's working set is
-# about four times this; at 512 KB an ensemble's peak memory is that of
+# Complex noise per synthesis chunk, in bytes.  A chunk holds the draw, which
+# the coloured noise then overwrites, and its complex copy; at 512 KB an ensemble's peak memory is that of
 # one-path-at-a-time synthesis, while 4 MB chunks raise it by 15 MB and are
 # no faster.
 _CHUNK_BYTES = 512 << 10
@@ -106,14 +105,21 @@ class _CirculantFactor:
 def _build_bytes(m: int, p: int) -> int:
     """Upper estimate of the bytes a build at circulant size m holds.
 
-    The sum of the real blocks, twice the half spectrum and its
-    eigenvalues.  The factor now overwrites the spectrum piece by piece, so
-    no second spectrum-sized array exists; the formula is kept as it was so
-    that the budget check and the doubling decisions stay unchanged.  At
-    p = 3 it is a loose bound: the traced peak is about 0.64 of it.
+    The real blocks, the larger of two stages' other arrays, and 32 KB of
+    small arrays and numpy buffers that do not grow with m.  While the
+    blocks are made, one pair's kernel (``kernel_w``, the difference
+    stencil and numpy's iterator buffer) holds up to eleven arrays of
+    m + 3 floats at once.  From the FFT on, twice the half spectrum and its
+    eigenvalues: the sum kept from before the factor overwrote the spectrum
+    piece by piece.  The kernel stage is the larger below p = 3.  Traced
+    peaks of builds from n = 2 to 2^16 stay within 0.96 of the estimate;
+    at p = 3 and n >= 2^14 it is loose, about 0.64.
     """
+    blocks = m * p * p * 8
     spectrum = (m // 2 + 1) * p * p * 16
-    return m * p * p * 8 + 2 * spectrum + (m // 2 + 1) * p * 8
+    kernel = 11 * (m + 3) * 8
+    later = 2 * spectrum + (m // 2 + 1) * p * 8
+    return blocks + max(kernel, later) + (32 << 10)
 
 
 def _first_size(n: int, p: int) -> int:
@@ -159,51 +165,6 @@ def _increment_blocks(params: MfbmParams, m: int, dt: float) -> np.ndarray:
     return out
 
 
-def _workers() -> int:
-    """Threads a build may use: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity mask outside Linux
-        return os.cpu_count() or 1
-
-
-def _run_pieces(work, count: int) -> None:
-    """Call ``work(i)`` for i = 0 .. count - 1, on up to ``_workers()`` threads.
-
-    The caller is one of the workers; with one piece or one CPU it is the
-    only one and no thread starts.  Every worker runs under the caller's
-    floating-point error state, which numpy keeps per thread.  The first
-    exception stops new pieces and is raised here once every thread ends.
-    """
-    extra = min(_workers(), count) - 1
-    todo = iter(range(count))       # next() on it holds the GIL
-    errstate = np.geterr()
-    failed = []
-
-    def run():
-        try:
-            with np.errstate(**errstate):
-                for i in todo:
-                    if failed:
-                        return
-                    work(i)
-        except Exception as exc:    # noqa: BLE001 - raised in the caller
-            failed.append(exc)
-
-    threads = [threading.Thread(target=run, daemon=True) for _ in range(extra)]
-    for thread in threads:
-        thread.start()
-    try:
-        run()
-    finally:
-        failed.append(None)         # no new pieces, also after an interrupt
-        for thread in threads:
-            thread.join()
-    errors = [exc for exc in failed if exc is not None]
-    if errors:
-        raise errors[0]
-
-
 # Frequency matrices per piece of the eigendecomposition and square root.
 # A half spectrum of fewer than two pieces' worth is one piece, factored
 # inline; pieces of a larger one hold between this and twice as many.
@@ -218,11 +179,12 @@ def _try_embedding(params: MfbmParams, dt: float, m: int):
     Lambda(m - f) = conj Lambda(f) and the half spectrum has every
     eigenvalue of the full one.  Only the lower triangle is symmetrized: it
     is all that ``eigh`` reads.  ``eigh`` and the root run on contiguous
-    pieces of the spectrum (``_run_pieces``), and each piece's root
-    overwrites its spectrum.  A piece with an eigenvalue that is not finite
-    has a min or max that is not (both propagate NaN) and takes no root;
-    lam_min and lam_max are then NaN.  Overflow in the kernel is not warned
-    about here: ``build_embedding`` refuses a spectrum that is not finite.
+    pieces of the spectrum (``model.run_pieces``), and each piece's root
+    overwrites its spectrum.  A piece whose matrices are not all finite
+    takes neither (LAPACK may not converge on them), nor does a piece with
+    an eigenvalue that is not finite; lam_min and lam_max are then NaN.
+    Overflow in the kernel is not warned about here: ``build_embedding``
+    refuses a spectrum that is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.fft.rfft(_increment_blocks(params, m, dt), axis=-1)
@@ -236,12 +198,15 @@ def _try_embedding(params: MfbmParams, dt: float, m: int):
 
     def piece(i):
         lo, hi = i * freqs // pieces, (i + 1) * freqs // pieces
+        if not np.isfinite(lam[lo:hi]).all():
+            ranges[i] = math.nan, math.nan
+            return
         evals, evecs = np.linalg.eigh(lam[lo:hi])
         low, high = ranges[i] = float(evals.min()), float(evals.max())
         if math.isfinite(low) and math.isfinite(high):
             _square_root(evals, evecs, root[:, :, lo:hi])
 
-    _run_pieces(piece, pieces)
+    run_pieces(piece, pieces)
     lows, highs = zip(*ranges)
     if not all(map(math.isfinite, lows + highs)):
         return root, math.nan, math.nan
@@ -270,21 +235,22 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     doubling is also refused, and the clip taken, when the next size would
     exceed ``model.MEMORY_BUDGET``, the budget of ``require_bytes``.  Without
     it MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 31 GB at
-    p = 3 (24 m p^2 + 4 m p bytes).  A first size beyond the budget is an
+    p = 3 (``_build_bytes``).  A first size beyond the budget is an
     MfbmwaveError (see _first_size), and so is a spectrum that is not finite
-    (a dt at which the covariance kernel overflows), which no doubling mends.
+    (a dt at which the covariance kernel overflows), which no doubling
+    mends; it is refused before ``eigh`` sees it.
 
     The blocks and their FFT are computed on the calling thread.  ``eigh``
     and the square root run on pieces of about 4096 frequency matrices
     (``_PIECE_MATRICES``), shared by the caller and worker threads, one per
-    CPU this process may run on (``os.sched_getaffinity``) beyond the
-    caller's own; a half spectrum of one piece, or a single CPU, starts no
-    thread.  Each matrix goes through the same LAPACK call wherever it
-    runs, so the factor and the report do not depend on the split or the
-    number of threads, bit for bit.  The speed-up of the threads has been
-    measured on 2 CPUs only (about 1.3 times on ``eigh`` and the root);
-    how the build scales on more CPUs, or under a CPU quota below the
-    affinity mask, is not known.
+    CPU this process may run on (``model.run_pieces``) beyond the caller's
+    own; a half spectrum of one piece, or a single CPU, starts no thread.
+    Each matrix goes through the same LAPACK call wherever it runs, so the
+    factor and the report do not depend on the split or the number of
+    threads, bit for bit.  The speed-up of the threads has been measured on
+    2 CPUs only (about 1.3 times on ``eigh`` and the root); how the build
+    scales on more CPUs, or under a CPU quota below the affinity mask, is
+    not known.
     """
     m = _first_size(n, params.p)
     attempts = 0
@@ -374,6 +340,14 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
     coloured by S(f) for f <= m/2 and by conj S(m - f) above; replicate 2k
     is the real half of its inverse FFT and replicate 2k + 1 the imaginary
     half.  A trailing odd replicate takes only the real half.
+
+    The draw is serial.  Colouring, inverse FFT and cumsum run per block of
+    component rows (``model.run_pieces``): a chunk of k draws, k m p noise
+    samples, is split into k m p // ``model.PIECE_SAMPLES`` blocks, at most
+    p, so a single path splits from m = 2^18 (n > 2^16 + 1) at p = 2 or 3.
+    A smaller chunk is one block, the batched calls over all its rows.  A
+    row takes the same operations in any block, so the bits do not depend
+    on the split.
     """
     if not 0.0 < dt < math.inf:
         raise MfbmwaveError(f"dt must be positive and finite, got {dt}")
@@ -401,20 +375,30 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
         w.real = z[:, 0].transpose(0, 2, 1)
         w.imag = z[:, 1].transpose(0, 2, 1)
         np.negative(w.imag[:, :, up], out=w.imag[:, :, up])
-        v = np.empty_like(w)
-        for i in range(p):
-            np.multiply(root[i, 0], w[:, 0, lo], out=v[:, i, lo])
-            np.multiply(mirror[i, 0], w[:, 0, up], out=v[:, i, up])
-            for j in range(1, p):
-                v[:, i, lo] += root[i, j] * w[:, j, lo]
-                v[:, i, up] += mirror[i, j] * w[:, j, up]
-        np.conjugate(v[:, :, up], out=v[:, :, up])
-        y = np.fft.ifft(v, axis=-1, out=v)
-        for imag, part in enumerate((y.real, y.imag)):
-            reps = range(2 * first + imag, min(2 * (first + k), count), 2)
-            if reps:
-                inc = scale * part[:len(reps), :, :n - 1]
-                np.cumsum(inc, axis=-1, out=out[reps.start:reps.stop:2, :, 1:])
+        # the coloured noise overwrites the draw, which w now holds
+        v = z.reshape(-1).view(complex).reshape(k, p, m)
+        blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
+
+        def colour(b):
+            # the component rows of block b: colour, inverse FFT, cumsum
+            rows = slice(b * p // blocks, (b + 1) * p // blocks)
+            for i in range(rows.start, rows.stop):
+                np.multiply(root[i, 0], w[:, 0, lo], out=v[:, i, lo])
+                np.multiply(mirror[i, 0], w[:, 0, up], out=v[:, i, up])
+                for j in range(1, p):
+                    v[:, i, lo] += root[i, j] * w[:, j, lo]
+                    v[:, i, up] += mirror[i, j] * w[:, j, up]
+            vb = v[:, rows]
+            np.conjugate(vb[:, :, up], out=vb[:, :, up])
+            y = np.fft.ifft(vb, axis=-1, out=vb)
+            for imag, part in enumerate((y.real, y.imag)):
+                reps = range(2 * first + imag, min(2 * (first + k), count), 2)
+                if reps:
+                    inc = scale * part[:len(reps), :, :n - 1]
+                    np.cumsum(inc, axis=-1,
+                              out=out[reps.start:reps.stop:2, rows, 1:])
+
+        run_pieces(colour, blocks)
     return out, fac.report
 
 
@@ -426,6 +410,12 @@ def simulate(params: MfbmParams, n: int, dt: float, seed: int):
     of the first noise draw of the counter-based Philox generator keyed by
     the seed, drawn in a fixed (frequency, component) order, so results do
     not depend on scheduling.
+
+    The draw runs on the caller.  For a long path (n > 2^16 + 1 at p = 2
+    or 3) colouring, inverse FFT and cumsum run per component on the
+    caller and worker threads, one per further CPU (see ``_synthesize``);
+    the values are the same bit for bit.  The speed-up has been measured on
+    2 CPUs only.
     """
     values, report = _synthesize(params, n, dt, seed, 1)
     return SamplePath(params=params, n=n, dt=dt, values=values[0],

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import MfbmwaveError, require_bytes
 
 # Standardized truncation radius: wavelet support is treated as |t| <= 10,
@@ -292,23 +294,37 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _pieces(rows: int, N: int, tasks: int) -> int:
+    """Pieces of a ``_transform`` of ``rows`` rows at FFT length N.
+
+    One per task, a scale or one part of a complex kernel at a scale, when
+    a correlation of every row holds at least ``model.PIECE_SAMPLES``
+    samples; else one, which runs every task.
+    """
+    return tasks if rows * N >= model.PIECE_SAMPLES else 1
+
+
 def _transform_bytes(count: int, p: int, n: int, dt: float, real: bool,
                      scales: np.ndarray, n_shifts: int) -> int:
     """Bytes ``_transform`` holds at once for ``count`` paths, an upper bound.
 
-    Per (path, component) row: its stacked values, its spectrum and product
-    rows, its length-N correlation row, its gathered shifts and its
-    coefficients.  Once per call: two placed kernels (one is replaced while
-    the other is alive), a kernel spectrum, its conjugate and an FFT row
-    buffer, the kernel taps at the largest scale, and the shift indices and
-    times.
+    Per (path, component) row: its stacked values, its spectrum and its
+    coefficients.  Per worker (``model.workers`` of the call's pieces): a
+    product and a length-N correlation row and gathered shifts per row,
+    two placed kernels (one is replaced while the other is alive), a kernel
+    spectrum, its conjugate and an FFT row buffer, and the kernel taps at
+    the largest scale.  Once per call: the shift indices and times.
     """
+    rows = count * p
     N = _fast_len(n)
     spec = 16 * (N // 2 + 1)
     item = 8 if real else 16
-    per_row = 8 * n + 2 * spec + 8 * N + 8 * n_shifts + item * scales.size * n_shifts
     taps = 2 * shift_margin(scales[-1], dt) + 1
-    return count * p * per_row + 16 * N + 3 * spec + 48 * taps + 16 * n_shifts
+    workers = model.workers(_pieces(rows, N, scales.size * (1 if real else 2)))
+    per_worker = (rows * (spec + 8 * N + 8 * n_shifts) + 16 * N + 3 * spec
+                  + 48 * taps)
+    return (rows * (8 * n + spec + item * scales.size * n_shifts)
+            + workers * per_worker + 16 * n_shifts)
 
 
 def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
@@ -327,16 +343,21 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
     never imports scipy.
 
     The coefficients are float64 for a real wavelet and complex128 for a
-    complex one.  The spectrum product and the correlation rows are written
-    into two buffers made once per call, and consecutive shift indices (the
-    default grid) are read from the correlation as one slice.
+    complex one.  Consecutive shift indices (the default grid) are read from
+    the correlation as one slice.  The rows' FFT is made on the caller.  When
+    a correlation of all rows holds at least ``model.PIECE_SAMPLES`` samples
+    (``_pieces``; one path of p components once p N >= 2^18), each scale,
+    and each part of a complex kernel, is a piece of ``model.run_pieces``,
+    on the caller and one thread per further CPU; below, one piece runs
+    every scale on the caller.  Each worker writes the spectrum product and
+    the correlation rows into two buffers of its own, made at its first
+    piece.  A piece takes the same operations on any thread, so the bits do
+    not depend on the split.
     """
     count, p, n = values.shape
     rows = count * p
     N = _fast_len(n)
     spectra = np.fft.rfft(values.reshape(rows, n), N, axis=-1)
-    product = np.empty_like(spectra)
-    corr = np.empty((rows, N))
     first = shift_idx[0]
     if np.array_equal(shift_idx, np.arange(first, first + shift_idx.size)):
         taken = slice(first, first + shift_idx.size)
@@ -345,17 +366,31 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
     out = np.empty((rows, scales.size, shift_idx.size),
                    dtype=float if wavelet.is_real else complex)
     targets = (out,) if wavelet.is_real else (out.real, out.imag)
-    for ia, a in enumerate(scales):
-        L = shift_margin(a, dt)
-        m = np.arange(-L, L + 1)
-        kernel = np.conj(wavelet.eval(m * dt / a)) * (dt / math.sqrt(a))
-        parts = [kernel] if wavelet.is_real else [kernel.real, kernel.imag]
-        for part, target in zip(parts, targets):
+    tasks = scales.size * len(targets)          # (scale, part) pairs
+    pieces = _pieces(rows, N, tasks)
+    buffers = threading.local()
+
+    def piece(i):
+        if not hasattr(buffers, "corr"):
+            buffers.product = np.empty_like(spectra)
+            buffers.corr = np.empty((rows, N))
+        product, corr = buffers.product, buffers.corr
+        last = None
+        for t in range(i * tasks // pieces, (i + 1) * tasks // pieces):
+            ia, j = divmod(t, len(targets))
+            if ia != last:
+                last, a = ia, scales[ia]
+                L = shift_margin(a, dt)
+                m = np.arange(-L, L + 1)
+                kernel = np.conj(wavelet.eval(m * dt / a)) * (dt / math.sqrt(a))
+                parts = [kernel] if wavelet.is_real else [kernel.real, kernel.imag]
             g = np.zeros(N)
-            g[m % N] = part
+            g[m % N] = parts[j]
             np.multiply(spectra, np.conj(np.fft.rfft(g)), out=product)
             np.fft.irfft(product, N, axis=-1, out=corr)
-            target[:, ia] = corr[:, taken]
+            targets[j][:, ia] = corr[:, taken]
+
+    model.run_pieces(piece, pieces)
     return out.reshape(count, p, scales.size, shift_idx.size)
 
 
@@ -368,6 +403,11 @@ def cwt(path, wavelet: HermiteWavelet, scales, shifts=None) -> WaveletField:
     EDGE_TOL of L1 mass) are refused.  Both raise ``GridError``.
 
     ``shifts`` defaults to every grid time admissible at the largest scale.
+
+    For a long path (p N >= 2^18, see ``_transform``) the scales are
+    correlated on the caller and worker threads, one per further CPU; the
+    coefficients are the same bit for bit.  The speed-up has been measured
+    on 2 CPUs only.
     """
     return next(cwt_ensemble([path], wavelet, scales, shifts))
 

@@ -195,9 +195,10 @@ class TestEmbeddingExitCode:
 
         import mfbmwave.synth as synth
 
-        # not nonnegative definite at m = 64; the doubling to 128 would
-        # hold 128 * 4 * 8 + 2 * 65 * 4 * 16 + 65 * 2 * 8 = 13.4 kB
-        monkeypatch.setattr(model, "MEMORY_BUDGET", 10_000)
+        # not nonnegative definite at m = 64; the budget admits that build
+        # and not the doubling to 128
+        assert synth._build_bytes(64, 2) < synth._build_bytes(128, 2)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", synth._build_bytes(64, 2))
         monkeypatch.setattr(synth, "_factor_cache", OrderedDict())
         params = tmp_path / "p.txt"
         save_params(MfbmParams.bivariate(0.2, 0.95, rho=0.3697), params)
@@ -495,12 +496,23 @@ class TestValidationExitCodes:
         assert not list((tmp_path / "o").glob("path_*"))
 
     def test_simulate_overflowing_step_stderr(self, tmp_path):
-        # a fresh interpreter: numpy's floating-point warnings would reach
-        # stderr ahead of the one error line
         params = tmp_path / "p.txt"
         save_params(MfbmParams.bivariate(0.7, 0.8, rho=0.5), params)
+        self.check_overflow_stderr(tmp_path, params, 64)
+
+    def test_simulate_overflowing_step_no_convergence(self, tmp_path):
+        # a spectrum on which LAPACK's eigh does not converge
+        params = tmp_path / "p.txt"
+        params.write_text("p: 3\nH: 0.3 0.5 0.7\nsigma: 1 1 1\n"
+                          "rho: 1 0.3 1 0.2 0.3 1\neta: 0.05 0.05 0.05\n")
+        self.check_overflow_stderr(tmp_path, params, 100)
+
+    @staticmethod
+    def check_overflow_stderr(tmp_path, params, n):
+        # a fresh interpreter: numpy's floating-point warnings would reach
+        # stderr ahead of the one error line
         cfg = write_config(tmp_path, "sim.json",
-                           {"params": str(params), "n": 64, "dt": 1e300})
+                           {"params": str(params), "n": n, "dt": 1e300})
         run = subprocess.run(
             [sys.executable, "-m", "mfbmwave.cli", "--config", str(cfg),
              "--out", str(tmp_path / "o"), "simulate"],

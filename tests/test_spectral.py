@@ -90,6 +90,38 @@ class TestSpectrumGrid:
         assert _sha(res.closed_form, res.definition, res.discrepancy) == (
             "944897d16fc074dcc5be966f18411c1e18618b32d8c23e42012dc08975b09ea6")
 
+    @pytest.mark.parametrize("query, params, wavelet, omegas, digest", [
+        # the CLI theory coherence grid, a1 != a2
+        (WaveletCovQuery(0, 1, 1.0, 3.0),
+         MfbmParams.bivariate(0.35, 0.6, rho=0.4, eta=0.15),
+         gaussian_derivative(1), np.linspace(0.05, 2.0, 64),
+         "528009490201db325aa0e12549e9961360987bffcec14fc6d1b86d4dd3789080"),
+        (WaveletCovQuery(1, 0, 1.5, 4.0),
+         MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=0.2),
+         HermiteWavelet([(1.0, 1), (0.5j, 2)]), np.linspace(-2.0, 3.0, 50),
+         "e9176a13e5fc2437925d0ea705aee482ecda14a082dde431b21fefad5779937f"),
+        (WaveletCovQuery(0, 1, 1.0, 2.0),
+         MfbmParams.bivariate(0.3, 0.45, rho=0.5, eta=0.1),
+         gaussian_derivative(3), make_log_omega_grid(1e-3, 1e1, 8),
+         "892679e39568ca97ba8b42c87be0063c712a7340d5b8a1d47c0fae7e9ee34441")])
+    def test_coherence_bits_unequal_scales(self, query, params, wavelet,
+                                           omegas, digest):
+        # recorded when each density evaluated psi_hat at both of its scales
+        res = coherence(query, params, wavelet, omegas)
+        assert _sha(res.closed_form, res.definition, res.discrepancy) == digest
+
+    def test_coherence_evaluates_psi_hat_twice(self, monkeypatch):
+        # psi_hat(a1 w) and psi_hat(a2 w), shared by the phase and S_12,
+        # S_11 and S_22
+        wavelet = gaussian_derivative(2)
+        calls, eval_ft = [], wavelet.eval_ft
+        monkeypatch.setattr(wavelet, "eval_ft",
+                            lambda w: calls.append(w) or eval_ft(w))
+        coherence(WaveletCovQuery(0, 1, 1.0, 3.0),
+                  MfbmParams.bivariate(0.35, 0.6, rho=0.4, eta=0.15),
+                  wavelet, np.linspace(0.05, 2.0, 64))
+        assert len(calls) == 2
+
     def test_rejects_zero_frequency(self):
         params = MfbmParams.bivariate(0.3, 0.4, rho=0.5)
         with pytest.raises(ValueError):

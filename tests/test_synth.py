@@ -20,6 +20,7 @@ from mfbmwave.model import (
 )
 import mfbmwave.model as model
 import mfbmwave.synth as synth
+import mfbmwave.wavelets as wavelets
 from mfbmwave.synth import (
     build_embedding,
     EmbeddingReport,
@@ -28,6 +29,7 @@ from mfbmwave.synth import (
     simulate,
     replicate_ensemble,
 )
+from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 
 
 def stacked_values(paths):
@@ -287,6 +289,9 @@ TRIVARIATE = params_from_text(
     "p: 3\nH: 0.3 0.5 0.7\nsigma: 1 1 1\n"
     "rho: 1 0.3 1 0.2 0.3 1\neta: 0.05 0.05 0.05\n")
 LOG_PAIR = MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=0.2)
+POWER_PAIR = MfbmParams.bivariate(0.3, 0.45, rho=0.4, eta=0.2)
+# psi_1 + 0.5i psi_2, a complex analyzing wavelet
+COMPLEX = HermiteWavelet([(1.0, 1), (0.5j, 2)])
 # equal exponents and rho = 1: every frequency matrix has rank one
 RANK_ONE = MfbmParams.bivariate(0.6, 0.6, rho=1.0)
 # not nonnegative definite after MAX_DOUBLINGS doublings from n = 32
@@ -420,10 +425,12 @@ class TestFactor:
 
 
 def build_bytes(m, p):
-    """Blocks, half spectrum, its eigenvectors and eigenvalues."""
+    """Blocks, then the larger of one pair's kernel temporaries and the half
+    spectrum, its eigenvectors and eigenvalues, and 32 KB of small arrays."""
     blocks = m * p * p * 8
     spectrum = (m // 2 + 1) * p * p * 16
-    return blocks + 2 * spectrum + (m // 2 + 1) * p * 8
+    kernel = 11 * (m + 3) * 8
+    return blocks + max(kernel, 2 * spectrum + (m // 2 + 1) * p * 8) + 32768
 
 
 class TestMemory:
@@ -446,24 +453,31 @@ class TestMemory:
         assert build_bytes(2 ** 27, 3) > 30e9 > model.MEMORY_BUDGET
 
     def test_build_peak(self):
-        self.check_build_peak()
+        for params in (TRIVARIATE, LOG_PAIR, POWER_PAIR):
+            self.check_build_peak(params)
 
     def test_build_peak_split(self, monkeypatch):
         split(monkeypatch, 64, 2)       # 256 pieces on two threads
-        self.check_build_peak()
+        self.check_build_peak(TRIVARIATE)
+
+    @pytest.mark.parametrize("params", [TRIVARIATE, LOG_PAIR, POWER_PAIR])
+    @pytest.mark.parametrize("n", [2, 33, 200, 2 ** 12])
+    def test_build_peak_small(self, params, n):
+        # one piece; fixed-size numpy buffers weigh most at small m
+        self.check_build_peak(params, n)
 
     @staticmethod
-    def check_build_peak():
-        n, p = 2 ** 14, 3
-        m = 2 * n
+    def check_build_peak(params, n=2 ** 14):
+        np.fft.rfft(np.zeros(8))        # numpy.fft's lazy import is one-off
         tracemalloc.start()
         try:
-            fac = build_embedding(TRIVARIATE, n, 1.0)
+            fac = build_embedding(params, n, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert fac.m == m
-        assert peak <= build_bytes(m, p)
+        assert fac.report.correction == "none"
+        assert peak <= build_bytes(fac.m, params.p)
+        assert synth._build_bytes(fac.m, params.p) == build_bytes(fac.m, params.p)
 
     def test_first_size_over_budget(self, monkeypatch):
         attempt = synth._try_embedding
@@ -508,10 +522,13 @@ def digest(fac):
             .hexdigest())
 
 
-def split(monkeypatch, piece, workers):
-    """Force ``piece`` frequency matrices per piece on ``workers`` threads."""
+def split(monkeypatch, piece, workers, samples=None):
+    """Force ``piece`` frequency matrices per piece on ``workers`` threads,
+    and splits of ``samples`` samples in synthesis and transforms."""
     monkeypatch.setattr(synth, "_PIECE_MATRICES", piece)
-    monkeypatch.setattr(synth, "_workers", lambda: workers)
+    monkeypatch.setattr(model, "workers", lambda count: min(workers, count))
+    if samples is not None:
+        monkeypatch.setattr(model, "PIECE_SAMPLES", samples)
 
 
 def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
@@ -525,7 +542,7 @@ def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
     seen, lock, step = [], threading.Lock(), getattr(owner, name)
     barrier = threading.Barrier(meet, timeout=30)
 
-    def record(*args):
+    def record(*args, **kwargs):
         with lock:
             me = threading.get_ident()
             first = me not in seen
@@ -534,7 +551,7 @@ def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
                 raise np.linalg.LinAlgError("forced failure")
         if first:
             barrier.wait()
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, record)
     return seen
@@ -594,15 +611,27 @@ class TestPieces:
         assert len(states) == len(seen) and all(s == want for s in states)
 
     def test_overflow_refused_without_warning(self, monkeypatch):
-        # the pieces of a spectrum that is not finite take no square root
+        # the pieces of a spectrum that is not finite take neither eigh nor
+        # a square root
         split(monkeypatch, 3, 2)
-        seen = piece_threads(monkeypatch, meet=2)
+        seen = piece_threads(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MfbmwaveError, match="spectrum is not finite"):
                 build_embedding(MfbmParams.bivariate(0.7, 0.8, rho=0.5), 64,
                                 1e300)
-        assert len(set(seen)) == 2
+        assert seen == []
+
+    @pytest.mark.parametrize("piece, workers", [(2 ** 62, 1), (3, 2)])
+    def test_overflow_refused_before_eigh(self, monkeypatch, piece, workers):
+        # LAPACK does not converge on this spectrum: it must not be asked
+        split(monkeypatch, piece, workers)
+        seen = piece_threads(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MfbmwaveError, match="spectrum is not finite"):
+                build_embedding(TRIVARIATE, 100, 1e300)
+        assert seen == []
 
     def test_traced_names_stay_on_main_thread(self, monkeypatch):
         # the benchmark's span stack assumes one thread
@@ -632,10 +661,18 @@ class TestPieces:
         # check_existence calls eigh too, on the main thread
         seen = piece_threads(monkeypatch, synth, "_square_root", meet=2)
         synth.replicate_ensemble(TRIVARIATE, 100, 1.0, seed=3, count=2)
-        assert {"replicate_ensemble", "check_existence", "build_embedding"} \
-            <= {name for name, _ in calls}
-        assert all(t is threading.main_thread() for _, t in calls)
         assert len(set(seen)) == 2
+        # one recorder per split call: its barrier meets the call's threads
+        split(monkeypatch, 3, 2, samples=1)
+        seen = piece_threads(monkeypatch, np.fft, "ifft", meet=2)
+        path, _ = synth.simulate(TRIVARIATE, 100, 1.0, seed=4)
+        assert len(seen) == 3 and len(set(seen)) == 2
+        seen = piece_threads(monkeypatch, np.fft, "irfft", meet=2)
+        wavelets.cwt(path, gaussian_derivative(2), [4.0, 4.5])
+        assert len(seen) == 2 and len(set(seen)) == 2
+        assert {"replicate_ensemble", "check_existence", "build_embedding",
+                "simulate", "cwt"} <= {name for name, _ in calls}
+        assert all(t is threading.main_thread() for _, t in calls)
 
     def test_more_workers_than_cores(self, monkeypatch):
         # one matrix per piece on 8 threads that switch every microsecond:
@@ -662,6 +699,109 @@ class TestPieces:
         with pytest.raises(np.linalg.LinAlgError, match="forced failure"):
             build_embedding(TRIVARIATE, 100, 1.0)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("params", [LOG_PAIR, TRIVARIATE])
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    @pytest.mark.parametrize("chunk", [synth._CHUNK_BYTES, 1])
+    def test_synthesis_bits_do_not_depend_on_split(self, monkeypatch, params,
+                                                   count, chunk):
+        # a chunk of 1 byte holds one draw: replicate 6 of 7 is a chunk of
+        # its own, the real half of its draw
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", chunk)
+        inline, report = synth._synthesize(params, 100, 1.0, 11, count)
+        m, p = report.circulant_size, params.p
+        k = 1 if chunk == 1 else (count + 1) // 2
+        # p blocks of one component, then two blocks
+        for samples, workers in ((1, 1), (1, 2), (k * m * p // 2, 2)):
+            split(monkeypatch, 2 ** 62, workers, samples)
+            seen = piece_threads(monkeypatch, np.fft, "ifft")
+            values, _ = synth._synthesize(params, 100, 1.0, 11, count)
+            assert values.tobytes() == inline.tobytes()
+            chunks = (count + 1) // 2 // k
+            blocks = p if samples == 1 else 2
+            assert len(seen) == chunks * blocks
+
+    def test_synthesis_split_runs_on_threads(self, monkeypatch):
+        split(monkeypatch, 2 ** 62, 2, samples=1)
+        seen = piece_threads(monkeypatch, np.fft, "ifft", meet=2)
+        simulate(TRIVARIATE, 100, 1.0, seed=5)
+        assert len(seen) == 3 and len(set(seen)) == 2
+        # one worker, then the default threshold: a chunk of 2 x 256 x 3
+        # samples is one piece
+        for samples, workers in ((1, 1), (1 << 18, 2)):
+            split(monkeypatch, 2 ** 62, workers, samples)
+            seen = piece_threads(monkeypatch, np.fft, "ifft")
+            replicate_ensemble(TRIVARIATE, 100, 1.0, seed=5, count=4)
+            assert len(seen) == (3 if samples == 1 else 1)
+            assert set(seen) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 3])
+    def test_synthesis_error_reaches_caller(self, monkeypatch, fail_at):
+        simulate(TRIVARIATE, 100, 1.0, seed=5)      # the factor, cached
+        split(monkeypatch, 2 ** 62, 2, samples=1)
+        before = threading.active_count()
+        piece_threads(monkeypatch, np.fft, "ifft", fail_at=fail_at)
+        with pytest.raises(np.linalg.LinAlgError, match="forced failure"):
+            simulate(TRIVARIATE, 100, 1.0, seed=5)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("wavelet", [gaussian_derivative(2), COMPLEX])
+    @pytest.mark.parametrize("shifts", [None, np.arange(160.0, 352.0, 3.0)])
+    def test_transform_bits_do_not_depend_on_split(self, monkeypatch, wavelet,
+                                                   shifts):
+        paths = replicate_ensemble(LOG_PAIR, 512, 1.0, seed=4, count=3)
+        scales = [4.0, 8.0, 16.0]
+
+        def coeffs():
+            return np.stack([f.coeffs for f in
+                             wavelets.cwt_ensemble(paths, wavelet, scales,
+                                                   shifts)])
+
+        inline = coeffs()
+        pieces = len(scales) * (1 if wavelet.is_real else 2)
+        for workers, meet in ((1, 1), (2, 2)):
+            split(monkeypatch, 2 ** 62, workers, samples=1)
+            seen = piece_threads(monkeypatch, np.fft, "irfft", meet=meet)
+            assert coeffs().tobytes() == inline.tobytes()
+            assert len(seen) == pieces and len(set(seen)) == workers
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 6])
+    def test_transform_error_reaches_caller(self, monkeypatch, fail_at):
+        path, _ = simulate(LOG_PAIR, 512, 1.0, seed=6)
+        split(monkeypatch, 2 ** 62, 2, samples=1)
+        before = threading.active_count()
+        piece_threads(monkeypatch, np.fft, "irfft", fail_at=fail_at)
+        with pytest.raises(np.linalg.LinAlgError, match="forced failure"):
+            wavelets.cwt(path, COMPLEX, [4.0, 8.0, 16.0])
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("wavelet", [gaussian_derivative(2), COMPLEX])
+    @pytest.mark.parametrize("shifts", [None, np.arange(100.0, 140.0, 5.0)])
+    def test_transform_peak_split(self, monkeypatch, wavelet, shifts):
+        # each of the two workers holds its own product and correlation
+        # rows; with few shifts they are most of the transform's memory
+        path, _ = simulate(LOG_PAIR, 1 << 14, 1.0, seed=7)
+        values = path.values[None]
+        scales, shift_idx = wavelets._grid(path.n, 1.0, [4.0, 8.0], shifts)
+
+        def count(workers):
+            split(monkeypatch, 2 ** 62, workers, samples=1)
+            return wavelets._transform_bytes(1, 2, path.n, 1.0,
+                                             wavelet.is_real, scales,
+                                             shift_idx.size)
+
+        one, bound = count(1), count(2)
+        seen = piece_threads(monkeypatch, np.fft, "irfft", meet=2)
+        tracemalloc.start()
+        try:
+            wavelets._transform(values, 1.0, wavelet, scales, shift_idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(set(seen)) == 2
+        assert peak <= bound
+        if shifts is not None:
+            assert peak > one
 
 
 class TestInputChecks:
