@@ -121,11 +121,6 @@ def _write_csv(path: Path, header, rows) -> None:
                              for v in row])
 
 
-def _fmt_complex_cols(z) -> tuple:
-    z = complex(z)
-    return (z.real, z.imag)
-
-
 def _report_embedding(out: Path, params, n: int, dt: float) -> int:
     """Write embedding_report.json; EXIT_EMBEDDING if eigenvalues were clipped."""
     report = embedding_report(params, n, dt)
@@ -207,8 +202,8 @@ def cmd_theory(args) -> int:
             except DegenerateAsymptoticsError:
                 a = complex("nan")
             ratio = (c / a).real if a == a and a != 0 else float("nan")
-            rows.append((j, k, a1, a2, h, *_fmt_complex_cols(c),
-                         *_fmt_complex_cols(a), ratio))
+            rows.append((j, k, a1, a2, h, c.real, c.imag, a.real, a.imag,
+                         ratio))
         _write_csv(out / "theory_cov.csv",
                    ["j", "k", "a1", "a2", "h", "re", "im",
                     "asymptotic_re", "asymptotic_im", "ratio"], rows)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import struct
 
 import numpy as np
@@ -37,10 +38,6 @@ class ContainerError(MfbmwaveError):
 
 # Rows formatted per write by the CSV writers: bounds the size of one string.
 _CSV_BLOCK_ROWS = 8192
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +64,29 @@ def path_to_csv(path: SamplePath, stream) -> None:
 
 
 def path_from_csv(stream, params: MfbmParams, seed: int = 0) -> SamplePath:
+    """Path from the CSV of :func:`path_to_csv`; a ContainerError if malformed.
+
+    dt = t_1 - t_0 > 0 (1 for one row), and each t_i must lie within
+    1e-9 (|t_0 + i dt| + dt) of t_0 + i dt, as path_to_csv's times do exactly.
+    """
     reader = csv.reader(stream)
-    header = next(reader)
-    p = len(header) - 1
-    if p != params.p:
-        raise ContainerError(f"CSV has {p} components, params declare {params.p}")
-    rows = [[float(tok) for tok in row] for row in reader if row]
-    data = np.asarray(rows)
+    header, p = next(reader, None), params.p
+    if header is None or len(header) != p + 1:
+        raise ContainerError(f"CSV header {header} does not name t and the "
+                             f"{p} components the params declare")
+    rows = [row for row in reader if row]
+    if not rows or any(len(row) != p + 1 for row in rows):
+        raise ContainerError(f"CSV needs data rows of {p + 1} fields each")
+    try:
+        data = np.array([[float(tok) for tok in row] for row in rows])
+    except ValueError:
+        raise ContainerError("CSV holds a non-numeric value") from None
     times = data[:, 0]
     dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
+    grid = times[0] + np.arange(len(times)) * dt
+    if not (0.0 < dt < math.inf
+            and np.allclose(times, grid, rtol=1e-9, atol=1e-9 * dt)):
+        raise ContainerError("CSV time column is not a uniform ascending grid")
     return SamplePath(params=params, n=data.shape[0], dt=dt,
                       values=data[:, 1:].T.copy(), seed=seed)
 
@@ -85,7 +96,7 @@ def field_to_csv(field: WaveletField, stream) -> None:
     for j in range(field.p):
         for ia, a in enumerate(field.scales):
             c = field.coeffs[j, ia]
-            _write_rows(stream, f"{j},{_fmt(a)},%.17g,%.17g,%.17g\r\n",
+            _write_rows(stream, f"{j},{a:.17g},%.17g,%.17g,%.17g\r\n",
                         [field.shifts, c.real, c.imag])
 
 

@@ -137,7 +137,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MfbmParams:
     """Parameter set (H, sigma, rho, eta) of a p-component process.
 
@@ -149,6 +149,7 @@ class MfbmParams:
     Construction checks only the structural constraints above.  Whether the
     parameters define a valid process is a separate spectral condition, see
     :func:`check_existence`; simulation refuses inadmissible parameters.
+    Sets compare and hash by value, entry by entry (-0.0 equals 0.0).
     """
 
     H: np.ndarray
@@ -193,6 +194,17 @@ class MfbmParams:
         object.__setattr__(self, "eta", eta)
         # plain floats for alpha, which every kernel and spectral query calls
         object.__setattr__(self, "_hs", tuple(hs))
+        # the entries by value, for ==, the hash and fingerprint()
+        key = tuple(tuple(a.ravel().tolist()) for a in (H, sigma, rho, eta))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        return (self._key == other._key if isinstance(other, MfbmParams)
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def p(self) -> int:
@@ -206,13 +218,8 @@ class MfbmParams:
         return abs(self.alpha(j, k) - 1.0) <= BRANCH_TOL
 
     def fingerprint(self) -> tuple:
-        """Hashable identity used for caching derived objects."""
-        return (
-            tuple(self.H.tolist()),
-            tuple(self.sigma.tolist()),
-            tuple(self.rho.ravel().tolist()),
-            tuple(self.eta.ravel().tolist()),
-        )
+        """(H, sigma, rho, eta) as tuples of floats, which == and hash compare."""
+        return self._key
 
     @classmethod
     def bivariate(cls, h1: float, h2: float, rho: float = 0.0, eta: float = 0.0,

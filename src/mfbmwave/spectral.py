@@ -67,6 +67,15 @@ def make_log_omega_grid(w_min: float = 1e-4, w_max: float = 1e3,
     return np.concatenate([-pos[::-1], pos])
 
 
+def _zero_free(omegas) -> np.ndarray:
+    """``omegas`` as a float array; an MfbmwaveError if it holds w = 0."""
+    omegas = np.asarray(omegas, dtype=float)
+    if np.any(omegas == 0.0):
+        raise MfbmwaveError("zero frequency is excluded; its limit is "
+                            "described by zero_frequency_behavior")
+    return omegas
+
+
 @dataclass(frozen=True)
 class SpectrumGrid:
     """Cross-spectral density samples on a zero-free frequency grid."""
@@ -76,12 +85,10 @@ class SpectrumGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
+        omegas = _zero_free(self.omegas)
         values = np.asarray(self.values, dtype=complex)
         if omegas.shape != values.shape:
             raise MfbmwaveError("frequency grid and values must align")
-        if np.any(omegas == 0.0):
-            raise MfbmwaveError("zero frequency excluded from spectrum grids")
         if not np.all(np.isfinite(values.view(float))):
             raise MfbmwaveError("spectral values must be finite")
         object.__setattr__(self, "omegas", omegas)
@@ -122,10 +129,7 @@ def _spectral_density(query: WaveletCovQuery, params: MfbmParams,
 def cross_spectral_density(query: WaveletCovQuery, params: MfbmParams,
                            wavelet: HermiteWavelet, omegas) -> SpectrumGrid:
     """Pointwise cross-spectral density of the wavelet field on a grid."""
-    omegas = np.asarray(omegas, dtype=float)
-    if np.any(omegas == 0.0):
-        raise MfbmwaveError("zero frequency is excluded; its limit is "
-                            "described by zero_frequency_behavior")
+    omegas = _zero_free(omegas)
     return SpectrumGrid(query=query, omegas=omegas,
                         values=_spectral_density(query, params, wavelet)(omegas))
 
@@ -187,8 +191,9 @@ class CoherenceResult:
 
 def coherence(query: WaveletCovQuery, params: MfbmParams, wavelet: HermiteWavelet,
               omegas) -> CoherenceResult:
+    """Both coherences of the query on ``omegas``, a grid without w = 0."""
     j, k, a1, a2 = query.j, query.k, query.a1, query.a2
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = _zero_free(omegas)
     alpha = params.alpha(j, k)
     z = zeta(params, j, k, omegas)
     g_ratio = (math.gamma(alpha + 1.0) ** 2

@@ -14,10 +14,9 @@ increments, pinned to zero at the origin.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,14 +91,13 @@ class SamplePath:
         return np.diff(self.values, axis=1)
 
 
+@dataclass(frozen=True, eq=False)
 class _CirculantFactor:
-    def __init__(self, m: int, factor: np.ndarray, report: EmbeddingReport):
-        self.m = m
-        # (m/2 + 1, p, p) complex Hermitian square roots S(f) of Lambda(f)
-        # for f <= m/2; conj S(m - f) serves the frequencies above.  A view
-        # of a component-major array, so that factor[:, i, j] is contiguous.
-        self.factor = factor
-        self.report = report
+    """The (p, p, m/2 + 1) Hermitian square roots S(f) of Lambda(f) for
+    f <= m/2, m = report.circulant_size; conj S(m - f) serves f > m/2."""
+
+    root: np.ndarray
+    report: EmbeddingReport
 
 
 def _build_bytes(m: int, p: int) -> int:
@@ -188,7 +186,7 @@ def _try_embedding(params: MfbmParams, dt: float, m: int):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         root = np.fft.rfft(_increment_blocks(params, m, dt), axis=-1)
-    lam = root.transpose(2, 0, 1)
+    lam = np.moveaxis(root, -1, 0)      # (m/2 + 1, p, p) view, as eigh stacks
     for j in range(params.p):
         for k in range(j + 1, params.p):
             lam[:, k, j] = 0.5 * (lam[:, k, j] + np.conj(lam[:, j, k]))
@@ -278,35 +276,26 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
             f"(min eigenvalue {lam_min:.3e}); clipping to zero, simulation "
             f"is approximate", RuntimeWarning)
         break
-    factor = root.transpose(2, 0, 1)
     report = EmbeddingReport(circulant_size=m, min_eigenvalue=lam_min,
                              correction=correction)
-    return _CirculantFactor(m=m, factor=factor, report=report)
+    return _CirculantFactor(root=root, report=report)
 
 
-_factor_cache: OrderedDict = OrderedDict()
-_factor_lock = threading.Lock()
-_FACTOR_CACHE_SIZE = 8
-
-
+@functools.lru_cache(maxsize=8)
 def _cached_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
-    """Cached factor of admissible parameters.
+    """Factor of admissible parameters; the eight most recently used are kept.
 
-    Admissibility is checked on a cache miss, before the build, so a cached
-    factor implies admissible parameters and a hit needs no check.
+    Keyed by value, so equal parameter sets built apart share a factor.
+    Admissibility is checked on a miss, before the build: a cached factor
+    implies admissible parameters, and a refused set caches nothing.  Two
+    threads that miss on one key at once may both build it.
     """
-    key = (params.fingerprint(), n, dt)
-    with _factor_lock:
-        if key in _factor_cache:
-            _factor_cache.move_to_end(key)
-            return _factor_cache[key]
-    _require_admissible(params)
-    fac = build_embedding(params, n, dt)
-    with _factor_lock:
-        _factor_cache[key] = fac
-        while len(_factor_cache) > _FACTOR_CACHE_SIZE:
-            _factor_cache.popitem(last=False)
-    return fac
+    res = check_existence(params)
+    if not res.admissible:
+        raise InvalidParamsError(
+            "parameters are not admissible: smallest eigenvalue of the "
+            f"existence matrix is {res.min_eigenvalue:.6e}")
+    return build_embedding(params, n, dt)
 
 
 def embedding_report(params: MfbmParams, n: int, dt: float) -> EmbeddingReport:
@@ -321,14 +310,6 @@ def derive_seed(seed: int, replicate: int) -> int:
     """
     ss = np.random.SeedSequence(entropy=[int(seed), int(replicate)])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _require_admissible(params: MfbmParams) -> None:
-    res = check_existence(params)
-    if not res.admissible:
-        raise InvalidParamsError(
-            "parameters are not admissible: smallest eigenvalue of the "
-            f"existence matrix is {res.min_eigenvalue:.6e}")
 
 
 def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
@@ -355,10 +336,9 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
         raise MfbmwaveError(f"seed must lie in [0, 2**64), got {seed}")
     require_bytes(count * params.p * n * 8, f"{count} paths of {n} points")
     fac = _cached_embedding(params, n, dt)
-    m, p = fac.m, params.p
+    m, p, root = fac.report.circulant_size, params.p, fac.root
     half = m // 2
     lo, up = slice(0, half + 1), slice(half + 1, m)
-    root = fac.factor.transpose(1, 2, 0)        # (p, p, m/2 + 1)
     mirror = root[:, :, half - 1:0:-1]          # S(m - f) for f > m/2
     scale = math.sqrt(m)
     out = np.empty((count, p, n))

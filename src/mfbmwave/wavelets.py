@@ -222,14 +222,21 @@ class WaveletField:
         return self.coeffs.shape[0]
 
     def scale_index(self, a: float) -> int:
+        """Index of scale ``a``, to 1e-9 relative; else a MissingScaleError."""
         idx = int(np.argmin(np.abs(self.scales - a)))
         if not math.isclose(self.scales[idx], a, rel_tol=1e-9, abs_tol=1e-12):
-            raise KeyError(f"scale {a} not present in field")
+            raise MissingScaleError(f"scale {a} not present in field")
         return idx
 
 
 class GridError(MfbmwaveError):
     """A scale or shift grid that the sampled path cannot resolve."""
+
+
+class MissingScaleError(GridError, KeyError):
+    """A scale that a wavelet field does not hold."""
+
+    __str__ = GridError.__str__     # KeyError's would quote the message
 
 
 def shift_margin(scale: float, dt: float) -> int:

@@ -190,16 +190,14 @@ class TestEmbeddingExitCode:
         assert report["correction"] == "clip"
         assert report["seed_scheme"] == 3
 
-    def test_build_budget_clip_exits_3(self, tmp_path, monkeypatch):
-        from collections import OrderedDict
-
+    def test_build_budget_clip_exits_3(self, tmp_path, monkeypatch,
+                                       fresh_embedding_cache):
         import mfbmwave.synth as synth
 
         # not nonnegative definite at m = 64; the budget admits that build
         # and not the doubling to 128
         assert synth._build_bytes(64, 2) < synth._build_bytes(128, 2)
         monkeypatch.setattr(model, "MEMORY_BUDGET", synth._build_bytes(64, 2))
-        monkeypatch.setattr(synth, "_factor_cache", OrderedDict())
         params = tmp_path / "p.txt"
         save_params(MfbmParams.bivariate(0.2, 0.95, rho=0.3697), params)
         cfg = write_config(tmp_path, "sim.json",
@@ -469,6 +467,14 @@ class TestValidationExitCodes:
                                   payload):
         self.run(tmp_path, capsys, "theory spectrum",
                  {"params": str(params_file), **payload})
+
+    def test_theory_coherence_zero_frequency(self, tmp_path, params_file,
+                                             capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.run(tmp_path, capsys, "theory coherence",
+                           {"params": str(params_file), "omegas": [0.0, 1.0]})
+        assert "zero frequency is excluded" in err
 
     def test_simulate_params_not_utf8(self, tmp_path, capsys):
         params = tmp_path / "params.bin"

@@ -57,6 +57,31 @@ class TestCsv:
         with pytest.raises(ContainerError):
             path_from_csv(buf, MfbmParams.univariate(0.5))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "CSV header None"),
+        ("t,x_1,x_2\r\n", "data rows of 3 fields"),
+        ("t,x_1,x_2\r\n0,0,0\r\n1,0.5,abc\r\n", "non-numeric value"),
+        ("t,x_1,x_2\r\n0,0,0\r\n1,0.5\r\n", "data rows of 3 fields"),
+        ("t,x_1,x_2\r\n0,0,0\r\n1,0.5,1\r\n2,1,1,7\r\n",
+         "data rows of 3 fields"),
+        ("t,x_1,x_2\r\n0,0,0\r\n1,0.5,1\r\n3,1,1\r\n", "not a uniform"),
+        ("t,x_1,x_2\r\n0,0,0\r\n-1,0.5,1\r\n-2,1,1\r\n",
+         "not a uniform"),
+        ("t,x_1,x_2\r\n0,0,0\r\n0,0.5,1\r\n", "not a uniform"),
+        ("t,x_1,x_2\r\n0,0,0\r\nnan,0.5,1\r\n", "not a uniform")],
+        ids=["empty", "header-only", "non-numeric", "short-row", "long-row",
+             "time-gap", "time-descending", "time-repeated", "time-nan"])
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(ContainerError, match=message):
+            path_from_csv(io.StringIO(text, newline=""), PARAMS)
+
+    def test_rounded_times_admitted(self):
+        # 0.3 is not 3 * 0.1 in binary; hand-written times keep dt = 0.1
+        text = "t,x_1,x_2\r\n0,0,0\r\n0.1,1,2\r\n0.2,3,4\r\n0.3,5,6\r\n"
+        got = path_from_csv(io.StringIO(text, newline=""), PARAMS)
+        assert got.dt == 0.1 and got.n == 4
+        np.testing.assert_array_equal(got.values, [[0, 1, 3, 5], [0, 2, 4, 6]])
+
     def test_field_csv_shape(self, field):
         buf = io.StringIO(newline="")
         field_to_csv(field, buf)

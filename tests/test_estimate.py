@@ -323,6 +323,17 @@ class TestErrorContract:
                                     WaveletCovQuery(0, 0, 4.0, 4.0), [0])
         assert out.shift_spacing == spacing and out.replicates == 30
 
+    @pytest.mark.parametrize("a1, a2", [(5.0, 4.0), (4.0, 5.0)])
+    def test_missing_scale_refused(self, a1, a2):
+        fld = WaveletField(coeffs=np.zeros((1, 2, 3)), scales=[4.0, 8.0],
+                           shifts=[40.0, 41.0, 42.0], dt=1.0, n=64)
+        with pytest.raises(MfbmwaveError) as err:
+            empirical_wavelet_cov([fld] * 30, WaveletCovQuery(0, 0, a1, a2),
+                                  [0])
+        # still a KeyError to callers that caught one; the message unquoted
+        assert isinstance(err.value, KeyError)
+        assert str(err.value) == "scale 5.0 not present in field"
+
     def test_mixed_shift_grids_refused(self, monkeypatch):
         # as many shifts at spacing 1 as at spacing 2: read at the first
         # field's spacing, half the lag-1 products would be at time lag 2

@@ -406,6 +406,56 @@ class TestTextFormat:
         assert err.value.line == 3
 
 
+class TestValueSemantics:
+    """Parameter sets compare and hash by their entries."""
+
+    def test_round_trips_equal(self, tmp_path):
+        from mfbmwave.containers import load_path_file, save_path_file
+        from mfbmwave.synth import SamplePath
+
+        params = random_params(np.random.default_rng(32), p=3)
+        again = params_from_text(params_to_text(params))
+        assert again is not params
+        assert again == params and hash(again) == hash(params)
+        path = SamplePath(params=params, n=2, dt=1.0, values=np.zeros((3, 2)),
+                          seed=0)
+        save_path_file(path, tmp_path / "p.mfbm")
+        loaded = load_path_file(tmp_path / "p.mfbm").params
+        assert loaded == params and hash(loaded) == hash(params)
+        assert loaded.fingerprint() == params.fingerprint()
+        assert len({params, again, loaded}) == 1
+
+    def test_any_entry_changes_equality(self):
+        base = random_params(np.random.default_rng(33), p=3)
+        entries = [("H", (j,)) for j in range(3)] + \
+            [("sigma", (j,)) for j in range(3)] + \
+            [(name, (j, k)) for name in ("rho", "eta")
+             for j in range(3) for k in range(j)]
+        for name, index in entries:
+            values = {key: np.array(getattr(base, key))
+                      for key in ("H", "sigma", "rho", "eta")}
+            values[name][index] += 1e-3
+            if name in ("rho", "eta"):
+                sign = 1.0 if name == "rho" else -1.0
+                values[name][index[::-1]] = sign * values[name][index]
+            other = MfbmParams(**values)
+            assert other != base and not other == base, (name, index)
+            assert hash(other) != hash(base), (name, index)
+        assert MfbmParams.univariate(0.5) != MfbmParams.bivariate(0.5, 0.5)
+
+    def test_negative_zero_eta(self):
+        plus = MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=0.0)
+        minus = MfbmParams.bivariate(0.3, 0.7, rho=0.4, eta=-0.0)
+        assert np.signbit(minus.eta[0, 1])
+        assert minus == plus and hash(minus) == hash(plus)
+
+    def test_other_types(self):
+        params = MfbmParams.bivariate(0.3, 0.7, rho=0.4)
+        assert (params == "x") is False
+        assert (params != "x") is True
+        assert params.__eq__(params.fingerprint()) is NotImplemented
+
+
 class TestTriangles:
     def test_row_major_order_and_inverse(self):
         params = random_params(np.random.default_rng(5), p=3)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ class TestCoherence:
         res = coherence(WaveletCovQuery(0, 1, 1.0, 3.0), params,
                         gaussian_derivative(1), omegas)
         np.testing.assert_allclose(res.closed_form.imag, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("omegas", [[0.0, 1.0], [-0.0], 0.0])
+    def test_rejects_zero_frequency(self, omegas):
+        params = MfbmParams.bivariate(0.3, 0.4, rho=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MfbmwaveError, match="zero frequency"):
+                coherence(WaveletCovQuery(0, 1, 1.0, 2.0), params,
+                          gaussian_derivative(1), omegas)
 
     def test_discrepancy_factor_is_diagonal_weights(self):
         params = MfbmParams.bivariate(0.35, 0.6, rho=0.4, eta=0.1)

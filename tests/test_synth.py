@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +77,7 @@ class TestBasics:
     def test_embedding_size(self):
         params = MfbmParams.univariate(0.7)
         fac = build_embedding(params, 64, 1.0)
-        assert fac.m == 128
+        assert fac.report.circulant_size == 128
         assert fac.report.correction == "none"
         rep = embedding_report(params, 64, 1.0)
         assert rep.circulant_size == 128
@@ -94,16 +93,51 @@ class TestBasics:
         assert all(path.seed == 5 for path in e1)
 
 
+class TestCache:
+    """The factors of the eight most recently used (params, n, dt) are kept."""
+
+    def test_least_recently_used_evicted(self, monkeypatch):
+        builds, build = [], synth.build_embedding
+        monkeypatch.setattr(synth, "build_embedding",
+                            lambda *key: builds.append(key[2]) or build(*key))
+        params = MfbmParams.bivariate(0.3, 0.6, rho=0.2)
+        # steps no other test uses, so that these eight fill the cache
+        steps = [1.0 + k / 1024 for k in range(1, 10)]
+        for dt in steps[:8]:
+            embedding_report(params, 8, dt)
+        assert builds == steps[:8]
+        embedding_report(params, 8, steps[0])     # a hit refreshes its key
+        assert builds == steps[:8]
+        embedding_report(params, 8, steps[8])     # evicts steps[1]
+        assert builds == steps
+        embedding_report(params, 8, steps[0])
+        assert builds == steps
+        embedding_report(params, 8, steps[1])
+        assert builds == steps + [steps[1]]
+
+    def test_equal_params_share_a_factor(self, monkeypatch):
+        calls, check = [], synth.check_existence
+        monkeypatch.setattr(synth, "check_existence",
+                            lambda params: calls.append(1) or check(params))
+        first = MfbmParams.bivariate(0.35, 0.65, rho=0.3, eta=0.1)
+        second = MfbmParams.bivariate(0.35, 0.65, rho=0.3, eta=0.1)
+        assert first is not second
+        a = synth._cached_embedding(first, 24, 1.0 + 1 / 2048)
+        b = synth._cached_embedding(second, 24, 1.0 + 1 / 2048)
+        assert a is b and len(calls) == 1
+
+
 def full_factor(fac):
     """The stored half factor and its conjugate mirror, (m, p, p)."""
-    half = fac.m // 2
-    return np.concatenate([fac.factor, np.conj(fac.factor[half - 1:0:-1])])
+    half = fac.report.circulant_size // 2
+    root = fac.root.transpose(2, 0, 1)
+    return np.concatenate([root, np.conj(root[half - 1:0:-1])])
 
 
 def reference_paths(params, n, dt, seed, count):
     """Seed scheme 3 spelled out one noise draw at a time."""
     fac = build_embedding(params, n, dt)
-    m, p = fac.m, params.p
+    m, p = fac.report.circulant_size, params.p
     a = full_factor(fac)
     rng = np.random.Generator(np.random.Philox(key=seed))
     out = []
@@ -173,7 +207,8 @@ class TestSeedScheme:
     @pytest.mark.parametrize("n, short, long", [(64, 3, 7), (4096, 33, 40)])
     def test_prefix_stable(self, n, short, long):
         fac = build_embedding(self.PARAMS, n, 1.0)
-        per_chunk = max(1, synth._CHUNK_BYTES // (16 * fac.m * self.PARAMS.p))
+        m = fac.report.circulant_size
+        per_chunk = max(1, synth._CHUNK_BYTES // (16 * m * self.PARAMS.p))
         if n == 4096:  # both ensembles draw a second chunk
             assert per_chunk < (short + 1) // 2
         a = replicate_ensemble(self.PARAMS, n, 1.0, seed=31, count=short)
@@ -347,8 +382,9 @@ class TestFactor:
     @pytest.mark.parametrize("n", [64, 1000])
     def test_square_is_full_spectrum(self, params, n):
         fac = build_embedding(params, n, 1.0)
-        assert fac.factor.shape == (fac.m // 2 + 1, params.p, params.p)
-        lam = full_spectrum(params, fac.m, 1.0)
+        m = fac.report.circulant_size
+        assert fac.root.shape == (params.p, params.p, m // 2 + 1)
+        lam = full_spectrum(params, m, 1.0)
         scale = np.abs(lam).max()
         assert np.abs(factor_square(fac) - lam).max() <= 1e-13 * scale
         # the Hermitian square root, as the full-spectrum factor of scheme 2
@@ -363,7 +399,7 @@ class TestFactor:
                              [(LOG_PAIR, 64, 5), (TRIVARIATE, 1000, 3)])
     def test_paths_of_scheme_2_to_rounding(self, params, n, count):
         # scheme 2 coloured the same noise by the root of the full spectrum
-        m = build_embedding(params, n, 1.0).m
+        m = build_embedding(params, n, 1.0).report.circulant_size
         root = hermitian_root(full_spectrum(params, m, 1.0))
         rng = np.random.Generator(np.random.Philox(key=99))
         want = []
@@ -391,7 +427,7 @@ class TestFactor:
     def test_rank_one_factor(self):
         fac = build_embedding(RANK_ONE, 16, 1.0)
         assert fac.report.correction == "none"
-        lam = full_spectrum(RANK_ONE, fac.m, 1.0)
+        lam = full_spectrum(RANK_ONE, fac.report.circulant_size, 1.0)
         assert np.abs(factor_square(fac) - lam).max() <= \
             1e-13 * np.abs(lam).max()
 
@@ -411,8 +447,8 @@ class TestFactor:
         with pytest.warns(RuntimeWarning, match="after 6 doublings"):
             fac = build_embedding(CLIPPED, 32, 1.0)
         assert fac.report.correction == "clip"
-        assert fac.m == 64 * 2 ** synth.MAX_DOUBLINGS
-        lam = full_spectrum(CLIPPED, fac.m, 1.0)
+        assert fac.report.circulant_size == 64 * 2 ** synth.MAX_DOUBLINGS
+        lam = full_spectrum(CLIPPED, fac.report.circulant_size, 1.0)
         d, v = np.linalg.eigh(lam)
         assert fac.report.min_eigenvalue == pytest.approx(d.min(), rel=1e-12)
         assert d.min() < 0.0
@@ -476,8 +512,9 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert fac.report.correction == "none"
-        assert peak <= build_bytes(fac.m, params.p)
-        assert synth._build_bytes(fac.m, params.p) == build_bytes(fac.m, params.p)
+        m = fac.report.circulant_size
+        assert peak <= build_bytes(m, params.p)
+        assert synth._build_bytes(m, params.p) == build_bytes(m, params.p)
 
     def test_first_size_over_budget(self, monkeypatch):
         attempt = synth._try_embedding
@@ -490,7 +527,8 @@ class TestMemory:
             build_embedding(CLIPPED, 33, 1.0)
         assert sizes == []
         monkeypatch.setattr(model, "MEMORY_BUDGET", build_bytes(64, 2))
-        assert build_embedding(MfbmParams.bivariate(0.3, 0.4), 33, 1.0).m == 64
+        fac = build_embedding(MfbmParams.bivariate(0.3, 0.4), 33, 1.0)
+        assert fac.report.circulant_size == 64
         assert sizes == [64]
 
     def test_first_size_refused_before_allocation(self, monkeypatch):
@@ -517,7 +555,8 @@ class TestMemory:
 
 def digest(fac):
     """SHA-256 of the factor and of the report's minimum eigenvalue."""
-    return (hashlib.sha256(np.ascontiguousarray(fac.factor).tobytes()).hexdigest(),
+    return (hashlib.sha256(np.ascontiguousarray(fac.root.transpose(2, 0, 1))
+                           .tobytes()).hexdigest(),
             hashlib.sha256(np.float64(fac.report.min_eigenvalue).tobytes())
             .hexdigest())
 
@@ -572,13 +611,14 @@ class TestPieces:
         inline = builds[0]
         assert (params is CLIPPED) == (inline.report.correction == "clip")
         for fac in builds[1:]:
-            assert fac.m == inline.m and fac.report == inline.report
+            assert fac.report == inline.report
             assert digest(fac) == digest(inline)
 
     def test_factor_pinned(self):
         # the bits of one eigh call over the whole half spectrum
         fac = build_embedding(TRIVARIATE, 2 ** 14, 1.0)
-        assert fac.m == 2 ** 15 and fac.report.correction == "none"
+        assert fac.report.circulant_size == 2 ** 15
+        assert fac.report.correction == "none"
         assert digest(fac) == (
             "16ba728c628d26c10ce6f55f13bac6617a6454bab91b0ee3c63187fb6d2a30b3",
             "d199ab32ca3a29cfbb8c27ea8b2f81b90573244351067d2da27f6bfbd81b5456")
@@ -633,7 +673,8 @@ class TestPieces:
                 build_embedding(TRIVARIATE, 100, 1e300)
         assert seen == []
 
-    def test_traced_names_stay_on_main_thread(self, monkeypatch):
+    def test_traced_names_stay_on_main_thread(self, monkeypatch,
+                                              fresh_embedding_cache):
         # the benchmark's span stack assumes one thread
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("perfbench_spans", path)
@@ -656,7 +697,6 @@ class TestPieces:
             for module in modules:
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, recorder(name, fn))
-        monkeypatch.setattr(synth, "_factor_cache", OrderedDict())
         split(monkeypatch, 3, 2)
         # check_existence calls eigh too, on the main thread
         seen = piece_threads(monkeypatch, synth, "_square_root", meet=2)
