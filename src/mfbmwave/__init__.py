@@ -47,7 +47,6 @@ from .wavstats import (
     scale_law_constant,
     asymptotic_law,
     asymptotic_wavelet_cov,
-    decay_exponent_fit,
 )
 from .spectral import (
     SpectrumGrid,

@@ -66,8 +66,9 @@ def path_to_csv(path: SamplePath, stream) -> None:
 def path_from_csv(stream, params: MfbmParams, seed: int = 0) -> SamplePath:
     """Path from the CSV of :func:`path_to_csv`; a ContainerError if malformed.
 
-    dt = t_1 - t_0 > 0 (1 for one row), and each t_i must lie within
-    1e-9 (|t_0 + i dt| + dt) of t_0 + i dt, as path_to_csv's times do exactly.
+    t_0 must be 0 and the first row of values 0, dt = t_1 > 0 (1 for one
+    row), and each t_i must lie within 1e-9 (|i dt| + dt) of i dt, as
+    path_to_csv's times do exactly.
     """
     reader = csv.reader(stream)
     header, p = next(reader, None), params.p
@@ -82,13 +83,17 @@ def path_from_csv(stream, params: MfbmParams, seed: int = 0) -> SamplePath:
     except ValueError:
         raise ContainerError("CSV holds a non-numeric value") from None
     times = data[:, 0]
-    dt = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    grid = times[0] + np.arange(len(times)) * dt
-    if not (0.0 < dt < math.inf
+    dt = float(times[1]) if len(times) > 1 else 1.0
+    grid = np.arange(len(times)) * dt
+    if not (times[0] == 0.0 and 0.0 < dt < math.inf
             and np.allclose(times, grid, rtol=1e-9, atol=1e-9 * dt)):
-        raise ContainerError("CSV time column is not a uniform ascending grid")
-    return SamplePath(params=params, n=data.shape[0], dt=dt,
-                      values=data[:, 1:].T.copy(), seed=seed)
+        raise ContainerError("CSV time column is not a uniform ascending grid "
+                             "from 0")
+    try:
+        return SamplePath(params=params, n=data.shape[0], dt=dt,
+                          values=data[:, 1:].T.copy(), seed=seed)
+    except ValueError as exc:
+        raise ContainerError(f"invalid CSV path: {exc}") from exc
 
 
 def field_to_csv(field: WaveletField, stream) -> None:

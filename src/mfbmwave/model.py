@@ -50,7 +50,12 @@ class MfbmwaveError(ValueError):
 
 
 class InvalidParamsError(MfbmwaveError):
-    """Raised when a parameter set violates the structural constraints."""
+    """Raised when a parameter set violates the structural constraints;
+    ``key`` names the entry at fault ('H', 'sigma', 'rho' or 'eta'), if known."""
+
+    def __init__(self, message: str, key: str | None = None):
+        self.key = key
+        super().__init__(message)
 
 
 class ComponentIndexError(MfbmwaveError, IndexError):
@@ -146,9 +151,13 @@ class MfbmParams:
     rho    : symmetric correlation matrix with unit diagonal, entries in [-1, 1].
     eta    : antisymmetric matrix with zero diagonal and finite entries.
 
-    Construction checks only the structural constraints above.  Whether the
-    parameters define a valid process is a separate spectral condition, see
-    :func:`check_existence`; simulation refuses inadmissible parameters.
+    Construction checks only the structural constraints above, each to
+    1e-12, and is the one place that does: the readers of the text and
+    binary formats pass it what they parse.  An InvalidParamsError names the
+    entry at fault in its ``key``.  The diagonal of rho is stored as exactly
+    1.0.  Whether the parameters define a valid process is a separate
+    spectral condition, see :func:`check_existence`; simulation refuses
+    inadmissible parameters.
     Sets compare and hash by value, entry by entry (-0.0 equals 0.0).
     """
 
@@ -160,34 +169,38 @@ class MfbmParams:
     def __post_init__(self):
         H = _as_readonly(np.atleast_1d(self.H))
         sigma = _as_readonly(np.atleast_1d(self.sigma))
-        rho = _as_readonly(np.atleast_2d(self.rho))
+        rho = np.array(np.atleast_2d(self.rho), dtype=float)
         eta = _as_readonly(np.atleast_2d(self.eta))
         p = H.shape[0]
         if H.ndim != 1 or p < 1:
-            raise InvalidParamsError("H must be a non-empty vector")
+            raise InvalidParamsError("H must be a non-empty vector", "H")
         # The checks below compare plain floats: a p of 2 or 3 costs a few
         # microseconds, where np.allclose and np.any cost tens each.
         hs = H.tolist()
         if not all(0.0 < h < 1.0 for h in hs):
-            raise InvalidParamsError("every Hurst exponent must lie in (0, 1)")
+            raise InvalidParamsError("every Hurst exponent must lie in (0, 1)", "H")
         if sigma.shape != (p,) or any(s <= 0.0 for s in sigma.tolist()):
-            raise InvalidParamsError("sigma must be a length-p vector of positive amplitudes")
+            raise InvalidParamsError(
+                "sigma must be a length-p vector of positive amplitudes", "sigma")
         if not all(math.isfinite(s) for s in sigma.tolist()):
-            raise InvalidParamsError("every amplitude sigma must be finite")
+            raise InvalidParamsError("every amplitude sigma must be finite", "sigma")
         if rho.shape != (p, p) or eta.shape != (p, p):
-            raise InvalidParamsError("rho and eta must be p x p matrices")
+            raise InvalidParamsError("rho and eta must be p x p matrices",
+                                     "rho" if rho.shape != (p, p) else "eta")
         r, e = rho.tolist(), eta.tolist()
         pairs = [(j, k) for j in range(p) for k in range(p)]
         if not all(_close(r[j][k], r[k][j]) for j, k in pairs):
-            raise InvalidParamsError("rho must be symmetric")
+            raise InvalidParamsError("rho must be symmetric", "rho")
         if not all(_close(r[j][j], 1.0) for j in range(p)):
-            raise InvalidParamsError("rho must have unit diagonal")
+            raise InvalidParamsError("rho must have unit diagonal", "rho")
         if any(abs(r[j][k]) > 1.0 + 1e-12 for j, k in pairs):
-            raise InvalidParamsError("rho entries must lie in [-1, 1]")
+            raise InvalidParamsError("rho entries must lie in [-1, 1]", "rho")
         if not all(_close(e[j][k], -e[k][j]) for j, k in pairs):
-            raise InvalidParamsError("eta must be antisymmetric")
+            raise InvalidParamsError("eta must be antisymmetric", "eta")
         if not all(math.isfinite(e[j][k]) for j, k in pairs):
-            raise InvalidParamsError("every eta entry must be finite")
+            raise InvalidParamsError("every eta entry must be finite", "eta")
+        rho.flat[::p + 1] = 1.0     # the unit diagonal, exactly
+        rho.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rho", rho)
@@ -356,11 +369,9 @@ def max_admissible_rho(h1: float, h2: float) -> float:
     """Supremum of admissible rho_12 for a bivariate process with eta = 0.
 
     Bisection of the admissibility test over rho in [0, 1], resolved to
-    1e-4.  Returns 1.0 when no constraint binds (e.g. h1 = h2).
+    1e-4.  Returns 1.0 when no constraint binds (e.g. h1 = h2).  Exponents
+    outside (0, 1) raise the InvalidParamsError of :class:`MfbmParams`.
     """
-    if not (0.0 < h1 < 1.0 and 0.0 < h2 < 1.0):
-        raise InvalidParamsError("Hurst exponents must lie in (0, 1)")
-
     def ok(rho: float) -> bool:
         return check_existence(MfbmParams.bivariate(h1, h2, rho=rho)).admissible
 
@@ -423,7 +434,13 @@ def params_to_text(params: MfbmParams) -> str:
 
 
 def params_from_text(text: str) -> MfbmParams:
-    """Parse the text document, reporting violations with their line number."""
+    """Parse the text document into an :class:`MfbmParams`.
+
+    The parser checks what only text can get wrong: the line syntax, the
+    keys, the numeric tokens, ``p`` as a positive integer and the number of
+    values per key.  The constructor judges the values; a ParamsFormatError
+    names the line of the entry either one finds at fault.
+    """
     seen: dict[str, tuple[int, list[float]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -448,45 +465,21 @@ def params_from_text(text: str) -> MfbmParams:
             raise ParamsFormatError(len(text.splitlines()) or 1, f"missing key {key!r}")
 
     lineno_p, pv = seen["p"]
-    if len(pv) != 1 or pv[0] != int(pv[0]) or int(pv[0]) < 1:
+    if len(pv) != 1 or not pv[0].is_integer() or pv[0] < 1:
         raise ParamsFormatError(lineno_p, "p must be a single positive integer")
     p = int(pv[0])
-
-    def expect(key: str, count: int) -> tuple[int, list[float]]:
+    for key, count in (("H", p), ("sigma", p), ("rho", p * (p + 1) // 2),
+                       ("eta", p * (p - 1) // 2)):
         lineno, values = seen[key]
         if len(values) != count:
             raise ParamsFormatError(lineno, f"{key} must hold {count} value(s), got {len(values)}")
-        return lineno, values
 
-    ln_h, hv = expect("H", p)
-    for v in hv:
-        if not (0.0 < v < 1.0):
-            raise ParamsFormatError(ln_h, f"Hurst exponent {v} outside (0, 1)")
-    ln_s, sv = expect("sigma", p)
-    for v in sv:
-        if v <= 0.0:
-            raise ParamsFormatError(ln_s, f"sigma entry {v} must be positive")
-        if not math.isfinite(v):
-            raise ParamsFormatError(ln_s, f"sigma entry {v} must be finite")
-    ln_r, rv = expect("rho", p * (p + 1) // 2)
-    ln_e, ev = expect("eta", p * (p - 1) // 2)
-    for v in ev:
-        if math.isinf(v):
-            raise ParamsFormatError(ln_e, f"eta entry {v} must be finite")
-
-    for i, j, v in zip(*np.tril_indices(p), rv):
-        if i == j:
-            if abs(v - 1.0) > 1e-12:
-                raise ParamsFormatError(ln_r, f"rho diagonal entry must be 1, got {v}")
-        elif abs(v) > 1.0:
-            raise ParamsFormatError(ln_r, f"rho entry {v} outside [-1, 1]")
-    rho, eta = unpack_triangles(p, rv, ev)
-    np.fill_diagonal(rho, 1.0)
-
+    rho, eta = unpack_triangles(p, seen["rho"][1], seen["eta"][1])
     try:
-        return MfbmParams(H=np.array(hv), sigma=np.array(sv), rho=rho, eta=eta)
+        return MfbmParams(H=np.array(seen["H"][1]), sigma=np.array(seen["sigma"][1]),
+                          rho=rho, eta=eta)
     except InvalidParamsError as exc:
-        raise ParamsFormatError(ln_h, str(exc)) from exc
+        raise ParamsFormatError(seen[exc.key][0], str(exc)) from exc
 
 
 def save_params(params: MfbmParams, path) -> None:

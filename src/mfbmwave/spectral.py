@@ -34,9 +34,6 @@ from .quadrature import quad_checked, quad_complex
 from .wavelets import HermiteWavelet
 from .wavstats import WaveletCovQuery, theoretical_wavelet_cov
 
-# Absolute target for the representation-identity quadratures.
-REP_TOL = 1e-8
-
 # The v log|v| representation exists only as a limit from below; it is
 # realized at alpha = 1 - eps for these eps and Richardson-extrapolated.
 LIMIT_EPS = (1e-4, 1e-5, 1e-6)

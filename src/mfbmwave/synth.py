@@ -62,9 +62,12 @@ class EmbeddingReport:
             raise MfbmwaveError("correction must be 'none' or 'clip'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePath:
-    """Discretized trajectory: values[j, i] = x_j(i * dt), x(0) = 0."""
+    """Discretized trajectory: values[j, i] = x_j(i * dt), x(0) = 0.
+
+    Paths compare and hash by identity: their values are an array.
+    """
 
     params: MfbmParams
     n: int

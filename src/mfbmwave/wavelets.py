@@ -22,14 +22,11 @@ from . import model
 from .model import MfbmwaveError, require_bytes
 
 # Standardized truncation radius: wavelet support is treated as |t| <= 10,
-# where the Gaussian-derivative mass is < 1e-20, far below EDGE_TOL.
+# where the Gaussian-derivative mass is < 1e-20.
 TRUNCATION_RADIUS = 10.0
 
 # Smallest resolvable scale, in units of the sampling step.
 MIN_SCALE_FACTOR = 4.0
-
-# Maximal fraction of wavelet L1 mass allowed to fall outside the sampled path.
-EDGE_TOL = 1e-8
 
 # Bytes per cwt_ensemble chunk, a path counted as the larger of its values and
 # its field (at least one path).  Streaming 300 bivariate paths of n = 4096
@@ -185,9 +182,12 @@ def gaussian_derivative(M: int) -> HermiteWavelet:
     return HermiteWavelet([(1.0, M)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletField:
-    """Wavelet coefficients d[j, scale, shift] of a sampled multivariate path."""
+    """Wavelet coefficients d[j, scale, shift] of a sampled multivariate path.
+
+    Fields compare and hash by identity: their coefficients are an array.
+    """
 
     coeffs: np.ndarray          # shape (p, n_scales, n_shifts); float64 from a
                                 # real wavelet, complex128 from a complex one
@@ -406,8 +406,9 @@ def cwt(path, wavelet: HermiteWavelet, scales, shifts=None) -> WaveletField:
 
     d[j, a, b] = a^(-1/2) sum_i x_j(t_i) conj(psi((t_i - b) / a)) dt, made
     by ``cwt_ensemble``.  Scales below MIN_SCALE_FACTOR * dt are refused;
-    shifts whose wavelet support sticks out of the sampled window (beyond
-    EDGE_TOL of L1 mass) are refused.  Both raise ``GridError``.
+    so are shifts b whose support |t - b| <= TRUNCATION_RADIUS * a at the
+    largest scale, ``shift_margin`` grid points each side, sticks out of
+    the sampled window.  Both raise ``GridError``.
 
     ``shifts`` defaults to every grid time admissible at the largest scale.
 

@@ -37,10 +37,6 @@ from .wavelets import HermiteWavelet, TRUNCATION_RADIUS, _SQRT_2PI
 # relative, whichever is looser.
 QUAD_TOL = 1e-8
 
-# Minimal |h| for asymptotic fits, in units of max(a1, a2): below this the
-# next-order remainder is not reliably subdominant.
-H_MIN_FACTOR = 16.0
-
 # |h| beyond this multiple of the integration half-width switches the
 # quadrature to the series-subtracted residual kernel (keeps |y/h| <= 1/2).
 _FAR_FACTOR = 2.0
@@ -400,25 +396,3 @@ def asymptotic_wavelet_cov(query: WaveletCovQuery, params: MfbmParams,
     law = asymptotic_law(params, wavelet, query.j, query.k, query.a1, query.a2)
     return law.value(query.h)
 
-
-def decay_exponent_fit(params: MfbmParams, wavelet: HermiteWavelet, j: int, k: int,
-                       h_grid, a1: float = 1.0, a2: float = 1.0,
-                       enforce_h_min: bool = True):
-    """Log-log regression of |cov| on |h| over a geometric lag grid.
-
-    The slope estimates H_j + H_k - 2M.  Lags below H_MIN_FACTOR * max(a1, a2)
-    are refused by default: the remainder of the decay law is not subdominant
-    there.
-    """
-    from .estimate import fit_power_law
-
-    h_grid = np.sort(np.asarray(h_grid, dtype=float))
-    if np.any(h_grid <= 0.0):
-        raise MfbmwaveError("lag grid must be positive")
-    h_min = H_MIN_FACTOR * max(a1, a2)
-    if enforce_h_min and h_grid[0] < h_min:
-        raise MfbmwaveError(f"h_min {h_grid[0]} below asymptotic threshold {h_min}")
-    mags = np.array([
-        abs(theoretical_wavelet_cov(WaveletCovQuery(j, k, a1, a2, h), params, wavelet))
-        for h in h_grid])
-    return fit_power_law(h_grid, mags)

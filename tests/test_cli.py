@@ -232,7 +232,19 @@ class TestValidationExitCodes:
         params.write_text("p: 2\nH: 0.4 0.7\nsigma: 1 inf\nrho: 1 0.5 1\neta: 0.1\n")
         err = self.run(tmp_path, capsys, "simulate",
                        {"params": str(params), "n": 64, "dt": 1.0})
-        assert err == "error: line 3: sigma entry inf must be finite\n"
+        assert err == "error: line 3: every amplitude sigma must be finite\n"
+
+    @pytest.mark.parametrize("line, entry", [
+        (1, "p: nan"), (1, "p: inf"), (4, "rho: nan 0.5 1"), (5, "eta: nan")])
+    def test_simulate_bad_params_entry(self, tmp_path, capsys, line, entry):
+        # each refused at the line of its entry, none with a traceback
+        lines = ["p: 2", "H: 0.4 0.7", "sigma: 1 1", "rho: 1 0.5 1", "eta: 0.1"]
+        lines[line - 1] = entry
+        params = tmp_path / "bad.txt"
+        params.write_text("\n".join(lines) + "\n")
+        err = self.run(tmp_path, capsys, "simulate",
+                       {"params": str(params), "n": 64, "dt": 1.0})
+        assert err.startswith(f"error: line {line}: ")
 
     def test_estimate_too_few_replicates(self, tmp_path, params_file, capsys):
         err = self.run(tmp_path, capsys, "estimate",

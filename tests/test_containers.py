@@ -68,9 +68,12 @@ class TestCsv:
         ("t,x_1,x_2\r\n0,0,0\r\n-1,0.5,1\r\n-2,1,1\r\n",
          "not a uniform"),
         ("t,x_1,x_2\r\n0,0,0\r\n0,0.5,1\r\n", "not a uniform"),
-        ("t,x_1,x_2\r\n0,0,0\r\nnan,0.5,1\r\n", "not a uniform")],
+        ("t,x_1,x_2\r\n0,0,0\r\nnan,0.5,1\r\n", "not a uniform"),
+        ("t,x_1,x_2\r\n5,0,0\r\n6,1,1\r\n", "grid from 0"),
+        ("t,x_1,x_2\r\n0,1,0\r\n1,1,1\r\n", "paths must start at zero")],
         ids=["empty", "header-only", "non-numeric", "short-row", "long-row",
-             "time-gap", "time-descending", "time-repeated", "time-nan"])
+             "time-gap", "time-descending", "time-repeated", "time-nan",
+             "time-offset", "first-row-nonzero"])
     def test_malformed_rejected(self, text, message):
         with pytest.raises(ContainerError, match=message):
             path_from_csv(io.StringIO(text, newline=""), PARAMS)

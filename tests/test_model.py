@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -44,6 +45,46 @@ def random_params(rng, p=3):
     return params
 
 
+VALID_ENTRIES = {"H": ["0.4", "0.7"], "sigma": ["1", "1.5"],
+                 "rho": ["1", "0.5", "1"], "eta": ["0.1"]}
+
+
+def bivariate_text(entries) -> str:
+    return "p: 2\n" + "".join(f"{key}: {' '.join(tokens)}\n"
+                              for key, tokens in entries.items())
+
+
+VALID_TEXT = bivariate_text(VALID_ENTRIES)
+
+SUBSTITUTES = ["nan", "inf", "-inf", "1e400", "0", "-0.0", "2", "1.0000000000005"]
+
+
+def judged(values):
+    """(params or None, params or None): the constructor's verdict on the
+    bivariate ``values`` by key, and that of a .mfbm path holding them."""
+    from mfbmwave.containers import ContainerError, load_path, save_path
+    from mfbmwave.synth import SamplePath
+
+    rho, eta = unpack_triangles(2, values["rho"], values["eta"])
+    try:
+        direct = MfbmParams(H=np.array(values["H"]), sigma=np.array(values["sigma"]),
+                            rho=rho, eta=eta)
+    except InvalidParamsError:
+        direct = None
+    buf = io.BytesIO()
+    save_path(SamplePath(MfbmParams.bivariate(0.3, 0.4), 2, 1.0, np.zeros((2, 2)), 0),
+              buf)
+    raw = buf.getvalue()
+    # the header (8 bytes) and p n dt seed (28) precede H, sigma, rho and eta
+    blob = b"".join(np.array(values[key], dtype="<f8").tobytes()
+                    for key in ("H", "sigma", "rho", "eta"))
+    try:
+        stored = load_path(io.BytesIO(raw[:36] + blob + raw[36 + len(blob):])).params
+    except ContainerError:
+        stored = None
+    return direct, stored
+
+
 class TestValidation:
     def test_rejects_bad_hurst(self):
         with pytest.raises(InvalidParamsError):
@@ -73,7 +114,7 @@ class TestValidation:
 
     # each bad input and its exact message; the non-finite sigma, eta and H
     # entries marked "new" were accepted before the checks compared floats
-    @pytest.mark.parametrize("kwargs, message", [
+    BAD_INPUTS = [
         (dict(H=[]), "H must be a non-empty vector"),
         (dict(H=[[0.3, 0.4]]), "H must be a non-empty vector"),
         (dict(H=[0.0, 0.4]), "every Hurst exponent must lie in (0, 1)"),
@@ -103,14 +144,25 @@ class TestValidation:
         (dict(eta=[[math.inf, 0.0], [0.0, 0.0]]), "eta must be antisymmetric"),
         (dict(eta=[[0.0, math.inf], [-math.inf, 0.0]]), "every eta entry must be finite"),  # new
         (dict(eta=[[0.0, -math.inf], [math.inf, 0.0]]), "every eta entry must be finite"),  # new
-    ])
-    def test_bad_input_messages(self, kwargs, message):
+    ]
+
+    @staticmethod
+    def refusal(kwargs) -> InvalidParamsError:
         args = dict(H=[0.3, 0.4], sigma=[1.0, 1.0], rho=np.eye(2),
                     eta=np.zeros((2, 2)))
         args.update(kwargs)
         with pytest.raises(InvalidParamsError) as err:
             MfbmParams(**{k: np.array(v, dtype=float) for k, v in args.items()})
-        assert str(err.value) == message
+        return err.value
+
+    @pytest.mark.parametrize("kwargs, message", BAD_INPUTS)
+    def test_bad_input_messages(self, kwargs, message):
+        assert str(self.refusal(kwargs)) == message
+
+    @pytest.mark.parametrize("kwargs, message", BAD_INPUTS)
+    def test_bad_input_names_entry(self, kwargs, message):
+        (entry,) = kwargs
+        assert self.refusal(kwargs).key == entry
 
     def test_tolerances_kept(self):
         # entries within 1e-12 of symmetry, of a unit diagonal and of the
@@ -120,6 +172,14 @@ class TestValidation:
                    eta=[[0.0, 0.1 + 5e-13], [-0.1, 0.0]])
         MfbmParams.bivariate(0.3, 0.4, rho=1.0 + 1e-12)
         MfbmParams.bivariate(0.3, 0.4, rho=-1.0 - 1e-12)
+
+    def test_unit_diagonal_stored_exactly(self):
+        near = MfbmParams(H=[0.3, 0.4], sigma=[1.0, 1.0],
+                          rho=[[1.0 + 5e-13, 0.5], [0.5, 1.0 - 5e-13]],
+                          eta=np.zeros((2, 2)))
+        assert near.rho[0, 0] == 1.0 and near.rho[1, 1] == 1.0
+        assert near == MfbmParams.bivariate(0.3, 0.4, rho=0.5)
+        assert not near.rho.flags.writeable
 
 
 class TestErrorHierarchy:
@@ -333,6 +393,13 @@ class TestMaxAdmissibleRho:
             assert max_admissible_rho(*pair) == pytest.approx(bound(*pair), abs=2e-4)
         assert max_admissible_rho(0.1, 0.8) == pytest.approx(0.514, abs=1e-3)
 
+    @pytest.mark.parametrize("pair", [(0.0, 0.5), (0.5, 1.0), (math.nan, 0.5)])
+    def test_hurst_refused_by_constructor(self, pair):
+        with pytest.raises(InvalidParamsError,
+                           match=r"^every Hurst exponent must lie in \(0, 1\)$") as err:
+            max_admissible_rho(*pair)
+        assert err.value.key == "H"
+
     def test_swap_symmetry(self):
         assert max_admissible_rho(0.25, 0.65) == pytest.approx(
             max_admissible_rho(0.65, 0.25), abs=2e-4)
@@ -388,15 +455,43 @@ class TestTextFormat:
     def test_nonfinite_entries_name_their_line(self):
         text = "p: 2\nH: 0.4 0.7\nsigma: 1 {}\nrho: 1 0.5 1\neta: {}\n"
         for sigma, eta, line, message in (
-                ("inf", "0.1", 3, "sigma entry inf must be finite"),
-                ("nan", "0.1", 3, "sigma entry nan must be finite"),
-                ("1", "-inf", 5, "eta entry -inf must be finite")):
+                ("inf", "0.1", 3, "every amplitude sigma must be finite"),
+                ("nan", "0.1", 3, "every amplitude sigma must be finite"),
+                ("1", "-inf", 5, "every eta entry must be finite")):
             with pytest.raises(ParamsFormatError) as err:
                 params_from_text(text.format(sigma, eta))
             assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
-        # a NaN eta keeps the message it had: the antisymmetry test fails
-        with pytest.raises(ParamsFormatError, match="line 2: eta must be antisymmetric"):
+        # a NaN eta fails the antisymmetry test, at the eta line
+        with pytest.raises(ParamsFormatError, match="line 5: eta must be antisymmetric"):
             params_from_text(text.format("1", "nan"))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "0",
+                                       "-0.0", "1.0000000000005", "-2"])
+    def test_p_must_be_positive_integer(self, token):
+        # int() of the first four would raise ValueError or OverflowError
+        with pytest.raises(ParamsFormatError) as err:
+            params_from_text(VALID_TEXT.replace("p: 2", f"p: {token}"))
+        assert str(err.value) == "line 1: p must be a single positive integer"
+
+    @pytest.mark.parametrize("key, index", [(key, index)
+                                            for key, tokens in VALID_ENTRIES.items()
+                                            for index in range(len(tokens))])
+    @pytest.mark.parametrize("token", SUBSTITUTES)
+    def test_reader_agrees_with_constructor(self, key, index, token):
+        entries = {k: list(tokens) for k, tokens in VALID_ENTRIES.items()}
+        entries[key][index] = token
+        text = bivariate_text(entries)
+        direct, stored = judged({k: [float(t) for t in tokens]
+                                 for k, tokens in entries.items()})
+        if direct is None:
+            assert stored is None
+            with pytest.raises(ParamsFormatError) as err:
+                params_from_text(text)
+            assert err.value.line == text.splitlines().index(
+                f"{key}: {' '.join(entries[key])}") + 1
+        else:
+            assert stored.fingerprint() == direct.fingerprint()
+            assert params_from_text(text).fingerprint() == direct.fingerprint()
 
     def test_file_not_utf8(self, tmp_path):
         f = tmp_path / "params.bin"

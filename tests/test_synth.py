@@ -899,3 +899,10 @@ class TestInputChecks:
         listed = SamplePath(self.PARAMS, 16, 1.0, values.tolist(), seed=1)
         assert listed.values.dtype == float
         np.testing.assert_array_equal(listed.values, values)
+
+    def test_path_compares_by_identity(self):
+        a, b = (SamplePath(self.PARAMS, 3, 1.0, np.zeros((2, 3)), seed=0)
+                for _ in range(2))
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2

@@ -543,3 +543,11 @@ class TestInputChecks:
                  *replicate_ensemble(params, 128, 0.5, seed=1, count=1)]
         with pytest.raises(MfbmwaveError, match="one sampling step"):
             list(cwt_ensemble(paths, gaussian_derivative(1), [4.0]))
+
+    def test_field_compares_by_identity(self):
+        a, b = (wavelets.WaveletField(coeffs=np.zeros((1, 1, 5)), scales=[4.0],
+                                      shifts=np.arange(5.0), dt=1.0, n=64)
+                for _ in range(2))
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2

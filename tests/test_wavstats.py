@@ -18,7 +18,6 @@ from mfbmwave.wavstats import (
     scale_law_constant,
     asymptotic_law,
     asymptotic_wavelet_cov,
-    decay_exponent_fit,
     binom_gen,
 )
 from oracles import theoretical_wavelet_cov_2d, wavelet_at
@@ -372,30 +371,6 @@ class TestDecayFit:
         rep = fit_power_law(xs, ys)
         assert rep.slope == pytest.approx(-2.0, abs=1e-12)
         assert rep.slope_se < 1e-12
-
-    def test_slope_m1(self):
-        params = MfbmParams.bivariate(0.4, 0.8, rho=0.6)
-        rep = decay_exponent_fit(params, gaussian_derivative(1), 0, 1,
-                                 2.0 ** np.arange(5, 10))
-        assert rep.slope == pytest.approx(1.2 - 2.0, abs=0.05)
-
-    def test_slope_m2(self):
-        params = MfbmParams.bivariate(0.4, 0.8, rho=0.6)
-        rep = decay_exponent_fit(params, gaussian_derivative(2), 0, 1,
-                                 2.0 ** np.arange(5, 10))
-        assert rep.slope == pytest.approx(1.2 - 4.0, abs=0.05)
-
-    def test_h_min_enforced(self):
-        params = MfbmParams.bivariate(0.4, 0.8, rho=0.6)
-        with pytest.raises(MfbmwaveError, match="below asymptotic threshold"):
-            decay_exponent_fit(params, gaussian_derivative(1), 0, 1,
-                               [4.0, 8.0, 16.0])
-
-    def test_lag_grid_positive(self):
-        params = MfbmParams.bivariate(0.4, 0.8, rho=0.6)
-        with pytest.raises(MfbmwaveError, match="lag grid must be positive"):
-            decay_exponent_fit(params, gaussian_derivative(1), 0, 1,
-                               [0.0, 32.0, 64.0], enforce_h_min=False)
 
 
 @pytest.mark.parametrize("a1, a2", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0),
