@@ -36,7 +36,9 @@ PIECE_SAMPLES = 1 << 18
 
 # Bytes that a config-sized array may hold, checked by require_bytes before
 # it is allocated: the embedding build, an ensemble's paths, a frequency grid,
-# a wavelet field.  2 GiB admits m = 2^23 at p = 3 and m = 2^24 at p = 2.
+# a wavelet field.  2 GiB admits m = 2^24 at p = 2, and at p = 3 on up to two
+# CPUs; each further CPU holds one more pair's rows of the build at once, and
+# from three on it admits m = 2^23 at p = 3.
 MEMORY_BUDGET = 2 << 30
 
 
@@ -131,9 +133,8 @@ def run_pieces(work, count: int) -> None:
 
 
 def _close(x: float, y: float) -> bool:
-    """np.isclose(x, y, atol=1e-12, rtol=0.0) for two floats: equal infinities
-    are close, NaN is close to nothing."""
-    return x == y or abs(x - y) <= 1e-12
+    """np.isclose(x, y, atol=1e-12, rtol=0.0) for two finite floats."""
+    return abs(x - y) <= 1e-12
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -189,16 +190,18 @@ class MfbmParams:
                                      "rho" if rho.shape != (p, p) else "eta")
         r, e = rho.tolist(), eta.tolist()
         pairs = [(j, k) for j in range(p) for k in range(p)]
+        if not all(math.isfinite(r[j][k]) for j, k in pairs):
+            raise InvalidParamsError("every rho entry must be finite", "rho")
         if not all(_close(r[j][k], r[k][j]) for j, k in pairs):
             raise InvalidParamsError("rho must be symmetric", "rho")
         if not all(_close(r[j][j], 1.0) for j in range(p)):
             raise InvalidParamsError("rho must have unit diagonal", "rho")
         if any(abs(r[j][k]) > 1.0 + 1e-12 for j, k in pairs):
             raise InvalidParamsError("rho entries must lie in [-1, 1]", "rho")
-        if not all(_close(e[j][k], -e[k][j]) for j, k in pairs):
-            raise InvalidParamsError("eta must be antisymmetric", "eta")
         if not all(math.isfinite(e[j][k]) for j, k in pairs):
             raise InvalidParamsError("every eta entry must be finite", "eta")
+        if not all(_close(e[j][k], -e[k][j]) for j, k in pairs):
+            raise InvalidParamsError("eta must be antisymmetric", "eta")
         rho.flat[::p + 1] = 1.0     # the unit diagonal, exactly
         rho.setflags(write=False)
         object.__setattr__(self, "H", H)
@@ -257,6 +260,31 @@ def _check_index(params: MfbmParams, j: int, k: int) -> None:
             f"component indices ({j}, {k}) out of range for p={params.p}")
 
 
+def kernel_both_signs(params: MfbmParams, j: int, k: int, a: np.ndarray):
+    """(w_jk(a), w_jk(-a)) at magnitudes a > 0, from one power or log of a.
+
+    (rho_jk - eta_jk) A and (rho_jk + eta_jk) A with A = a^(H_j+H_k) off the
+    critical exponent, P + Q and P - Q with P = rho_jk a and
+    Q = (eta_jk a) log a on it: the floating-point operations of
+    w_jk(h) at h = a and h = -a.  ``a`` is overwritten and returned as one
+    of the two.  The one statement of the two-branch formula, for
+    :func:`kernel_w` and the embedding build.
+    """
+    rho, eta = params.rho[j, k], params.eta[j, k]
+    if params.is_log_branch(j, k):
+        pos = rho * a
+        neg = eta * a
+        np.log(a, out=a)
+        neg *= a                # Q
+        np.subtract(pos, neg, out=a)
+        pos += neg
+        return pos, a
+    a **= params.alpha(j, k)    # the operator: numpy's ** takes sqrt at 0.5
+    neg = (rho + eta) * a
+    a *= rho - eta
+    return a, neg
+
+
 def kernel_w(params: MfbmParams, j: int, k: int, h):
     """Two-branch kernel w_jk(h) of the cross-covariance.
 
@@ -268,16 +296,11 @@ def kernel_w(params: MfbmParams, j: int, k: int, h):
     h_arr = np.asarray(h, dtype=float)
     scalar = h_arr.ndim == 0
     h_arr = np.atleast_1d(h_arr)
-    rho = params.rho[j, k]
-    eta = params.eta[j, k]
-    alpha = params.alpha(j, k)
     out = np.zeros_like(h_arr)
     nz = h_arr != 0.0
-    ah = np.abs(h_arr[nz])
-    if params.is_log_branch(j, k):
-        out[nz] = rho * ah + eta * h_arr[nz] * np.log(ah)
-    else:
-        out[nz] = (rho - eta * np.sign(h_arr[nz])) * ah ** alpha
+    hz = h_arr[nz]
+    pos, neg = kernel_both_signs(params, j, k, np.abs(hz))
+    out[nz] = np.where(hz > 0.0, pos, neg)
     return float(out[0]) if scalar else out
 
 

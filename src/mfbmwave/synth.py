@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model
 from .model import (MfbmParams, MfbmwaveError, InvalidParamsError,
-                    check_existence, kernel_w, require_bytes, run_pieces)
+                    check_existence, require_bytes, run_pieces)
 
 # Relative tolerance (w.r.t. the largest eigenvalue) below which negative
 # frequency-matrix eigenvalues count as numerical noise.
@@ -106,21 +106,29 @@ class _CirculantFactor:
 def _build_bytes(m: int, p: int) -> int:
     """Upper estimate of the bytes a build at circulant size m holds.
 
-    The real blocks, the larger of two stages' other arrays, and 32 KB of
-    small arrays and numpy buffers that do not grow with m.  While the
-    blocks are made, one pair's kernel (``kernel_w``, the difference
-    stencil and numpy's iterator buffer) holds up to eleven arrays of
-    m + 3 floats at once.  From the FFT on, twice the half spectrum and its
-    eigenvalues: the sum kept from before the factor overwrote the spectrum
-    piece by piece.  The kernel stage is the larger below p = 3.  Traced
-    peaks of builds from n = 2 to 2^16 stay within 0.96 of the estimate;
-    at p = 3 and n >= 2^14 it is loose, about 0.64.
+    The half spectrum, the larger of two stages' per-worker arrays times
+    the workers of that stage (``model.workers``), and 12 KB of small
+    objects that do not grow with m.  A pair of components
+    (``_pair_spectrum``) holds its row of m floats and up to three kernel
+    arrays of m/2 + 2 floats; the reflected row and the conjugate spectrum
+    row come after the kernel's arrays are freed and are smaller.  A piece
+    of f frequency matrices holds its eigenvectors and eigenvalues and,
+    in ``_square_root``, two arrays the size of the eigenvalues and one
+    conjugate column and one product of f values, or numpy's ufunc buffer
+    (``np.getbufsize()`` elements) while the eigenvectors are scaled.
+    Traced peaks of builds from n = 2 to 2^16 at p = 1, 2 and 3 lie between
+    0.32 of the estimate, at n = 2 where the 12 KB are most of it, and the
+    estimate; from n = 1000 on, above 0.79.
     """
-    blocks = m * p * p * 8
-    spectrum = (m // 2 + 1) * p * p * 16
-    kernel = 11 * (m + 3) * 8
-    later = 2 * spectrum + (m // 2 + 1) * p * 8
-    return blocks + max(kernel, later) + (32 << 10)
+    freqs = m // 2 + 1
+    spectrum = freqs * p * p * 16
+    pair = 8 * m + 24 * (m // 2 + 2)
+    pieces = max(1, freqs // _PIECE_MATRICES)
+    f = -(-freqs // pieces)             # matrices in the largest piece
+    piece = f * (16 * p * p + 24 * p + 16) + 16 * min(f * p * p,
+                                                       np.getbufsize())
+    return (spectrum + max(model.workers(_pair_pieces(m, p)) * pair,
+                           model.workers(pieces) * piece) + (12 << 10))
 
 
 def _first_size(n: int, p: int) -> int:
@@ -138,32 +146,72 @@ def _first_size(n: int, p: int) -> int:
     return m
 
 
-def _increment_blocks(params: MfbmParams, m: int, dt: float) -> np.ndarray:
-    """Increment covariance blocks at the circulant lags, shape (p, p, m).
+def _pair_pieces(m: int, p: int) -> int:
+    """Pieces of the pair stage of a build at circulant size m.
 
-    Entry [j, k, i] is gamma_jk(h) at lag h = i for i <= m/2 and h = i - m
-    above.  One kernel evaluation per pair j <= k on the integer grid
-    |t| <= m/2 + 1 serves the three shifted terms of
-    :func:`increment_cross_covariance`, with the same floating-point
-    operations, and gamma_kj(h) = gamma_jk(-h) fills k > j.  The m/2 lag is
-    its own reflection; its block is symmetrized to keep the frequency
-    matrices Hermitian.
+    One per component pair j <= k when a circulant row holds at least
+    ``model.PIECE_SAMPLES`` samples, else one, which runs every pair.
     """
-    p, half = params.p, m // 2
-    s = np.arange(-half - 1.0, half + 2.0)
-    out = np.empty((p, p, m))
-    for j in range(p):
-        for k in range(j, p):
-            w = kernel_w(params, j, k, -dt * s)        # w_jk(-dt s)
-            c = 0.5 * params.sigma[j] * params.sigma[k]
-            g = c * (w[:-2] + w[2:] - 2.0 * w[1:-1])   # lags -m/2 .. m/2
-            out[j, k, :half + 1] = g[half:]
-            out[j, k, half + 1:] = g[1:half]
-            if k > j:
-                out[k, j, :half + 1] = g[half::-1]
-                out[k, j, half + 1:] = g[2 * half - 1:half:-1]
-    out[:, :, half] = 0.5 * (out[:, :, half] + out[:, :, half].T)
-    return out
+    return p * (p + 1) // 2 if m >= model.PIECE_SAMPLES else 1
+
+
+def _circulant_row(params: MfbmParams, j: int, k: int, dt: float,
+                   row: np.ndarray) -> None:
+    """Circulant row jk of the increment covariance into ``row`` (m floats).
+
+    Entry i is gamma_jk(h) at lag h = i for i <= m/2 and h = i - m above;
+    row kj is this row at the negated lags, gamma_kj(h) = gamma_jk(-h).  The
+    m/2 lag is its own reflection: it holds
+    0.5 (gamma_jk(m/2) + gamma_jk(-m/2)), which keeps the frequency
+    matrices Hermitian.  One kernel evaluation on the half grid
+    |t| = dt (0 .. m/2 + 1) gives both signs (``kernel_both_signs``), and
+    the difference stencil of :func:`increment_cross_covariance` is filled
+    into ``row`` in place, with the same floating-point operations.
+    """
+    m = row.size
+    half = m // 2
+    t = np.arange(half + 2.0)
+    t *= dt
+    t[0] = 1.0                  # any magnitude: w(0) = 0 is set below
+    pos, neg = model.kernel_both_signs(params, j, k, t)  # w(dt t), w(-dt t)
+    pos[0] = neg[0] = 0.0
+    # lag h >= 0: w(dt (1 - h)) + w(-dt (1 + h)) - 2 w(-dt h); at h = 0
+    # subtracting 2 w(0) = +0.0 leaves every float as it is
+    row[0] = pos[1] + neg[1]
+    np.add(neg[:half], neg[2:], out=row[1:half + 1])
+    # lag -u at i = m - u: w(dt (1 + u)) + w(dt (u - 1)) - 2 w(dt u)
+    below = row[:half:-1]
+    np.add(pos[2:half + 1], pos[:half - 1], out=below)
+    far = pos[half + 1] + pos[half - 1]         # the lag -m/2
+    pos *= 2.0
+    neg *= 2.0
+    row[1:half + 1] -= neg[1:half + 1]
+    below -= pos[1:half]
+    far -= pos[half]
+    c = 0.5 * params.sigma[j] * params.sigma[k]
+    row *= c
+    near = row[half]
+    row[half] = 0.5 * (near + (c * far if k > j else near))
+
+
+def _pair_spectrum(params: MfbmParams, j: int, k: int, dt: float,
+                   root: np.ndarray) -> None:
+    """Lambda_jk and Lambda_kj of the half spectrum into ``root`` (p, p, m/2 + 1).
+
+    The rfft of circulant rows jk and kj.  For j < k the lower entry is
+    then the average 0.5 (Lambda_kj + conj Lambda_jk): ``eigh`` reads the
+    lower triangle only.
+    """
+    row = np.empty(2 * (root.shape[-1] - 1))
+    _circulant_row(params, j, k, dt, row)
+    np.fft.rfft(row, out=root[j, k])
+    if k > j:
+        row[1:] = row[:0:-1]    # row kj; numpy copies the overlapping source
+        np.fft.rfft(row, out=root[k, j])
+        del row                 # before the conjugate, as _build_bytes counts
+        lower = root[k, j]
+        lower += np.conj(root[j, k])
+        lower *= 0.5
 
 
 # Frequency matrices per piece of the eigendecomposition and square root.
@@ -176,23 +224,32 @@ def _try_embedding(params: MfbmParams, dt: float, m: int):
     """Factor of the half spectrum Lambda(f), f = 0..m/2, and its eigenvalue range.
 
     Returns (root, lam_min, lam_max) with root the (p, p, m/2 + 1) Hermitian
-    square roots of :func:`_square_root`.  The blocks are real, so
+    square roots of :func:`_square_root`.  The circulant rows are real, so
     Lambda(m - f) = conj Lambda(f) and the half spectrum has every
-    eigenvalue of the full one.  Only the lower triangle is symmetrized: it
-    is all that ``eigh`` reads.  ``eigh`` and the root run on contiguous
-    pieces of the spectrum (``model.run_pieces``), and each piece's root
-    overwrites its spectrum.  A piece whose matrices are not all finite
-    takes neither (LAPACK may not converge on them), nor does a piece with
-    an eigenvalue that is not finite; lam_min and lam_max are then NaN.
-    Overflow in the kernel is not warned about here: ``build_embedding``
-    refuses a spectrum that is not finite.
+    eigenvalue of the full one.  The spectrum is made one component pair
+    j <= k at a time (``_pair_spectrum``), each pair a piece of
+    ``model.run_pieces`` once a row holds ``model.PIECE_SAMPLES`` samples
+    (``_pair_pieces``); no (p, p, m) array of blocks is made.  ``eigh`` and
+    the root then run on contiguous pieces of the spectrum, and each
+    piece's root overwrites its spectrum.  A piece whose matrices are not
+    all finite takes neither (LAPACK may not converge on them), nor does a
+    piece with an eigenvalue that is not finite; lam_min and lam_max are
+    then NaN.  Overflow in the kernel is not warned about here:
+    ``build_embedding`` refuses a spectrum that is not finite.
     """
+    p = params.p
+    root = np.empty((p, p, m // 2 + 1), dtype=complex)
+    pairs = [(j, k) for j in range(p) for k in range(j, p)]
+    count = _pair_pieces(m, p)
+
+    def pair(i):
+        lo, hi = i * len(pairs) // count, (i + 1) * len(pairs) // count
+        for j, k in pairs[lo:hi]:
+            _pair_spectrum(params, j, k, dt, root)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        root = np.fft.rfft(_increment_blocks(params, m, dt), axis=-1)
+        run_pieces(pair, count)
     lam = np.moveaxis(root, -1, 0)      # (m/2 + 1, p, p) view, as eigh stacks
-    for j in range(params.p):
-        for k in range(j + 1, params.p):
-            lam[:, k, j] = 0.5 * (lam[:, k, j] + np.conj(lam[:, j, k]))
     freqs = lam.shape[0]
     pieces = max(1, freqs // _PIECE_MATRICES)
     ranges = [None] * pieces
@@ -235,23 +292,27 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     falls back to clipping the offending eigenvalues with a loud report.  A
     doubling is also refused, and the clip taken, when the next size would
     exceed ``model.MEMORY_BUDGET``, the budget of ``require_bytes``.  Without
-    it MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 31 GB at
-    p = 3 (``_build_bytes``).  A first size beyond the budget is an
-    MfbmwaveError (see _first_size), and so is a spectrum that is not finite
-    (a dt at which the covariance kernel overflows), which no doubling
-    mends; it is refused before ``eigh`` sees it.
+    it MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 12 GB at
+    p = 3 on one CPU and 15 GB on two (``_build_bytes``).  A first size
+    beyond the budget is an MfbmwaveError (see _first_size), and so is a
+    spectrum that is not finite (a dt at which the covariance kernel
+    overflows), which no doubling mends; it is refused before ``eigh`` sees
+    it.
 
-    The blocks and their FFT are computed on the calling thread.  ``eigh``
-    and the square root run on pieces of about 4096 frequency matrices
-    (``_PIECE_MATRICES``), shared by the caller and worker threads, one per
-    CPU this process may run on (``model.run_pieces``) beyond the caller's
-    own; a half spectrum of one piece, or a single CPU, starts no thread.
-    Each matrix goes through the same LAPACK call wherever it runs, so the
-    factor and the report do not depend on the split or the number of
-    threads, bit for bit.  The speed-up of the threads has been measured on
-    2 CPUs only (about 1.3 times on ``eigh`` and the root); how the build
-    scales on more CPUs, or under a CPU quota below the affinity mask, is
-    not known.
+    The half spectrum is made one component pair at a time: the kernel on
+    half the lags, the two circulant rows and their rfft.  Once a row holds
+    ``model.PIECE_SAMPLES`` (2^18) samples, from m = 2^18 (n > 2^16 + 1),
+    each pair is a piece of ``model.run_pieces``; below, the pairs run on
+    the calling thread.  ``eigh`` and the square root run on pieces of
+    about 4096 frequency matrices (``_PIECE_MATRICES``).  Pieces are shared
+    by the caller and worker threads, one per CPU this process may run on
+    beyond the caller's own; a stage of one piece, or a single CPU, starts
+    no thread.  A pair, and each matrix, goes through the same operations
+    wherever it runs, so the factor and the report do not depend on the
+    split or the number of threads, bit for bit.  The speed-up of the
+    threads has been measured on 2 CPUs only (about 1.3 times on ``eigh``
+    and the root); how the build scales on more CPUs, or under a CPU quota
+    below the affinity mask, is not known.
     """
     m = _first_size(n, params.p)
     attempts = 0

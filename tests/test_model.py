@@ -131,19 +131,20 @@ class TestValidation:
         (dict(rho=np.eye(3)), "rho and eta must be p x p matrices"),
         (dict(eta=np.zeros((1, 1))), "rho and eta must be p x p matrices"),
         (dict(rho=[[1.0, 0.5], [0.4, 1.0]]), "rho must be symmetric"),
-        (dict(rho=[[1.0, math.nan], [math.nan, 1.0]]), "rho must be symmetric"),
+        (dict(rho=[[1.0, math.nan], [math.nan, 1.0]]), "every rho entry must be finite"),
         (dict(rho=[[1.1, 0.0], [0.0, 1.0]]), "rho must have unit diagonal"),
-        (dict(rho=[[math.inf, 0.0], [0.0, 1.0]]), "rho must have unit diagonal"),
+        (dict(rho=[[math.inf, 0.0], [0.0, 1.0]]), "every rho entry must be finite"),
         (dict(rho=[[1.0 + 2e-12, 0.0], [0.0, 1.0]]), "rho must have unit diagonal"),
         (dict(rho=[[1.0, 1.5], [1.5, 1.0]]), "rho entries must lie in [-1, 1]"),
-        (dict(rho=[[1.0, math.inf], [math.inf, 1.0]]), "rho entries must lie in [-1, 1]"),
-        (dict(rho=[[1.0, -math.inf], [-math.inf, 1.0]]), "rho entries must lie in [-1, 1]"),
+        (dict(rho=[[1.0, math.inf], [math.inf, 1.0]]), "every rho entry must be finite"),
+        (dict(rho=[[1.0, -math.inf], [-math.inf, 1.0]]), "every rho entry must be finite"),
         (dict(eta=[[0.0, 0.2], [0.2, 0.0]]), "eta must be antisymmetric"),
         (dict(eta=[[0.1, 0.0], [0.0, 0.0]]), "eta must be antisymmetric"),
-        (dict(eta=[[0.0, math.nan], [-math.nan, 0.0]]), "eta must be antisymmetric"),
-        (dict(eta=[[math.inf, 0.0], [0.0, 0.0]]), "eta must be antisymmetric"),
+        (dict(eta=[[0.0, math.nan], [-math.nan, 0.0]]), "every eta entry must be finite"),
+        (dict(eta=[[math.inf, 0.0], [0.0, 0.0]]), "every eta entry must be finite"),
         (dict(eta=[[0.0, math.inf], [-math.inf, 0.0]]), "every eta entry must be finite"),  # new
         (dict(eta=[[0.0, -math.inf], [math.inf, 0.0]]), "every eta entry must be finite"),  # new
+        (dict(rho=[[math.nan, 0.5], [0.5, 1.0]]), "every rho entry must be finite"),  # new
     ]
 
     @staticmethod
@@ -457,13 +458,18 @@ class TestTextFormat:
         for sigma, eta, line, message in (
                 ("inf", "0.1", 3, "every amplitude sigma must be finite"),
                 ("nan", "0.1", 3, "every amplitude sigma must be finite"),
-                ("1", "-inf", 5, "every eta entry must be finite")):
+                ("1", "-inf", 5, "every eta entry must be finite"),
+                ("1", "nan", 5, "every eta entry must be finite")):
             with pytest.raises(ParamsFormatError) as err:
                 params_from_text(text.format(sigma, eta))
             assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
-        # a NaN eta fails the antisymmetry test, at the eta line
-        with pytest.raises(ParamsFormatError, match="line 5: eta must be antisymmetric"):
-            params_from_text(text.format("1", "nan"))
+        # a non-finite rho entry, on the diagonal or off it, is not a
+        # symmetry fault
+        for rho in ("nan 0.5 1", "1 nan 1", "1 0.5 -inf"):
+            bad = f"p: 2\nH: 0.4 0.7\nsigma: 1 1\nrho: {rho}\neta: 0.1\n"
+            with pytest.raises(ParamsFormatError) as err:
+                params_from_text(bad)
+            assert str(err.value) == "line 4: every rho entry must be finite"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "0",
                                        "-0.0", "1.0000000000005", "-2"])

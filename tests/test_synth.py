@@ -418,9 +418,17 @@ class TestFactor:
 
     @pytest.mark.parametrize("params", [LOG_PAIR, TRIVARIATE])
     @pytest.mark.parametrize("dt", [1.0, 0.37])
-    def test_blocks_bit_equal_to_model(self, params, dt):
-        m = 256
-        got = synth._increment_blocks(params, m, dt)
+    @pytest.mark.parametrize("m", [2, 8, 256])
+    def test_blocks_bit_equal_to_model(self, params, dt, m):
+        # the circulant rows of each pair j <= k, and row kj as its reflection
+        p = params.p
+        got = np.empty((p, p, m))
+        for j in range(p):
+            for k in range(j, p):
+                synth._circulant_row(params, j, k, dt, got[j, k])
+                if k > j:
+                    got[k, j, 0] = got[j, k, 0]
+                    got[k, j, 1:] = got[j, k, :0:-1]
         np.testing.assert_array_equal(got.transpose(2, 0, 1),
                                       reference_blocks(params, m, dt))
 
@@ -461,15 +469,36 @@ class TestFactor:
 
 
 def build_bytes(m, p):
-    """Blocks, then the larger of one pair's kernel temporaries and the half
-    spectrum, its eigenvectors and eigenvalues, and 32 KB of small arrays."""
-    blocks = m * p * p * 8
-    spectrum = (m // 2 + 1) * p * p * 16
-    kernel = 11 * (m + 3) * 8
-    return blocks + max(kernel, 2 * spectrum + (m // 2 + 1) * p * 8) + 32768
+    """The half spectrum, then the larger of the pair stage's and the factor
+    stage's per-worker arrays times their workers, and 12 KB of small
+    objects."""
+    freqs = m // 2 + 1
+    pairs = p * (p + 1) // 2 if m >= model.PIECE_SAMPLES else 1
+    pieces = max(1, freqs // synth._PIECE_MATRICES)
+    f = -(-freqs // pieces)
+    pair = 8 * m + 24 * (m // 2 + 2)     # a row and three kernel arrays
+    piece = f * (16 * p * p + 24 * p + 16) + 16 * min(f * p * p, 8192)
+    return (freqs * p * p * 16 + max(model.workers(pairs) * pair,
+                                     model.workers(pieces) * piece) + 12288)
+
+
+# p = 1, 2 and 3, off the log branch and on it
+BRANCHES = {
+    (1, False): MfbmParams.univariate(0.3),
+    (1, True): MfbmParams.univariate(0.5),
+    (2, False): POWER_PAIR,
+    (2, True): LOG_PAIR,
+    (3, False): params_from_text(
+        "p: 3\nH: 0.2 0.3 0.4\nsigma: 1 2 0.5\n"
+        "rho: 1 0.3 1 0.2 0.3 1\neta: 0.05 -0.02 0.05\n"),
+    (3, True): TRIVARIATE,
+}
 
 
 class TestMemory:
+    def setup_method(self):
+        np.fft.rfft(np.zeros(8))        # numpy.fft's lazy import is one-off
+
     def test_budget_stops_doubling(self, monkeypatch):
         sizes = []
         attempt = synth._try_embedding
@@ -486,25 +515,23 @@ class TestMemory:
     def test_budget_bounds_doublings(self):
         # computed, not run: MAX_DOUBLINGS from n = 2^20 reaches m = 2^27
         assert synth._build_bytes(2 ** 27, 3) == build_bytes(2 ** 27, 3)
-        assert build_bytes(2 ** 27, 3) > 30e9 > model.MEMORY_BUDGET
+        assert build_bytes(2 ** 27, 3) > 10e9 > model.MEMORY_BUDGET
 
-    def test_build_peak(self):
-        for params in (TRIVARIATE, LOG_PAIR, POWER_PAIR):
-            self.check_build_peak(params)
+    @pytest.mark.parametrize("p, log", sorted(BRANCHES))
+    @pytest.mark.parametrize("n", [2, 64, 1000, 2 ** 14, 2 ** 16])
+    def test_count_bounds_peak(self, p, log, n):
+        self.check_build_peak(BRANCHES[p, log], n)
 
     def test_build_peak_split(self, monkeypatch):
-        split(monkeypatch, 64, 2)       # 256 pieces on two threads
-        self.check_build_peak(TRIVARIATE)
-
-    @pytest.mark.parametrize("params", [TRIVARIATE, LOG_PAIR, POWER_PAIR])
-    @pytest.mark.parametrize("n", [2, 33, 200, 2 ** 12])
-    def test_build_peak_small(self, params, n):
-        # one piece; fixed-size numpy buffers weigh most at small m
-        self.check_build_peak(params, n)
+        # 256 pieces of the factor and the six pairs on two threads
+        split(monkeypatch, 64, 2, samples=1)
+        seen = piece_threads(monkeypatch, np.fft, "rfft", meet=2)
+        self.check_build_peak(TRIVARIATE, 2 ** 14)
+        assert len(set(seen)) == 2
 
     @staticmethod
-    def check_build_peak(params, n=2 ** 14):
-        np.fft.rfft(np.zeros(8))        # numpy.fft's lazy import is one-off
+    def check_build_peak(params, n):
+        """The count bounds the traced peak, and is at most 3.5 times it."""
         tracemalloc.start()
         try:
             fac = build_embedding(params, n, 1.0)
@@ -513,8 +540,8 @@ class TestMemory:
             tracemalloc.stop()
         assert fac.report.correction == "none"
         m = fac.report.circulant_size
-        assert peak <= build_bytes(m, params.p)
         assert synth._build_bytes(m, params.p) == build_bytes(m, params.p)
+        assert peak <= build_bytes(m, params.p) <= 3.5 * peak
 
     def test_first_size_over_budget(self, monkeypatch):
         attempt = synth._try_embedding
@@ -532,10 +559,11 @@ class TestMemory:
         assert sizes == [64]
 
     def test_first_size_refused_before_allocation(self, monkeypatch):
-        # computed, not run: n = 10^8 at p = 2 starts at m = 2^28, ~28 GB
+        # computed, not run: n = 10^8 at p = 2 starts at m = 2^28, 14 GB
+        # on one CPU and more on several
         n = 10 ** 8
         assert 2 ** 27 < 2 * (n - 1) <= 2 ** 28
-        assert build_bytes(2 ** 28, 2) > 25e9 > model.MEMORY_BUDGET
+        assert build_bytes(2 ** 28, 2) > 12e9 > model.MEMORY_BUDGET
 
         def refuse(*args):
             raise AssertionError("embedding build attempted")
@@ -597,14 +625,18 @@ def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
 
 
 class TestPieces:
-    """The half spectrum is factored in pieces, on one thread or several."""
+    """The half spectrum is made one component pair at a time and factored
+    in pieces, on one thread or several."""
 
     @pytest.mark.parametrize("params, n", [(LOG_PAIR, 64), (TRIVARIATE, 100),
                                            (RANK_ONE, 16), (CLIPPED, 32)])
     def test_bits_do_not_depend_on_split(self, monkeypatch, params, n):
         builds = []
-        for piece, workers in ((2 ** 62, 1), (3, 1), (3, 2), (5, 2)):
-            split(monkeypatch, piece, workers)
+        # samples = 1 makes each pair a piece
+        for piece, workers, samples in ((2 ** 62, 1, 2 ** 62), (3, 1, 1),
+                                        (3, 2, 1), (5, 2, 2 ** 62),
+                                        (2 ** 62, 2, 1)):
+            split(monkeypatch, piece, workers, samples)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # CLIPPED
                 builds.append(build_embedding(params, n, 1.0))
@@ -623,7 +655,19 @@ class TestPieces:
             "16ba728c628d26c10ce6f55f13bac6617a6454bab91b0ee3c63187fb6d2a30b3",
             "d199ab32ca3a29cfbb8c27ea8b2f81b90573244351067d2da27f6bfbd81b5456")
 
+    @pytest.mark.slow
+    def test_factor_pinned_where_split(self):
+        # m = 2^18: by default the six pairs are pieces, and eigh runs in 32
+        assert synth._pair_pieces(2 ** 18, 3) == 6
+        fac = build_embedding(TRIVARIATE, 2 ** 17 + 1, 1.0)
+        assert fac.report.circulant_size == 2 ** 18
+        assert fac.report.correction == "none"
+        assert digest(fac) == (
+            "33ea7806548d932341bb29597fa9e53602b448e9c81b910b2d62dfea325c5246",
+            "30f322d1fd5ddb251e884703cf56bc4a461179516c89212e192f29fd785a2a62")
+
     def test_split_runs_on_threads(self, monkeypatch):
+        default = synth._PIECE_MATRICES, model.PIECE_SAMPLES
         split(monkeypatch, 3, 2)
         seen = piece_threads(monkeypatch, meet=2)
         build_embedding(TRIVARIATE, 100, 1.0)
@@ -634,26 +678,51 @@ class TestPieces:
             seen = piece_threads(monkeypatch)
             build_embedding(TRIVARIATE, 100, 1.0)
             assert set(seen) == {threading.get_ident()}
+        # each pair a piece: one rfft per diagonal pair, two per other pair
+        split(monkeypatch, 2 ** 62, 2, samples=1)
+        seen = piece_threads(monkeypatch, np.fft, "rfft", meet=2)
+        build_embedding(TRIVARIATE, 100, 1.0)
+        assert len(seen) == 9 and len(set(seen)) == 2
+        # n = 64 at the default rule: rows of 128 samples, 65 matrices
+        split(monkeypatch, default[0], 2, default[1])
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread))
+        seen = piece_threads(monkeypatch, np.fft, "rfft")
+        build_embedding(TRIVARIATE, 64, 1.0)
+        assert starts == [] and set(seen) == {threading.get_ident()}
 
     def test_workers_take_callers_error_state(self, monkeypatch):
-        # numpy keeps its floating-point error state per thread
-        split(monkeypatch, 3, 2)
+        # numpy keeps its floating-point error state per thread; the pair
+        # stage runs under the build's own, which ignores overflow
+        split(monkeypatch, 3, 2, samples=1)
         seen = piece_threads(monkeypatch, meet=2)
+        pairs = piece_threads(monkeypatch, synth, "_pair_spectrum", meet=2)
         states, root = [], synth._square_root
         monkeypatch.setattr(synth, "_square_root",
                             lambda *args: states.append(np.geterr())
                             or root(*args))
+        pair_states, spectrum = [], synth._pair_spectrum
+        monkeypatch.setattr(synth, "_pair_spectrum",
+                            lambda *args: pair_states.append(np.geterr())
+                            or spectrum(*args))
         with np.errstate(divide="ignore", over="raise", under="warn",
                          invalid="print"):
             want = np.geterr()
             build_embedding(TRIVARIATE, 100, 1.0)
-        assert len(set(seen)) == 2
+        assert len(set(seen)) == 2 and len(set(pairs)) == 2
         assert len(states) == len(seen) and all(s == want for s in states)
+        want.update(over="ignore", invalid="ignore")
+        assert len(pair_states) == 6
+        assert all(s == want for s in pair_states)
 
-    def test_overflow_refused_without_warning(self, monkeypatch):
+    @pytest.mark.parametrize("samples", [2 ** 62, 1])
+    def test_overflow_refused_without_warning(self, monkeypatch, samples):
         # the pieces of a spectrum that is not finite take neither eigh nor
-        # a square root
-        split(monkeypatch, 3, 2)
+        # a square root; with samples = 1 the pairs overflow on two threads
+        split(monkeypatch, 3, 2, samples)
+        pairs = piece_threads(monkeypatch, synth, "_pair_spectrum",
+                              meet=1 if samples > 1 else 2)
         seen = piece_threads(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -661,6 +730,8 @@ class TestPieces:
                 build_embedding(MfbmParams.bivariate(0.7, 0.8, rho=0.5), 64,
                                 1e300)
         assert seen == []
+        assert len(pairs) == 3 and len(set(pairs)) == (2 if samples == 1
+                                                        else 1)
 
     @pytest.mark.parametrize("piece, workers", [(2 ** 62, 1), (3, 2)])
     def test_overflow_refused_before_eigh(self, monkeypatch, piece, workers):
@@ -715,10 +786,10 @@ class TestPieces:
         assert all(t is threading.main_thread() for _, t in calls)
 
     def test_more_workers_than_cores(self, monkeypatch):
-        # one matrix per piece on 8 threads that switch every microsecond:
-        # each piece runs once, and the bits hold
+        # each pair and one matrix a piece on 8 threads that switch every
+        # microsecond: each piece runs once, and the bits hold
         inline = digest(build_embedding(TRIVARIATE, 100, 1.0))
-        split(monkeypatch, 1, 8)
+        split(monkeypatch, 1, 8, samples=1)
         before = threading.active_count()
         seen = piece_threads(monkeypatch)
         interval = sys.getswitchinterval()
