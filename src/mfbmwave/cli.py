@@ -2,17 +2,22 @@
 
 Subcommands: simulate, cwt, theory {cov|spectrum|coherence|scaling},
 estimate, verify {bahr|decay|scaling|spectrum-consistency|existence}.
-Experiments are driven by a JSON config file; unknown keys are rejected
-before any computation.  All outputs are plot-ready CSV or JSON written to
-the output directory; commands are deterministic given the seed and
-side-effect free outside that directory.
+Experiments are driven by a JSON config file.  The keyword-only parameters
+of each ``cmd_*`` function are its config keys, each with its kind and
+default; ``verify`` has none.  The config is bound to them before any
+computation: an unknown key, a missing required key and a value of the
+wrong kind are refused.  Numbers refuse a JSON boolean, ``bool`` keys take
+only one, and ``basename`` is a plain file name.  ``--seed`` sets ``seed``
+for the commands that take one.  All outputs are plot-ready CSV or JSON
+written to the output directory; commands are deterministic given the seed
+and side-effect free outside that directory.
 
 Exit codes: 0 success, 1 verification suite failed, 2 validation error,
 3 embedding failure (clipped, approximate output was still written).  Exit 2
 means an ``MfbmwaveError`` (bad config or parameters, an out-of-range size,
 seed, wavelet order, component index or scale, an unresolvable scale, shift
 or lag grid, a corrupt container), a file that cannot be read or written, or
-a config that is not JSON; it prints one ``error:`` line.
+a config that is not UTF-8 JSON; it prints one ``error:`` line.
 ``QuadratureError``, a numerical non-convergence, is not an MfbmwaveError.
 """
 
@@ -20,9 +25,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
+import os
 import sys
 from pathlib import Path
+from typing import NewType, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,59 +65,79 @@ class ConfigError(MfbmwaveError):
     pass
 
 
-_ALLOWED_KEYS = {
-    "simulate": {"params", "n", "dt", "count", "basename", "seed"},
-    "cwt": {"path_file", "wavelet_m", "scales", "shifts", "basename"},
-    "theory": {"params", "wavelet_m", "j", "k", "a1", "a2", "h_values",
-               "scales", "omega_min", "omega_max", "points_per_decade",
-               "omegas"},
-    "estimate": {"params", "wavelet_m", "n", "dt", "count", "j", "k",
-                 "a1", "a2", "scales", "lags", "fit_decay", "seed"},
-    "verify": set(),
-}
+# a config string that names a file in the output directory: no directory
+# part, and not "", "." or ".."
+FileName = NewType("FileName", str)
+
+
+def _config_keys(command) -> dict:
+    """Config key -> (kind, default) of ``command``: its keyword-only
+    parameters, the one declaration of its keys."""
+    hints = get_type_hints(command)
+    return {name: (hints[name], p.default)
+            for name, p in inspect.signature(command).parameters.items()
+            if p.kind is p.KEYWORD_ONLY}
 
 
 def _load_config(args, command) -> dict:
+    """The arguments of ``command``: its config keys, typed, from the JSON
+    config, with ``--seed`` as ``seed`` where it takes one; its other
+    parameters (``out``, ``kind``, ``suite``) from the command line."""
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             config = json.load(f)
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(config) - _ALLOWED_KEYS[command]
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys for {command!r}: {sorted(unknown)}")
-    if args.seed is not None:
+    keys = _config_keys(command)
+    unknown = set(config) - set(keys)
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys for {args.command!r}: {sorted(unknown)}")
+    if args.seed is not None and "seed" in keys:
         config["seed"] = args.seed
+    for key, (kind, default) in keys.items():
+        if key in config:
+            config[key] = _typed(kind, config[key], key)
+        elif default is inspect.Parameter.empty:
+            raise ConfigError(
+                f"{args.command!r} requires config key {key!r}")
+    config.update((name, getattr(args, name))
+                  for name in inspect.signature(command).parameters
+                  if name not in keys)
     return config
 
 
-def _need(config, key, command):
-    if key not in config:
-        raise ConfigError(f"{command!r} requires config key {key!r}")
-    return config[key]
-
-
 def _typed(kind, value, key):
-    """``kind(value)`` for the config value of ``key``; a ConfigError if it
-    does not convert, or if an int is asked for and ``value`` is a bool or a
-    float with a fractional part."""
-    try:
-        if kind is int and (isinstance(value, bool) or isinstance(value, float)
-                            and not value.is_integer()):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {key!r}: {value!r} is not "
-                          f"{'an' if kind is int else 'a'} {kind.__name__}") \
-            from None
-
-
-def _typed_list(kind, value, key) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
-    return [_typed(kind, v, key) for v in value]
+    """The config value of ``key`` as ``kind``; a ConfigError if it is not
+    one.  Numbers convert, but a bool is no number and an int no float with
+    a fractional part; a str, bool or FileName must be one as it stands.
+    ``list[kind]`` takes a list, ``kind | None`` also null."""
+    if type(None) in get_args(kind):
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(
+                f"config key {key!r} must be a list, got {value!r}")
+        return [_typed(get_args(kind)[0], v, key) for v in value]
+    if kind in (int, float):
+        try:
+            if not (isinstance(value, bool) or kind is int and isinstance(
+                    value, float) and not value.is_integer()):
+                return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif kind is FileName:
+        if (isinstance(value, str) and value not in ("", ".", "..")
+                and "\0" not in value and os.path.basename(value) == value):
+            return value
+    elif isinstance(value, kind):
+        return value
+    name = "plain file name" if kind is FileName else kind.__name__
+    raise ConfigError(f"config key {key!r}: {value!r} is not "
+                      f"{'an' if kind is int else 'a'} {name}")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -136,16 +164,9 @@ def _report_embedding(out: Path, params, n: int, dt: float) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args, "simulate")
-    params = load_params(_typed(str, _need(config, "params", "simulate"),
-                                "params"))
-    n = _typed(int, _need(config, "n", "simulate"), "n")
-    dt = _typed(float, _need(config, "dt", "simulate"), "dt")
-    count = _typed(int, config.get("count", 1), "count")
-    seed = _typed(int, config.get("seed", 0), "seed")
-    basename = config.get("basename", "path")
-    out = Path(args.out)
+def cmd_simulate(out: Path, *, params: str, n: int, dt: float, count: int = 1,
+                 basename: FileName = "path", seed: int = 0) -> int:
+    params = load_params(params)
     out.mkdir(parents=True, exist_ok=True)
 
     paths = replicate_ensemble(params, n, dt, seed, count)
@@ -156,43 +177,35 @@ def cmd_simulate(args) -> int:
     return _report_embedding(out, params, n, dt)
 
 
-def cmd_cwt(args) -> int:
-    config = _load_config(args, "cwt")
-    path = load_path_file(_typed(str, _need(config, "path_file", "cwt"),
-                                 "path_file"))
-    wavelet = gaussian_derivative(
-        _typed(int, _need(config, "wavelet_m", "cwt"), "wavelet_m"))
-    scales = _typed_list(float, _need(config, "scales", "cwt"), "scales")
-    shifts = config.get("shifts")
-    if shifts is not None:
-        shifts = _typed_list(float, shifts, "shifts")
-    field = cwt(path, wavelet, scales, shifts=shifts)
-    out = Path(args.out)
+def cmd_cwt(out: Path, *, path_file: str, wavelet_m: int, scales: list[float],
+            shifts: list[float] | None = None,
+            basename: FileName = "field") -> int:
+    field = cwt(load_path_file(path_file), gaussian_derivative(wavelet_m),
+                scales, shifts=shifts)
     out.mkdir(parents=True, exist_ok=True)
-    basename = config.get("basename", "field")
     field_to_csv_file(field, out / f"{basename}.csv")
     save_field_file(field, out / f"{basename}.mfbm")
     return EXIT_OK
 
 
-def cmd_theory(args) -> int:
-    config = _load_config(args, "theory")
-    params = load_params(_typed(str, _need(config, "params", "theory"),
-                                "params"))
-    wavelet = gaussian_derivative(_typed(int, config.get("wavelet_m", 1),
-                                         "wavelet_m"))
-    j = _typed(int, config.get("j", 0), "j")
-    k = _typed(int, config.get("k", min(1, params.p - 1)), "k")
+def cmd_theory(out: Path, kind: str, *, params: str, wavelet_m: int = 1,
+               j: int = 0, k: int | None = None, a1: float = 1.0,
+               a2: float = 1.0, h_values: list[float] | None = None,
+               scales: list[float] = (1.0, 2.0, 4.0, 8.0, 16.0),
+               omega_min: float = 1e-4, omega_max: float = 1e3,
+               points_per_decade: int = 64,
+               omegas: list[float] | None = None) -> int:
+    params = load_params(params)
+    wavelet = gaussian_derivative(wavelet_m)
+    k = min(1, params.p - 1) if k is None else k
     _check_index(params, j, k)
-    query = WaveletCovQuery(j, k, _typed(float, config.get("a1", 1.0), "a1"),
-                            _typed(float, config.get("a2", 1.0), "a2"))
+    query = WaveletCovQuery(j, k, a1, a2)
     a1, a2 = query.a1, query.a2
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.kind == "cov":
-        h_values = _typed_list(float, _need(config, "h_values", "theory cov"),
-                               "h_values")
+    if kind == "cov":
+        if h_values is None:
+            raise ConfigError("'theory cov' requires config key 'h_values'")
         rows = []
         for h in h_values:
             q = WaveletCovQuery(j, k, a1, a2, h)
@@ -207,15 +220,9 @@ def cmd_theory(args) -> int:
         _write_csv(out / "theory_cov.csv",
                    ["j", "k", "a1", "a2", "h", "re", "im",
                     "asymptotic_re", "asymptotic_im", "ratio"], rows)
-    elif args.kind == "spectrum":
-        if "omegas" in config:
-            omegas = np.asarray(_typed_list(float, config["omegas"], "omegas"))
-        else:
-            omegas = make_log_omega_grid(
-                _typed(float, config.get("omega_min", 1e-4), "omega_min"),
-                _typed(float, config.get("omega_max", 1e3), "omega_max"),
-                _typed(int, config.get("points_per_decade", 64),
-                       "points_per_decade"))
+    elif kind == "spectrum":
+        omegas = (make_log_omega_grid(omega_min, omega_max, points_per_decade)
+                  if omegas is None else np.asarray(omegas))
         grid = cross_spectral_density(query, params, wavelet, omegas)
         rows = []
         for w, s in zip(grid.omegas, grid.values):
@@ -225,11 +232,9 @@ def cmd_theory(args) -> int:
         _write_csv(out / "theory_spectrum.csv",
                    ["j", "k", "a1", "a2", "omega", "re", "im", "abs",
                     "zeta_re", "zeta_im"], rows)
-    elif args.kind == "coherence":
-        if "omegas" in config:
-            omegas = np.asarray(_typed_list(float, config["omegas"], "omegas"))
-        else:
-            omegas = np.linspace(0.05, 2.0, 64)
+    elif kind == "coherence":
+        omegas = (np.linspace(0.05, 2.0, 64) if omegas is None
+                  else np.asarray(omegas))
         res = coherence(query, params, wavelet, omegas)
         rows = [(float(w), c.real, c.imag, float(d), disc.real, disc.imag)
                 for w, c, d, disc in zip(res.omegas, res.closed_form,
@@ -238,8 +243,6 @@ def cmd_theory(args) -> int:
                    ["omega", "closed_form_re", "closed_form_im",
                     "definition", "discrepancy_re", "discrepancy_im"], rows)
     else:  # scaling
-        scales = _typed_list(
-            float, config.get("scales", [1.0, 2.0, 4.0, 8.0, 16.0]), "scales")
         if not scales:
             raise ConfigError("'theory scaling' needs at least one scale")
         alpha = params.alpha(j, k)
@@ -253,33 +256,27 @@ def cmd_theory(args) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(args) -> int:
-    config = _load_config(args, "estimate")
-    params = load_params(_typed(str, _need(config, "params", "estimate"),
-                                "params"))
-    wavelet = gaussian_derivative(_typed(int, config.get("wavelet_m", 1),
-                                         "wavelet_m"))
-    n = _typed(int, _need(config, "n", "estimate"), "n")
-    dt = _typed(float, _need(config, "dt", "estimate"), "dt")
-    count = _typed(int, config.get("count", 100), "count")
+def cmd_estimate(out: Path, *, params: str, n: int, dt: float,
+                 wavelet_m: int = 1, count: int = 100, j: int = 0,
+                 k: int | None = None, a1: float | None = None,
+                 a2: float | None = None, scales: list[float] = (),
+                 lags: list[int] = (0, 1, 2, 4, 8), fit_decay: bool = False,
+                 seed: int = 0) -> int:
+    params = load_params(params)
+    wavelet = gaussian_derivative(wavelet_m)
     if count < MIN_REPLICATES:
         raise ConfigError(f"'estimate' needs count >= {MIN_REPLICATES}, "
                           f"got {count}")
-    seed = _typed(int, config.get("seed", 0), "seed")
-    j = _typed(int, config.get("j", 0), "j")
-    k = _typed(int, config.get("k", min(1, params.p - 1)), "k")
+    k = min(1, params.p - 1) if k is None else k
     _check_index(params, j, k)
-    a1 = _typed(float, config.get("a1", 4.0 * dt), "a1")
-    a2 = _typed(float, config.get("a2", a1), "a2")
-    scales = sorted(set(_typed_list(float, config.get("scales", []), "scales"))
-                    | {a1, a2})
-    lags = _typed_list(int, config.get("lags", [0, 1, 2, 4, 8]), "lags")
+    a1 = 4.0 * dt if a1 is None else a1
+    a2 = a1 if a2 is None else a2
+    scales = sorted(set(scales) | {a1, a2})
     # size (first: the grid allocates n shift indices), grid and lags are
     # checked before synthesis; the largest scale fixes the shift grid
     _first_size(n, params.p)
     _, shift_idx = _grid(n, dt, scales, None)
     _check_lags(lags, shift_idx.size)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     paths = replicate_ensemble(params, n, dt, seed, count)
@@ -297,7 +294,7 @@ def cmd_estimate(args) -> int:
     _write_csv(out / "estimate_cov.csv",
                ["lag", "h", "mean_re", "mean_im", "se_re", "se_im",
                 "theory_re", "theory_im", "replicates"], rows)
-    if config.get("fit_decay"):
+    if fit_decay:
         pos = emp.lags > 0
         rep = fit_power_law(emp.lags[pos] * emp.shift_spacing,
                             np.abs(emp.mean[pos]))
@@ -310,12 +307,11 @@ def cmd_estimate(args) -> int:
     return _report_embedding(out, params, n, dt)
 
 
-def cmd_verify(args) -> int:
-    out = Path(args.out)
+def cmd_verify(out: Path, suite: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    report = SUITES[args.suite]()
+    report = SUITES[suite]()
     rows = report.pop("rows", None)
-    with open(out / f"verify_{args.suite}.json", "w", encoding="utf-8") as f:
+    with open(out / f"verify_{suite}.json", "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2)
     if rows is not None:
         _write_csv(out / "bahr_identities.csv",
@@ -324,7 +320,7 @@ def cmd_verify(args) -> int:
         flag = "ADVISORY" if c["advisory"] else ("PASS" if c["passed"] else "FAIL")
         print(f"[{flag}] {c['name']}: measured={c['measured']:.6g} "
               f"target={c['target']:.6g} tol={c['tolerance']:.2g}")
-    print(f"suite {args.suite}: {'PASS' if report['passed'] else 'FAIL'} "
+    print(f"suite {suite}: {'PASS' if report['passed'] else 'FAIL'} "
           f"({report['runtime_seconds']} s)")
     return EXIT_OK if report["passed"] else EXIT_SUITE_FAILED
 
@@ -336,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and wavelet second-order theory")
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="64-bit seed")
-    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--out", type=Path, default=".",
+                        help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="sample paths by circulant embedding")
     sub.add_parser("cwt", help="continuous wavelet transform of a stored path")
@@ -359,9 +356,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
-    except (MfbmwaveError, OSError, json.JSONDecodeError) as exc:
+        return command(**_load_config(args, command))
+    except (MfbmwaveError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

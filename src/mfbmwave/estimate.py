@@ -46,19 +46,17 @@ class FitReport:
     residuals: np.ndarray
 
 
-def fit_power_law(xs, ys, fit_range=None) -> FitReport:
+def fit_power_law(xs, ys) -> FitReport:
     """OLS of log|y| on log x; returns slope, intercept and slope standard error.
 
-    Points with non-positive x, vanishing or non-finite |y|, or outside
-    ``fit_range`` are excluded and counted in the report.  A fit through two
-    points has no residual degree of freedom; its slope standard error is nan.
+    Points with non-positive x or vanishing or non-finite |y| are excluded
+    and counted in the report; ``fit_range`` is the x range of the rest.
+    A fit through two points has no residual degree of freedom; its slope
+    standard error is nan.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.abs(np.asarray(ys))
     mask = np.isfinite(xs) & np.isfinite(ys) & (xs > 0.0) & (ys > 1e-290)
-    if fit_range is not None:
-        lo, hi = fit_range
-        mask &= (xs >= lo) & (xs <= hi)
     n_excluded = int(xs.size - mask.sum())
     x = np.log(xs[mask])
     y = np.log(ys[mask])

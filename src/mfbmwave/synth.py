@@ -79,6 +79,8 @@ class SamplePath:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.params.p, self.n):
             raise MfbmwaveError("values shape inconsistent with params.p and n")
+        if not self.n:
+            raise MfbmwaveError("a path needs at least one point")
         # plain floats: a non-zero, NaN or infinite origin is truthy, -0.0 is
         # not; np.any on the two-element column costs several microseconds,
         # more than a path of n = 64 takes to draw

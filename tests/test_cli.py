@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -331,6 +332,54 @@ class TestValidationExitCodes:
                         "scales": [4.0]})
         assert "truncated container" in err
 
+    def test_cwt_path_without_points(self, tmp_path, path_file, capsys):
+        # n sits after the header (8 bytes) and p (4); n = 0 stores no values
+        # after dt, seed (16) and the parameters (8 doubles at p = 2)
+        raw = bytearray(path_file.read_bytes())
+        raw[12:20] = struct.pack("<Q", 0)
+        empty = tmp_path / "empty.mfbm"
+        empty.write_bytes(bytes(raw[:8 + 28 + 64]))
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(empty), "wavelet_m": 1,
+                        "scales": [4.0]})
+        assert "a path needs at least one point" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "cwt"])
+    @pytest.mark.parametrize("basename", ["../x", "a/b", "<absolute>", "",
+                                          ".", "x\0", ["x"]])
+    def test_basename_is_a_plain_file_name(self, tmp_path, params_file,
+                                           path_file, capsys, command,
+                                           basename):
+        if basename == "<absolute>":
+            basename = str(tmp_path / "x")
+        payload = {
+            "simulate": {"params": str(params_file), "n": 64, "dt": 1.0},
+            "cwt": {"path_file": str(path_file), "wavelet_m": 1,
+                    "scales": [4.0]},
+        }[command]
+        before = set(tmp_path.rglob("*"))
+        err = self.run(tmp_path, capsys, command,
+                       {**payload, "basename": basename})
+        assert f"'basename': {basename!r} is not a plain file name" in err
+        written = set(tmp_path.rglob("*")) - before
+        assert written <= {tmp_path / f"{command}.json"}
+
+    @pytest.mark.parametrize("value", ["no", 1])
+    def test_fit_decay_is_a_json_boolean(self, tmp_path, params_file, capsys,
+                                         no_synthesis, value):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": 1.0,
+                        "count": 30, "fit_decay": value})
+        assert f"'fit_decay': {value!r} is not a bool" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_float_keys_refuse_bools(self, tmp_path, params_file, capsys,
+                                     no_synthesis, command):
+        err = self.run(tmp_path, capsys, command,
+                       {"params": str(params_file), "n": 256, "dt": True,
+                        "count": 30})
+        assert "'dt': True is not a float" in err
+
     @pytest.fixture()
     def no_synthesis(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -656,7 +705,31 @@ class TestEstimateCommand:
         assert abs(peaks["many"] - peaks["one"]) <= 0.1 * peaks["one"]
 
 
+def _refuse_suite():
+    raise AssertionError("suite run despite a config key")
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("config", ["key", "not json", "not utf-8",
+                                        "missing"])
+    def test_config_refused_before_any_suite(self, tmp_path, capsys,
+                                             monkeypatch, config):
+        for suite in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, suite, _refuse_suite)
+        cfg = tmp_path / "v.json"
+        if config == "key":
+            cfg.write_text(json.dumps({"seed": 1}))
+        elif config == "not json":
+            cfg.write_text("{seed")
+        elif config == "not utf-8":
+            cfg.write_bytes(b"\xff{}")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "verify", "existence"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_existence_suite(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["--out", str(out), "verify", "existence"])
@@ -689,7 +762,8 @@ class TestVerifyCommand:
 
 
 _FUZZ_BAD = [0, 1, -1, -1.5, 0.0, 2, 13, 1e300, [], [0], [-1.0], "x", None,
-             True, float("nan")]
+             True, float("nan"), "", ".", "..", "../x", "a/b", "o/../x",
+             "x/", "params.txt"]
 _FUZZ_HUGE = [float("nan"), float("inf"), 1e300, 10 ** 8, 2 ** 64, -(2 ** 63)]
 # valid sizes stay small; a huge value is refused before anything is allocated
 _FUZZ_CAPS = {"n": 512, "count": 40, "points_per_decade": 512}
@@ -745,11 +819,18 @@ def _fuzz_case():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
+    all_keys = sorted({key for command in cli._COMMANDS.values()
+                       for key in cli._config_keys(command)})
+
     @st.composite
     def case(draw):
-        command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
-        payload = dict(_FUZZ_COMMANDS[command])
-        keys = sorted(cli._ALLOWED_KEYS[command.split()[0]])
+        command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS) + ["verify"]))
+        payload = dict(_FUZZ_COMMANDS.get(command, {}))
+        keys = sorted(cli._config_keys(cli._COMMANDS[command.split()[0]]))
+        if command == "verify":
+            # verify takes no key: any one is refused before a suite runs
+            command += " " + draw(st.sampled_from(sorted(cli.SUITES)))
+            keys = all_keys
         for key in draw(st.lists(st.sampled_from(keys), min_size=1,
                                  max_size=3, unique=True)):
             if draw(st.booleans()) and key in payload:
@@ -773,11 +854,18 @@ def _fuzz_case():
 @pytest.mark.slow
 def test_fuzzed_configs_exit_cleanly(fuzz_files, monkeypatch, capsys):
     """No config value ends in a traceback: every run exits 0, 2 or 3, and
-    exit 2 prints exactly one ``error:`` line."""
+    exit 2 prints exactly one ``error:`` line.  No run writes outside the
+    output directory, and ``verify`` refuses its config before any suite."""
     hyp = pytest.importorskip("hypothesis")
     root, params, path_file = fuzz_files
     monkeypatch.chdir(root)
     monkeypatch.setattr(model, "MEMORY_BUDGET", _FUZZ_BUDGET)
+    for suite in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, suite, _refuse_suite)
+
+    def outside_out():
+        return {f for f in root.rglob("*")
+                if f.relative_to(root).parts[0] != "o"}
 
     @hyp.settings(max_examples=150, deadline=None, derandomize=True,
                   suppress_health_check=list(hyp.HealthCheck))
@@ -788,12 +876,15 @@ def test_fuzzed_configs_exit_cleanly(fuzz_files, monkeypatch, capsys):
         payload = {k: files.get(v, v) if isinstance(v, str) else v
                    for k, v in payload.items()}
         cfg = write_config(root, "fuzz.json", payload)
+        before = outside_out()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rc = main(["--config", str(cfg), "--out", str(root / "o"),
                        *command.split()])
         err = capsys.readouterr().err
-        assert rc in (0, 2, 3), (command, payload, rc)
+        assert outside_out() == before, (command, payload)
+        assert rc in ((2,) if command.startswith("verify") else (0, 2, 3)), \
+            (command, payload, rc)
         if rc == 2:
             lines = [l for l in err.splitlines() if l.startswith("error:")]
             assert len(lines) == 1, (command, payload, err)

@@ -224,6 +224,16 @@ class TestBinary:
         with pytest.raises(ContainerError, match="invalid stored field"):
             load_field(io.BytesIO(bad_raw))
 
+    def test_path_without_points(self, path):
+        buf = io.BytesIO()
+        save_path(path, buf)
+        raw = bytearray(buf.getvalue())
+        # n sits after the header (8 bytes) and p (4); n = 0 stores no values
+        # after dt, seed (16) and the parameters (8 doubles at p = 2)
+        raw[12:20] = struct.pack("<Q", 0)
+        with pytest.raises(ContainerError, match="at least one point"):
+            load_path(io.BytesIO(bytes(raw[:8 + 28 + 64])))
+
     def test_size_field_beyond_file(self, path, tmp_path):
         buf = io.BytesIO()
         save_path(path, buf)

@@ -57,11 +57,6 @@ class TestFitPowerLaw:
         assert rep.n_excluded == 2
         assert rep.n_used == 3
 
-    def test_range_filter(self):
-        xs = np.array([1.0, 2.0, 4.0, 8.0])
-        rep = fit_power_law(xs, xs ** -1.0, fit_range=(2.0, 8.0))
-        assert rep.n_used == 3
-
 
 class TestJackknife:
     def test_matches_closed_form_for_mean(self):
