@@ -7,7 +7,8 @@ of each ``cmd_*`` function are its config keys, each with its kind and
 default; ``verify`` has none.  The config is bound to them before any
 computation: an unknown key, a missing required key and a value of the
 wrong kind are refused.  Numbers refuse a JSON boolean, ``bool`` keys take
-only one, and ``basename`` is a plain file name.  ``--seed`` sets ``seed``
+only one, ``basename`` is a plain file name, and the paths ``params``,
+``path_file`` and ``--out`` refuse a NUL character.  ``--seed`` sets ``seed``
 for the commands that take one.  All outputs are plot-ready CSV or JSON
 written to the output directory; commands are deterministic given the seed
 and side-effect free outside that directory.
@@ -68,6 +69,9 @@ class ConfigError(MfbmwaveError):
 # a config string that names a file in the output directory: no directory
 # part, and not "", "." or ".."
 FileName = NewType("FileName", str)
+# a config string that names a file to read: no NUL character, which no
+# path on a POSIX or Windows file system holds
+PathName = NewType("PathName", str)
 
 
 def _config_keys(command) -> dict:
@@ -83,6 +87,8 @@ def _load_config(args, command) -> dict:
     """The arguments of ``command``: its config keys, typed, from the JSON
     config, with ``--seed`` as ``seed`` where it takes one; its other
     parameters (``out``, ``kind``, ``suite``) from the command line."""
+    if "\0" in str(args.out):
+        raise ConfigError(f"--out {str(args.out)!r} is not a path")
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
@@ -111,8 +117,8 @@ def _load_config(args, command) -> dict:
 def _typed(kind, value, key):
     """The config value of ``key`` as ``kind``; a ConfigError if it is not
     one.  Numbers convert, but a bool is no number and an int no float with
-    a fractional part; a str, bool or FileName must be one as it stands.
-    ``list[kind]`` takes a list, ``kind | None`` also null."""
+    a fractional part; a str, bool, FileName or PathName must be one as it
+    stands.  ``list[kind]`` takes a list, ``kind | None`` also null."""
     if type(None) in get_args(kind):
         if value is None:
             return None
@@ -133,9 +139,13 @@ def _typed(kind, value, key):
         if (isinstance(value, str) and value not in ("", ".", "..")
                 and "\0" not in value and os.path.basename(value) == value):
             return value
+    elif kind is PathName:
+        if isinstance(value, str) and "\0" not in value:
+            return value
     elif isinstance(value, kind):
         return value
-    name = "plain file name" if kind is FileName else kind.__name__
+    name = {FileName: "plain file name",
+            PathName: "path"}.get(kind, kind.__name__)
     raise ConfigError(f"config key {key!r}: {value!r} is not "
                       f"{'an' if kind is int else 'a'} {name}")
 
@@ -164,8 +174,9 @@ def _report_embedding(out: Path, params, n: int, dt: float) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(out: Path, *, params: str, n: int, dt: float, count: int = 1,
-                 basename: FileName = "path", seed: int = 0) -> int:
+def cmd_simulate(out: Path, *, params: PathName, n: int, dt: float,
+                 count: int = 1, basename: FileName = "path",
+                 seed: int = 0) -> int:
     params = load_params(params)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -177,8 +188,8 @@ def cmd_simulate(out: Path, *, params: str, n: int, dt: float, count: int = 1,
     return _report_embedding(out, params, n, dt)
 
 
-def cmd_cwt(out: Path, *, path_file: str, wavelet_m: int, scales: list[float],
-            shifts: list[float] | None = None,
+def cmd_cwt(out: Path, *, path_file: PathName, wavelet_m: int,
+            scales: list[float], shifts: list[float] | None = None,
             basename: FileName = "field") -> int:
     field = cwt(load_path_file(path_file), gaussian_derivative(wavelet_m),
                 scales, shifts=shifts)
@@ -188,7 +199,7 @@ def cmd_cwt(out: Path, *, path_file: str, wavelet_m: int, scales: list[float],
     return EXIT_OK
 
 
-def cmd_theory(out: Path, kind: str, *, params: str, wavelet_m: int = 1,
+def cmd_theory(out: Path, kind: str, *, params: PathName, wavelet_m: int = 1,
                j: int = 0, k: int | None = None, a1: float = 1.0,
                a2: float = 1.0, h_values: list[float] | None = None,
                scales: list[float] = (1.0, 2.0, 4.0, 8.0, 16.0),
@@ -256,7 +267,7 @@ def cmd_theory(out: Path, kind: str, *, params: str, wavelet_m: int = 1,
     return EXIT_OK
 
 
-def cmd_estimate(out: Path, *, params: str, n: int, dt: float,
+def cmd_estimate(out: Path, *, params: PathName, n: int, dt: float,
                  wavelet_m: int = 1, count: int = 100, j: int = 0,
                  k: int | None = None, a1: float | None = None,
                  a2: float | None = None, scales: list[float] = (),

@@ -29,9 +29,9 @@ BRANCH_TOL = 1e-12
 # absorbs floating-point noise on structurally PSD matrices.
 EIG_TOL = 1e-10
 
-# Samples (array elements) a piece of threaded work must hold for a call to
-# be split: below it a call is one piece on the caller.  At 2^18 a piece is
-# a few milliseconds of FFT, far above the cost of a thread start.
+# Samples (array elements) a task of threaded work must hold for its stage
+# to be split (``pieces``): below it a stage is one piece on the caller.  At
+# 2^18 a piece is a few milliseconds of FFT, far above a thread start.
 PIECE_SAMPLES = 1 << 18
 
 # Bytes that a config-sized array may hold, checked by require_bytes before
@@ -92,15 +92,26 @@ def workers(count: int) -> int:
     return min(cpus, count)
 
 
-def run_pieces(work, count: int) -> None:
-    """Call ``work(i)`` for i = 0 .. count - 1 on ``workers(count)`` workers.
+def pieces(tasks: int, task_samples: int) -> int:
+    """Pieces of a stage of ``tasks`` tasks of ``task_samples`` samples each:
+    one per task once a task holds ``PIECE_SAMPLES``, else one, on the
+    caller.  No piece cuts a task, so a worker holds one task's arrays at a
+    time."""
+    return tasks if task_samples >= PIECE_SAMPLES else 1
 
-    The caller is one of the workers; with one piece or one CPU it is the
-    only one and no thread starts.  Every thread runs under the caller's
+
+def run_pieces(work, tasks: int, count: int) -> list:
+    """Call ``work(lo, hi)`` on ``count`` contiguous ranges that cover tasks
+    0 .. tasks - 1, on ``workers(count)`` workers; the results in range order.
+
+    Range i is i tasks // count .. (i + 1) tasks // count, end excluded.  The
+    caller is one of the workers; with one piece or one CPU it is the only
+    one and no thread starts.  Every thread runs under the caller's
     floating-point error state, which numpy keeps per thread.  The first
     exception stops new pieces and is raised here once every thread ends.
     """
     todo = iter(range(count))       # next() on it holds the GIL
+    results = [None] * count
     failed = []
 
     def run():
@@ -108,7 +119,7 @@ def run_pieces(work, count: int) -> None:
             for i in todo:
                 if failed:
                     return
-                work(i)
+                results[i] = work(i * tasks // count, (i + 1) * tasks // count)
         except Exception as exc:    # noqa: BLE001 - raised in the caller
             failed.append(exc)
 
@@ -130,6 +141,7 @@ def run_pieces(work, count: int) -> None:
     errors = [exc for exc in failed if exc is not None]
     if errors:
         raise errors[0]
+    return results
 
 
 def _close(x: float, y: float) -> bool:

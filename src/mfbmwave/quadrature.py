@@ -50,21 +50,7 @@ def quad_checked(f, a, b, *, epsabs=1e-11, epsrel=1e-11, points=None,
 
 
 def quad_complex(f, a, b, **kwargs) -> complex:
-    """Complex-valued integrand via separate real and imaginary quadratures.
-
-    The two passes share a memo of f keyed by the abscissa, made per call:
-    the imaginary pass asks mostly for points the real pass has already
-    evaluated, so f runs once per distinct point.  Both passes see the
-    values f would return, so the result is that of two unshared passes.
-    """
-    memo = {}
-
-    def value(x):
-        y = memo.get(x)
-        if y is None:
-            y = memo[x] = f(x)
-        return y
-
-    re = quad_checked(lambda x: np.real(value(x)), a, b, **kwargs)
-    im = quad_checked(lambda x: np.imag(value(x)), a, b, **kwargs)
+    """Complex-valued integrand via separate real and imaginary quadratures."""
+    re = quad_checked(lambda x: np.real(f(x)), a, b, **kwargs)
+    im = quad_checked(lambda x: np.imag(f(x)), a, b, **kwargs)
     return complex(re, im)

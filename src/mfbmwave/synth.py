@@ -125,11 +125,12 @@ def _build_bytes(m: int, p: int) -> int:
     freqs = m // 2 + 1
     spectrum = freqs * p * p * 16
     pair = 8 * m + 24 * (m // 2 + 2)
-    pieces = max(1, freqs // _PIECE_MATRICES)
+    pieces = _eigh_pieces(freqs)
     f = -(-freqs // pieces)             # matrices in the largest piece
     piece = f * (16 * p * p + 24 * p + 16) + 16 * min(f * p * p,
                                                        np.getbufsize())
-    return (spectrum + max(model.workers(_pair_pieces(m, p)) * pair,
+    pairs = model.pieces(p * (p + 1) // 2, m)
+    return (spectrum + max(model.workers(pairs) * pair,
                            model.workers(pieces) * piece) + (12 << 10))
 
 
@@ -146,15 +147,6 @@ def _first_size(n: int, p: int) -> int:
         m *= 2
     require_bytes(_build_bytes(m, p), f"the embedding of n = {n}")
     return m
-
-
-def _pair_pieces(m: int, p: int) -> int:
-    """Pieces of the pair stage of a build at circulant size m.
-
-    One per component pair j <= k when a circulant row holds at least
-    ``model.PIECE_SAMPLES`` samples, else one, which runs every pair.
-    """
-    return p * (p + 1) // 2 if m >= model.PIECE_SAMPLES else 1
 
 
 def _circulant_row(params: MfbmParams, j: int, k: int, dt: float,
@@ -222,6 +214,13 @@ def _pair_spectrum(params: MfbmParams, j: int, k: int, dt: float,
 _PIECE_MATRICES = 4096
 
 
+def _eigh_pieces(freqs: int) -> int:
+    """Pieces of ``eigh`` and the root over ``freqs`` frequency matrices.  Not
+    ``model.pieces``: a piece's eigenvector arrays are its own, and the count
+    bounds them per worker (``_build_bytes``)."""
+    return max(1, freqs // _PIECE_MATRICES)
+
+
 def _try_embedding(params: MfbmParams, dt: float, m: int):
     """Factor of the half spectrum Lambda(f), f = 0..m/2, and its eigenvalue range.
 
@@ -229,47 +228,37 @@ def _try_embedding(params: MfbmParams, dt: float, m: int):
     square roots of :func:`_square_root`.  The circulant rows are real, so
     Lambda(m - f) = conj Lambda(f) and the half spectrum has every
     eigenvalue of the full one.  The spectrum is made one component pair
-    j <= k at a time (``_pair_spectrum``), each pair a piece of
-    ``model.run_pieces`` once a row holds ``model.PIECE_SAMPLES`` samples
-    (``_pair_pieces``); no (p, p, m) array of blocks is made.  ``eigh`` and
-    the root then run on contiguous pieces of the spectrum, and each
-    piece's root overwrites its spectrum.  A piece whose matrices are not
-    all finite takes neither (LAPACK may not converge on them), nor does a
-    piece with an eigenvalue that is not finite; lam_min and lam_max are
-    then NaN.  Overflow in the kernel is not warned about here:
-    ``build_embedding`` refuses a spectrum that is not finite.
+    j <= k at a time (``_pair_spectrum``), with no (p, p, m) array of
+    blocks; ``eigh`` and the root then run on contiguous pieces of it, each
+    piece's root over its spectrum.  A piece whose matrices are not all
+    finite raises the overflow MfbmwaveError before ``eigh`` (LAPACK may not
+    converge on them), and one with an eigenvalue that is not finite before
+    its root; overflow in the kernel is not warned about.
     """
     p = params.p
     root = np.empty((p, p, m // 2 + 1), dtype=complex)
     pairs = [(j, k) for j in range(p) for k in range(j, p)]
-    count = _pair_pieces(m, p)
 
-    def pair(i):
-        lo, hi = i * len(pairs) // count, (i + 1) * len(pairs) // count
+    def pair(lo, hi):
         for j, k in pairs[lo:hi]:
             _pair_spectrum(params, j, k, dt, root)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        run_pieces(pair, count)
+        run_pieces(pair, len(pairs), model.pieces(len(pairs), m))
     lam = np.moveaxis(root, -1, 0)      # (m/2 + 1, p, p) view, as eigh stacks
     freqs = lam.shape[0]
-    pieces = max(1, freqs // _PIECE_MATRICES)
-    ranges = [None] * pieces
 
-    def piece(i):
-        lo, hi = i * freqs // pieces, (i + 1) * freqs // pieces
-        if not np.isfinite(lam[lo:hi]).all():
-            ranges[i] = math.nan, math.nan
-            return
-        evals, evecs = np.linalg.eigh(lam[lo:hi])
-        low, high = ranges[i] = float(evals.min()), float(evals.max())
-        if math.isfinite(low) and math.isfinite(high):
-            _square_root(evals, evecs, root[:, :, lo:hi])
+    def piece(lo, hi):
+        if np.isfinite(lam[lo:hi]).all():
+            evals, evecs = np.linalg.eigh(lam[lo:hi])
+            low, high = float(evals.min()), float(evals.max())
+            if math.isfinite(low) and math.isfinite(high):
+                _square_root(evals, evecs, root[:, :, lo:hi])
+                return low, high
+        raise MfbmwaveError(f"the increment covariance overflows at "
+                            f"dt = {dt}: its spectrum is not finite")
 
-    run_pieces(piece, pieces)
-    lows, highs = zip(*ranges)
-    if not all(map(math.isfinite, lows + highs)):
-        return root, math.nan, math.nan
+    lows, highs = zip(*run_pieces(piece, freqs, _eigh_pieces(freqs)))
     return root, min(lows), max(highs)
 
 
@@ -299,30 +288,25 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     beyond the budget is an MfbmwaveError (see _first_size), and so is a
     spectrum that is not finite (a dt at which the covariance kernel
     overflows), which no doubling mends; it is refused before ``eigh`` sees
-    it.
+    it.  So is a finite spectrum whose eigenvalues are not all finite.
 
     The half spectrum is made one component pair at a time: the kernel on
-    half the lags, the two circulant rows and their rfft.  Once a row holds
-    ``model.PIECE_SAMPLES`` (2^18) samples, from m = 2^18 (n > 2^16 + 1),
-    each pair is a piece of ``model.run_pieces``; below, the pairs run on
-    the calling thread.  ``eigh`` and the square root run on pieces of
-    about 4096 frequency matrices (``_PIECE_MATRICES``).  Pieces are shared
-    by the caller and worker threads, one per CPU this process may run on
-    beyond the caller's own; a stage of one piece, or a single CPU, starts
-    no thread.  A pair, and each matrix, goes through the same operations
-    wherever it runs, so the factor and the report do not depend on the
-    split or the number of threads, bit for bit.  The speed-up of the
-    threads has been measured on 2 CPUs only (about 1.3 times on ``eigh``
-    and the root); how the build scales on more CPUs, or under a CPU quota
-    below the affinity mask, is not known.
+    half the lags, the two circulant rows and their rfft.  A pair is a task
+    of m samples for ``model.pieces``, so from m = 2^18 (n > 2^16 + 1) each
+    pair is a piece.  ``eigh`` and the square root run on pieces of about
+    4096 frequency matrices (``_eigh_pieces``), a count that bounds each
+    worker's eigenvector arrays.  ``model.run_pieces`` runs both stages on
+    the caller and one thread per further CPU.  A pair, and each matrix,
+    goes through the same operations wherever it runs, so the factor and
+    the report do not depend on the split or the number of threads, bit for
+    bit.  The speed-up of the threads has been measured on 2 CPUs only
+    (about 1.3 times on ``eigh`` and the root); how the build scales on more
+    CPUs, or under a CPU quota below the affinity mask, is not known.
     """
     m = _first_size(n, params.p)
     attempts = 0
     while True:
         root, lam_min, lam_max = _try_embedding(params, dt, m)
-        if not math.isfinite(lam_min):
-            raise MfbmwaveError(f"the increment covariance overflows at "
-                                f"dt = {dt}: its spectrum is not finite")
         if lam_min >= -EMBED_REL_TOL * lam_max:
             correction = "none"
             break
@@ -392,9 +376,11 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
     component rows (``model.run_pieces``): a chunk of k draws, k m p noise
     samples, is split into k m p // ``model.PIECE_SAMPLES`` blocks, at most
     p, so a single path splits from m = 2^18 (n > 2^16 + 1) at p = 2 or 3.
-    A smaller chunk is one block, the batched calls over all its rows.  A
-    row takes the same operations in any block, so the bits do not depend
-    on the split.
+    A smaller chunk is one block, the batched calls over all its rows.  This is
+    not the rule of ``model.pieces``: a block writes into arrays the call
+    already holds, so a split adds no per-worker arrays, and a block may
+    hold less than one row's ``PIECE_SAMPLES``.  A row takes the same
+    operations in any block, so the bits do not depend on the split.
     """
     if not 0.0 < dt < math.inf:
         raise MfbmwaveError(f"dt must be positive and finite, got {dt}")
@@ -423,12 +409,11 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
         np.negative(w.imag[:, :, up], out=w.imag[:, :, up])
         # the coloured noise overwrites the draw, which w now holds
         v = z.reshape(-1).view(complex).reshape(k, p, m)
-        blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
 
-        def colour(b):
-            # the component rows of block b: colour, inverse FFT, cumsum
-            rows = slice(b * p // blocks, (b + 1) * p // blocks)
-            for i in range(rows.start, rows.stop):
+        def colour(*bounds):
+            # a block of component rows: colour, inverse FFT, cumsum
+            rows = slice(*bounds)
+            for i in range(*bounds):
                 np.multiply(root[i, 0], w[:, 0, lo], out=v[:, i, lo])
                 np.multiply(mirror[i, 0], w[:, 0, up], out=v[:, i, up])
                 for j in range(1, p):
@@ -444,7 +429,7 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
                     np.cumsum(inc, axis=-1,
                               out=out[reps.start:reps.stop:2, rows, 1:])
 
-        run_pieces(colour, blocks)
+        run_pieces(colour, p, min(p, max(1, k * m * p // model.PIECE_SAMPLES)))
     return out, fac.report
 
 
@@ -458,10 +443,9 @@ def simulate(params: MfbmParams, n: int, dt: float, seed: int):
     not depend on scheduling.
 
     The draw runs on the caller.  For a long path (n > 2^16 + 1 at p = 2
-    or 3) colouring, inverse FFT and cumsum run per component on the
-    caller and worker threads, one per further CPU (see ``_synthesize``);
-    the values are the same bit for bit.  The speed-up has been measured on
-    2 CPUs only.
+    or 3) colouring, inverse FFT and cumsum run on threads per block of
+    components (``_synthesize``); the values are the same bit for bit.  The
+    speed-up has been measured on 2 CPUs only.
     """
     values, report = _synthesize(params, n, dt, seed, 1)
     return SamplePath(params=params, n=n, dt=dt, values=values[0],

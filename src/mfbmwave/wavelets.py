@@ -301,16 +301,6 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _pieces(rows: int, N: int, tasks: int) -> int:
-    """Pieces of a ``_transform`` of ``rows`` rows at FFT length N.
-
-    One per task, a scale or one part of a complex kernel at a scale, when
-    a correlation of every row holds at least ``model.PIECE_SAMPLES``
-    samples; else one, which runs every task.
-    """
-    return tasks if rows * N >= model.PIECE_SAMPLES else 1
-
-
 def _transform_bytes(count: int, p: int, n: int, dt: float, real: bool,
                      scales: np.ndarray, n_shifts: int) -> int:
     """Bytes ``_transform`` holds at once for ``count`` paths, an upper bound.
@@ -327,7 +317,8 @@ def _transform_bytes(count: int, p: int, n: int, dt: float, real: bool,
     spec = 16 * (N // 2 + 1)
     item = 8 if real else 16
     taps = 2 * shift_margin(scales[-1], dt) + 1
-    workers = model.workers(_pieces(rows, N, scales.size * (1 if real else 2)))
+    workers = model.workers(model.pieces(scales.size * (1 if real else 2),
+                                         rows * N))
     per_worker = (rows * (spec + 8 * N + 8 * n_shifts) + 16 * N + 3 * spec
                   + 48 * taps)
     return (rows * (8 * n + spec + item * scales.size * n_shifts)
@@ -351,12 +342,12 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
 
     The coefficients are float64 for a real wavelet and complex128 for a
     complex one.  Consecutive shift indices (the default grid) are read from
-    the correlation as one slice.  The rows' FFT is made on the caller.  When
-    a correlation of all rows holds at least ``model.PIECE_SAMPLES`` samples
-    (``_pieces``; one path of p components once p N >= 2^18), each scale,
-    and each part of a complex kernel, is a piece of ``model.run_pieces``,
-    on the caller and one thread per further CPU; below, one piece runs
-    every scale on the caller.  Each worker writes the spectrum product and
+    the correlation as one slice.  The rows' FFT is made on the caller.  Each
+    scale, and each part of a complex kernel, is a task of rows N samples,
+    a correlation of every row, which ``model.pieces`` splits (one path of
+    p components once p N >= 2^18) and ``model.run_pieces`` runs on the
+    caller and one thread per further CPU; below, one piece runs every
+    scale on the caller.  Each worker writes the spectrum product and
     the correlation rows into two buffers of its own, made at its first
     piece.  A piece takes the same operations on any thread, so the bits do
     not depend on the split.
@@ -374,16 +365,15 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
                    dtype=float if wavelet.is_real else complex)
     targets = (out,) if wavelet.is_real else (out.real, out.imag)
     tasks = scales.size * len(targets)          # (scale, part) pairs
-    pieces = _pieces(rows, N, tasks)
     buffers = threading.local()
 
-    def piece(i):
+    def piece(lo, hi):
         if not hasattr(buffers, "corr"):
             buffers.product = np.empty_like(spectra)
             buffers.corr = np.empty((rows, N))
         product, corr = buffers.product, buffers.corr
         last = None
-        for t in range(i * tasks // pieces, (i + 1) * tasks // pieces):
+        for t in range(lo, hi):
             ia, j = divmod(t, len(targets))
             if ia != last:
                 last, a = ia, scales[ia]
@@ -397,7 +387,7 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
             np.fft.irfft(product, N, axis=-1, out=corr)
             targets[j][:, ia] = corr[:, taken]
 
-    model.run_pieces(piece, pieces)
+    model.run_pieces(piece, tasks, model.pieces(tasks, rows * N))
     return out.reshape(count, p, scales.size, shift_idx.size)
 
 
@@ -412,10 +402,9 @@ def cwt(path, wavelet: HermiteWavelet, scales, shifts=None) -> WaveletField:
 
     ``shifts`` defaults to every grid time admissible at the largest scale.
 
-    For a long path (p N >= 2^18, see ``_transform``) the scales are
-    correlated on the caller and worker threads, one per further CPU; the
-    coefficients are the same bit for bit.  The speed-up has been measured
-    on 2 CPUs only.
+    For a long path (p N >= 2^18) the scales are correlated on threads
+    (``_transform``); the coefficients are the same bit for bit.  The
+    speed-up has been measured on 2 CPUs only.
     """
     return next(cwt_ensemble([path], wavelet, scales, shifts))
 

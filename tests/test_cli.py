@@ -364,6 +364,29 @@ class TestValidationExitCodes:
         written = set(tmp_path.rglob("*")) - before
         assert written <= {tmp_path / f"{command}.json"}
 
+    @pytest.mark.parametrize("command, key", [("simulate", "params"),
+                                              ("cwt", "path_file")])
+    def test_path_with_nul_refused(self, tmp_path, params_file, path_file,
+                                   capsys, command, key):
+        payload = {
+            "simulate": {"params": str(params_file), "n": 64, "dt": 1.0},
+            "cwt": {"path_file": str(path_file), "wavelet_m": 1,
+                    "scales": [4.0]},
+        }[command]
+        err = self.run(tmp_path, capsys, command, {**payload, key: "a\0b"})
+        assert err == f"error: config key {key!r}: 'a\\x00b' is not a path\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_out_with_nul_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for suite in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, suite, _refuse_suite)
+        rc = main(["--out", "a\0b", "verify", "existence"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: --out 'a\\x00b' is not a path\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["no", 1])
     def test_fit_decay_is_a_json_boolean(self, tmp_path, params_file, capsys,
                                          no_synthesis, value):

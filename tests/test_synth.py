@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -658,13 +659,61 @@ class TestPieces:
     @pytest.mark.slow
     def test_factor_pinned_where_split(self):
         # m = 2^18: by default the six pairs are pieces, and eigh runs in 32
-        assert synth._pair_pieces(2 ** 18, 3) == 6
+        assert model.pieces(6, 2 ** 18) == 6
         fac = build_embedding(TRIVARIATE, 2 ** 17 + 1, 1.0)
         assert fac.report.circulant_size == 2 ** 18
         assert fac.report.correction == "none"
         assert digest(fac) == (
             "33ea7806548d932341bb29597fa9e53602b448e9c81b910b2d62dfea325c5246",
             "30f322d1fd5ddb251e884703cf56bc4a461179516c89212e192f29fd785a2a62")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("tasks, count", [(7, 3), (1, 1), (4, 4)])
+    def test_runner_ranges(self, monkeypatch, workers, tasks, count):
+        # each task in exactly one range, the ranges contiguous, the results
+        # in range order although the first range ends last; one piece, or
+        # one worker, starts no thread
+        split(monkeypatch, 2 ** 62, workers)
+        starts, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread)
+                            or start(thread))
+        calls, lock = [], threading.Lock()
+
+        def work(lo, hi):
+            if lo == 0 and count > 1:
+                time.sleep(0.01)
+            with lock:
+                calls.append((lo, hi))
+            return list(range(lo, hi))
+
+        results = model.run_pieces(work, tasks, count)
+        ranges = sorted(calls)
+        assert len(ranges) == count
+        assert [t for lo, hi in ranges for t in range(lo, hi)] == \
+            list(range(tasks))
+        assert all(hi > lo for lo, hi in ranges)
+        assert results == [list(range(lo, hi)) for lo, hi in ranges]
+        assert len(starts) == min(workers, count) - 1
+
+    def test_piece_counts_of_the_shared_rule(self):
+        # a pair of the build splits once its circulant row holds 2^18
+        # samples, a scale of the transform once its correlation over every
+        # row does
+        for e in range(3, 23):
+            for pairs in (1, 3, 6):
+                assert model.pieces(pairs, 2 ** e) == (pairs if e >= 18 else 1)
+        for rows in (1, 2, 3, 60):
+            edge = -(-2 ** 18 // rows)      # the least N with rows N >= 2^18
+            for N in (edge - 2, edge - 1, edge, edge + 1, 2 * edge):
+                for tasks in (1, 2, 8):
+                    assert model.pieces(tasks, rows * N) == (
+                        tasks if rows * N >= 2 ** 18 else 1)
+        # one path of n = 2^19 at p = 3 (m = 2^20): 6 pair pieces, 128 eigh
+        # pieces, 8 transform pieces at 8 scales
+        assert model.pieces(6, 2 ** 20) == 6
+        assert synth._eigh_pieces(2 ** 19 + 1) == 128
+        assert model.pieces(8, 3 * wavelets._fast_len(2 ** 19)) == 8
 
     def test_split_runs_on_threads(self, monkeypatch):
         default = synth._PIECE_MATRICES, model.PIECE_SAMPLES
@@ -732,6 +781,35 @@ class TestPieces:
         assert seen == []
         assert len(pairs) == 3 and len(set(pairs)) == (2 if samples == 1
                                                         else 1)
+
+    @pytest.mark.parametrize("piece, workers", [(2 ** 62, 1), (3, 2)])
+    def test_infinite_eigenvalue_refused(self, monkeypatch, piece, workers):
+        # a finite spectrum whose first eigh call gives an infinite
+        # eigenvalue: that piece raises before its square root, unwarned
+        split(monkeypatch, piece, workers)
+        eigh, lock, calls = np.linalg.eigh, threading.Lock(), []
+
+        def poisoned(a):
+            evals, evecs = eigh(a)
+            with lock:
+                calls.append(len(a))
+                if len(calls) == 1:
+                    evals[0, -1] = np.inf
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        finite, square_root = [], synth._square_root
+        monkeypatch.setattr(synth, "_square_root",
+                            lambda evals, *args: finite.append(
+                                bool(np.isfinite(evals).all()))
+                            or square_root(evals, *args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MfbmwaveError, match="spectrum is not finite"):
+                build_embedding(TRIVARIATE, 100, 1.0)
+        assert calls and all(finite) and len(finite) < len(calls)
+        if piece == 2 ** 62:
+            assert calls == [129] and finite == []
 
     @pytest.mark.parametrize("piece, workers", [(2 ** 62, 1), (3, 2)])
     def test_overflow_refused_before_eigh(self, monkeypatch, piece, workers):

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from mfbmwave import wavstats
 from mfbmwave.model import MfbmParams, MfbmwaveError, kernel_w
-from mfbmwave.quadrature import quad_checked
 from mfbmwave.verify import XCHECK_ABS, XCHECK_REL
 from mfbmwave.wavelets import HermiteWavelet, gaussian_derivative
 from mfbmwave.wavstats import (
@@ -142,30 +141,6 @@ class TestTheoreticalCov:
                                          params, w)
             assert (struct.pack("<d", got.real).hex(),
                     struct.pack("<d", got.imag).hex()) == want
-
-    def test_complex_quadrature_one_evaluation_per_point(self, monkeypatch):
-        # the imaginary pass reuses the real pass's values, and the result
-        # is that of two passes that share nothing
-        params = MfbmParams.bivariate(0.35, 0.6, rho=0.4, eta=0.15)
-        w = HermiteWavelet([(1.0, 1), (0.4j, 2)])
-        quad_complex = wavstats.quad_complex
-        seen = []
-
-        def counted(f, a, b, **kwargs):
-            xs = []
-            seen.append(xs)
-            got = quad_complex(lambda x: xs.append(x) or f(x), a, b, **kwargs)
-            want = complex(quad_checked(lambda x: np.real(f(x)), a, b, **kwargs),
-                           quad_checked(lambda x: np.imag(f(x)), a, b, **kwargs))
-            assert struct.pack("<dd", got.real, got.imag) == struct.pack(
-                "<dd", want.real, want.imag)
-            return got
-
-        monkeypatch.setattr(wavstats, "quad_complex", counted)
-        for h in (0.0, 1.5, 80.0):
-            wavelet_cov_quadrature(WaveletCovQuery(0, 1, 1.0, 2.0, h), params, w)
-        assert len(seen) == 3
-        assert all(len(xs) == len(set(xs)) > 0 for xs in seen)
 
     def test_even_odd_parameter_decomposition(self):
         # rho part even in h, eta part odd in h, for a real wavelet
