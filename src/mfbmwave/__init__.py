@@ -27,6 +27,7 @@ from .synth import (
     embedding_report,
     derive_seed,
     simulate,
+    iter_ensemble,
     replicate_ensemble,
 )
 from .wavelets import (

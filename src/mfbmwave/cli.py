@@ -36,7 +36,7 @@ from typing import NewType, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .model import MfbmwaveError, _check_index, load_params
-from .synth import SEED_SCHEME, _first_size, embedding_report, replicate_ensemble
+from .synth import SEED_SCHEME, _first_size, embedding_report, iter_ensemble
 from .wavelets import _grid, gaussian_derivative, cwt, cwt_ensemble
 from .wavstats import (
     WaveletCovQuery,
@@ -180,8 +180,7 @@ def cmd_simulate(out: Path, *, params: PathName, n: int, dt: float,
     params = load_params(params)
     out.mkdir(parents=True, exist_ok=True)
 
-    paths = replicate_ensemble(params, n, dt, seed, count)
-    for r, path in enumerate(paths):
+    for r, path in enumerate(iter_ensemble(params, n, dt, seed, count)):
         stem = out / f"{basename}_{r:04d}"
         path_to_csv_file(path, stem.with_suffix(".csv"))
         save_path_file(path, stem.with_suffix(".mfbm"))
@@ -290,7 +289,7 @@ def cmd_estimate(out: Path, *, params: PathName, n: int, dt: float,
     _check_lags(lags, shift_idx.size)
     out.mkdir(parents=True, exist_ok=True)
 
-    paths = replicate_ensemble(params, n, dt, seed, count)
+    paths = iter_ensemble(params, n, dt, seed, count)
     query = WaveletCovQuery(j, k, a1, a2)
     fields = cwt_ensemble(paths, wavelet, sorted({a1, a2}), shift_idx * dt)
     emp = empirical_wavelet_cov(fields, query, lags)

@@ -50,9 +50,9 @@ def fit_power_law(xs, ys) -> FitReport:
     """OLS of log|y| on log x; returns slope, intercept and slope standard error.
 
     Points with non-positive x or vanishing or non-finite |y| are excluded
-    and counted in the report; ``fit_range`` is the x range of the rest.
-    A fit through two points has no residual degree of freedom; its slope
-    standard error is nan.
+    and counted in the report; ``fit_range`` is the x range of the rest,
+    which must hold two distinct x.  A fit through two points has no
+    residual degree of freedom; its slope standard error is nan.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.abs(np.asarray(ys))
@@ -61,9 +61,9 @@ def fit_power_law(xs, ys) -> FitReport:
     x = np.log(xs[mask])
     y = np.log(ys[mask])
     n = x.size
-    if n < 2:
-        raise MfbmwaveError(f"power-law fit needs >= 2 usable points, got "
-                            f"{n} ({n_excluded} excluded)")
+    if np.unique(x).size < 2:
+        raise MfbmwaveError(f"power-law fit needs >= 2 usable points at "
+                            f"distinct x, got {n} ({n_excluded} excluded)")
     sxx = np.sum((x - x.mean()) ** 2)
     slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * x.mean())

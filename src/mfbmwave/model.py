@@ -35,10 +35,10 @@ EIG_TOL = 1e-10
 PIECE_SAMPLES = 1 << 18
 
 # Bytes that a config-sized array may hold, checked by require_bytes before
-# it is allocated: the embedding build, an ensemble's paths, a frequency grid,
-# a wavelet field.  2 GiB admits m = 2^24 at p = 2, and at p = 3 on up to two
-# CPUs; each further CPU holds one more pair's rows of the build at once, and
-# from three on it admits m = 2^23 at p = 3.
+# it is allocated: the embedding build, a synthesis chunk, a list of paths,
+# a frequency grid, a wavelet field.  2 GiB admits m = 2^24 at p = 2, and at
+# p = 3 on up to two CPUs; each further CPU holds one more pair's rows of the
+# build at once, and from three on it admits m = 2^23 at p = 3.
 MEMORY_BUDGET = 2 << 30
 
 

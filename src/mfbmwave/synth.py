@@ -42,10 +42,10 @@ MAX_DOUBLINGS = 6
 # about 1e-15 relative, and bits do not.
 SEED_SCHEME = 3
 
-# Complex noise per synthesis chunk, in bytes.  A chunk holds the draw, which
-# the coloured noise then overwrites, and its complex copy; at 512 KB an ensemble's peak memory is that of
-# one-path-at-a-time synthesis, while 4 MB chunks raise it by 15 MB and are
-# no faster.
+# Complex noise per synthesis chunk, in bytes: the draw and its complex copy
+# are each about this size.  A streamed CLI estimate of 300 bivariate paths of
+# n = 4096 (2 CPUs) ran in 0.22 s at 76 MB peak RSS with 512 KB chunks, in
+# 0.26-0.28 s at 77 MB with 64 KB and in 0.32 s at 85 MB with 4 MB.
 _CHUNK_BYTES = 512 << 10
 
 
@@ -362,44 +362,53 @@ def derive_seed(seed: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
-                count: int):
-    """Values of ``count`` paths, shape (count, p, n), and the embedding report.
+def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
+                  count: int):
+    """Paths 0 .. count - 1 of the ensemble keyed by ``seed``, as a generator.
 
     Noise draw k is ``standard_normal((2, m, p))`` of one Philox stream keyed
-    by ``seed``, taken in chunks of whole draws, and w = z[0] + i z[1] is
-    coloured by S(f) for f <= m/2 and by conj S(m - f) above; replicate 2k
-    is the real half of its inverse FFT and replicate 2k + 1 the imaginary
-    half.  A trailing odd replicate takes only the real half.
+    by ``seed``, and w = z[0] + i z[1] is coloured by S(f) for f <= m/2 and
+    by conj S(m - f) above; replicates 2k and 2k + 1 are the real and the
+    imaginary half of its inverse FFT, and a trailing odd replicate takes
+    only the real half.  Draws are taken in chunks (``_CHUNK_BYTES``), and a
+    chunk's paths, views into one block, are yielded once its noise is
+    freed: one chunk is held at any count, and checked against the memory
+    budget before the first draw.  Arguments are checked at the first next.
 
-    The draw is serial.  Colouring, inverse FFT and cumsum run per block of
-    component rows (``model.run_pieces``): a chunk of k draws, k m p noise
-    samples, is split into k m p // ``model.PIECE_SAMPLES`` blocks, at most
-    p, so a single path splits from m = 2^18 (n > 2^16 + 1) at p = 2 or 3.
-    A smaller chunk is one block, the batched calls over all its rows.  This is
-    not the rule of ``model.pieces``: a block writes into arrays the call
-    already holds, so a split adds no per-worker arrays, and a block may
-    hold less than one row's ``PIECE_SAMPLES``.  A row takes the same
-    operations in any block, so the bits do not depend on the split.
+    The draw is serial.  Colouring, inverse FFT and cumsum run on
+    ``model.run_pieces`` in min(p, k m p // ``model.PIECE_SAMPLES``) blocks of
+    component rows for a chunk of k draws, so a single path splits from
+    n > 2^16 + 1 at p = 2 or 3.  Not the rule of ``model.pieces``: a block
+    writes into arrays the call holds, so a split adds only per-worker
+    temporaries and may cut below one row's ``PIECE_SAMPLES``.  A row takes
+    the same operations in any block, so the bits do not depend on the split.
     """
+    if count < 1:
+        raise MfbmwaveError(f"need count >= 1, got {count}")
     if not 0.0 < dt < math.inf:
         raise MfbmwaveError(f"dt must be positive and finite, got {dt}")
     if not 0 <= seed < 2 ** 64:
         raise MfbmwaveError(f"seed must lie in [0, 2**64), got {seed}")
-    require_bytes(count * params.p * n * 8, f"{count} paths of {n} points")
+    seed = int(seed)
     fac = _cached_embedding(params, n, dt)
     m, p, root = fac.report.circulant_size, params.p, fac.root
     half = m // 2
     lo, up = slice(0, half + 1), slice(half + 1, m)
     mirror = root[:, :, half - 1:0:-1]          # S(m - f) for f > m/2
     scale = math.sqrt(m)
-    out = np.empty((count, p, n))
-    out[:, :, 0] = 0.0
     pairs = (count + 1) // 2
     per_chunk = max(1, _CHUNK_BYTES // (16 * m * p))
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     for first in range(0, pairs, per_chunk):
         k = min(per_chunk, pairs - first)
+        reps = min(2 * k, count - 2 * first)
+        blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
+        if not first:   # the largest: noise, paths, temporaries, buffers
+            worker = ((16 * k * (m // 2 + 1) if p > 1 else 0)
+                      + 32 * min(k * p * m // 2, np.getbufsize()))
+            require_bytes(8 * p * (4 * k * m + reps * n + k * n - k)
+                          + model.workers(blocks) * worker + (12 << 10),
+                          f"a chunk of {reps} paths of {n} points")
         z = rng.standard_normal((k, 2, m, p))
         # component-major noise, conjugated above m/2: conj(S) w is
         # conj(S conj(w)), so both halves take plain products of S
@@ -409,6 +418,9 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
         np.negative(w.imag[:, :, up], out=w.imag[:, :, up])
         # the coloured noise overwrites the draw, which w now holds
         v = z.reshape(-1).view(complex).reshape(k, p, m)
+        # after the noise, so that the freed noise is no heap top to trim
+        out = np.empty((reps, p, n))
+        out[:, :, 0] = 0.0
 
         def colour(*bounds):
             # a block of component rows: colour, inverse FFT, cumsum
@@ -423,47 +435,35 @@ def _synthesize(params: MfbmParams, n: int, dt: float, seed: int,
             np.conjugate(vb[:, :, up], out=vb[:, :, up])
             y = np.fft.ifft(vb, axis=-1, out=vb)
             for imag, part in enumerate((y.real, y.imag)):
-                reps = range(2 * first + imag, min(2 * (first + k), count), 2)
-                if reps:
-                    inc = scale * part[:len(reps), :, :n - 1]
-                    np.cumsum(inc, axis=-1,
-                              out=out[reps.start:reps.stop:2, rows, 1:])
+                paths = out[imag::2, rows, 1:]
+                np.cumsum(scale * part[:len(paths), :, :n - 1], axis=-1,
+                          out=paths)
 
-        run_pieces(colour, p, min(p, max(1, k * m * p // model.PIECE_SAMPLES)))
-    return out, fac.report
+        run_pieces(colour, p, blocks)
+        del z, w, v             # not held while the caller works on the paths
+        yield from (SamplePath(params, n, dt, values, seed) for values in out)
+        del out                 # nor the paths, once the caller drops them
 
 
 def simulate(params: MfbmParams, n: int, dt: float, seed: int):
     """Simulate one path; deterministic in ``seed``.
 
     Returns (SamplePath, EmbeddingReport).  The path is replicate 0 of
-    ``replicate_ensemble`` with the same seed (seed scheme 3): the real half
-    of the first noise draw of the counter-based Philox generator keyed by
-    the seed, drawn in a fixed (frequency, component) order, so results do
-    not depend on scheduling.
-
-    The draw runs on the caller.  For a long path (n > 2^16 + 1 at p = 2
-    or 3) colouring, inverse FFT and cumsum run on threads per block of
-    components (``_synthesize``); the values are the same bit for bit.  The
-    speed-up has been measured on 2 CPUs only.
+    ``iter_ensemble`` with the same seed (seed scheme 3): the real half of
+    the first noise draw of the Philox stream keyed by the seed, so results
+    do not depend on scheduling, nor on the threads that colour a long path
+    (n > 2^16 + 1 at p = 2 or 3), whose speed-up has been measured on 2 CPUs
+    only.
     """
-    values, report = _synthesize(params, n, dt, seed, 1)
-    return SamplePath(params=params, n=n, dt=dt, values=values[0],
-                      seed=int(seed)), report
+    return (next(iter_ensemble(params, n, dt, seed, 1)),
+            embedding_report(params, n, dt))
 
 
 def replicate_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                        count: int):
-    """``count`` independent paths from one Philox stream keyed by ``seed``.
-
-    Seed scheme 3 (``SEED_SCHEME``): replicates 2k and 2k + 1 are the real
-    and the imaginary half of noise draw k, so replicate 0 is
-    ``simulate(seed)`` and a smaller count gives a prefix of a larger one.
-    Every path carries the ensemble seed in ``SamplePath.seed``; the values
-    are views into one (count, p, n) array.  ``derive_seed`` is not used.
-    """
-    if count < 1:
-        raise MfbmwaveError(f"need count >= 1, got {count}")
-    values, _ = _synthesize(params, n, dt, seed, count)
-    seed = int(seed)
-    return [SamplePath(params, n, dt, v, seed) for v in values]
+    """The ``count`` paths of ``iter_ensemble``, as a list: replicate 0 is
+    ``simulate(seed)``, a smaller count gives a prefix of a larger one, and
+    every path carries the ensemble seed.  The list holds all count x p x n
+    values, checked against the memory budget before the first draw."""
+    require_bytes(count * params.p * n * 8, f"{count} paths of {n} points")
+    return list(iter_ensemble(params, n, dt, seed, count))

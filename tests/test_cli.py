@@ -222,6 +222,18 @@ class TestValidationExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
+    def test_estimate_decay_fit_through_one_lag(self, tmp_path, params_file,
+                                                capsys):
+        # the positive lags 2 and 2 are one distinct x: no NaN fit is written
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.run(tmp_path, capsys, "estimate",
+                           {"params": str(params_file), "n": 256, "dt": 1.0,
+                            "count": 30, "lags": [0, 2, 2],
+                            "fit_decay": True})
+        assert "power-law fit needs >= 2 usable points at distinct x" in err
+        assert not (tmp_path / "o" / "estimate_fit.csv").exists()
+
     def test_simulate_count_zero(self, tmp_path, params_file, capsys):
         err = self.run(tmp_path, capsys, "simulate",
                        {"params": str(params_file), "n": 64, "dt": 1.0, "count": 0})
@@ -408,7 +420,7 @@ class TestValidationExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("ensemble synthesized before the grid check")
 
-        monkeypatch.setattr(cli, "replicate_ensemble", refuse)
+        monkeypatch.setattr(cli, "iter_ensemble", refuse)
 
     def test_estimate_lag_beyond_shifts(self, tmp_path, params_file, capsys,
                                         no_synthesis):
@@ -700,6 +712,28 @@ class TestEstimateCommand:
         assert report["correction"] == "none"
         assert report["seed_scheme"] == 3
 
+
+    def test_estimate_streams_past_the_ensemble_budget(self, tmp_path,
+                                                        params_file,
+                                                        monkeypatch):
+        # a budget one byte below the ensemble's count x p x n floats, at
+        # which the list form is refused; the build, one synthesis chunk and
+        # one transform chunk fit, and the estimate keeps its bytes
+        payload = {"params": str(params_file), "wavelet_m": 2, "n": 256,
+                   "dt": 1.0, "count": 2000, "seed": 3, "a1": 4.0,
+                   "a2": 4.0, "lags": [0, 1, 2]}
+        cfg = write_config(tmp_path, "e.json", payload)
+        outs = [tmp_path / "free", tmp_path / "capped"]
+        assert main(["--config", str(cfg), "--out", str(outs[0]),
+                     "estimate"]) == 0
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 2000 * 2 * 256 * 8 - 1)
+        with pytest.raises(model.MfbmwaveError, match="over the budget"):
+            mfbmwave.replicate_ensemble(model.load_params(params_file), 256,
+                                        1.0, 3, 2000)
+        assert main(["--config", str(cfg), "--out", str(outs[1]),
+                     "estimate"]) == 0
+        a, b = ((out / "estimate_cov.csv").read_bytes() for out in outs)
+        assert a == b
 
     def test_unread_scales_change_neither_output_nor_peak(self, tmp_path,
                                                           params_file):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -446,3 +447,13 @@ class TestLagRule:
     def test_fit_needs_two_points(self):
         with pytest.raises(MfbmwaveError, match="needs >= 2 usable points"):
             fit_power_law([1.0], [1.0])
+
+    @pytest.mark.parametrize("xs, message", [
+        ([2.0, 2.0, 2.0], "got 3 \\(0 excluded\\)"),
+        ([2.0, -1.0, 2.0], "got 2 \\(1 excluded\\)")])
+    def test_fit_needs_two_distinct_x(self, xs, message):
+        # equal x leave the slope undefined: refused, not a NaN fit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MfbmwaveError, match="distinct x, " + message):
+                fit_power_law(xs, [1.0, 2.0, 3.0])

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import inspect
 import sys
 import threading
 import time
@@ -189,14 +190,33 @@ class TestSeedScheme:
         single, _ = simulate(self.PARAMS, 64, 1.0, seed=17)
         np.testing.assert_array_equal(single.values, want[0])
 
-    def test_paths_view_one_block(self):
+    def test_paths_view_their_chunk(self, monkeypatch):
+        # each path is a view into its chunk's block, no copy: chunks of two
+        # draws hold paths 0-3 and then 4
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", 2 * 16 * 128 * 2)
         paths = replicate_ensemble(self.PARAMS, 64, 1.0, seed=17, count=5)
-        block = paths[0].values.base
-        assert block is not None and block.shape == (5, 2, 64)
+        blocks = [paths[0].values.base, paths[4].values.base]
+        assert [b.shape for b in blocks] == [(4, 2, 64), (1, 2, 64)]
         for r, path in enumerate(paths):
+            block = blocks[r // 4]
             assert path.values.base is block
-            assert np.shares_memory(path.values, block[r])
+            assert np.shares_memory(path.values, block[r % 4])
             assert path.seed == 17 and type(path.seed) is int
+
+    @pytest.mark.parametrize("count", [11, 12])
+    def test_stream_equals_list(self, count):
+        # n = 4096: chunks of two draws, so 11 paths span three chunks and
+        # end with the real half of a draw
+        stream = synth.iter_ensemble(self.PARAMS, 4096, 1.0, 29, count)
+        assert inspect.isgenerator(stream)
+        got = list(stream)
+        listed = replicate_ensemble(self.PARAMS, 4096, 1.0, seed=29,
+                                    count=count)
+        assert len(got) == len(listed) == count
+        assert len({id(path.values.base) for path in got}) == 3
+        for a, b in zip(got, listed):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.seed == b.seed == 29
 
     def test_odd_count_ends_with_real_half(self):
         odd = replicate_ensemble(self.PARAMS, 64, 1.0, seed=23, count=3)
@@ -483,6 +503,17 @@ def build_bytes(m, p):
                                      model.workers(pieces) * piece) + 12288)
 
 
+def chunk_bytes(k, reps, m, p, n):
+    """The draw and its complex copy, the chunk's paths and the scaled half
+    of a cumsum, then per worker one colouring product at p > 1 and two
+    complex ufunc buffers, and 12 KB of small objects."""
+    blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
+    product = 16 * k * (m // 2 + 1) if p > 1 else 0
+    buffers = 2 * 16 * min(k * p * m // 2, 8192)
+    return (2 * 16 * k * m * p + reps * p * n * 8 + k * p * (n - 1) * 8
+            + model.workers(blocks) * (product + buffers) + 12288)
+
+
 # p = 1, 2 and 3, off the log branch and on it
 BRANCHES = {
     (1, False): MfbmParams.univariate(0.3),
@@ -543,6 +574,57 @@ class TestMemory:
         m = fac.report.circulant_size
         assert synth._build_bytes(m, params.p) == build_bytes(m, params.p)
         assert peak <= build_bytes(m, params.p) <= 3.5 * peak
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n, chunk", [(64, synth._CHUNK_BYTES),
+                                          (4096, synth._CHUNK_BYTES),
+                                          (1000, 1), (2 ** 14, 1)])
+    def test_chunk_count_bounds_peak(self, monkeypatch, p, n, chunk):
+        # a chunk of 1 byte holds a single draw
+        monkeypatch.setattr(synth, "_CHUNK_BYTES", chunk)
+        self.check_chunk_peak(monkeypatch, BRANCHES[p, False], n)
+
+    def test_chunk_peak_split(self, monkeypatch):
+        # three blocks of one component on two threads, each with its own
+        # colouring product
+        split(monkeypatch, 2 ** 62, 2, samples=1)
+        seen = piece_threads(monkeypatch, np.fft, "ifft", meet=2)
+        self.check_chunk_peak(monkeypatch, TRIVARIATE, 4096)
+        assert len(set(seen)) == 2
+
+    @staticmethod
+    def check_chunk_peak(monkeypatch, params, n):
+        """The count of one chunk bounds its traced peak, and is at most
+        twice it.  The next chunks peak no higher once their paths are
+        dropped, and a chunk's noise is freed before its first path is
+        yielded."""
+        simulate(params, n, 1.0, seed=3)        # the factor, cached
+        m = embedding_report(params, n, 1.0).circulant_size
+        p = params.p
+        k = max(1, synth._CHUNK_BYTES // (16 * m * p))
+        need = chunk_bytes(k, 2 * k, m, p, n)
+        # the stream checks this count before its first draw
+        monkeypatch.setattr(model, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(MfbmwaveError, match=f"a chunk of {2 * k} paths "
+                                                f"of {n} points needs {need} "):
+            next(synth.iter_ensemble(params, n, 1.0, 3, 6 * k))
+        monkeypatch.setattr(model, "MEMORY_BUDGET", need)
+        stream = synth.iter_ensemble(params, n, 1.0, 3, 6 * k)
+        tracemalloc.start()
+        try:
+            first = next(stream)
+            held, peak = tracemalloc.get_traced_memory()
+            del first
+            tracemalloc.reset_peak()
+            for _ in range(4 * k):          # into the third chunk
+                next(stream)
+            _, later = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            stream.close()
+        assert peak <= need <= 2.0 * peak
+        assert later <= peak + (4 << 10)
+        assert held <= 8 * 2 * k * p * n + (4 << 10)
 
     def test_first_size_over_budget(self, monkeypatch):
         attempt = synth._try_embedding
@@ -897,14 +979,16 @@ class TestPieces:
         # a chunk of 1 byte holds one draw: replicate 6 of 7 is a chunk of
         # its own, the real half of its draw
         monkeypatch.setattr(synth, "_CHUNK_BYTES", chunk)
-        inline, report = synth._synthesize(params, 100, 1.0, 11, count)
-        m, p = report.circulant_size, params.p
+        inline = stacked_values(synth.iter_ensemble(params, 100, 1.0, 11,
+                                                    count))
+        m, p = embedding_report(params, 100, 1.0).circulant_size, params.p
         k = 1 if chunk == 1 else (count + 1) // 2
         # p blocks of one component, then two blocks
         for samples, workers in ((1, 1), (1, 2), (k * m * p // 2, 2)):
             split(monkeypatch, 2 ** 62, workers, samples)
             seen = piece_threads(monkeypatch, np.fft, "ifft")
-            values, _ = synth._synthesize(params, 100, 1.0, 11, count)
+            values = stacked_values(synth.iter_ensemble(params, 100, 1.0, 11,
+                                                        count))
             assert values.tobytes() == inline.tobytes()
             chunks = (count + 1) // 2 // k
             blocks = p if samples == 1 else 2
