@@ -7,10 +7,11 @@ come from a replicate-level jackknife only; coefficients along one path are
 correlated, so within-path averaging is used for variance reduction but not
 for inference.
 
-Fields are streamed: the covariance estimator reads them in blocks of about
-4 MB of stacked coefficient rows (``_BLOCK_BYTES``), so a generator such as
-``cwt_ensemble`` is never held in full.  Beside one block, memory grows
-only with replicates x lags of per-replicate estimates.
+Fields are streamed: the covariance estimator reads them in blocks of
+``model.CHUNK_BYTES`` (at least one field), a field counted as its two
+stacked coefficient rows, so a generator such as ``cwt_ensemble`` is never
+held in full.  Beside one block, memory grows only with replicates x lags
+of per-replicate estimates.
 A field of a real wavelet holds float64 coefficients and one of a complex
 wavelet complex128; a block is sized from the field's item size, and the
 imaginary parts enter the products only for complex fields.
@@ -24,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import MfbmwaveError
 from .wavstats import WaveletCovQuery
 
 MIN_REPLICATES = 30
-
-# Stacked coefficient rows per estimator block, in bytes.
-_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -92,13 +91,19 @@ def jackknife_se(values: np.ndarray):
 
 
 def _check_lags(lags, n_shifts=None) -> None:
-    """The lag grid of a covariance estimate holds lag 0 and, given the
-    number of shifts, no |lag| >= n_shifts."""
-    if 0 not in lags:
+    """The lag grid of a covariance estimate holds finite integral numbers,
+    lag 0 among them and, given the number of shifts, no |lag| >= n_shifts."""
+    values = np.ravel(lags).tolist()
+    for lag in values:
+        if not (isinstance(lag, int)
+                or isinstance(lag, float) and lag.is_integer()):
+            raise MfbmwaveError(f"lags must be finite integral numbers, "
+                                f"got {lag!r}")
+    if 0 not in values:
         raise MfbmwaveError("lag grid must contain lag 0")
     if n_shifts is None:
         return
-    top = max(abs(int(lag)) for lag in lags)
+    top = max(abs(int(lag)) for lag in values)
     if top >= n_shifts:
         raise MfbmwaveError(f"lag {top} exceeds available shifts ({n_shifts})")
 
@@ -172,7 +177,6 @@ def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
     must be uniform and strictly ascending, and every field must have the
     scales and shifts of the first.
     """
-    lags = np.asarray(lags, dtype=int)
     pending = iter(fields)
     f0 = next(pending, None)
     if f0 is None:
@@ -181,6 +185,7 @@ def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
     ia2 = f0.scale_index(query.a2)
     nb = f0.shifts.size
     _check_lags(lags, nb)
+    lags = np.asarray(lags, dtype=int)
     spacing = f0.dt
     if nb > 1:
         steps = np.diff(f0.shifts)
@@ -190,7 +195,7 @@ def empirical_wavelet_cov(fields, query: WaveletCovQuery, lags) -> EmpiricalCov:
             raise MfbmwaveError("shift grid must be uniform and strictly "
                                 "ascending")
 
-    per_block = max(1, _BLOCK_BYTES // (2 * f0.coeffs.itemsize * nb))
+    per_block = max(1, model.CHUNK_BYTES // (2 * f0.coeffs.itemsize * nb))
     rest = itertools.chain([f0], pending)
     per_rep = []
     seen = 0

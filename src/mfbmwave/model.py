@@ -8,9 +8,9 @@ antisymmetric time-asymmetry parameters eta_jk.  This module holds the
 parameter container, the two-branch kernel w_jk, the cross-covariance, the
 increment covariance, the complex frequency weight zeta_jk, and the
 admissibility (existence) test, whose matrix is Gamma(H_j + H_k + 1) zeta_jk
-at negative frequency.  Beside the memory budget it holds the runner that
-the synthesis and the wavelet transform use to run large pieces of work on
-threads.
+at negative frequency.  Beside the memory budget and the chunk size of the
+streamed stages it holds the runner that the synthesis and the wavelet
+transform use to run large pieces of work on threads.
 """
 
 from __future__ import annotations
@@ -40,6 +40,18 @@ PIECE_SAMPLES = 1 << 18
 # p = 3 on up to two CPUs; each further CPU holds one more pair's rows of the
 # build at once, and from three on it admits m = 2^23 at p = 3.
 MEMORY_BUDGET = 2 << 30
+
+# Bytes per chunk of a streamed stage, counted over the arrays that grow with
+# one chunk, with at least one item in every chunk.  The synthesis counts a
+# draw's noise and its complex copy (32 m p bytes), the wavelet transform the
+# larger of a path's values and its field, the covariance estimator a field's
+# two stacked rows.  Streaming 300 bivariate paths of n = 4096 through all
+# three (CLI estimate, 2 CPUs): synthesis chunks of 128 KB and 8 MB were
+# 20-45 % slower, transform chunks of 256 KB to 4 MB within 10 %, and
+# estimator blocks of 1 MB in place of 4 MB took the closure-n4096 benchmark
+# from 146.6 to 140.1 MB peak RSS and 0.393 to 0.399 s a round (medians of
+# 10 pairs).
+CHUNK_BYTES = 1 << 20
 
 
 class MfbmwaveError(ValueError):

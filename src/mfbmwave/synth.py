@@ -42,12 +42,6 @@ MAX_DOUBLINGS = 6
 # about 1e-15 relative, and bits do not.
 SEED_SCHEME = 3
 
-# Complex noise per synthesis chunk, in bytes: the draw and its complex copy
-# are each about this size.  A streamed CLI estimate of 300 bivariate paths of
-# n = 4096 (2 CPUs) ran in 0.22 s at 76 MB peak RSS with 512 KB chunks, in
-# 0.26-0.28 s at 77 MB with 64 KB and in 0.32 s at 85 MB with 4 MB.
-_CHUNK_BYTES = 512 << 10
-
 
 @dataclass(frozen=True)
 class EmbeddingReport:
@@ -370,10 +364,12 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     by ``seed``, and w = z[0] + i z[1] is coloured by S(f) for f <= m/2 and
     by conj S(m - f) above; replicates 2k and 2k + 1 are the real and the
     imaginary half of its inverse FFT, and a trailing odd replicate takes
-    only the real half.  Draws are taken in chunks (``_CHUNK_BYTES``), and a
-    chunk's paths, views into one block, are yielded once its noise is
-    freed: one chunk is held at any count, and checked against the memory
-    budget before the first draw.  Arguments are checked at the first next.
+    only the real half.  Draws are taken in chunks of ``model.CHUNK_BYTES``
+    (at least one draw), a draw counted as its noise and the noise's complex
+    copy, 32 m p bytes.  A chunk's paths, views into one block, are yielded
+    once its noise is freed: one chunk is held at any count, and checked
+    against the memory budget before the first draw.  Arguments are checked
+    at the first next.
 
     The draw is serial.  Colouring, inverse FFT and cumsum run on
     ``model.run_pieces`` in min(p, k m p // ``model.PIECE_SAMPLES``) blocks of
@@ -397,7 +393,7 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     mirror = root[:, :, half - 1:0:-1]          # S(m - f) for f > m/2
     scale = math.sqrt(m)
     pairs = (count + 1) // 2
-    per_chunk = max(1, _CHUNK_BYTES // (16 * m * p))
+    per_chunk = max(1, model.CHUNK_BYTES // (32 * m * p))
     rng = np.random.Generator(np.random.Philox(key=seed))
     for first in range(0, pairs, per_chunk):
         k = min(per_chunk, pairs - first)

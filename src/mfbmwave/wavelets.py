@@ -28,11 +28,6 @@ TRUNCATION_RADIUS = 10.0
 # Smallest resolvable scale, in units of the sampling step.
 MIN_SCALE_FACTOR = 4.0
 
-# Bytes per cwt_ensemble chunk, a path counted as the larger of its values and
-# its field (at least one path).  Streaming 300 bivariate paths of n = 4096
-# into empirical_wavelet_cov, 256 KB to 4 MB were within 10 %; 1 MB was best.
-_CHUNK_BYTES = 1 << 20
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -413,12 +408,14 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     """Wavelet fields of paths that share one grid, made chunk by chunk.
 
     A generator: field r is ``cwt(paths[r], ...)``, bit for bit, but the
-    paths are transformed about 1 MB at a time (``_CHUNK_BYTES``), so an
+    paths are transformed in chunks of ``model.CHUNK_BYTES`` (at least one
+    path), a path counted as the larger of its values and its field, so an
     ensemble streams into ``empirical_wavelet_cov`` in bounded memory.  The
     first chunk, the largest, is refused before it is transformed if the
     transform's working set (``_transform_bytes``) is over the memory budget
-    (``require_bytes``).  The coefficients are float64 for a real wavelet
-    and complex128 for a complex one.
+    (``require_bytes``).  Every path must have the first path's sampling
+    step, component count and length.  The coefficients are float64 for a
+    real wavelet and complex128 for a complex one.
     """
     pending = iter(paths)
     first = next(pending, None)
@@ -429,7 +426,7 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     scales, shift_idx = _grid(n, dt, scales, shifts)
     shift_times = shift_idx * dt
     nbytes = (8 if wavelet.is_real else 16) * p * scales.size * shift_idx.size
-    per_chunk = max(1, _CHUNK_BYTES // max(8 * p * n, nbytes))
+    per_chunk = max(1, model.CHUNK_BYTES // max(8 * p * n, nbytes))
     chunk = [first, *itertools.islice(pending, per_chunk - 1)]
     require_bytes(_transform_bytes(len(chunk), p, n, dt, wavelet.is_real, scales,
                                    shift_idx.size),
@@ -437,8 +434,14 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
                   f"components at {scales.size} scale(s) and {shift_idx.size} "
                   f"shifts")
     while chunk:
-        if any(float(path.dt) != dt for path in chunk):
-            raise MfbmwaveError("paths of an ensemble must share one sampling step")
+        for path in chunk:
+            if float(path.dt) != dt:
+                raise MfbmwaveError("paths of an ensemble must share one "
+                                    "sampling step")
+            if np.shape(path.values) != (p, n):
+                raise MfbmwaveError(f"paths of an ensemble must share one "
+                                    f"shape, got {np.shape(path.values)} "
+                                    f"after {(p, n)}")
         values = np.stack([np.asarray(path.values, dtype=float) for path in chunk])
         coeffs = _transform(values, dt, wavelet, scales, shift_idx)
         for path, c in zip(chunk, coeffs):

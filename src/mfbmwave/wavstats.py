@@ -22,6 +22,7 @@ closed-form large-lag decay.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,8 @@ class WaveletCovQuery:
         if not (0.0 < self.a1 < math.inf and 0.0 < self.a2 < math.inf):
             raise MfbmwaveError(f"scales must be positive and finite, got "
                                 f"a1 = {self.a1}, a2 = {self.a2}")
+        if not -math.inf < self.h < math.inf:
+            raise MfbmwaveError(f"lag h must be finite, got {self.h}")
 
 
 def binom_gen(alpha: float, ell: int) -> float:
@@ -244,12 +247,16 @@ def theoretical_wavelet_cov(query: WaveletCovQuery, params: MfbmParams,
     Covers the Gaussian-derivative family (:class:`HermiteWavelet`) in near
     and far field, on both kernel branches, to within about 1e-13 relative of
     30-digit references; :func:`wavelet_cov_quadrature` is the independent
-    cross-check.
+    cross-check.  A lag so large that the closed form is not finite raises
+    an MfbmwaveError.
     """
     j, k, a1, a2, h = query.j, query.k, query.a1, query.a2, query.h
     model._check_index(params, j, k)
     pref = -0.5 * params.sigma[j] * params.sigma[k] / math.sqrt(a1 * a2)
-    return pref * _kernel_integral(params, j, k, wavelet, a1, a2, h)
+    cov = pref * _kernel_integral(params, j, k, wavelet, a1, a2, h)
+    if not cmath.isfinite(cov):
+        raise MfbmwaveError(f"the closed form at lag h = {h} is not finite")
+    return cov
 
 
 def wavelet_cov_quadrature(query: WaveletCovQuery, params: MfbmParams,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import struct
 import subprocess
@@ -282,6 +283,18 @@ class TestValidationExitCodes:
                        {"params": str(params_file), "h_values": [0.0],
                         "a1": -1.0})
         assert "scales must be positive" in err
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 1e300])
+    def test_theory_cov_lag_not_finite(self, tmp_path, params_file, capsys,
+                                       h):
+        # JSON NaN and Infinity: the query refuses them; at 1e300 the closed
+        # form is not finite.  Neither writes a NaN row
+        err = self.run(tmp_path, capsys, "theory cov",
+                       {"params": str(params_file), "wavelet_m": 1,
+                        "h_values": [h]})
+        assert ("lag h must be finite" in err if h != 1e300
+                else "the closed form at lag h = 1e+300 is not finite" in err)
+        assert not (tmp_path / "o" / "theory_cov.csv").exists()
 
     def test_cwt_directory_as_path_file(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "cwt",
@@ -822,7 +835,9 @@ _FUZZ_BAD = [0, 1, -1, -1.5, 0.0, 2, 13, 1e300, [], [0], [-1.0], "x", None,
              True, float("nan"), "", ".", "..", "../x", "a/b", "o/../x",
              "x/", "params.txt"]
 _FUZZ_HUGE = [float("nan"), float("inf"), 1e300, 10 ** 8, 2 ** 64, -(2 ** 63)]
-# valid sizes stay small; a huge value is refused before anything is allocated
+# valid sizes stay small.  A huge n or points_per_decade is refused before
+# anything is allocated, but a huge count is valid input, bounded only by time
+# and disk: count draws no finite value over its cap
 _FUZZ_CAPS = {"n": 512, "count": 40, "points_per_decade": 512}
 # the memory budget during the fuzz: the default payloads fit (the estimate
 # transform's first chunk, 30 paths of 256 points, holds 0.6 MB), and an
@@ -834,11 +849,38 @@ def _fuzz_values(key):
     """Values for one config key: the single bad values, wrong types and
     signs, NaN, small sizes and sizes far over a budget."""
     st = pytest.importorskip("hypothesis").strategies
+
+    def drawn(values):
+        # a huge count runs: NaN, infinite and negative counts stay
+        return [v for v in values if key != "count"
+                or not (isinstance(v, (int, float)) and math.isfinite(v)
+                        and v > _FUZZ_CAPS[key])]
+
     number = st.one_of(st.integers(-3, _FUZZ_CAPS.get(key, 20)),
-                       st.floats(-20.0, 20.0), st.sampled_from(_FUZZ_HUGE))
-    return st.one_of(st.sampled_from(_FUZZ_BAD), number,
+                       st.floats(-20.0, 20.0),
+                       st.sampled_from(drawn(_FUZZ_HUGE)))
+    return st.one_of(st.sampled_from(drawn(_FUZZ_BAD)), number,
                      st.sampled_from(["x", "", "1"]), st.booleans(), st.none(),
                      st.lists(number, max_size=3))
+
+
+def test_fuzz_draws_no_huge_count():
+    # a valid count of 10^8 or more would run for hours: the fuzz keeps its
+    # NaN, infinite and negative counts only
+    hyp = pytest.importorskip("hypothesis")
+    drawn = set()
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(_fuzz_values("count"))
+    def check(value):
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, (int, float)):
+                assert not (math.isfinite(v) and v > _FUZZ_CAPS["count"]), v
+                drawn.add(str(v))
+
+    check()
+    assert {"nan", "inf", "-9223372036854775808"} <= drawn
 
 
 _THEORY = {"params": "<params>", "wavelet_m": 1, "j": 0, "k": 1, "a1": 1.0,

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import mfbmwave.estimate as estimate
-from mfbmwave.model import MfbmParams, MfbmwaveError
-from mfbmwave.synth import replicate_ensemble
+import mfbmwave.model as model
+import mfbmwave.wavelets as wavelets
+from mfbmwave.model import MfbmParams, MfbmwaveError, params_from_text
+from mfbmwave.synth import embedding_report, iter_ensemble, replicate_ensemble
 from mfbmwave.wavelets import (
     WaveletField, HermiteWavelet, gaussian_derivative, cwt, cwt_ensemble)
 from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov, scale_law_constant
@@ -234,11 +236,12 @@ class TestStreamedEstimators:
     def test_generator_equals_list(self, name, request, monkeypatch):
         flds = request.getfixturevalue(name)
         q = WaveletCovQuery(0, 1, 4.0, 8.0)
-        # one block at the default size; then blocks of 7 fields, so 240 and
-        # 45 replicates each end in a partial block
+        # blocks at the default size (75 real fields, 93 complex ones); then
+        # blocks of 7 fields, so 240 and 45 replicates each end in a partial
+        # block
         for per_block in (None, 7):
             if per_block:
-                monkeypatch.setattr(estimate, "_BLOCK_BYTES", per_block * 2
+                monkeypatch.setattr(model, "CHUNK_BYTES", per_block * 2
                                     * flds[0].coeffs.itemsize * flds[0].shifts.size)
             for source in (flds, (f for f in flds)):
                 got = empirical_wavelet_cov(source, q, self.LAGS)
@@ -282,6 +285,71 @@ class TestRealFields:
         cast = empirical_wavelet_cov(self.as_complex(fields), q, self.LAGS)
         for name in ("mean", "se_real", "se_imag"):
             assert_bits_equal(getattr(real, name), getattr(cast, name))
+
+
+class TestChunkSizes:
+    """Items per chunk of each stage of the streamed chain under one
+    ``model.CHUNK_BYTES``.  Synthesis and transform chunks are those of the
+    former per-stage sizes: 512 KB of noise, and 1 MB of a path's values or
+    field, whichever is larger."""
+
+    PARAMS = {1: MfbmParams.univariate(0.3), 2: PARAMS,
+              3: params_from_text("p: 3\nH: 0.3 0.5 0.7\nsigma: 1 1 1\n"
+                                  "rho: 1 0.3 1 0.2 0.3 1\n"
+                                  "eta: 0.05 0.05 0.05\n")}
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [64, 4096, 2 ** 17])
+    def test_synthesis(self, p, n):
+        # the paths of one chunk view one block; two whole chunks and the
+        # real half of a draw
+        params = self.PARAMS[p]
+        m = embedding_report(params, n, 1.0).circulant_size
+        draws = max(1, (512 << 10) // (16 * m * p))
+        blocks = {}
+        for path in iter_ensemble(params, n, 1.0, 5, 4 * draws + 1):
+            blocks.setdefault(id(path.values.base), path.values.base)
+        assert [b.shape for b in blocks.values()] == [
+            (2 * draws, p, n), (2 * draws, p, n), (1, p, n)]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [128, 4096, 2 ** 17])
+    def test_transform(self, monkeypatch, p, n):
+        # 128 points, not 64, admit scale 4; three scales make the field
+        # larger than the values at 4096 points and 2^17, not at 128
+        scales = [4.0, 5.0, 6.0]
+        field = 8 * p * len(scales) * (n - 120)
+        per_chunk = max(1, (1 << 20) // max(8 * p * n, field))
+        rows = []
+        transform = wavelets._transform
+        monkeypatch.setattr(wavelets, "_transform", lambda values, *args:
+                            rows.append(values.shape[0])
+                            or transform(values, *args))
+        paths = iter_ensemble(self.PARAMS[p], n, 1.0, 5, 2 * per_chunk + 1)
+        fields = cwt_ensemble(paths, gaussian_derivative(1), scales)
+        assert next(fields).coeffs.nbytes == field
+        assert 1 + sum(1 for _ in fields) == 2 * per_chunk + 1
+        assert rows == [per_chunk, per_chunk, 1]
+
+    @pytest.mark.parametrize("cast, chunk, per_block", [
+        (False, None, 75), (True, None, 37), (False, 1, 1)])
+    def test_estimator(self, fields, monkeypatch, cast, chunk, per_block):
+        # 864 shifts: blocks of 75 real or 37 complex fields; a chunk of one
+        # byte holds one field
+        if cast:
+            fields = TestRealFields.as_complex(fields)
+        if chunk:
+            monkeypatch.setattr(model, "CHUNK_BYTES", chunk)
+        itemsize, nb = fields[0].coeffs.itemsize, fields[0].shifts.size
+        assert per_block == max(1, model.CHUNK_BYTES // (2 * itemsize * nb))
+        rows = []
+        lagged_means = estimate._lagged_means
+        monkeypatch.setattr(estimate, "_lagged_means", lambda dj, *args:
+                            rows.append(dj.shape[0])
+                            or lagged_means(dj, *args))
+        empirical_wavelet_cov(fields, WaveletCovQuery(0, 1, 4.0, 8.0), [0, 1])
+        whole, rest = divmod(len(fields), per_block)
+        assert rows == [per_block] * whole + [rest] * (rest > 0)
 
 
 def assert_bits_equal(a, b):
@@ -341,7 +409,7 @@ class TestErrorContract:
                 for r, path in enumerate(paths)]
         assert flds[0].shifts.size == flds[20].shifts.size
         query = WaveletCovQuery(0, 1, 4.0, 4.0)
-        monkeypatch.setattr(estimate, "_BLOCK_BYTES", 7 * 2 * 8 * 200)
+        monkeypatch.setattr(model, "CHUNK_BYTES", 7 * 2 * 8 * 200)
         for fields in (flds, iter(flds)):
             with pytest.raises(MfbmwaveError,
                                match="field 20 has other shifts than field 0"):
@@ -443,6 +511,22 @@ class TestLagRule:
     def test_admitted(self):
         estimate._check_lags([0, -9, 9], 10)
         estimate._check_lags(np.array([0, 3]))
+
+    def test_integral_floats_admitted(self, fields):
+        got = empirical_wavelet_cov(fields, WaveletCovQuery(0, 1, 4.0, 4.0),
+                                    [0.0, 2.0])
+        assert got.lags.tolist() == [0, 2] and got.lags.dtype == int
+
+    @pytest.mark.parametrize("lags, message", [
+        ([0, 0.9], "got 0.9"), ([0, 1.5], "got 1.5"), ([0, math.nan], "got nan"),
+        ([0, -math.inf], "got -inf"), ([0, 1e30], "exceeds available shifts")])
+    def test_not_integral_refused(self, fields, lags, message):
+        # a lag is a finite integral number, checked before the cast to int,
+        # which reads 0.9 as lag 0 and 1.5 as lag 1
+        with pytest.raises(MfbmwaveError, match=message):
+            estimate._check_lags(lags, 864)
+        with pytest.raises(MfbmwaveError, match=message):
+            empirical_wavelet_cov(fields, WaveletCovQuery(0, 1, 4.0, 4.0), lags)
 
     def test_fit_needs_two_points(self):
         with pytest.raises(MfbmwaveError, match="needs >= 2 usable points"):

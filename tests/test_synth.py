@@ -193,7 +193,7 @@ class TestSeedScheme:
     def test_paths_view_their_chunk(self, monkeypatch):
         # each path is a view into its chunk's block, no copy: chunks of two
         # draws hold paths 0-3 and then 4
-        monkeypatch.setattr(synth, "_CHUNK_BYTES", 2 * 16 * 128 * 2)
+        monkeypatch.setattr(model, "CHUNK_BYTES", 2 * 32 * 128 * 2)
         paths = replicate_ensemble(self.PARAMS, 64, 1.0, seed=17, count=5)
         blocks = [paths[0].values.base, paths[4].values.base]
         assert [b.shape for b in blocks] == [(4, 2, 64), (1, 2, 64)]
@@ -229,7 +229,7 @@ class TestSeedScheme:
     def test_prefix_stable(self, n, short, long):
         fac = build_embedding(self.PARAMS, n, 1.0)
         m = fac.report.circulant_size
-        per_chunk = max(1, synth._CHUNK_BYTES // (16 * m * self.PARAMS.p))
+        per_chunk = max(1, model.CHUNK_BYTES // (32 * m * self.PARAMS.p))
         if n == 4096:  # both ensembles draw a second chunk
             assert per_chunk < (short + 1) // 2
         a = replicate_ensemble(self.PARAMS, n, 1.0, seed=31, count=short)
@@ -576,12 +576,13 @@ class TestMemory:
         assert peak <= build_bytes(m, params.p) <= 3.5 * peak
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("n, chunk", [(64, synth._CHUNK_BYTES),
-                                          (4096, synth._CHUNK_BYTES),
+    @pytest.mark.parametrize("n, noise", [(64, model.CHUNK_BYTES // 2),
+                                          (4096, model.CHUNK_BYTES // 2),
                                           (1000, 1), (2 ** 14, 1)])
-    def test_chunk_count_bounds_peak(self, monkeypatch, p, n, chunk):
-        # a chunk of 1 byte holds a single draw
-        monkeypatch.setattr(synth, "_CHUNK_BYTES", chunk)
+    def test_chunk_count_bounds_peak(self, monkeypatch, p, n, noise):
+        # ``noise`` bytes of draw and as many of its complex copy per chunk:
+        # the default chunk, or one of 2 bytes, which holds a single draw
+        monkeypatch.setattr(model, "CHUNK_BYTES", 2 * noise)
         self.check_chunk_peak(monkeypatch, BRANCHES[p, False], n)
 
     def test_chunk_peak_split(self, monkeypatch):
@@ -601,7 +602,7 @@ class TestMemory:
         simulate(params, n, 1.0, seed=3)        # the factor, cached
         m = embedding_report(params, n, 1.0).circulant_size
         p = params.p
-        k = max(1, synth._CHUNK_BYTES // (16 * m * p))
+        k = max(1, model.CHUNK_BYTES // (32 * m * p))
         need = chunk_bytes(k, 2 * k, m, p, n)
         # the stream checks this count before its first draw
         monkeypatch.setattr(model, "MEMORY_BUDGET", need - 1)
@@ -973,16 +974,17 @@ class TestPieces:
 
     @pytest.mark.parametrize("params", [LOG_PAIR, TRIVARIATE])
     @pytest.mark.parametrize("count", [1, 2, 3, 7])
-    @pytest.mark.parametrize("chunk", [synth._CHUNK_BYTES, 1])
+    @pytest.mark.parametrize("noise", [model.CHUNK_BYTES // 2, 1])
     def test_synthesis_bits_do_not_depend_on_split(self, monkeypatch, params,
-                                                   count, chunk):
-        # a chunk of 1 byte holds one draw: replicate 6 of 7 is a chunk of
+                                                   count, noise):
+        # ``noise`` bytes of draw and as many of its complex copy per chunk;
+        # a chunk of 2 bytes holds one draw: replicate 6 of 7 is a chunk of
         # its own, the real half of its draw
-        monkeypatch.setattr(synth, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(model, "CHUNK_BYTES", 2 * noise)
         inline = stacked_values(synth.iter_ensemble(params, 100, 1.0, 11,
                                                     count))
         m, p = embedding_report(params, 100, 1.0).circulant_size, params.p
-        k = 1 if chunk == 1 else (count + 1) // 2
+        k = 1 if noise == 1 else (count + 1) // 2
         # p blocks of one component, then two blocks
         for samples, workers in ((1, 1), (1, 2), (k * m * p // 2, 2)):
             split(monkeypatch, 2 ** 62, workers, samples)

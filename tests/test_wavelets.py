@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -322,6 +323,10 @@ def test_fast_len_matches_scipy():
 
 class TestCwtEnsemble:
     COMPLEX = HermiteWavelet([(1.0, 1), (0.5j, 2)])
+    TRIVARIATE = MfbmParams(
+        H=[0.3, 0.5, 0.7], sigma=[1.0, 1.0, 1.0],
+        rho=[[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]],
+        eta=[[0.0, 0.05, 0.05], [-0.05, 0.0, 0.05], [-0.05, -0.05, 0.0]])
 
     def check(self, paths, wavelet, scales, shifts=None):
         fields = list(cwt_ensemble(paths, wavelet, scales, shifts=shifts))
@@ -347,15 +352,31 @@ class TestCwtEnsemble:
         # then chunks of 2 rows, which split a trivariate replicate
         params = MfbmParams.bivariate(0.3, 0.8, rho=0.4, eta=0.05)
         paths = replicate_ensemble(params, 256, 1.0, seed=8, count=7)
-        monkeypatch.setattr(wavelets, "_CHUNK_BYTES", 5 * 8 * 256)
+        monkeypatch.setattr(model, "CHUNK_BYTES", 5 * 8 * 256)
         self.check(paths, gaussian_derivative(1), [4.0, 6.0])
-        tri = MfbmParams(H=[0.3, 0.5, 0.7], sigma=[1.0, 1.0, 1.0],
-                         rho=[[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]],
-                         eta=[[0.0, 0.05, 0.05], [-0.05, 0.0, 0.05],
-                              [-0.05, -0.05, 0.0]])
-        paths = replicate_ensemble(tri, 256, 1.0, seed=9, count=3)
-        monkeypatch.setattr(wavelets, "_CHUNK_BYTES", 2 * 8 * 256)
+        paths = replicate_ensemble(self.TRIVARIATE, 256, 1.0, seed=9, count=3)
+        monkeypatch.setattr(model, "CHUNK_BYTES", 2 * 8 * 256)
         self.check(paths, gaussian_derivative(1), [4.0])
+
+    @pytest.mark.parametrize("p, n, later", [
+        (2, 300, False), (2, 300, True), (2, 200, True), (3, 256, False),
+        (3, 256, True)])
+    def test_paths_of_other_shape_refused(self, monkeypatch, p, n, later):
+        # two bivariate paths of 256 points fix the shape; the third path
+        # comes in their chunk or, in one-path chunks, in a later one, which
+        # would transform 300 points on the first path's shift grid
+        pair = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        odd = pair if p == 2 else self.TRIVARIATE
+        paths = [*replicate_ensemble(pair, 256, 1.0, seed=1, count=2),
+                 *replicate_ensemble(odd, n, 1.0, seed=2, count=1)]
+        if later:
+            monkeypatch.setattr(model, "CHUNK_BYTES", 1)
+        fields = cwt_ensemble(paths, gaussian_derivative(1), [4.0])
+        if later:
+            assert [next(fields).n for _ in range(2)] == [256, 256]
+        with pytest.raises(MfbmwaveError, match=re.escape(
+                f"one shape, got ({p}, {n}) after (2, 256)")):
+            next(fields)
 
     def test_default_chunks(self):
         # 1 MB chunks hold 16 bivariate paths of n = 4096; 37 paths span three
@@ -480,7 +501,7 @@ class TestCwtEnsemble:
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
         paths = replicate_ensemble(params, 512, 1.0, seed=3, count=7)
         scales = np.linspace(4.0, 8.0, 40)
-        monkeypatch.setattr(wavelets, "_CHUNK_BYTES", 3 * 2 * 40 * 352 * 8)
+        monkeypatch.setattr(model, "CHUNK_BYTES", 3 * 2 * 40 * 352 * 8)
         rows = []
         transform = wavelets._transform
         monkeypatch.setattr(wavelets, "_transform", lambda values, *args:

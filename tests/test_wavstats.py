@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -353,3 +354,20 @@ class TestDecayFit:
 def test_query_scales_positive_and_finite(a1, a2):
     with pytest.raises(MfbmwaveError, match="scales must be positive"):
         WaveletCovQuery(0, 1, a1, a2)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_query_lag_finite(h):
+    with pytest.raises(MfbmwaveError, match="lag h must be finite"):
+        WaveletCovQuery(0, 1, 1.0, 1.0, h)
+
+
+@pytest.mark.parametrize("h", [1e300, -1e300])
+def test_closed_form_never_nan(h):
+    # |h|^alpha overflows on the power branch: an error naming the lag, not
+    # a NaN covariance
+    params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+    with pytest.raises(MfbmwaveError,
+                       match=re.escape(f"lag h = {h} is not finite")):
+        theoretical_wavelet_cov(WaveletCovQuery(0, 1, 1.0, 1.0, h), params,
+                                gaussian_derivative(1))
