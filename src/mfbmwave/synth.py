@@ -356,6 +356,49 @@ def derive_seed(seed: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _chunks(rng: np.random.Generator, shape: tuple, draws: int,
+            per_chunk: int, ahead: bool, make):
+    """``make(first, z)`` of each chunk of noise draws first .. first + k - 1
+    of ``rng``, k = ``per_chunk`` or fewer for the last, as a generator.
+
+    z is ``rng.standard_normal((k,) + shape)``, which ``make`` may overwrite.
+    With ``ahead``, one worker thread draws the next chunks into two buffers
+    of a chunk's size, allocated once: chunk i + 2 goes into chunk i's
+    buffer as soon as ``make`` returns on it, so the worker draws while the
+    caller makes a chunk and while it works on what was yielded.  The worker
+    takes one draw at a time from ``rng``, in stream order, so every chunk
+    holds the bits of the serial draw.  An error of a draw is raised at the
+    caller's next that wants its chunk; closing the generator joins the
+    worker.
+    """
+    firsts = range(0, draws, per_chunk)
+
+    def draw(first, out=None):
+        k = min(per_chunk, draws - first)
+        return rng.standard_normal((k,) + shape,
+                                   out=None if out is None else out[:k])
+
+    if not ahead:
+        for first in firsts:
+            yield make(first, draw(first))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    buffers = np.empty((2, per_chunk) + shape)
+    worker = ThreadPoolExecutor(1)
+    try:
+        drawn = [worker.submit(draw, first, buffer)
+                 for first, buffer in zip(firsts[:2], buffers)]
+        for i, first in enumerate(firsts):
+            made = make(first, drawn[i % 2].result())
+            if first + 2 * per_chunk < draws:
+                drawn[i % 2] = worker.submit(draw, first + 2 * per_chunk,
+                                             buffers[i % 2])
+            yield made
+            del made            # not held while the next chunk is made
+    finally:
+        worker.shutdown(cancel_futures=True)    # joins the thread
+
+
 def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                   count: int):
     """Paths 0 .. count - 1 of the ensemble keyed by ``seed``, as a generator.
@@ -367,17 +410,24 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     only the real half.  Draws are taken in chunks of ``model.CHUNK_BYTES``
     (at least one draw), a draw counted as its noise and the noise's complex
     copy, 32 m p bytes.  A chunk's paths, views into one block, are yielded
-    once its noise is freed: one chunk is held at any count, and checked
-    against the memory budget before the first draw.  Arguments are checked
-    at the first next.
+    once they are made: one chunk is held at any count, and checked against
+    the memory budget before the first draw.  Arguments are checked at the
+    first next.
 
-    The draw is serial.  Colouring, inverse FFT and cumsum run on
+    A stream of two chunks or more, on more than one CPU
+    (``model.workers``), draws its noise on one worker thread ahead of the
+    caller, which colours a chunk and works on its paths meanwhile
+    (``_chunks``); its two noise buffers, 16 m p bytes a draw each, are held
+    until the stream ends or is closed, which joins the thread.  Otherwise
+    the draw runs on the caller and a chunk's noise is freed before its
+    first path is yielded.  Colouring, inverse FFT and cumsum run on
     ``model.run_pieces`` in min(p, k m p // ``model.PIECE_SAMPLES``) blocks of
     component rows for a chunk of k draws, so a single path splits from
     n > 2^16 + 1 at p = 2 or 3.  Not the rule of ``model.pieces``: a block
     writes into arrays the call holds, so a split adds only per-worker
     temporaries and may cut below one row's ``PIECE_SAMPLES``.  A row takes
-    the same operations in any block, so the bits do not depend on the split.
+    the same operations in any block, and the draw the same bits on any
+    thread, so the bits do not depend on the split.
     """
     if count < 1:
         raise MfbmwaveError(f"need count >= 1, got {count}")
@@ -394,18 +444,24 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     scale = math.sqrt(m)
     pairs = (count + 1) // 2
     per_chunk = max(1, model.CHUNK_BYTES // (32 * m * p))
+    ahead = pairs > per_chunk and model.workers(2) > 1
+    # the first chunk is the largest: noise, paths, temporaries, buffers,
+    # and with the draw-ahead the other noise buffer and the worker's pool
+    k = min(per_chunk, pairs)
+    reps = min(2 * k, count)
+    blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
+    worker = ((16 * k * (m // 2 + 1) if p > 1 else 0)
+              + 32 * min(k * p * m // 2, np.getbufsize()))
+    require_bytes(8 * p * ((4 + 2 * ahead) * k * m + reps * n + k * n - k)
+                  + model.workers(blocks) * worker + (12 << 10) * (1 + ahead),
+                  f"a chunk of {reps} paths of {n} points")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for first in range(0, pairs, per_chunk):
-        k = min(per_chunk, pairs - first)
+
+    def chunk_paths(first, z):
+        # the chunk's paths 2 first .. from its noise z, which it overwrites
+        k = len(z)
         reps = min(2 * k, count - 2 * first)
         blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
-        if not first:   # the largest: noise, paths, temporaries, buffers
-            worker = ((16 * k * (m // 2 + 1) if p > 1 else 0)
-                      + 32 * min(k * p * m // 2, np.getbufsize()))
-            require_bytes(8 * p * (4 * k * m + reps * n + k * n - k)
-                          + model.workers(blocks) * worker + (12 << 10),
-                          f"a chunk of {reps} paths of {n} points")
-        z = rng.standard_normal((k, 2, m, p))
         # component-major noise, conjugated above m/2: conj(S) w is
         # conj(S conj(w)), so both halves take plain products of S
         w = np.empty((k, p, m), dtype=complex)
@@ -436,9 +492,16 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                           out=paths)
 
         run_pieces(colour, p, blocks)
-        del z, w, v             # not held while the caller works on the paths
-        yield from (SamplePath(params, n, dt, values, seed) for values in out)
-        del out                 # nor the paths, once the caller drops them
+        return out              # w and v are not held while the caller works
+
+    chunks = _chunks(rng, (2, m, p), pairs, per_chunk, ahead, chunk_paths)
+    try:
+        for out in chunks:
+            yield from (SamplePath(params, n, dt, values, seed)
+                        for values in out)
+            del out             # not held once the caller drops the paths
+    finally:
+        chunks.close()          # joins the worker, also at close() or an error
 
 
 def simulate(params: MfbmParams, n: int, dt: float, seed: int):

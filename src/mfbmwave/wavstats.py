@@ -58,6 +58,11 @@ class WaveletCovQuery:
     h: float = 0.0
 
     def __post_init__(self):
+        # a Python int too large for a float compares as finite
+        try:
+            float(self.a1), float(self.a2), float(self.h)
+        except OverflowError:
+            raise MfbmwaveError("scales and lag h must fit in a float") from None
         if not (0.0 < self.a1 < math.inf and 0.0 < self.a2 < math.inf):
             raise MfbmwaveError(f"scales must be positive and finite, got "
                                 f"a1 = {self.a1}, a2 = {self.a2}")

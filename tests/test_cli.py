@@ -64,7 +64,8 @@ def test_import_leaves_out_scipy():
 
 
 def test_import_leaves_out_executors_and_logging():
-    # the embedding build runs its pieces on plain threads; these two
+    # the embedding build runs its pieces on plain threads, and the
+    # ensemble's draw-ahead imports its executor on first use; these two
     # modules would add about 7 ms to every import
     code = ("import sys, mfbmwave, mfbmwave.cli; print(sorted(m for m in "
             "sys.modules if m.split('.')[0] in ('concurrent', 'logging')))")

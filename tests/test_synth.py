@@ -368,6 +368,114 @@ def test_ensemble_values_pinned(params, n, seed, count, digest):
     assert synth.SEED_SCHEME == 3
 
 
+class TestDrawAhead:
+    """A stream of two chunks or more draws its noise on one worker thread,
+    ahead of the caller, when there are two CPUs, with the bits of the
+    serial draw."""
+
+    # n = 4096: chunks of two draws, 11 paths in three; n = 1000 at p = 3:
+    # chunks of five draws, 31 paths in four, the last of one draw
+    STREAMS = [(TestSeedScheme.PARAMS, 4096, 11, 3,
+                "b9485f1082fee2b30aa519b129bd56aea30df9e1443133c9fcfe894084c05059"),
+               (TRIVARIATE, 1000, 31, 4,
+                "57ff42e352e5b2ebf2befa43b29636765c41e85cc6cda19ec2b1a885bc30098a")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("params, n, count, chunks, digest", STREAMS,
+                             ids=["p2-n4096", "p3-n1000"])
+    def test_stream_values_pinned(self, monkeypatch, workers, params, n,
+                                  count, chunks, digest):
+        # the digests of the serial draw, on the caller and on the worker
+        split(monkeypatch, synth._PIECE_MATRICES, workers)
+        paths = list(synth.iter_ensemble(params, n, 1.0, 28, count))
+        assert len({id(path.values.base) for path in paths}) == chunks
+        values = stacked_values(paths)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+    def test_bits_hold_under_fast_switching(self, monkeypatch):
+        # the draw-ahead beside three colouring blocks on eight workers, with
+        # threads switching every microsecond
+        _, n, count, _, pinned = self.STREAMS[1]
+        split(monkeypatch, synth._PIECE_MATRICES, 8, samples=1)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            values = stacked_values(synth.iter_ensemble(TRIVARIATE, n, 1.0, 28,
+                                                        count))
+        finally:
+            sys.setswitchinterval(interval)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == pinned
+        assert threading.active_count() == before
+
+    def test_draws_run_on_one_worker(self, monkeypatch):
+        draws = record_draws(monkeypatch)
+        split(monkeypatch, synth._PIECE_MATRICES, 2)
+        replicate_ensemble(TRIVARIATE, 1000, 1.0, seed=28, count=31)
+        assert [k for k, _ in draws] == [5, 5, 5, 1]
+        assert len({t for _, t in draws}) == 1
+        assert threading.get_ident() not in {t for _, t in draws}
+
+    @pytest.mark.parametrize("workers, count", [(1, 31), (2, 10)])
+    def test_no_thread_without_a_second_chunk_or_cpu(self, monkeypatch,
+                                                     workers, count):
+        # one CPU, or 10 paths in one chunk of five draws: all on the caller
+        split(monkeypatch, synth._PIECE_MATRICES, workers)
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread))
+        draws = record_draws(monkeypatch)
+        replicate_ensemble(TRIVARIATE, 1000, 1.0, seed=28, count=count)
+        assert starts == []
+        assert {t for _, t in draws} == {threading.get_ident()}
+
+    def test_close_joins_the_worker(self, monkeypatch):
+        split(monkeypatch, synth._PIECE_MATRICES, 2)
+        before = threading.active_count()
+        stream = synth.iter_ensemble(TRIVARIATE, 1000, 1.0, 28, 31)
+        next(stream)
+        assert threading.active_count() == before + 1
+        stream.close()
+        assert threading.active_count() == before
+        # and so does the end of the stream
+        assert len(list(synth.iter_ensemble(TRIVARIATE, 1000, 1.0, 28, 31))) == 31
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4])
+    def test_draw_error_reaches_next(self, monkeypatch, fail_at):
+        # draw i is chunk i - 1: its error is raised at the next that wants
+        # the chunk, after the paths of every chunk before it
+        split(monkeypatch, synth._PIECE_MATRICES, 2)
+        record_draws(monkeypatch, fail_at=fail_at)
+        before = threading.active_count()
+        stream = synth.iter_ensemble(TRIVARIATE, 1000, 1.0, 28, 31)
+        got = []
+        with pytest.raises(FloatingPointError, match="forced draw failure"):
+            for path in stream:
+                got.append(path)
+        assert len(got) == 10 * (fail_at - 1)
+        assert threading.active_count() == before
+
+
+def record_draws(monkeypatch, fail_at=None):
+    """Record (chunk draws, thread) of every noise draw of the streams made
+    from here on; draw number ``fail_at`` raises a FloatingPointError."""
+    draws, generator = [], np.random.Generator
+
+    class Recording:
+        def __init__(self, bit_generator):
+            self.rng = generator(bit_generator)
+
+        def standard_normal(self, size, **kwargs):
+            draws.append((size[0], threading.get_ident()))
+            if len(draws) == fail_at:
+                raise FloatingPointError("forced draw failure")
+            return self.rng.standard_normal(size, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    return draws
+
+
 def reference_blocks(params, m, dt):
     """Circulant blocks (m, p, p), every pair and lag from the model."""
     half = m // 2
@@ -503,15 +611,17 @@ def build_bytes(m, p):
                                      model.workers(pieces) * piece) + 12288)
 
 
-def chunk_bytes(k, reps, m, p, n):
+def chunk_bytes(k, reps, m, p, n, ahead):
     """The draw and its complex copy, the chunk's paths and the scaled half
     of a cumsum, then per worker one colouring product at p > 1 and two
-    complex ufunc buffers, and 12 KB of small objects."""
+    complex ufunc buffers, and 12 KB of small objects; when ``ahead``, the
+    next chunk's draw and 12 KB more for the draw-ahead's thread pool."""
     blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
     product = 16 * k * (m // 2 + 1) if p > 1 else 0
     buffers = 2 * 16 * min(k * p * m // 2, 8192)
-    return (2 * 16 * k * m * p + reps * p * n * 8 + k * p * (n - 1) * 8
-            + model.workers(blocks) * (product + buffers) + 12288)
+    return ((2 + ahead) * 16 * k * m * p + reps * p * n * 8
+            + k * p * (n - 1) * 8
+            + model.workers(blocks) * (product + buffers) + 12288 * (1 + ahead))
 
 
 # p = 1, 2 and 3, off the log branch and on it
@@ -530,6 +640,7 @@ BRANCHES = {
 class TestMemory:
     def setup_method(self):
         np.fft.rfft(np.zeros(8))        # numpy.fft's lazy import is one-off
+        import concurrent.futures.thread    # so is the draw-ahead's  # noqa: F401
 
     def test_budget_stops_doubling(self, monkeypatch):
         sizes = []
@@ -587,23 +698,26 @@ class TestMemory:
 
     def test_chunk_peak_split(self, monkeypatch):
         # three blocks of one component on two threads, each with its own
-        # colouring product
+        # colouring product; the stream's colouring thread may take a new
+        # ident, as the draw-ahead's worker can hold that of simulate's
         split(monkeypatch, 2 ** 62, 2, samples=1)
         seen = piece_threads(monkeypatch, np.fft, "ifft", meet=2)
         self.check_chunk_peak(monkeypatch, TRIVARIATE, 4096)
-        assert len(set(seen)) == 2
+        assert threading.get_ident() in seen and len(set(seen)) >= 2
 
     @staticmethod
     def check_chunk_peak(monkeypatch, params, n):
         """The count of one chunk bounds its traced peak, and is at most
         twice it.  The next chunks peak no higher once their paths are
-        dropped, and a chunk's noise is freed before its first path is
-        yielded."""
+        dropped.  When its first path is yielded the stream holds the
+        chunk's paths and, on more than one CPU, the two noise buffers of
+        the draw-ahead; on one CPU the noise is freed."""
         simulate(params, n, 1.0, seed=3)        # the factor, cached
         m = embedding_report(params, n, 1.0).circulant_size
         p = params.p
         k = max(1, model.CHUNK_BYTES // (32 * m * p))
-        need = chunk_bytes(k, 2 * k, m, p, n)
+        ahead = model.workers(2) > 1            # three chunks: the worker runs
+        need = chunk_bytes(k, 2 * k, m, p, n, ahead)
         # the stream checks this count before its first draw
         monkeypatch.setattr(model, "MEMORY_BUDGET", need - 1)
         with pytest.raises(MfbmwaveError, match=f"a chunk of {2 * k} paths "
@@ -625,7 +739,9 @@ class TestMemory:
             stream.close()
         assert peak <= need <= 2.0 * peak
         assert later <= peak + (4 << 10)
-        assert held <= 8 * 2 * k * p * n + (4 << 10)
+        # the draw-ahead: two noise buffers and its thread's pool
+        assert held <= (8 * 2 * k * p * n + ahead * (2 * 16 * k * m * p + (12 << 10))
+                        + (4 << 10))
 
     def test_first_size_over_budget(self, monkeypatch):
         attempt = synth._try_embedding
@@ -686,9 +802,9 @@ def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
                   fail_at=None):
     """Record the thread of every call of ``owner.name``, a per-piece step.
 
-    The first call of each thread waits until ``meet`` threads have made
-    one, so that each of them runs a piece however fast the others are;
-    call number ``fail_at`` raises a LinAlgError.
+    The first call of each of the first ``meet`` threads waits until all of
+    them have made one, so that each runs a piece however fast the others
+    are; call number ``fail_at`` raises a LinAlgError.
     """
     seen, lock, step = [], threading.Lock(), getattr(owner, name)
     barrier = threading.Barrier(meet, timeout=30)
@@ -696,7 +812,8 @@ def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
     def record(*args, **kwargs):
         with lock:
             me = threading.get_ident()
-            first = me not in seen
+            # a thread that comes after the first ``meet`` would wait alone
+            first = me not in seen and len(set(seen)) < meet
             seen.append(me)
             if len(seen) == fail_at:
                 raise np.linalg.LinAlgError("forced failure")

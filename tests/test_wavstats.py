@@ -362,6 +362,20 @@ def test_query_lag_finite(h):
         WaveletCovQuery(0, 1, 1.0, 1.0, h)
 
 
+@pytest.mark.parametrize("a1, a2, h", [(1.0, 1.0, 10 ** 400),
+                                       (1.0, 1.0, -10 ** 400),
+                                       (10 ** 400, 1.0, 0.0),
+                                       (1.0, 10 ** 400, 0.0)],
+                         ids=["h", "-h", "a1", "a2"])
+def test_query_fits_a_float(a1, a2, h):
+    # such an int compares as finite, and the closed form's float() of it
+    # raised OverflowError
+    with pytest.raises(MfbmwaveError, match="must fit in a float"):
+        WaveletCovQuery(0, 1, a1, a2, h)
+    query = WaveletCovQuery(0, 1, 2 ** 3, 4, -(2 ** 60))   # ints that fit
+    assert (query.a1, query.h) == (8, -(2 ** 60))
+
+
 @pytest.mark.parametrize("h", [1e300, -1e300])
 def test_closed_form_never_nan(h):
     # |h|^alpha overflows on the power branch: an error naming the lag, not
