@@ -356,49 +356,6 @@ def derive_seed(seed: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _chunks(rng: np.random.Generator, shape: tuple, draws: int,
-            per_chunk: int, ahead: bool, make):
-    """``make(first, z)`` of each chunk of noise draws first .. first + k - 1
-    of ``rng``, k = ``per_chunk`` or fewer for the last, as a generator.
-
-    z is ``rng.standard_normal((k,) + shape)``, which ``make`` may overwrite.
-    With ``ahead``, one worker thread draws the next chunks into two buffers
-    of a chunk's size, allocated once: chunk i + 2 goes into chunk i's
-    buffer as soon as ``make`` returns on it, so the worker draws while the
-    caller makes a chunk and while it works on what was yielded.  The worker
-    takes one draw at a time from ``rng``, in stream order, so every chunk
-    holds the bits of the serial draw.  An error of a draw is raised at the
-    caller's next that wants its chunk; closing the generator joins the
-    worker.
-    """
-    firsts = range(0, draws, per_chunk)
-
-    def draw(first, out=None):
-        k = min(per_chunk, draws - first)
-        return rng.standard_normal((k,) + shape,
-                                   out=None if out is None else out[:k])
-
-    if not ahead:
-        for first in firsts:
-            yield make(first, draw(first))
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    buffers = np.empty((2, per_chunk) + shape)
-    worker = ThreadPoolExecutor(1)
-    try:
-        drawn = [worker.submit(draw, first, buffer)
-                 for first, buffer in zip(firsts[:2], buffers)]
-        for i, first in enumerate(firsts):
-            made = make(first, drawn[i % 2].result())
-            if first + 2 * per_chunk < draws:
-                drawn[i % 2] = worker.submit(draw, first + 2 * per_chunk,
-                                             buffers[i % 2])
-            yield made
-            del made            # not held while the next chunk is made
-    finally:
-        worker.shutdown(cancel_futures=True)    # joins the thread
-
-
 def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                   count: int):
     """Paths 0 .. count - 1 of the ensemble keyed by ``seed``, as a generator.
@@ -416,11 +373,18 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
 
     A stream of two chunks or more, on more than one CPU
     (``model.workers``), draws its noise on one worker thread ahead of the
-    caller, which colours a chunk and works on its paths meanwhile
-    (``_chunks``); its two noise buffers, 16 m p bytes a draw each, are held
-    until the stream ends or is closed, which joins the thread.  Otherwise
-    the draw runs on the caller and a chunk's noise is freed before its
-    first path is yielded.  Colouring, inverse FFT and cumsum run on
+    caller when the budget also holds a second noise buffer: the worker
+    fills two buffers of a chunk's draws, 16 m p bytes a draw each,
+    allocated once, and draws chunk i + 2 into chunk i's buffer as soon as
+    chunk i is coloured, so it draws while the caller colours a chunk and
+    works on its paths.  It takes one draw at a time from the one
+    generator, in stream order, so every chunk holds the bits of the serial
+    draw.  The buffers are held until the stream ends or is closed, which
+    joins the thread, and an error of a draw is raised at the next that
+    wants its chunk.  Otherwise the draw runs on the caller, and a chunk's
+    noise is freed before its first path is yielded.
+
+    Colouring, inverse FFT and cumsum run on
     ``model.run_pieces`` in min(p, k m p // ``model.PIECE_SAMPLES``) blocks of
     component rows for a chunk of k draws, so a single path splits from
     n > 2^16 + 1 at p = 2 or 3.  Not the rule of ``model.pieces``: a block
@@ -444,64 +408,80 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     scale = math.sqrt(m)
     pairs = (count + 1) // 2
     per_chunk = max(1, model.CHUNK_BYTES // (32 * m * p))
-    ahead = pairs > per_chunk and model.workers(2) > 1
-    # the first chunk is the largest: noise, paths, temporaries, buffers,
-    # and with the draw-ahead the other noise buffer and the worker's pool
+    # the first chunk is the largest: noise, paths, temporaries, buffers
     k = min(per_chunk, pairs)
     reps = min(2 * k, count)
     blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
     worker = ((16 * k * (m // 2 + 1) if p > 1 else 0)
               + 32 * min(k * p * m // 2, np.getbufsize()))
-    require_bytes(8 * p * ((4 + 2 * ahead) * k * m + reps * n + k * n - k)
-                  + model.workers(blocks) * worker + (12 << 10) * (1 + ahead),
-                  f"a chunk of {reps} paths of {n} points")
+    need = (8 * p * (4 * k * m + reps * n + k * n - k)
+            + model.workers(blocks) * worker + (12 << 10))
+    require_bytes(need, f"a chunk of {reps} paths of {n} points")
+    # the draw-ahead adds the other noise buffer and the pool's objects
+    ahead = (pairs > per_chunk and model.workers(2) > 1
+             and need + 16 * k * m * p + (12 << 10) <= model.MEMORY_BUDGET)
     rng = np.random.Generator(np.random.Philox(key=seed))
+    firsts = range(0, pairs, per_chunk)
 
-    def chunk_paths(first, z):
-        # the chunk's paths 2 first .. from its noise z, which it overwrites
-        k = len(z)
-        reps = min(2 * k, count - 2 * first)
-        blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
-        # component-major noise, conjugated above m/2: conj(S) w is
-        # conj(S conj(w)), so both halves take plain products of S
-        w = np.empty((k, p, m), dtype=complex)
-        w.real = z[:, 0].transpose(0, 2, 1)
-        w.imag = z[:, 1].transpose(0, 2, 1)
-        np.negative(w.imag[:, :, up], out=w.imag[:, :, up])
-        # the coloured noise overwrites the draw, which w now holds
-        v = z.reshape(-1).view(complex).reshape(k, p, m)
-        # after the noise, so that the freed noise is no heap top to trim
-        out = np.empty((reps, p, n))
-        out[:, :, 0] = 0.0
+    def draw(first, out=None):
+        # the chunk of draws first .., into out if given
+        k = min(per_chunk, pairs - first)
+        return rng.standard_normal((k, 2, m, p),
+                                   out=None if out is None else out[:k])
 
-        def colour(*bounds):
-            # a block of component rows: colour, inverse FFT, cumsum
-            rows = slice(*bounds)
-            for i in range(*bounds):
-                np.multiply(root[i, 0], w[:, 0, lo], out=v[:, i, lo])
-                np.multiply(mirror[i, 0], w[:, 0, up], out=v[:, i, up])
-                for j in range(1, p):
-                    v[:, i, lo] += root[i, j] * w[:, j, lo]
-                    v[:, i, up] += mirror[i, j] * w[:, j, up]
-            vb = v[:, rows]
-            np.conjugate(vb[:, :, up], out=vb[:, :, up])
-            y = np.fft.ifft(vb, axis=-1, out=vb)
-            for imag, part in enumerate((y.real, y.imag)):
-                paths = out[imag::2, rows, 1:]
-                np.cumsum(scale * part[:len(paths), :, :n - 1], axis=-1,
-                          out=paths)
-
-        run_pieces(colour, p, blocks)
-        return out              # w and v are not held while the caller works
-
-    chunks = _chunks(rng, (2, m, p), pairs, per_chunk, ahead, chunk_paths)
+    if ahead:
+        from concurrent.futures import ThreadPoolExecutor
+        noise = np.empty((2, per_chunk, 2, m, p))
+        pool = ThreadPoolExecutor(1)
     try:
-        for out in chunks:
+        if ahead:
+            drawn = [pool.submit(draw, first, out)
+                     for first, out in zip(firsts[:2], noise)]
+        for chunk, first in enumerate(firsts):
+            z = drawn[chunk % 2].result() if ahead else draw(first)
+            k = len(z)
+            reps = min(2 * k, count - 2 * first)
+            blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
+            # component-major noise, conjugated above m/2: conj(S) w is
+            # conj(S conj(w)), so both halves take plain products of S
+            w = np.empty((k, p, m), dtype=complex)
+            w.real = z[:, 0].transpose(0, 2, 1)
+            w.imag = z[:, 1].transpose(0, 2, 1)
+            np.negative(w.imag[:, :, up], out=w.imag[:, :, up])
+            # the coloured noise overwrites the draw, which w now holds
+            v = z.reshape(-1).view(complex).reshape(k, p, m)
+            # after the noise, so that the freed noise is no heap top to trim
+            out = np.empty((reps, p, n))
+            out[:, :, 0] = 0.0
+
+            def colour(*bounds):
+                # a block of component rows: colour, inverse FFT, cumsum
+                rows = slice(*bounds)
+                for i in range(*bounds):
+                    np.multiply(root[i, 0], w[:, 0, lo], out=v[:, i, lo])
+                    np.multiply(mirror[i, 0], w[:, 0, up], out=v[:, i, up])
+                    for j in range(1, p):
+                        v[:, i, lo] += root[i, j] * w[:, j, lo]
+                        v[:, i, up] += mirror[i, j] * w[:, j, up]
+                vb = v[:, rows]
+                np.conjugate(vb[:, :, up], out=vb[:, :, up])
+                y = np.fft.ifft(vb, axis=-1, out=vb)
+                for imag, part in enumerate((y.real, y.imag)):
+                    paths = out[imag::2, rows, 1:]
+                    np.cumsum(scale * part[:len(paths), :, :n - 1], axis=-1,
+                              out=paths)
+
+            run_pieces(colour, p, blocks)
+            if ahead and first + 2 * per_chunk < pairs:
+                drawn[chunk % 2] = pool.submit(draw, first + 2 * per_chunk,
+                                               noise[chunk % 2])
+            del z, w, v         # not held while the caller works on the paths
             yield from (SamplePath(params, n, dt, values, seed)
                         for values in out)
-            del out             # not held once the caller drops the paths
+            del out             # nor the paths, once the caller drops them
     finally:
-        chunks.close()          # joins the worker, also at close() or an error
+        if ahead:               # joins the worker, also at close() or an error
+            pool.shutdown(cancel_futures=True)
 
 
 def simulate(params: MfbmParams, n: int, dt: float, seed: int):

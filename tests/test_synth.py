@@ -421,13 +421,30 @@ class TestDrawAhead:
                                                      workers, count):
         # one CPU, or 10 paths in one chunk of five draws: all on the caller
         split(monkeypatch, synth._PIECE_MATRICES, workers)
-        starts = []
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda thread: starts.append(thread))
+        monkeypatch.setattr(threading.Thread, "start", refuse_thread)
         draws = record_draws(monkeypatch)
         replicate_ensemble(TRIVARIATE, 1000, 1.0, seed=28, count=count)
-        assert starts == []
         assert {t for _, t in draws} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("ahead", [False, True])
+    def test_budget_without_the_second_buffer(self, monkeypatch, ahead):
+        # a budget that holds a serial chunk but not the draw-ahead's second
+        # noise buffer streams on the caller, one that holds both draws
+        # ahead; both keep the pinned bits
+        _, n, count, _, pinned = self.STREAMS[1]
+        split(monkeypatch, synth._PIECE_MATRICES, 2)
+        m = embedding_report(TRIVARIATE, n, 1.0).circulant_size
+        k = model.CHUNK_BYTES // (32 * m * 3)
+        monkeypatch.setattr(model, "MEMORY_BUDGET",
+                            chunk_bytes(k, 2 * k, m, 3, n, ahead))
+        if not ahead:
+            monkeypatch.setattr(threading.Thread, "start", refuse_thread)
+        draws = record_draws(monkeypatch)
+        values = stacked_values(synth.iter_ensemble(TRIVARIATE, n, 1.0, 28,
+                                                    count))
+        assert hashlib.sha256(values.tobytes()).hexdigest() == pinned
+        assert ((threading.get_ident() in {t for _, t in draws})
+                is not ahead)
 
     def test_close_joins_the_worker(self, monkeypatch):
         split(monkeypatch, synth._PIECE_MATRICES, 2)
@@ -455,6 +472,10 @@ class TestDrawAhead:
                 got.append(path)
         assert len(got) == 10 * (fail_at - 1)
         assert threading.active_count() == before
+
+
+def refuse_thread(thread):
+    raise AssertionError("thread started")
 
 
 def record_draws(monkeypatch, fail_at=None):
@@ -698,12 +719,23 @@ class TestMemory:
 
     def test_chunk_peak_split(self, monkeypatch):
         # three blocks of one component on two threads, each with its own
-        # colouring product; the stream's colouring thread may take a new
-        # ident, as the draw-ahead's worker can hold that of simulate's
+        # colouring product: each chunk's threads are the caller and one
+        # other, whose ident a later chunk need not reuse
         split(monkeypatch, 2 ** 62, 2, samples=1)
+        embedding_report(TRIVARIATE, 4096, 1.0)     # the factor, cached
         seen = piece_threads(monkeypatch, np.fft, "ifft", meet=2)
+        calls, run = [], synth.run_pieces
+
+        def each_call(*args):
+            seen.clear()
+            run(*args)
+            calls.append(set(seen))
+
+        monkeypatch.setattr(synth, "run_pieces", each_call)
         self.check_chunk_peak(monkeypatch, TRIVARIATE, 4096)
-        assert threading.get_ident() in seen and len(set(seen)) >= 2
+        assert len(calls) == 4          # simulate, then three chunks
+        for threads in calls:
+            assert threading.get_ident() in threads and len(threads) == 2
 
     @staticmethod
     def check_chunk_peak(monkeypatch, params, n):
@@ -718,10 +750,11 @@ class TestMemory:
         k = max(1, model.CHUNK_BYTES // (32 * m * p))
         ahead = model.workers(2) > 1            # three chunks: the worker runs
         need = chunk_bytes(k, 2 * k, m, p, n, ahead)
-        # the stream checks this count before its first draw
-        monkeypatch.setattr(model, "MEMORY_BUDGET", need - 1)
+        # the stream checks the serial count before its first draw
+        serial = chunk_bytes(k, 2 * k, m, p, n, False)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", serial - 1)
         with pytest.raises(MfbmwaveError, match=f"a chunk of {2 * k} paths "
-                                                f"of {n} points needs {need} "):
+                                                f"of {n} points needs {serial} "):
             next(synth.iter_ensemble(params, n, 1.0, 3, 6 * k))
         monkeypatch.setattr(model, "MEMORY_BUDGET", need)
         stream = synth.iter_ensemble(params, n, 1.0, 3, 6 * k)
@@ -802,9 +835,9 @@ def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
                   fail_at=None):
     """Record the thread of every call of ``owner.name``, a per-piece step.
 
-    The first call of each of the first ``meet`` threads waits until all of
-    them have made one, so that each runs a piece however fast the others
-    are; call number ``fail_at`` raises a LinAlgError.
+    The first call of each thread waits until ``meet`` threads have made
+    one, so that each of them runs a piece however fast the others are;
+    call number ``fail_at`` raises a LinAlgError.
     """
     seen, lock, step = [], threading.Lock(), getattr(owner, name)
     barrier = threading.Barrier(meet, timeout=30)
@@ -812,8 +845,7 @@ def piece_threads(monkeypatch, owner=np.linalg, name="eigh", meet=1,
     def record(*args, **kwargs):
         with lock:
             me = threading.get_ident()
-            # a thread that comes after the first ``meet`` would wait alone
-            first = me not in seen and len(set(seen)) < meet
+            first = me not in seen
             seen.append(me)
             if len(seen) == fail_at:
                 raise np.linalg.LinAlgError("forced failure")
