@@ -82,6 +82,34 @@ class SamplePath:
             raise MfbmwaveError("paths must start at zero")
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _of_block(cls, params: MfbmParams, n: int, dt: float,
+                  block: np.ndarray, seed: int):
+        """The paths of a (reps, p, n) float block, each a view of its row.
+
+        A generator.  At the first next the block is checked once, as the
+        constructor checks one path: its shape and its origin column.  Each
+        path is then made without the per-path checks and is as frozen as
+        one made by the constructor.
+        """
+        if block.ndim != 3 or block.shape[1:] != (params.p, n):
+            raise MfbmwaveError("values shape inconsistent with params.p and n")
+        if not n:
+            raise MfbmwaveError("a path needs at least one point")
+        # a non-zero, NaN or infinite origin counts, -0.0 does not, as in
+        # the constructor's plain floats; no float object is made
+        if np.count_nonzero(block[:, :, 0]):
+            raise MfbmwaveError("paths must start at zero")
+        set_ = object.__setattr__
+        for values in block:
+            path = object.__new__(cls)
+            set_(path, "params", params)
+            set_(path, "n", n)
+            set_(path, "dt", dt)
+            set_(path, "values", values)
+            set_(path, "seed", seed)
+            yield path
+
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n) * self.dt
@@ -368,8 +396,11 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     (at least one draw), a draw counted as its noise and the noise's complex
     copy, 32 m p bytes.  A chunk's paths, views into one block, are yielded
     once they are made: one chunk is held at any count, and checked against
-    the memory budget before the first draw.  Arguments are checked at the
-    first next.
+    the memory budget before the first draw.  The block's shape and origin
+    column are checked once, and its paths made without a per-path check
+    (``SamplePath._of_block``).  Arguments are checked at the first next:
+    ``n``, ``count`` and ``seed`` must be integers, not ``bool``, before any
+    factor is built.
 
     A stream of two chunks or more, on more than one CPU
     (``model.workers``), draws its noise on one worker thread ahead of the
@@ -393,6 +424,9 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     the same operations in any block, and the draw the same bits on any
     thread, so the bits do not depend on the split.
     """
+    for name, value in (("n", n), ("count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise MfbmwaveError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise MfbmwaveError(f"need count >= 1, got {count}")
     if not 0.0 < dt < math.inf:
@@ -476,8 +510,7 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                 drawn[chunk % 2] = pool.submit(draw, first + 2 * per_chunk,
                                                noise[chunk % 2])
             del z, w, v         # not held while the caller works on the paths
-            yield from (SamplePath(params, n, dt, values, seed)
-                        for values in out)
+            yield from SamplePath._of_block(params, n, dt, out, seed)
             del out             # nor the paths, once the caller drops them
     finally:
         if ahead:               # joins the worker, also at close() or an error

@@ -320,8 +320,20 @@ def _transform_bytes(count: int, p: int, n: int, dt: float, real: bool,
             + workers * per_worker + 16 * n_shifts)
 
 
+def _kept(kept, key: str, shape: tuple, dtype=float) -> np.ndarray:
+    """A new array of ``shape``, or, with the dict ``kept``, the leading rows
+    of the array kept under ``key``, made at the first call: the first chunk
+    of a stream is its largest."""
+    if kept is None:
+        return np.empty(shape, dtype)
+    if key not in kept:
+        kept[key] = np.empty(shape, dtype)
+    return kept[key][:shape[0]]
+
+
 def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
-               scales: np.ndarray, shift_idx: np.ndarray) -> np.ndarray:
+               scales: np.ndarray, shift_idx: np.ndarray,
+               kept=None) -> np.ndarray:
     """Coefficients of a (count, p, n) value array, shape (count, p, S, n_shifts).
 
     One real FFT of each (replicate, component) row, zero-filled to the
@@ -345,12 +357,20 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
     scale on the caller.  Each worker writes the spectrum product and
     the correlation rows into two buffers of its own, made at its first
     piece.  A piece takes the same operations on any thread, so the bits do
-    not depend on the split.
+    not depend on the split.  A call of one piece takes its spectra, product
+    and correlation rows from ``kept`` (``_kept``) when given, so that the
+    chunks of a stream reuse them.
     """
     count, p, n = values.shape
     rows = count * p
     N = _fast_len(n)
-    spectra = np.fft.rfft(values.reshape(rows, n), N, axis=-1)
+    tasks = scales.size * (1 if wavelet.is_real else 2)   # (scale, part) pairs
+    pieces = model.pieces(tasks, rows * N)
+    if pieces > 1:
+        kept = None             # each worker makes its own buffers
+    spectra = np.fft.rfft(values.reshape(rows, n), N, axis=-1,
+                          out=_kept(kept, "spectra", (rows, N // 2 + 1),
+                                    complex))
     first = shift_idx[0]
     if np.array_equal(shift_idx, np.arange(first, first + shift_idx.size)):
         taken = slice(first, first + shift_idx.size)
@@ -359,13 +379,12 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
     out = np.empty((rows, scales.size, shift_idx.size),
                    dtype=float if wavelet.is_real else complex)
     targets = (out,) if wavelet.is_real else (out.real, out.imag)
-    tasks = scales.size * len(targets)          # (scale, part) pairs
     buffers = threading.local()
 
     def piece(lo, hi):
         if not hasattr(buffers, "corr"):
-            buffers.product = np.empty_like(spectra)
-            buffers.corr = np.empty((rows, N))
+            buffers.product = _kept(kept, "product", spectra.shape, complex)
+            buffers.corr = _kept(kept, "corr", (rows, N))
         product, corr = buffers.product, buffers.corr
         last = None
         for t in range(lo, hi):
@@ -382,7 +401,7 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
             np.fft.irfft(product, N, axis=-1, out=corr)
             targets[j][:, ia] = corr[:, taken]
 
-    model.run_pieces(piece, tasks, model.pieces(tasks, rows * N))
+    model.run_pieces(piece, tasks, pieces)
     return out.reshape(count, p, scales.size, shift_idx.size)
 
 
@@ -414,7 +433,11 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     first chunk, the largest, is refused before it is transformed if the
     transform's working set (``_transform_bytes``) is over the memory budget
     (``require_bytes``).  Every path must have the first path's sampling
-    step, component count and length.  The coefficients are float64 for a
+    step, component count and length.  Each chunk stacks its values into
+    the first chunk's array, and a chunk that runs as one piece, as every
+    chunk of more than one path does, reuses the first one's spectra,
+    product and correlation rows (``_transform``); the stream holds them
+    until it ends.  The coefficients are float64 for a
     real wavelet and complex128 for a complex one.
     """
     pending = iter(paths)
@@ -433,6 +456,7 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
                   f"the wavelet transform of {len(chunk)} path(s) of {p} "
                   f"components at {scales.size} scale(s) and {shift_idx.size} "
                   f"shifts")
+    kept = {}
     while chunk:
         for path in chunk:
             if float(path.dt) != dt:
@@ -442,8 +466,10 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
                 raise MfbmwaveError(f"paths of an ensemble must share one "
                                     f"shape, got {np.shape(path.values)} "
                                     f"after {(p, n)}")
-        values = np.stack([np.asarray(path.values, dtype=float) for path in chunk])
-        coeffs = _transform(values, dt, wavelet, scales, shift_idx)
+        values = np.stack([np.asarray(path.values, dtype=float)
+                           for path in chunk],
+                          out=_kept(kept, "values", (len(chunk), p, n)))
+        coeffs = _transform(values, dt, wavelet, scales, shift_idx, kept)
         for path, c in zip(chunk, coeffs):
             yield WaveletField(coeffs=c, scales=scales, shifts=shift_times,
                                dt=dt, n=n, seed=getattr(path, "seed", None))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import inspect
@@ -1258,6 +1259,32 @@ class TestInputChecks:
         with pytest.raises(MfbmwaveError, match="count >= 1"):
             replicate_ensemble(self.PARAMS, 16, 1.0, seed=1, count=0)
 
+    @pytest.mark.parametrize("n, seed, count, name", [
+        (16, 1.5, 2, "seed"), (16, 1.9, 2, "seed"), (16, True, 2, "seed"),
+        (16.0, 1, 2, "n"), (True, 1, 2, "n"),
+        (16, 1, 3.0, "count"), (16, 1, True, "count")])
+    def test_integers_only(self, monkeypatch, n, seed, count, name):
+        # refused before any factor is built: a float seed is not truncated
+        # to another seed's path, and a float n builds no factor that numpy
+        # then refuses
+        def refuse(*args):
+            raise AssertionError("factor built")
+
+        monkeypatch.setattr(synth, "_cached_embedding", refuse)
+        match = f"{name} must be an integer"
+        with pytest.raises(MfbmwaveError, match=match):
+            replicate_ensemble(self.PARAMS, n, 1.0, seed=seed, count=count)
+        if count == 2:
+            with pytest.raises(MfbmwaveError, match=match):
+                simulate(self.PARAMS, n, 1.0, seed=seed)
+
+    def test_numpy_integers_admitted(self):
+        want = replicate_ensemble(self.PARAMS, 16, 1.0, seed=5, count=3)
+        got = replicate_ensemble(self.PARAMS, np.int64(16), 1.0,
+                                 seed=np.uint64(5), count=np.int32(3))
+        assert stacked_values(got).tobytes() == stacked_values(want).tobytes()
+        assert all(path.seed == 5 and type(path.seed) is int for path in got)
+
     def test_report_correction(self):
         with pytest.raises(MfbmwaveError, match="correction must be"):
             EmbeddingReport(circulant_size=32, min_eigenvalue=0.0,
@@ -1290,3 +1317,64 @@ class TestInputChecks:
         assert a == a and not a != a
         assert a != b and not a == b
         assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+class TestBlockPaths:
+    """The stream makes a chunk's paths from its block after one check of
+    the block (``SamplePath._of_block``), with the attributes and the
+    refusals of the public constructor."""
+
+    PARAMS = TestInputChecks.PARAMS
+
+    def paths(self, block, n=16):
+        return list(SamplePath._of_block(self.PARAMS, n, 1.0, block, 7))
+
+    @pytest.mark.parametrize("shape, n", [((3, 3, 16), 16), ((3, 2, 15), 16),
+                                          ((2, 16), 16), ((3, 2, 16), 17)])
+    def test_shape(self, shape, n):
+        with pytest.raises(MfbmwaveError, match="values shape inconsistent"):
+            self.paths(np.zeros(shape), n)
+
+    def test_no_points(self):
+        with pytest.raises(MfbmwaveError, match="at least one point"):
+            self.paths(np.zeros((3, 2, 0)), 0)
+
+    @pytest.mark.parametrize("origin", [1.0, -1e-300, float("nan"),
+                                        float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, 1)])
+    def test_start(self, origin, where):
+        block = np.zeros((3, 2, 16))
+        block[where + (0,)] = origin
+        with pytest.raises(MfbmwaveError, match="paths must start at zero"):
+            self.paths(block)
+
+    def test_start_accepted(self):
+        block = np.zeros((3, 2, 16))
+        block[:, :, 0] = -0.0
+        paths = self.paths(block)
+        assert len(paths) == 3
+        for r, path in enumerate(paths):
+            assert path.values.base is block
+            assert np.shares_memory(path.values, block[r])
+
+    def test_stream_paths_frozen(self):
+        path = next(synth.iter_ensemble(self.PARAMS, 16, 1.0, 3, 2))
+        assert type(path) is SamplePath
+        for field in dataclasses.fields(SamplePath):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(path, field.name, None)
+
+    def test_stream_paths_match_constructor(self, monkeypatch):
+        # chunks of two draws: paths 0-3 view one block and path 4 another
+        monkeypatch.setattr(model, "CHUNK_BYTES", 2 * 32 * 32 * 2)
+        paths = list(synth.iter_ensemble(self.PARAMS, 16, 0.5, np.uint64(9),
+                                         5))
+        blocks = [paths[0].values.base, paths[4].values.base]
+        assert [b.shape for b in blocks] == [(4, 2, 16), (1, 2, 16)]
+        for r, path in enumerate(paths):
+            public = SamplePath(self.PARAMS, 16, 0.5, path.values, 9)
+            for field in dataclasses.fields(SamplePath):
+                got, want = getattr(path, field.name), getattr(public, field.name)
+                assert got is want or (got == want and type(got) is type(want))
+            assert path.values.base is blocks[r // 4]
+            assert np.shares_memory(path.values, blocks[r // 4][r % 4])

@@ -512,6 +512,41 @@ class TestCwtEnsemble:
         assert fields[0].coeffs.shape == (2, 40, 352)
         self.check(paths, gaussian_derivative(2), scales)
 
+    @pytest.mark.parametrize("wavelet", [gaussian_derivative(2), COMPLEX])
+    @pytest.mark.parametrize("samples, keys", [
+        (1 << 18, {"values", "spectra", "product", "corr"}), (1, {"values"})])
+    def test_chunks_keep_scratch(self, monkeypatch, wavelet, samples, keys):
+        # chunks of three paths and then one: each stacks its values into
+        # the first chunk's array and, where a chunk runs as one piece,
+        # reuses its spectra, product and correlation rows; a chunk split
+        # into pieces (here one per scale and part) keeps only the values
+        params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
+        paths = replicate_ensemble(params, 512, 1.0, seed=3, count=7)
+        scales = [4.0, 8.0]
+        field = (8 if wavelet.is_real else 16) * 2 * 2 * 352
+        monkeypatch.setattr(model, "CHUNK_BYTES", 3 * field)
+        monkeypatch.setattr(model, "PIECE_SAMPLES", samples)
+        calls = []
+        transform = wavelets._transform
+
+        def record(values, *args):
+            coeffs = transform(values, *args)
+            calls.append((values, dict(args[-1])))
+            return coeffs
+
+        monkeypatch.setattr(wavelets, "_transform", record)
+        fields = list(cwt_ensemble(paths, wavelet, scales))
+        assert fields[0].coeffs.nbytes == field
+        assert [len(values) for values, _ in calls] == [3, 3, 1]
+        first = calls[0][1]
+        assert set(first) == keys
+        for values, kept in calls:
+            assert kept.keys() == first.keys()
+            assert all(kept[key] is first[key] for key in first)
+            assert values.base is first["values"]
+        monkeypatch.setattr(wavelets, "_transform", transform)
+        self.check(paths, wavelet, scales)
+
 
 class TestInputChecks:
     @pytest.mark.parametrize("scales, shifts", [
