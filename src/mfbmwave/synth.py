@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -60,7 +61,8 @@ class EmbeddingReport:
 class SamplePath:
     """Discretized trajectory: values[j, i] = x_j(i * dt), x(0) = 0.
 
-    Paths compare and hash by identity: their values are an array.
+    The values are checked as a block of one path (``_check``), the rule
+    a stream checks a chunk by.  Paths compare and hash by identity.
     """
 
     params: MfbmParams
@@ -71,43 +73,32 @@ class SamplePath:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.params.p, self.n):
-            raise MfbmwaveError("values shape inconsistent with params.p and n")
-        if not self.n:
-            raise MfbmwaveError("a path needs at least one point")
-        # plain floats: a non-zero, NaN or infinite origin is truthy, -0.0 is
-        # not; np.any on the two-element column costs several microseconds,
-        # more than a path of n = 64 takes to draw
-        if any(values[:, 0].tolist()):
-            raise MfbmwaveError("paths must start at zero")
+        self._check(self.params, self.n, values[None])
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def _of_block(cls, params: MfbmParams, n: int, dt: float,
-                  block: np.ndarray, seed: int):
-        """The paths of a (reps, p, n) float block, each a view of its row.
-
-        A generator.  At the first next the block is checked once, as the
-        constructor checks one path: its shape and its origin column.  Each
-        path is then made without the per-path checks and is as frozen as
-        one made by the constructor.
-        """
+    @staticmethod
+    def _check(params: MfbmParams, n: int, block: np.ndarray) -> None:
+        """Refuse a block that is not (reps, p, n) paths of at least one point
+        starting at zero: -0.0 passes, a non-zero, NaN or infinite origin not."""
         if block.ndim != 3 or block.shape[1:] != (params.p, n):
             raise MfbmwaveError("values shape inconsistent with params.p and n")
         if not n:
             raise MfbmwaveError("a path needs at least one point")
-        # a non-zero, NaN or infinite origin counts, -0.0 does not, as in
-        # the constructor's plain floats; no float object is made
         if np.count_nonzero(block[:, :, 0]):
             raise MfbmwaveError("paths must start at zero")
-        set_ = object.__setattr__
+
+    @classmethod
+    def _of_block(cls, params: MfbmParams, n: int, dt: float,
+                  block: np.ndarray, seed: int):
+        """The paths of a (reps, p, n) float block, each a view of its row: a
+        generator that checks the block once at the first next (``_check``)
+        and then makes each path without a per-path check, as frozen as the
+        constructor's."""
+        cls._check(params, n, block)
+        fields = {"params": params, "n": n, "dt": dt, "seed": seed}
         for values in block:
             path = object.__new__(cls)
-            set_(path, "params", params)
-            set_(path, "n", n)
-            set_(path, "dt", dt)
-            set_(path, "values", values)
-            set_(path, "seed", seed)
+            vars(path).update(fields, values=values)    # past the frozen setattr
             yield path
 
     @property
@@ -154,6 +145,15 @@ def _build_bytes(m: int, p: int) -> int:
     pairs = model.pieces(p * (p + 1) // 2, m)
     return (spectrum + max(model.workers(pairs) * pair,
                            model.workers(pieces) * piece) + (12 << 10))
+
+
+def _step(dt) -> float:
+    """``dt`` as a float if it is a real number, not ``bool``, positive and
+    finite; else an MfbmwaveError."""
+    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real)
+                                    and 0.0 < dt < math.inf):
+        raise MfbmwaveError(f"dt must be positive and finite, got {dt!r}")
+    return float(dt)
 
 
 def _first_size(n: int, p: int) -> int:
@@ -306,11 +306,11 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     doubling is also refused, and the clip taken, when the next size would
     exceed ``model.MEMORY_BUDGET``, the budget of ``require_bytes``.  Without
     it MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 12 GB at
-    p = 3 on one CPU and 15 GB on two (``_build_bytes``).  A first size
-    beyond the budget is an MfbmwaveError (see _first_size), and so is a
-    spectrum that is not finite (a dt at which the covariance kernel
-    overflows), which no doubling mends; it is refused before ``eigh`` sees
-    it.  So is a finite spectrum whose eigenvalues are not all finite.
+    p = 3 on one CPU and 15 GB on two (``_build_bytes``).  An MfbmwaveError
+    refuses a step that fails ``_step``, first; a first size beyond the
+    budget (``_first_size``); a spectrum that is not finite (a dt at which
+    the kernel overflows), which no doubling mends, before ``eigh`` sees
+    it; and a finite spectrum whose eigenvalues are not all finite.
 
     The half spectrum is made one component pair at a time: the kernel on
     half the lags, the two circulant rows and their rfft.  A pair is a task
@@ -325,6 +325,7 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     (about 1.3 times on ``eigh`` and the root); how the build scales on more
     CPUs, or under a CPU quota below the affinity mask, is not known.
     """
+    dt = _step(dt)
     m = _first_size(n, params.p)
     attempts = 0
     while True:
@@ -371,7 +372,7 @@ def _cached_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor
 
 
 def embedding_report(params: MfbmParams, n: int, dt: float) -> EmbeddingReport:
-    return _cached_embedding(params, n, dt).report
+    return _cached_embedding(params, n, _step(dt)).report
 
 
 def derive_seed(seed: int, replicate: int) -> int:
@@ -394,43 +395,40 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     imaginary half of its inverse FFT, and a trailing odd replicate takes
     only the real half.  Draws are taken in chunks of ``model.CHUNK_BYTES``
     (at least one draw), a draw counted as its noise and the noise's complex
-    copy, 32 m p bytes.  A chunk's paths, views into one block, are yielded
-    once they are made: one chunk is held at any count, and checked against
-    the memory budget before the first draw.  The block's shape and origin
-    column are checked once, and its paths made without a per-path check
-    (``SamplePath._of_block``).  Arguments are checked at the first next:
-    ``n``, ``count`` and ``seed`` must be integers, not ``bool``, before any
-    factor is built.
+    copy, 32 m p bytes.  A chunk's paths, views into one block checked once
+    (``SamplePath._of_block``), are yielded once they are made: one chunk is
+    held at any count, and checked against the memory budget before the
+    first draw.  Arguments are checked at the first next, before any factor
+    is built: ``n``, ``count`` and ``seed`` must be integers, not ``bool``,
+    and ``dt`` passes ``_step``.
 
     A stream of two chunks or more, on more than one CPU
     (``model.workers``), draws its noise on one worker thread ahead of the
-    caller when the budget also holds a second noise buffer: the worker
-    fills two buffers of a chunk's draws, 16 m p bytes a draw each,
-    allocated once, and draws chunk i + 2 into chunk i's buffer as soon as
-    chunk i is coloured, so it draws while the caller colours a chunk and
-    works on its paths.  It takes one draw at a time from the one
-    generator, in stream order, so every chunk holds the bits of the serial
-    draw.  The buffers are held until the stream ends or is closed, which
-    joins the thread, and an error of a draw is raised at the next that
-    wants its chunk.  Otherwise the draw runs on the caller, and a chunk's
-    noise is freed before its first path is yielded.
+    caller when the budget also holds a second noise buffer: it fills two
+    buffers of a chunk's draws, 16 m p bytes a draw each, and draws chunk
+    i + 2 into chunk i's buffer once chunk i is coloured, one draw at a time
+    in stream order, so every chunk holds the bits of the serial draw.  The
+    buffers are held until the stream ends or is closed, which joins the
+    thread; an error of a draw is raised at the next that wants its chunk.
+    Otherwise the draw runs on the caller, and a chunk's noise is freed
+    before its first path is yielded.
 
-    Colouring, inverse FFT and cumsum run on
-    ``model.run_pieces`` in min(p, k m p // ``model.PIECE_SAMPLES``) blocks of
-    component rows for a chunk of k draws, so a single path splits from
-    n > 2^16 + 1 at p = 2 or 3.  Not the rule of ``model.pieces``: a block
-    writes into arrays the call holds, so a split adds only per-worker
-    temporaries and may cut below one row's ``PIECE_SAMPLES``.  A row takes
-    the same operations in any block, and the draw the same bits on any
-    thread, so the bits do not depend on the split.
+    Colouring, inverse FFT and cumsum run on ``model.run_pieces`` in
+    min(p, k m p // ``model.PIECE_SAMPLES``) blocks of component rows for a
+    chunk of k draws, so a single path splits from n > 2^16 + 1 at p = 2 or
+    3 (not the rule of ``model.pieces``: a block writes into arrays the call
+    holds, and may cut below one row's ``PIECE_SAMPLES``).  The caller makes
+    a colouring product per worker before the blocks start, and the cumsum
+    runs in the paths' rows, so how the threads meet does not move a
+    chunk's peak.  A row takes the same operations in any block, and the
+    draw the same bits on any thread, so the bits do not depend on the split.
     """
     for name, value in (("n", n), ("count", count), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise MfbmwaveError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise MfbmwaveError(f"need count >= 1, got {count}")
-    if not 0.0 < dt < math.inf:
-        raise MfbmwaveError(f"dt must be positive and finite, got {dt}")
+    dt = _step(dt)
     if not 0 <= seed < 2 ** 64:
         raise MfbmwaveError(f"seed must lie in [0, 2**64), got {seed}")
     seed = int(seed)
@@ -442,10 +440,15 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     scale = math.sqrt(m)
     pairs = (count + 1) // 2
     per_chunk = max(1, model.CHUNK_BYTES // (32 * m * p))
+
+    def shape(first):
+        # the draws, paths and colouring blocks of the chunk from draw first
+        k = min(per_chunk, pairs - first)
+        return (k, min(2 * k, count - 2 * first),
+                min(p, max(1, k * m * p // model.PIECE_SAMPLES)))
+
     # the first chunk is the largest: noise, paths, temporaries, buffers
-    k = min(per_chunk, pairs)
-    reps = min(2 * k, count)
-    blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
+    k, reps, blocks = shape(0)
     worker = ((16 * k * (m // 2 + 1) if p > 1 else 0)
               + 32 * min(k * p * m // 2, np.getbufsize()))
     need = (8 * p * (4 * k * m + reps * n + k * n - k)
@@ -459,7 +462,7 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
 
     def draw(first, out=None):
         # the chunk of draws first .., into out if given
-        k = min(per_chunk, pairs - first)
+        k = shape(first)[0]
         return rng.standard_normal((k, 2, m, p),
                                    out=None if out is None else out[:k])
 
@@ -473,9 +476,7 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                      for first, out in zip(firsts[:2], noise)]
         for chunk, first in enumerate(firsts):
             z = drawn[chunk % 2].result() if ahead else draw(first)
-            k = len(z)
-            reps = min(2 * k, count - 2 * first)
-            blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
+            k, reps, blocks = shape(first)
             # component-major noise, conjugated above m/2: conj(S) w is
             # conj(S conj(w)), so both halves take plain products of S
             w = np.empty((k, p, m), dtype=complex)
@@ -488,28 +489,36 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
             out = np.empty((reps, p, n))
             out[:, :, 0] = 0.0
 
+            # a colouring product per worker, made before the threads start
+            spare = [np.empty((k, half + 1), dtype=complex)
+                     for _ in range(model.workers(blocks) if p > 1 else 0)]
+
             def colour(*bounds):
                 # a block of component rows: colour, inverse FFT, cumsum
                 rows = slice(*bounds)
+                product = spare.pop() if p > 1 else None
                 for i in range(*bounds):
                     np.multiply(root[i, 0], w[:, 0, lo], out=v[:, i, lo])
                     np.multiply(mirror[i, 0], w[:, 0, up], out=v[:, i, up])
                     for j in range(1, p):
-                        v[:, i, lo] += root[i, j] * w[:, j, lo]
-                        v[:, i, up] += mirror[i, j] * w[:, j, up]
+                        v[:, i, lo] += np.multiply(root[i, j], w[:, j, lo],
+                                                   out=product)
+                        v[:, i, up] += np.multiply(mirror[i, j], w[:, j, up],
+                                                   out=product[:, :half - 1])
+                spare.append(product)
                 vb = v[:, rows]
                 np.conjugate(vb[:, :, up], out=vb[:, :, up])
                 y = np.fft.ifft(vb, axis=-1, out=vb)
                 for imag, part in enumerate((y.real, y.imag)):
                     paths = out[imag::2, rows, 1:]
-                    np.cumsum(scale * part[:len(paths), :, :n - 1], axis=-1,
-                              out=paths)
+                    np.multiply(part[:len(paths), :, :n - 1], scale, out=paths)
+                    np.add.accumulate(paths, axis=-1, out=paths)
 
             run_pieces(colour, p, blocks)
             if ahead and first + 2 * per_chunk < pairs:
                 drawn[chunk % 2] = pool.submit(draw, first + 2 * per_chunk,
                                                noise[chunk % 2])
-            del z, w, v         # not held while the caller works on the paths
+            del z, w, v, spare  # not held while the caller works on the paths
             yield from SamplePath._of_block(params, n, dt, out, seed)
             del out             # nor the paths, once the caller drops them
     finally:

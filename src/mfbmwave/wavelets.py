@@ -203,7 +203,7 @@ class WaveletField:
         if coeffs.ndim != 3 or scales.ndim != 1 or coeffs.shape[1] != scales.size \
                 or coeffs.shape[2] != shifts.size:
             raise MfbmwaveError("coefficient array inconsistent with scale/shift grids")
-        # plain floats, as in SamplePath; NaN fails both comparisons
+        # plain floats; NaN fails both comparisons
         s = scales.tolist()
         if not (all(0.0 < a < math.inf for a in s)
                 and all(a < b for a, b in zip(s, s[1:]))):
@@ -320,20 +320,17 @@ def _transform_bytes(count: int, p: int, n: int, dt: float, real: bool,
             + workers * per_worker + 16 * n_shifts)
 
 
-def _kept(kept, key: str, shape: tuple, dtype=float) -> np.ndarray:
-    """A new array of ``shape``, or, with the dict ``kept``, the leading rows
-    of the array kept under ``key``, made at the first call: the first chunk
-    of a stream is its largest."""
-    if kept is None:
-        return np.empty(shape, dtype)
-    if key not in kept:
-        kept[key] = np.empty(shape, dtype)
-    return kept[key][:shape[0]]
+def _kept(scratch, key: str, shape: tuple, dtype=float) -> np.ndarray:
+    """This thread's array under ``key`` in ``scratch``, made at its first
+    call, cut to ``shape[0]`` rows: the chunks of a stream never grow."""
+    if not hasattr(scratch, key):
+        setattr(scratch, key, np.empty(shape, dtype))
+    return getattr(scratch, key)[:shape[0]]
 
 
 def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
                scales: np.ndarray, shift_idx: np.ndarray,
-               kept=None) -> np.ndarray:
+               scratch: threading.local) -> np.ndarray:
     """Coefficients of a (count, p, n) value array, shape (count, p, S, n_shifts).
 
     One real FFT of each (replicate, component) row, zero-filled to the
@@ -354,22 +351,18 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
     a correlation of every row, which ``model.pieces`` splits (one path of
     p components once p N >= 2^18) and ``model.run_pieces`` runs on the
     caller and one thread per further CPU; below, one piece runs every
-    scale on the caller.  Each worker writes the spectrum product and
-    the correlation rows into two buffers of its own, made at its first
-    piece.  A piece takes the same operations on any thread, so the bits do
-    not depend on the split.  A call of one piece takes its spectra, product
-    and correlation rows from ``kept`` (``_kept``) when given, so that the
-    chunks of a stream reuse them.
+    scale on the caller.  Each thread keeps its product and correlation
+    rows, and the caller its spectra, in the stream's ``scratch``
+    (``_kept``): the caller's serve every chunk, a worker's end with its
+    thread.  A piece takes the same operations on any thread, so the bits
+    do not depend on the split.
     """
     count, p, n = values.shape
     rows = count * p
     N = _fast_len(n)
     tasks = scales.size * (1 if wavelet.is_real else 2)   # (scale, part) pairs
-    pieces = model.pieces(tasks, rows * N)
-    if pieces > 1:
-        kept = None             # each worker makes its own buffers
     spectra = np.fft.rfft(values.reshape(rows, n), N, axis=-1,
-                          out=_kept(kept, "spectra", (rows, N // 2 + 1),
+                          out=_kept(scratch, "spectra", (rows, N // 2 + 1),
                                     complex))
     first = shift_idx[0]
     if np.array_equal(shift_idx, np.arange(first, first + shift_idx.size)):
@@ -379,13 +372,10 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
     out = np.empty((rows, scales.size, shift_idx.size),
                    dtype=float if wavelet.is_real else complex)
     targets = (out,) if wavelet.is_real else (out.real, out.imag)
-    buffers = threading.local()
 
     def piece(lo, hi):
-        if not hasattr(buffers, "corr"):
-            buffers.product = _kept(kept, "product", spectra.shape, complex)
-            buffers.corr = _kept(kept, "corr", (rows, N))
-        product, corr = buffers.product, buffers.corr
+        product = _kept(scratch, "product", spectra.shape, complex)
+        corr = _kept(scratch, "corr", (rows, N))
         last = None
         for t in range(lo, hi):
             ia, j = divmod(t, len(targets))
@@ -401,7 +391,7 @@ def _transform(values: np.ndarray, dt: float, wavelet: HermiteWavelet,
             np.fft.irfft(product, N, axis=-1, out=corr)
             targets[j][:, ia] = corr[:, taken]
 
-    model.run_pieces(piece, tasks, pieces)
+    model.run_pieces(piece, tasks, model.pieces(tasks, rows * N))
     return out.reshape(count, p, scales.size, shift_idx.size)
 
 
@@ -433,12 +423,11 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     first chunk, the largest, is refused before it is transformed if the
     transform's working set (``_transform_bytes``) is over the memory budget
     (``require_bytes``).  Every path must have the first path's sampling
-    step, component count and length.  Each chunk stacks its values into
-    the first chunk's array, and a chunk that runs as one piece, as every
-    chunk of more than one path does, reuses the first one's spectra,
-    product and correlation rows (``_transform``); the stream holds them
-    until it ends.  The coefficients are float64 for a
-    real wavelet and complex128 for a complex one.
+    step, component count and length.  The stream's scratch is one
+    ``threading.local``: each chunk stacks its values into the first
+    chunk's array and reuses the caller's spectra, product and correlation
+    rows (``_transform``) until the stream ends.  The coefficients are
+    float64 for a real wavelet and complex128 for a complex one.
     """
     pending = iter(paths)
     first = next(pending, None)
@@ -456,7 +445,7 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
                   f"the wavelet transform of {len(chunk)} path(s) of {p} "
                   f"components at {scales.size} scale(s) and {shift_idx.size} "
                   f"shifts")
-    kept = {}
+    scratch = threading.local()
     while chunk:
         for path in chunk:
             if float(path.dt) != dt:
@@ -468,8 +457,8 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
                                     f"after {(p, n)}")
         values = np.stack([np.asarray(path.values, dtype=float)
                            for path in chunk],
-                          out=_kept(kept, "values", (len(chunk), p, n)))
-        coeffs = _transform(values, dt, wavelet, scales, shift_idx, kept)
+                          out=_kept(scratch, "values", (len(chunk), p, n)))
+        coeffs = _transform(values, dt, wavelet, scales, shift_idx, scratch)
         for path, c in zip(chunk, coeffs):
             yield WaveletField(coeffs=c, scales=scales, shifts=shift_times,
                                dt=dt, n=n, seed=getattr(path, "seed", None))

@@ -1160,6 +1160,29 @@ class TestPieces:
             assert len(seen) == (3 if samples == 1 else 1)
             assert set(seen) == {threading.get_ident()}
 
+    def test_synthesis_products_not_shared(self, monkeypatch):
+        # three blocks of one row on three threads, more than the CPUs: each
+        # waits after its first colouring product (its third multiply) until
+        # all three have made theirs, so blocks that shared one product
+        # would add another row's
+        inline = stacked_values(replicate_ensemble(TRIVARIATE, 512, 1.0,
+                                                   seed=4, count=2))
+        split(monkeypatch, 2 ** 62, 3, samples=1)
+        multiply, barrier = np.multiply, threading.Barrier(3, timeout=30)
+        calls = threading.local()
+
+        def product_waits(*args, **kwargs):
+            result = multiply(*args, **kwargs)
+            calls.n = getattr(calls, "n", 0) + 1
+            if calls.n == 3:
+                barrier.wait()
+            return result
+
+        monkeypatch.setattr(np, "multiply", product_waits)
+        values = stacked_values(replicate_ensemble(TRIVARIATE, 512, 1.0,
+                                                   seed=4, count=2))
+        assert values.tobytes() == inline.tobytes()
+
     @pytest.mark.parametrize("fail_at", [1, 2, 3])
     def test_synthesis_error_reaches_caller(self, monkeypatch, fail_at):
         simulate(TRIVARIATE, 100, 1.0, seed=5)      # the factor, cached
@@ -1219,7 +1242,8 @@ class TestPieces:
         seen = piece_threads(monkeypatch, np.fft, "irfft", meet=2)
         tracemalloc.start()
         try:
-            wavelets._transform(values, 1.0, wavelet, scales, shift_idx)
+            wavelets._transform(values, 1.0, wavelet, scales, shift_idx,
+                                threading.local())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1250,10 +1274,33 @@ class TestInputChecks:
         with pytest.raises(MfbmwaveError, match="at least two grid points"):
             simulate(self.PARAMS, n, 1.0, seed=1)
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_step(self, dt):
-        with pytest.raises(MfbmwaveError, match="dt must be positive and finite"):
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf"),
+                                    True, "1.0", None, 1j])
+    def test_bad_step(self, monkeypatch, dt):
+        # one check, before any factor is built or cached: zero built an
+        # all-zero factor reported as exact, -1 and NaN were refused as an
+        # overflow, True built, and a string was a TypeError
+        def refuse(*args):
+            raise AssertionError("factor built")
+
+        monkeypatch.setattr(synth, "check_existence", refuse)
+        monkeypatch.setattr(synth, "_try_embedding", refuse)
+        match = "dt must be positive and finite"
+        with pytest.raises(MfbmwaveError, match=match):
+            build_embedding(self.PARAMS, 64, dt)
+        monkeypatch.setattr(synth, "_cached_embedding", refuse)
+        with pytest.raises(MfbmwaveError, match=match):
+            embedding_report(self.PARAMS, 16, dt)   # a hit on 1.0 took True
+        with pytest.raises(MfbmwaveError, match=match):
             simulate(self.PARAMS, 16, dt, seed=1)
+        with pytest.raises(MfbmwaveError, match=match):
+            next(synth.iter_ensemble(self.PARAMS, 16, dt, 1, 2))
+
+    @pytest.mark.parametrize("dt", [1, np.float32(0.5), np.int64(2)])
+    def test_step_as_float(self, dt):
+        path, _ = simulate(self.PARAMS, 16, dt, seed=1)
+        assert type(path.dt) is float and path.dt == dt
+        assert path.times.dtype == float
 
     def test_count(self):
         with pytest.raises(MfbmwaveError, match="count >= 1"):
@@ -1290,18 +1337,6 @@ class TestInputChecks:
             EmbeddingReport(circulant_size=32, min_eigenvalue=0.0,
                             correction="shift")
 
-    def test_path_shape(self):
-        with pytest.raises(MfbmwaveError, match="values shape inconsistent"):
-            SamplePath(self.PARAMS, 16, 1.0, np.zeros((2, 15)), seed=1)
-
-    @pytest.mark.parametrize("origin", [1.0, -1e-300, float("nan"),
-                                        float("inf"), -float("inf")])
-    def test_path_start(self, origin):
-        values = np.zeros((2, 16))
-        values[1, 0] = origin
-        with pytest.raises(MfbmwaveError, match="paths must start at zero"):
-            SamplePath(self.PARAMS, 16, 1.0, values, seed=1)
-
     def test_path_start_accepted(self):
         values = np.zeros((2, 16))
         values[0, 0] = -0.0
@@ -1322,22 +1357,27 @@ class TestInputChecks:
 class TestBlockPaths:
     """The stream makes a chunk's paths from its block after one check of
     the block (``SamplePath._of_block``), with the attributes and the
-    refusals of the public constructor."""
+    refusals of the public constructor, which checks one path by the same
+    rules."""
 
     PARAMS = TestInputChecks.PARAMS
 
-    def paths(self, block, n=16):
-        return list(SamplePath._of_block(self.PARAMS, n, 1.0, block, 7))
+    def refused(self, block, n, match):
+        """The same block is refused with the same message by the stream's
+        route and, a path at a time, by the constructor's."""
+        with pytest.raises(MfbmwaveError, match=match):
+            list(SamplePath._of_block(self.PARAMS, n, 1.0, block, 7))
+        with pytest.raises(MfbmwaveError, match=match):
+            for values in block:
+                SamplePath(self.PARAMS, n, 1.0, values, seed=7)
 
     @pytest.mark.parametrize("shape, n", [((3, 3, 16), 16), ((3, 2, 15), 16),
                                           ((2, 16), 16), ((3, 2, 16), 17)])
     def test_shape(self, shape, n):
-        with pytest.raises(MfbmwaveError, match="values shape inconsistent"):
-            self.paths(np.zeros(shape), n)
+        self.refused(np.zeros(shape), n, "values shape inconsistent")
 
     def test_no_points(self):
-        with pytest.raises(MfbmwaveError, match="at least one point"):
-            self.paths(np.zeros((3, 2, 0)), 0)
+        self.refused(np.zeros((3, 2, 0)), 0, "at least one point")
 
     @pytest.mark.parametrize("origin", [1.0, -1e-300, float("nan"),
                                         float("inf"), -float("inf")])
@@ -1345,13 +1385,12 @@ class TestBlockPaths:
     def test_start(self, origin, where):
         block = np.zeros((3, 2, 16))
         block[where + (0,)] = origin
-        with pytest.raises(MfbmwaveError, match="paths must start at zero"):
-            self.paths(block)
+        self.refused(block, 16, "paths must start at zero")
 
     def test_start_accepted(self):
         block = np.zeros((3, 2, 16))
         block[:, :, 0] = -0.0
-        paths = self.paths(block)
+        paths = list(SamplePath._of_block(self.PARAMS, 16, 1.0, block, 7))
         assert len(paths) == 3
         for r, path in enumerate(paths):
             assert path.values.base is block

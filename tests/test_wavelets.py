@@ -514,24 +514,26 @@ class TestCwtEnsemble:
 
     @pytest.mark.parametrize("wavelet", [gaussian_derivative(2), COMPLEX])
     @pytest.mark.parametrize("samples, keys", [
-        (1 << 18, {"values", "spectra", "product", "corr"}), (1, {"values"})])
+        (1 << 18, {"values", "spectra", "product", "corr"}),
+        (1, {"values", "spectra", "product", "corr"})])
     def test_chunks_keep_scratch(self, monkeypatch, wavelet, samples, keys):
         # chunks of three paths and then one: each stacks its values into
-        # the first chunk's array and, where a chunk runs as one piece,
-        # reuses its spectra, product and correlation rows; a chunk split
-        # into pieces (here one per scale and part) keeps only the values
+        # the first chunk's array and reuses the caller's spectra, product
+        # and correlation rows, also where a chunk is split into pieces
+        # (here one per scale and part, all run on the caller)
         params = MfbmParams.bivariate(0.4, 0.7, rho=0.5, eta=0.1)
         paths = replicate_ensemble(params, 512, 1.0, seed=3, count=7)
         scales = [4.0, 8.0]
         field = (8 if wavelet.is_real else 16) * 2 * 2 * 352
         monkeypatch.setattr(model, "CHUNK_BYTES", 3 * field)
         monkeypatch.setattr(model, "PIECE_SAMPLES", samples)
+        monkeypatch.setattr(model, "workers", lambda count: 1)
         calls = []
         transform = wavelets._transform
 
         def record(values, *args):
             coeffs = transform(values, *args)
-            calls.append((values, dict(args[-1])))
+            calls.append((values, dict(vars(args[-1]))))   # the caller's
             return coeffs
 
         monkeypatch.setattr(wavelets, "_transform", record)
