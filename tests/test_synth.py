@@ -1337,6 +1337,18 @@ class TestInputChecks:
             EmbeddingReport(circulant_size=32, min_eigenvalue=0.0,
                             correction="shift")
 
+    def test_path_shape(self):
+        with pytest.raises(MfbmwaveError, match="values shape inconsistent"):
+            SamplePath(self.PARAMS, 16, 1.0, np.zeros((2, 15)), seed=1)
+
+    @pytest.mark.parametrize("origin", [1.0, -1e-300, float("nan"),
+                                        float("inf"), -float("inf")])
+    def test_path_start(self, origin):
+        values = np.zeros((2, 16))
+        values[1, 0] = origin
+        with pytest.raises(MfbmwaveError, match="paths must start at zero"):
+            SamplePath(self.PARAMS, 16, 1.0, values, seed=1)
+
     def test_path_start_accepted(self):
         values = np.zeros((2, 16))
         values[0, 0] = -0.0
