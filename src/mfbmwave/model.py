@@ -10,12 +10,14 @@ increment covariance, the complex frequency weight zeta_jk, and the
 admissibility (existence) test, whose matrix is Gamma(H_j + H_k + 1) zeta_jk
 at negative frequency.  Beside the memory budget and the chunk size of the
 streamed stages it holds the runner that the synthesis and the wavelet
-transform use to run large pieces of work on threads.
+transform use to run large pieces of work on threads, and the one rule each
+of a sampling step, a size and a seed that every entry point applies.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -89,6 +91,35 @@ def require_bytes(need: int, what: str) -> None:
     if need > MEMORY_BUDGET:
         raise MfbmwaveError(f"{what} needs {need} bytes, over the budget of "
                             f"{MEMORY_BUDGET}")
+
+
+def check_step(dt) -> float:
+    """A sampling step as a float: a real number, not ``bool``, that is
+    positive and finite as a float; else an MfbmwaveError."""
+    if isinstance(dt, numbers.Real) and not isinstance(dt, bool):
+        try:
+            if 0.0 < (step := float(dt)) < math.inf:
+                return step
+        except OverflowError:           # an int too large for a float
+            pass
+    raise MfbmwaveError(f"dt must be positive and finite, got {dt!r}")
+
+
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """A size or count as an int: a Python or numpy integer, not ``bool``, at
+    least ``least`` if given; else an MfbmwaveError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise MfbmwaveError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise MfbmwaveError(f"need {name} >= {least}, got {value}")
+    return int(value)
+
+
+def check_seed(seed) -> int:
+    """A seed as an int: an integer (``check_integer``) in [0, 2**64)."""
+    if not 0 <= (seed := check_integer("seed", seed)) < 2 ** 64:
+        raise MfbmwaveError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def workers(count: int) -> int:

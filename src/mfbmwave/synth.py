@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import model
 from .model import (MfbmParams, MfbmwaveError, InvalidParamsError,
-                    check_existence, require_bytes, run_pieces)
+                    check_existence, check_integer, check_seed, check_step,
+                    require_bytes, run_pieces)
 
 # Relative tolerance (w.r.t. the largest eigenvalue) below which negative
 # frequency-matrix eigenvalues count as numerical noise.
@@ -61,8 +61,9 @@ class EmbeddingReport:
 class SamplePath:
     """Discretized trajectory: values[j, i] = x_j(i * dt), x(0) = 0.
 
-    The values are checked as a block of one path (``_check``), the rule
-    a stream checks a chunk by.  Paths compare and hash by identity.
+    ``n``, ``dt`` and ``seed`` pass the rules of ``model``; the values are
+    checked as a block of one path (``_check``), the rule a stream checks a
+    chunk by.  Paths compare and hash by identity.
     """
 
     params: MfbmParams
@@ -72,9 +73,10 @@ class SamplePath:
     seed: int
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        self._check(self.params, self.n, values[None])
-        object.__setattr__(self, "values", values)
+        n, dt = check_integer("n", self.n), check_step(self.dt)
+        seed, values = check_seed(self.seed), np.asarray(self.values, float)
+        self._check(self.params, n, values[None])
+        vars(self).update(n=n, dt=dt, values=values, seed=seed)
 
     @staticmethod
     def _check(params: MfbmParams, n: int, block: np.ndarray) -> None:
@@ -145,15 +147,6 @@ def _build_bytes(m: int, p: int) -> int:
     pairs = model.pieces(p * (p + 1) // 2, m)
     return (spectrum + max(model.workers(pairs) * pair,
                            model.workers(pieces) * piece) + (12 << 10))
-
-
-def _step(dt) -> float:
-    """``dt`` as a float if it is a real number, not ``bool``, positive and
-    finite; else an MfbmwaveError."""
-    if isinstance(dt, bool) or not (isinstance(dt, numbers.Real)
-                                    and 0.0 < dt < math.inf):
-        raise MfbmwaveError(f"dt must be positive and finite, got {dt!r}")
-    return float(dt)
 
 
 def _first_size(n: int, p: int) -> int:
@@ -307,10 +300,11 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     exceed ``model.MEMORY_BUDGET``, the budget of ``require_bytes``.  Without
     it MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 12 GB at
     p = 3 on one CPU and 15 GB on two (``_build_bytes``).  An MfbmwaveError
-    refuses a step that fails ``_step``, first; a first size beyond the
-    budget (``_first_size``); a spectrum that is not finite (a dt at which
-    the kernel overflows), which no doubling mends, before ``eigh`` sees
-    it; and a finite spectrum whose eigenvalues are not all finite.
+    refuses an ``n`` or ``dt`` that fails the rules of ``model``, first; a
+    first size beyond the budget (``_first_size``); a spectrum that is not
+    finite (a dt at which the kernel overflows), which no doubling mends,
+    before ``eigh`` sees it; and a finite spectrum whose eigenvalues are not
+    all finite.
 
     The half spectrum is made one component pair at a time: the kernel on
     half the lags, the two circulant rows and their rfft.  A pair is a task
@@ -325,7 +319,7 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     (about 1.3 times on ``eigh`` and the root); how the build scales on more
     CPUs, or under a CPU quota below the affinity mask, is not known.
     """
-    dt = _step(dt)
+    n, dt = check_integer("n", n), check_step(dt)
     m = _first_size(n, params.p)
     attempts = 0
     while True:
@@ -372,7 +366,8 @@ def _cached_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor
 
 
 def embedding_report(params: MfbmParams, n: int, dt: float) -> EmbeddingReport:
-    return _cached_embedding(params, n, _step(dt)).report
+    return _cached_embedding(params, check_integer("n", n),
+                             check_step(dt)).report
 
 
 def derive_seed(seed: int, replicate: int) -> int:
@@ -399,8 +394,8 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     (``SamplePath._of_block``), are yielded once they are made: one chunk is
     held at any count, and checked against the memory budget before the
     first draw.  Arguments are checked at the first next, before any factor
-    is built: ``n``, ``count`` and ``seed`` must be integers, not ``bool``,
-    and ``dt`` passes ``_step``.
+    is built: ``n``, ``count`` (at least 1), ``seed`` and ``dt`` pass
+    the rules of ``model``.
 
     A stream of two chunks or more, on more than one CPU
     (``model.workers``), draws its noise on one worker thread ahead of the
@@ -423,15 +418,8 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     chunk's peak.  A row takes the same operations in any block, and the
     draw the same bits on any thread, so the bits do not depend on the split.
     """
-    for name, value in (("n", n), ("count", count), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise MfbmwaveError(f"{name} must be an integer, got {value!r}")
-    if count < 1:
-        raise MfbmwaveError(f"need count >= 1, got {count}")
-    dt = _step(dt)
-    if not 0 <= seed < 2 ** 64:
-        raise MfbmwaveError(f"seed must lie in [0, 2**64), got {seed}")
-    seed = int(seed)
+    n, count = check_integer("n", n), check_integer("count", count, 1)
+    seed, dt = check_seed(seed), check_step(dt)
     fac = _cached_embedding(params, n, dt)
     m, p, root = fac.report.circulant_size, params.p, fac.root
     half = m // 2
@@ -545,6 +533,8 @@ def replicate_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     """The ``count`` paths of ``iter_ensemble``, as a list: replicate 0 is
     ``simulate(seed)``, a smaller count gives a prefix of a larger one, and
     every path carries the ensemble seed.  The list holds all count x p x n
-    values, checked against the memory budget before the first draw."""
+    values; its sizes and then the memory budget are checked before the
+    first draw."""
+    n, count = check_integer("n", n), check_integer("count", count, 1)
     require_bytes(count * params.p * n * 8, f"{count} paths of {n} points")
     return list(iter_ensemble(params, n, dt, seed, count))

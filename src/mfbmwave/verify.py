@@ -157,33 +157,25 @@ def verify_bahr() -> dict:
     distinct quadrature once; the first check's runtime carries that call.
     """
     checks = _Checks()
+    groups = [(variant, BAHR_ALPHAS, 1e-6, variant, None)
+              for variant in _POWER_VARIANTS]
+    groups.append(("hlog", (1.0,), 1e-5, "hlog-limit", "alpha -> 1- limit, "
+                   "Richardson extrapolated over eps in {1e-4, 1e-5, 1e-6}"))
     kernels = [RepresentationKernel(alpha, variant)
-               for variant in _POWER_VARIANTS for alpha in BAHR_ALPHAS]
-    kernels.append(RepresentationKernel(1.0, "hlog"))
+               for variant, alphas, *_ in groups for alpha in alphas]
     table = dict(zip(kernels, bahr_essen_batch(kernels, BAHR_VS)))
     rows = []
-    for variant in _POWER_VARIANTS:
+    for variant, alphas, tolerance, name, note in groups:
         worst = 0.0
-        for alpha in BAHR_ALPHAS:
-            kern = RepresentationKernel(alpha=alpha, variant=variant)
+        for alpha in alphas:
+            kern = RepresentationKernel(alpha, variant)
             for v, rhs in zip(BAHR_VS, table[kern]):
                 lhs = representation_lhs(kern, v)
-                err = abs(rhs - lhs) / max(1.0, abs(lhs))
-                worst = max(worst, err)
+                worst = max(worst, abs(rhs - lhs) / max(1.0, abs(lhs)))
                 rows.append((variant, alpha, v, lhs, rhs, abs(rhs - lhs)))
-        checks.append(_check(f"representation-{variant}-max-rel-err", worst,
-                             0.0, 1e-6, "quadrature-vs-closed-form"))
-    kern = RepresentationKernel(alpha=1.0, variant="hlog")
-    worst = 0.0
-    for v, rhs in zip(BAHR_VS, table[kern]):
-        lhs = representation_lhs(kern, v)
-        err = abs(rhs - lhs) / max(1.0, abs(lhs))
-        worst = max(worst, err)
-        rows.append(("hlog", 1.0, v, lhs, rhs, abs(rhs - lhs)))
-    checks.append(_check("representation-hlog-limit-max-rel-err", worst, 0.0,
-                         1e-5, "quadrature-vs-closed-form",
-                         note="alpha -> 1- limit, Richardson extrapolated over "
-                              "eps in {1e-4, 1e-5, 1e-6}"))
+        checks.append(_check(f"representation-{name}-max-rel-err", worst,
+                             0.0, tolerance, "quadrature-vs-closed-form",
+                             note=note))
     exact = 0.0
     for a, s, p, m in zip(*(table[RepresentationKernel(1.25, variant)]
                             for variant in _POWER_VARIANTS)):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import MfbmwaveError, require_bytes
+from .model import (MfbmwaveError, check_integer, check_seed, check_step,
+                    require_bytes)
 
 # Standardized truncation radius: wavelet support is treated as |t| <= 10,
 # where the Gaussian-derivative mass is < 1e-20.
@@ -191,7 +192,7 @@ class WaveletField:
                                 # takes any, empirical_wavelet_cov needs
                                 # them uniform and ascending
     dt: float                   # sampling step of the source path
-    n: int                      # source path length
+    n: int                      # source path length, at least 1
     seed: int | None = None     # source path seed, if any
 
     def __post_init__(self):
@@ -208,9 +209,10 @@ class WaveletField:
         if not (all(0.0 < a < math.inf for a in s)
                 and all(a < b for a, b in zip(s, s[1:]))):
             raise MfbmwaveError("scales must be finite, strictly positive and sorted")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "shifts", shifts)
+        seed = None if self.seed is None else check_seed(self.seed)
+        vars(self).update(coeffs=coeffs, scales=scales, shifts=shifts,
+                          dt=check_step(self.dt),
+                          n=check_integer("n", self.n, 1), seed=seed)
 
     @property
     def p(self) -> int:
@@ -250,8 +252,7 @@ def valid_shift_range(n: int, dt: float, scale: float) -> tuple[int, int]:
 
 def _grid(n: int, dt: float, scales, shifts):
     """Sorted scales and shift indices of a transform, checked against the path."""
-    if not 0.0 < dt < math.inf:
-        raise GridError(f"sampling step dt must be positive and finite, got {dt}")
+    dt = check_step(dt)
     scales = np.sort(np.atleast_1d(np.asarray(scales, dtype=float)))
     if scales.size == 0 or not np.all(np.isfinite(scales)):
         raise GridError(f"scales must be a non-empty list of finite values, "
@@ -434,8 +435,8 @@ def cwt_ensemble(paths, wavelet: HermiteWavelet, scales, shifts=None):
     if first is None:
         return
     p, n = np.shape(first.values)
+    scales, shift_idx = _grid(n, first.dt, scales, shifts)
     dt = float(first.dt)
-    scales, shift_idx = _grid(n, dt, scales, shifts)
     shift_times = shift_idx * dt
     nbytes = (8 if wavelet.is_real else 16) * p * scales.size * shift_idx.size
     per_chunk = max(1, model.CHUNK_BYTES // max(8 * p * n, nbytes))

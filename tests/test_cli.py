@@ -370,6 +370,19 @@ class TestValidationExitCodes:
                         "scales": [4.0]})
         assert "a path needs at least one point" in err
 
+    @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1.0])
+    def test_cwt_path_with_bad_step(self, tmp_path, path_file, capsys, dt):
+        # dt sits after the header (8 bytes), p and n (12)
+        raw = bytearray(path_file.read_bytes())
+        raw[20:28] = struct.pack("<d", dt)
+        bad = tmp_path / "bad_step.mfbm"
+        bad.write_bytes(bytes(raw))
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(bad), "wavelet_m": 1,
+                        "scales": [4.0]})
+        assert err == (f"error: invalid stored path: dt must be positive and "
+                       f"finite, got {dt!r}\n")
+
     @pytest.mark.parametrize("command", ["simulate", "cwt"])
     @pytest.mark.parametrize("basename", ["../x", "a/b", "<absolute>", "",
                                           ".", "x\0", ["x"]])

@@ -224,6 +224,23 @@ class TestBinary:
         with pytest.raises(ContainerError, match="invalid stored field"):
             load_field(io.BytesIO(bad_raw))
 
+    @pytest.mark.parametrize("kind", ["path", "field"])
+    @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1.0])
+    def test_stored_step_checked(self, path, field, kind, dt):
+        # a stored NaN step loaded as a path with dt NaN.  dt sits after the
+        # header (8 bytes) and p n (12) of a path, p n_scales n_shifts (16)
+        # of a field
+        save, load, at = {"path": (save_path, load_path, 20),
+                          "field": (save_field, load_field, 24)}[kind]
+        buf = io.BytesIO()
+        save(path if kind == "path" else field, buf)
+        raw = bytearray(buf.getvalue())
+        assert struct.unpack("<d", raw[at:at + 8]) == (0.5,)
+        raw[at:at + 8] = struct.pack("<d", dt)
+        with pytest.raises(ContainerError, match=f"invalid stored {kind}: dt "
+                                                 "must be positive and finite"):
+            load(io.BytesIO(bytes(raw)))
+
     def test_path_without_points(self, path):
         buf = io.BytesIO()
         save_path(path, buf)

@@ -1275,7 +1275,7 @@ class TestInputChecks:
             simulate(self.PARAMS, n, 1.0, seed=1)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf"),
-                                    True, "1.0", None, 1j])
+                                    True, "1.0", None, 1j, 10 ** 400])
     def test_bad_step(self, monkeypatch, dt):
         # one check, before any factor is built or cached: zero built an
         # all-zero factor reported as exact, -1 and NaN were refused as an
@@ -1332,6 +1332,30 @@ class TestInputChecks:
         assert stacked_values(got).tobytes() == stacked_values(want).tobytes()
         assert all(path.seed == 5 and type(path.seed) is int for path in got)
 
+    @pytest.mark.parametrize("n, count, name", [
+        ("64", 3, "n"), (64, "3", "count")])
+    def test_ensemble_sizes_before_budget(self, monkeypatch, n, count, name):
+        # a string size or count was a TypeError from the budget's product
+        def refuse(*args):
+            raise AssertionError("budget checked")
+
+        monkeypatch.setattr(synth, "require_bytes", refuse)
+        with pytest.raises(MfbmwaveError, match=f"{name} must be an integer"):
+            replicate_ensemble(self.PARAMS, n, 1.0, seed=3, count=count)
+
+    @pytest.mark.parametrize("n", [64.5, "64"])
+    def test_report_size(self, monkeypatch, n):
+        # refused before the cache: 64.5 gave the report of a factor of
+        # size 128, and a string was a TypeError
+        def refuse(*args):
+            raise AssertionError("factor built")
+
+        monkeypatch.setattr(synth, "_cached_embedding", refuse)
+        monkeypatch.setattr(synth, "_try_embedding", refuse)
+        for call in (embedding_report, build_embedding):
+            with pytest.raises(MfbmwaveError, match="n must be an integer"):
+                call(self.PARAMS, n, 1.0)
+
     def test_report_correction(self):
         with pytest.raises(MfbmwaveError, match="correction must be"):
             EmbeddingReport(circulant_size=32, min_eigenvalue=0.0,
@@ -1357,6 +1381,31 @@ class TestInputChecks:
         listed = SamplePath(self.PARAMS, 16, 1.0, values.tolist(), seed=1)
         assert listed.values.dtype == float
         np.testing.assert_array_equal(listed.values, values)
+
+    @pytest.mark.parametrize("dt", [-1.0, "x", float("nan"), 0.0, True,
+                                    10 ** 400])
+    def test_path_step(self, dt):
+        # -1.0 made times 0, -1, -2, ...; NaN and -1.0 survived a save/load
+        with pytest.raises(MfbmwaveError,
+                           match="dt must be positive and finite"):
+            SamplePath(self.PARAMS, 16, dt, np.zeros((2, 16)), seed=1)
+
+    @pytest.mark.parametrize("n, seed, match", [
+        (16.0, 1, "n must be an integer"),
+        (16, 1.5, "seed must be an integer"),
+        (16, -1, r"seed must lie in \[0, 2\*\*64\)"),
+        (16, 2 ** 64, r"seed must lie in \[0, 2\*\*64\)")])
+    def test_path_size_and_seed(self, n, seed, match):
+        # each was a struct.error from save_path
+        with pytest.raises(MfbmwaveError, match=match):
+            SamplePath(self.PARAMS, n, 1.0, np.zeros((2, 16)), seed=seed)
+
+    def test_path_stores_float_and_ints(self):
+        path = SamplePath(self.PARAMS, np.int64(16), np.float32(0.5),
+                          np.zeros((2, 16)), seed=np.uint64(2 ** 64 - 1))
+        assert type(path.n) is int and type(path.seed) is int
+        assert type(path.dt) is float and path.dt == 0.5
+        assert path.seed == 2 ** 64 - 1
 
     def test_path_compares_by_identity(self):
         a, b = (SamplePath(self.PARAMS, 3, 1.0, np.zeros((2, 3)), seed=0)

@@ -562,9 +562,10 @@ class TestInputChecks:
         with pytest.raises(GridError, match="scales must be distinct"):
             wavelets._grid(128, 1.0, [4.0, 5.0, 4.0], None)
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf"),
+                                    10 ** 400])
     def test_bad_step(self, dt):
-        with pytest.raises(GridError, match="dt must be positive and finite"):
+        with pytest.raises(MfbmwaveError, match="dt must be positive and finite"):
             wavelets._grid(128, dt, [4.0], None)
 
     @pytest.mark.parametrize("order", [0, 13])
@@ -580,6 +581,35 @@ class TestInputChecks:
         with pytest.raises(MfbmwaveError, match="inconsistent with scale/shift"):
             wavelets.WaveletField(coeffs=np.zeros((1, 2, 5)), scales=[4.0],
                                   shifts=np.arange(5.0), dt=1.0, n=64)
+
+    @staticmethod
+    def field(dt=1.0, n=64, seed=None):
+        return wavelets.WaveletField(coeffs=np.zeros((1, 1, 5)), scales=[4.0],
+                                     shifts=np.arange(5.0), dt=dt, n=n,
+                                     seed=seed)
+
+    @pytest.mark.parametrize("dt", [-1.0, "x", float("nan"), True, 10 ** 400])
+    def test_field_step(self, dt):
+        with pytest.raises(MfbmwaveError,
+                           match="dt must be positive and finite"):
+            self.field(dt=dt)
+
+    @pytest.mark.parametrize("n, seed, match", [
+        (16.0, 1, "n must be an integer"), (0, 1, "need n >= 1, got 0"),
+        (-5, 1, "need n >= 1, got -5"), (64, 1.5, "seed must be an integer"),
+        (64, -1, r"seed must lie in \[0, 2\*\*64\)"),
+        (64, 2 ** 64, r"seed must lie in \[0, 2\*\*64\)")])
+    def test_field_size_and_seed(self, n, seed, match):
+        # n -5 and each seed were a struct.error from save_field
+        with pytest.raises(MfbmwaveError, match=match):
+            self.field(n=n, seed=seed)
+
+    def test_field_stores_float_and_ints(self):
+        fld = self.field(dt=np.float32(0.5), n=np.int64(64),
+                         seed=np.uint64(7))
+        assert type(fld.dt) is float and fld.dt == 0.5
+        assert type(fld.n) is int and type(fld.seed) is int
+        assert self.field(seed=None).seed is None
 
     @pytest.mark.parametrize("scales", [
         [6.0, 4.0], [4.0, 4.0], [0.0, 4.0], [-1.0, 4.0],
