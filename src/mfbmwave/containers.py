@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from .model import (InvalidParamsError, MfbmParams, MfbmwaveError,
-                    pack_triangles, unpack_triangles)
+                    check_seed, pack_triangles, unpack_triangles)
 from .synth import SamplePath
 from .wavelets import WaveletField
 
@@ -68,8 +68,10 @@ def path_from_csv(stream, params: MfbmParams, seed: int = 0) -> SamplePath:
 
     t_0 must be 0 and the first row of values 0, dt = t_1 > 0 (1 for one
     row), and each t_i must lie within 1e-9 (|i dt| + dt) of i dt, as
-    path_to_csv's times do exactly.
+    path_to_csv's times do exactly.  A ``seed`` that fails ``check_seed`` is
+    the caller's fault, an MfbmwaveError raised before the stream is read.
     """
+    seed = check_seed(seed)
     reader = csv.reader(stream)
     header, p = next(reader, None), params.p
     if header is None or len(header) != p + 1:

@@ -45,14 +45,15 @@ MEMORY_BUDGET = 2 << 30
 
 # Bytes per chunk of a streamed stage, counted over the arrays that grow with
 # one chunk, with at least one item in every chunk.  The synthesis counts a
-# draw's noise and its complex copy (32 m p bytes), the wavelet transform the
-# larger of a path's values and its field, the covariance estimator a field's
-# two stacked rows.  Streaming 300 bivariate paths of n = 4096 through all
-# three (CLI estimate, 2 CPUs): synthesis chunks of 128 KB and 8 MB were
-# 20-45 % slower, transform chunks of 256 KB to 4 MB within 10 %, and
-# estimator blocks of 1 MB in place of 4 MB took the closure-n4096 benchmark
-# from 146.6 to 140.1 MB peak RSS and 0.393 to 0.399 s a round (medians of
-# 10 pairs).
+# draw's noise and its complex copy (32 m p bytes), and draws a larger draw
+# ahead in units of as many frequencies as fit, 32 p bytes each; the wavelet
+# transform the larger of a path's values and its field, the covariance
+# estimator a field's two stacked rows.  Streaming 300 bivariate paths of
+# n = 4096 through all three (CLI estimate, 2 CPUs): synthesis chunks of
+# 128 KB and 8 MB were 20-45 % slower, transform chunks of 256 KB to 4 MB
+# within 10 %, and estimator blocks of 1 MB in place of 4 MB took the
+# closure-n4096 benchmark from 146.6 to 140.1 MB peak RSS and 0.393 to
+# 0.399 s a round (medians of 10 pairs).
 CHUNK_BYTES = 1 << 20
 
 
@@ -377,8 +378,10 @@ def increment_cross_covariance(params: MfbmParams, j: int, k: int, h, dt: float 
     gamma_jk(h) = E[(x_j((i+h+1)dt) - x_j((i+h)dt)) (x_k((i+1)dt) - x_k(i dt))].
     Evaluating the kernel at the physical lags dt*(1-h), dt*(-1-h), dt*(-h) is
     exact in both branches; for H_j + H_k != 1 it coincides with the
-    self-similar scaling dt^(H_j+H_k) gamma_jk(h at unit step).
+    self-similar scaling dt^(H_j+H_k) gamma_jk(h at unit step).  ``dt``
+    passes ``check_step``.
     """
+    dt = check_step(dt)
     _check_index(params, j, k)
     h_arr = np.asarray(h, dtype=float)
     c = 0.5 * params.sigma[j] * params.sigma[k]

@@ -17,7 +17,9 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -397,116 +399,182 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     is built: ``n``, ``count`` (at least 1), ``seed`` and ``dt`` pass
     the rules of ``model``.
 
-    A stream of two chunks or more, on more than one CPU
-    (``model.workers``), draws its noise on one worker thread ahead of the
-    caller when the budget also holds a second noise buffer: it fills two
-    buffers of a chunk's draws, 16 m p bytes a draw each, and draws chunk
-    i + 2 into chunk i's buffer once chunk i is coloured, one draw at a time
-    in stream order, so every chunk holds the bits of the serial draw.  The
-    buffers are held until the stream ends or is closed, which joins the
-    thread; an error of a draw is raised at the next that wants its chunk.
-    Otherwise the draw runs on the caller, and a chunk's noise is freed
-    before its first path is yielded.
+    The noise comes in units: a chunk of several draws is one unit, and a
+    draw larger than CHUNK_BYTES is cut into blocks of CHUNK_BYTES // (32 p)
+    frequencies, its real half's blocks and then its imaginary half's.  A
+    stream of two units or more, on more than one CPU (``model.workers``),
+    draws its units on one worker thread ahead of the caller when the budget
+    also holds the worker's buffers.  A real block goes into its chunk's
+    noise, an imaginary block into one of two unit buffers of 8 p bytes a
+    frequency, and a stream of two chunks or more has two noise buffers of
+    16 m p bytes a draw.  A unit is drawn into a buffer once the caller is
+    done with the buffer's last unit, the chunk two before or the imaginary
+    block two before, and every unit in stream order, so each holds the bits
+    of the serial draw.  The buffers are held until the stream ends or is
+    closed.  The thread is joined once the last chunk's units are in, before
+    its inverse FFT, so that no idle worker holds a malloc arena beside the
+    FFT's threads, and also at close() or an error; an error of a draw is
+    raised at the next that wants its chunk.  Otherwise a chunk's draws are
+    drawn whole on the caller, and a chunk's noise is freed before its first
+    path is yielded.
 
-    Colouring, inverse FFT and cumsum run on ``model.run_pieces`` in
-    min(p, k m p // ``model.PIECE_SAMPLES``) blocks of component rows for a
-    chunk of k draws, so a single path splits from n > 2^16 + 1 at p = 2 or
-    3 (not the rule of ``model.pieces``: a block writes into arrays the call
-    holds, and may cut below one row's ``PIECE_SAMPLES``).  The caller makes
-    a colouring product per worker before the blocks start, and the cumsum
-    runs in the paths' rows, so how the threads meet does not move a
-    chunk's peak.  A row takes the same operations in any block, and the
-    draw the same bits on any thread, so the bits do not depend on the split.
+    The caller fills w and colours it as each unit comes: a whole chunk at
+    once, a cut draw an imaginary block at a time, into the chunk's noise,
+    which the real half has left by then.  The inverse FFT and cumsum run on
+    ``model.run_pieces`` in min(p, k m p // ``model.PIECE_SAMPLES``) blocks
+    of component rows for a chunk of k draws, so a single path splits from
+    n > 2^16 + 1 at p = 2 or 3 (not the rule of ``model.pieces``: a block
+    writes into arrays the call holds, and may cut below one row's
+    ``PIECE_SAMPLES``).  The cumsum runs in the paths' rows, so how the
+    threads meet does not move a chunk's peak.  A frequency takes the same
+    operations in any unit, a row in any block, and a draw the same bits on
+    any thread, so the bits do not depend on the units or the split.
     """
     n, count = check_integer("n", n), check_integer("count", count, 1)
     seed, dt = check_seed(seed), check_step(dt)
     fac = _cached_embedding(params, n, dt)
     m, p, root = fac.report.circulant_size, params.p, fac.root
     half = m // 2
-    lo, up = slice(0, half + 1), slice(half + 1, m)
-    mirror = root[:, :, half - 1:0:-1]          # S(m - f) for f > m/2
     scale = math.sqrt(m)
     pairs = (count + 1) // 2
     per_chunk = max(1, model.CHUNK_BYTES // (32 * m * p))
+    chunks = -(-pairs // per_chunk)
+    freqs = min(m, max(1, model.CHUNK_BYTES // (32 * p)))  # m: no draw is cut
+    per_half = -(-m // freqs)               # blocks of a half of a cut draw
+    chunk_units = 1 if freqs == m else 2 * per_half
 
     def shape(first):
-        # the draws, paths and colouring blocks of the chunk from draw first
+        # the draws, paths and transform blocks of the chunk from draw first
         k = min(per_chunk, pairs - first)
         return (k, min(2 * k, count - 2 * first),
                 min(p, max(1, k * m * p // model.PIECE_SAMPLES)))
 
     # the first chunk is the largest: noise, paths, temporaries, buffers
     k, reps, blocks = shape(0)
-    worker = ((16 * k * (m // 2 + 1) if p > 1 else 0)
-              + 32 * min(k * p * m // 2, np.getbufsize()))
     need = (8 * p * (4 * k * m + reps * n + k * n - k)
-            + model.workers(blocks) * worker + (12 << 10))
+            + (16 * k * (half + 1) if p > 1 else 0)
+            + model.workers(blocks) * 32 * min(k * p * m // 2, np.getbufsize())
+            + (12 << 10))
     require_bytes(need, f"a chunk of {reps} paths of {n} points")
-    # the draw-ahead adds the other noise buffer and the pool's objects
-    ahead = (pairs > per_chunk and model.workers(2) > 1
-             and need + 16 * k * m * p + (12 << 10) <= model.MEMORY_BUDGET)
+    # the draw-ahead adds the other noise buffer, the unit buffers and the
+    # pool's objects
+    ahead = (chunks * chunk_units > 1 and model.workers(2) > 1
+             and need + (chunks > 1) * 16 * k * m * p
+             + (freqs < m) * 16 * freqs * p + (12 << 10)
+             <= model.MEMORY_BUDGET)
+    if not ahead:
+        freqs, chunk_units = m, 1
     rng = np.random.Generator(np.random.Philox(key=seed))
     firsts = range(0, pairs, per_chunk)
 
-    def draw(first, out=None):
-        # the chunk of draws first .., into out if given
-        k = shape(first)[0]
-        return rng.standard_normal((k, 2, m, p),
-                                   out=None if out is None else out[:k])
+    def plan():
+        # the units in stream order, (chunk, side, lo, hi): side None for a
+        # chunk's draws whole, 0 and 1 for a block of a draw's real and
+        # imaginary half, of frequencies lo .. hi - 1
+        for chunk in range(chunks):
+            if freqs == m:
+                yield chunk, None, 0, m
+                continue
+            for side in (0, 1):
+                for lo in range(0, m, freqs):
+                    yield chunk, side, lo, min(lo + freqs, m)
+
+    def draw(chunk, side, lo, hi):
+        if side is None:
+            k = shape(firsts[chunk])[0]
+            return rng.standard_normal(
+                (k, 2, m, p), out=noise[chunk % 2, :k] if ahead else None)
+        out = (noise[chunk % 2, :, 0, lo:hi] if side == 0 else
+               unit_noise[(chunk * per_half + lo // freqs) % 2, :, :hi - lo])
+        return rng.standard_normal(out.shape, out=out)
+
+    done = taken = 0    # chunks transformed, units copied into w
+    drawn = deque()     # the units drawn ahead, in stream order
+
+    def feed():
+        # submit each unit once the unit two before it is copied, which
+        # frees an imaginary block's buffer, and a chunk's noise once the
+        # chunk two before it is done
+        for u, (chunk, side, lo, hi) in enumerate(plan()):
+            while u >= taken + 2 or side != 1 and chunk >= done + 2:
+                yield
+            drawn.append(pool.submit(draw, chunk, side, lo, hi))
+
+    def colour(w, v, product, at, lo, hi):
+        # v = S w at frequencies lo .. hi - 1 of the draws at: S(f) up to
+        # m/2, and above it conj S(m - f) w = conj(S(m - f) conj(w)), so
+        # both halves take plain products of S
+        for a, b in ((lo, min(hi, half + 1)), (max(lo, half + 1), hi)):
+            if a >= b:
+                continue
+            if a <= half:
+                s = root[:, :, a:b]
+            else:
+                s = root[:, :, m - a:m - b:-1]
+                np.negative(w.imag[at, :, a:b], out=w.imag[at, :, a:b])
+            for i in range(p):
+                row = np.multiply(s[i, 0], w[at, 0, a:b], out=v[at, i, a:b])
+                for j in range(1, p):
+                    row += np.multiply(s[i, j], w[at, j, a:b],
+                                       out=product[at, :b - a])
+            if a > half:
+                np.conjugate(v[at, :, a:b], out=v[at, :, a:b])
 
     if ahead:
         from concurrent.futures import ThreadPoolExecutor
-        noise = np.empty((2, per_chunk, 2, m, p))
+        noise = np.empty((min(2, chunks), per_chunk, 2, m, p))
+        unit_noise = np.empty((2, 1, freqs, p)) if freqs < m else None
         pool = ThreadPoolExecutor(1)
+    feeder = feed() if ahead else iter(())
+    todo = plan()
     try:
-        if ahead:
-            drawn = [pool.submit(draw, first, out)
-                     for first, out in zip(firsts[:2], noise)]
+        next(feeder, None)
         for chunk, first in enumerate(firsts):
-            z = drawn[chunk % 2].result() if ahead else draw(first)
             k, reps, blocks = shape(first)
-            # component-major noise, conjugated above m/2: conj(S) w is
-            # conj(S conj(w)), so both halves take plain products of S
             w = np.empty((k, p, m), dtype=complex)
-            w.real = z[:, 0].transpose(0, 2, 1)
-            w.imag = z[:, 1].transpose(0, 2, 1)
-            np.negative(w.imag[:, :, up], out=w.imag[:, :, up])
-            # the coloured noise overwrites the draw, which w now holds
-            v = z.reshape(-1).view(complex).reshape(k, p, m)
+            product = np.empty((k, min(freqs, half + 1) if p > 1 else 0),
+                               dtype=complex)
+            at = slice(None)
+            if freqs < m:
+                # the coloured noise overwrites the real half, which w holds
+                # by then, in rows of the one draw: numpy takes another loop,
+                # with other bits, for (1, 1) operands
+                at = 0
+                v = noise[chunk % 2].reshape(-1).view(complex).reshape(k, p, m)
+            for unit in islice(todo, chunk_units):
+                _, side, lo, hi = unit
+                z = drawn.popleft().result() if ahead else draw(*unit)
+                if side is None:    # the coloured noise overwrites the draw
+                    v = z.reshape(-1).view(complex).reshape(k, p, m)
+                    w.real = z[:, 0].transpose(0, 2, 1)
+                    w.imag = z[:, 1].transpose(0, 2, 1)
+                else:
+                    (w.imag if side else w.real)[:, :, lo:hi] = \
+                        z.transpose(0, 2, 1)
+                taken += 1
+                next(feeder, None)
+                if side != 0:
+                    colour(w, v, product, at, lo, hi)
+            if ahead and chunk == chunks - 1:
+                pool.shutdown()     # all drawn: no worker beside the split
             # after the noise, so that the freed noise is no heap top to trim
             out = np.empty((reps, p, n))
             out[:, :, 0] = 0.0
 
-            # a colouring product per worker, made before the threads start
-            spare = [np.empty((k, half + 1), dtype=complex)
-                     for _ in range(model.workers(blocks) if p > 1 else 0)]
-
-            def colour(*bounds):
-                # a block of component rows: colour, inverse FFT, cumsum
+            def transform(*bounds):
+                # a block of component rows: inverse FFT, cumsum
                 rows = slice(*bounds)
-                product = spare.pop() if p > 1 else None
-                for i in range(*bounds):
-                    np.multiply(root[i, 0], w[:, 0, lo], out=v[:, i, lo])
-                    np.multiply(mirror[i, 0], w[:, 0, up], out=v[:, i, up])
-                    for j in range(1, p):
-                        v[:, i, lo] += np.multiply(root[i, j], w[:, j, lo],
-                                                   out=product)
-                        v[:, i, up] += np.multiply(mirror[i, j], w[:, j, up],
-                                                   out=product[:, :half - 1])
-                spare.append(product)
                 vb = v[:, rows]
-                np.conjugate(vb[:, :, up], out=vb[:, :, up])
                 y = np.fft.ifft(vb, axis=-1, out=vb)
                 for imag, part in enumerate((y.real, y.imag)):
                     paths = out[imag::2, rows, 1:]
                     np.multiply(part[:len(paths), :, :n - 1], scale, out=paths)
                     np.add.accumulate(paths, axis=-1, out=paths)
 
-            run_pieces(colour, p, blocks)
-            if ahead and first + 2 * per_chunk < pairs:
-                drawn[chunk % 2] = pool.submit(draw, first + 2 * per_chunk,
-                                               noise[chunk % 2])
-            del z, w, v, spare  # not held while the caller works on the paths
+            run_pieces(transform, p, blocks)
+            done += 1
+            next(feeder, None)
+            del z, w, v, product    # not held while the caller works on paths
             yield from SamplePath._of_block(params, n, dt, out, seed)
             del out             # nor the paths, once the caller drops them
     finally:
@@ -520,9 +588,12 @@ def simulate(params: MfbmParams, n: int, dt: float, seed: int):
     Returns (SamplePath, EmbeddingReport).  The path is replicate 0 of
     ``iter_ensemble`` with the same seed (seed scheme 3): the real half of
     the first noise draw of the Philox stream keyed by the seed, so results
-    do not depend on scheduling, nor on the threads that colour a long path
-    (n > 2^16 + 1 at p = 2 or 3), whose speed-up has been measured on 2 CPUs
-    only.
+    do not depend on scheduling.  On more than one CPU a draw of more than
+    ``model.CHUNK_BYTES`` (32 m p bytes: n > 2^14 + 1, 2^13 + 1 and 2^12 + 1
+    at p = 1, 2 and 3) is drawn in units on a worker thread ahead of its
+    colouring, and the inverse FFT is split by component rows from
+    n > 2^16 + 1 at p = 2 or 3, with the bits of the serial path; the
+    speed-up has been measured on 2 CPUs only.
     """
     return (next(iter_ensemble(params, n, dt, seed, 1)),
             embedding_report(params, n, dt))

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from mfbmwave.model import MfbmParams
+from mfbmwave.model import MfbmParams, MfbmwaveError
 from mfbmwave.synth import SamplePath, simulate
 from mfbmwave.wavelets import WaveletField, gaussian_derivative, cwt
 from mfbmwave.containers import (
@@ -77,6 +77,18 @@ class TestCsv:
     def test_malformed_rejected(self, text, message):
         with pytest.raises(ContainerError, match=message):
             path_from_csv(io.StringIO(text, newline=""), PARAMS)
+
+    def test_bad_seed_is_the_callers(self, path):
+        # a valid CSV: the seed argument is refused before the stream is read,
+        # and not as a malformed file
+        buf = io.StringIO(newline="")
+        path_to_csv(path, buf)
+        buf.seek(0)
+        with pytest.raises(MfbmwaveError, match=r"seed must lie in \[0, 2\*\*64\), "
+                                                r"got -1") as info:
+            path_from_csv(buf, PARAMS, seed=-1)
+        assert not isinstance(info.value, ContainerError)
+        assert buf.tell() == 0
 
     def test_rounded_times_admitted(self):
         # 0.3 is not 3 * 0.1 in binary; hand-written times keep dt = 0.1

@@ -474,6 +474,105 @@ class TestDrawAhead:
         assert len(got) == 10 * (fail_at - 1)
         assert threading.active_count() == before
 
+    # draws larger than the default chunk: one trivariate path at
+    # m = 2^19, and three bivariate paths in two chunks at m = 2^15
+    LONG = [(TRIVARIATE, 2 ** 17 + 5, 1,
+             "6e8f4c7f89742a0d39e10d32f61d8b637c2b60e0a316bba45a2ac4ae6eb685cc"),
+            (LOG_PAIR, 10000, 3,
+             "2e78a6c4bbc4d6b00c746b955945324964483eadb82665befc1e88e84ae00abe")]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("freqs", [None, 5000])
+    @pytest.mark.parametrize("params, n, count, digest", LONG,
+                             ids=["p3-path", "p2-stream"])
+    def test_units_values_pinned(self, monkeypatch, workers, freqs, params, n,
+                                 count, digest):
+        # the digests of the serial draw, drawn whole on the caller or in
+        # units on the worker: units of the default chunk, or of 5000
+        # frequencies, one of which straddles m/2 and the last partial
+        split(monkeypatch, synth._PIECE_MATRICES, workers)
+        if workers == 1:
+            monkeypatch.setattr(threading.Thread, "start", refuse_thread)
+        p = params.p
+        m = embedding_report(params, n, 1.0).circulant_size
+        if freqs is not None:
+            monkeypatch.setattr(model, "CHUNK_BYTES", 32 * p * freqs)
+            assert (m // 2 + 1) % freqs and m % freqs
+        freqs = model.CHUNK_BYTES // (32 * p)
+        assert freqs < m
+        draws = record_draws(monkeypatch)
+        values = stacked_values(synth.iter_ensemble(params, n, 1.0, 32, count))
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+        units = 2 * -(-m // freqs) if workers > 1 else 1
+        assert len(draws) == (count + 1) // 2 * units
+
+    def test_units_hold_under_fast_switching(self, monkeypatch):
+        # units of 1000 frequencies drawn ahead beside two transform blocks
+        # on eight workers, with threads switching every microsecond
+        params, n, count, digest = self.LONG[1]
+        split(monkeypatch, synth._PIECE_MATRICES, 8, samples=1)
+        monkeypatch.setattr(model, "CHUNK_BYTES", 32 * params.p * 1000)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            values = stacked_values(synth.iter_ensemble(params, n, 1.0, 32,
+                                                        count))
+        finally:
+            sys.setswitchinterval(interval)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("ahead", [False, True])
+    def test_budget_without_the_unit_buffers(self, monkeypatch, ahead):
+        # a budget that holds the serial chunk of a long draw but not the
+        # draw-ahead's two unit buffers draws on the caller, one that holds
+        # them on the worker, with the same bits
+        params, n = LOG_PAIR, 10000
+        split(monkeypatch, synth._PIECE_MATRICES, 1)
+        inline = stacked_values(synth.iter_ensemble(params, n, 1.0, 32, 2))
+        split(monkeypatch, synth._PIECE_MATRICES, 2)
+        m = embedding_report(params, n, 1.0).circulant_size
+        budget = chunk_bytes(1, 2, m, 2, n, True, chunks=1)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", budget - (not ahead))
+        if not ahead:
+            monkeypatch.setattr(threading.Thread, "start", refuse_thread)
+        draws = record_draws(monkeypatch)
+        values = stacked_values(synth.iter_ensemble(params, n, 1.0, 32, 2))
+        assert values.tobytes() == inline.tobytes()
+        assert ({t for _, t in draws} == {threading.get_ident()}) is not ahead
+        assert len(draws) == (4 if ahead else 1)
+
+    @pytest.mark.parametrize("fail_at, paths", [(3, 0), (7, 2)])
+    def test_unit_error_reaches_next(self, monkeypatch, fail_at, paths):
+        # units of two blocks a half: draw 3 is the first imaginary block of
+        # chunk 0, draw 7 that of chunk 1; the error is raised at the next
+        # that wants the chunk
+        split(monkeypatch, synth._PIECE_MATRICES, 2)
+        record_draws(monkeypatch, fail_at=fail_at)
+        before = threading.active_count()
+        stream = synth.iter_ensemble(LOG_PAIR, 10000, 1.0, 32, 3)
+        got = []
+        with pytest.raises(FloatingPointError, match="forced draw failure"):
+            for path in stream:
+                got.append(path)
+        assert len(got) == paths
+        assert threading.active_count() == before
+
+    def test_close_after_the_first_path_of_a_long_path(self, monkeypatch):
+        # the worker that drew the units is joined once the last unit is
+        # in, before the inverse FFT's split and the first path
+        split(monkeypatch, synth._PIECE_MATRICES, 2)
+        draws = record_draws(monkeypatch)
+        before = threading.active_count()
+        stream = synth.iter_ensemble(LOG_PAIR, 10000, 1.0, 32, 2)
+        next(stream)
+        assert len(draws) == 4
+        assert threading.get_ident() not in {t for _, t in draws}
+        assert threading.active_count() == before
+        stream.close()
+        assert threading.active_count() == before
+
 
 def refuse_thread(thread):
     raise AssertionError("thread started")
@@ -633,17 +732,22 @@ def build_bytes(m, p):
                                      model.workers(pieces) * piece) + 12288)
 
 
-def chunk_bytes(k, reps, m, p, n, ahead):
+def chunk_bytes(k, reps, m, p, n, ahead, chunks=3):
     """The draw and its complex copy, the chunk's paths and the scaled half
-    of a cumsum, then per worker one colouring product at p > 1 and two
+    of a cumsum, one colouring product at p > 1, per transform worker two
     complex ufunc buffers, and 12 KB of small objects; when ``ahead``, the
-    next chunk's draw and 12 KB more for the draw-ahead's thread pool."""
+    draw-ahead's second noise buffer if there is a second chunk, its two
+    unit buffers if a draw is cut into units, and 12 KB more for its thread
+    pool."""
     blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
     product = 16 * k * (m // 2 + 1) if p > 1 else 0
     buffers = 2 * 16 * min(k * p * m // 2, 8192)
-    return ((2 + ahead) * 16 * k * m * p + reps * p * n * 8
-            + k * p * (n - 1) * 8
-            + model.workers(blocks) * (product + buffers) + 12288 * (1 + ahead))
+    freqs = min(m, max(1, model.CHUNK_BYTES // (32 * p)))
+    draw_ahead = ((chunks > 1) * 16 * k * m * p + (freqs < m) * 16 * freqs * p
+                  + 12288)
+    return (2 * 16 * k * m * p + reps * p * n * 8 + k * p * (n - 1) * 8
+            + product + model.workers(blocks) * buffers + 12288
+            + ahead * draw_ahead)
 
 
 # p = 1, 2 and 3, off the log branch and on it
@@ -711,16 +815,19 @@ class TestMemory:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("n, noise", [(64, model.CHUNK_BYTES // 2),
                                           (4096, model.CHUNK_BYTES // 2),
-                                          (1000, 1), (2 ** 14, 1)])
+                                          (2 ** 15, model.CHUNK_BYTES // 2),
+                                          (1000, 1), (2 ** 14, 2 ** 13)])
     def test_chunk_count_bounds_peak(self, monkeypatch, p, n, noise):
         # ``noise`` bytes of draw and as many of its complex copy per chunk:
-        # the default chunk, or one of 2 bytes, which holds a single draw
+        # the default chunk, a draw larger than which is cut into units at
+        # n = 2^15; one of 2 bytes, which holds a single draw in units of
+        # one frequency; or one of 16 KB, whose units at n = 2^14 hold 512 / p
         monkeypatch.setattr(model, "CHUNK_BYTES", 2 * noise)
         self.check_chunk_peak(monkeypatch, BRANCHES[p, False], n)
 
     def test_chunk_peak_split(self, monkeypatch):
-        # three blocks of one component on two threads, each with its own
-        # colouring product: each chunk's threads are the caller and one
+        # three transform blocks of one component on two threads, after the
+        # caller's colouring: each chunk's threads are the caller and one
         # other, whose ident a later chunk need not reuse
         split(monkeypatch, 2 ** 62, 2, samples=1)
         embedding_report(TRIVARIATE, 4096, 1.0)     # the factor, cached
@@ -744,7 +851,8 @@ class TestMemory:
         twice it.  The next chunks peak no higher once their paths are
         dropped.  When its first path is yielded the stream holds the
         chunk's paths and, on more than one CPU, the two noise buffers of
-        the draw-ahead; on one CPU the noise is freed."""
+        the draw-ahead and its unit buffers if a draw is cut into units; on
+        one CPU the noise is freed."""
         simulate(params, n, 1.0, seed=3)        # the factor, cached
         m = embedding_report(params, n, 1.0).circulant_size
         p = params.p
@@ -773,8 +881,12 @@ class TestMemory:
             stream.close()
         assert peak <= need <= 2.0 * peak
         assert later <= peak + (4 << 10)
-        # the draw-ahead: two noise buffers and its thread's pool
-        assert held <= (8 * 2 * k * p * n + ahead * (2 * 16 * k * m * p + (12 << 10))
+        # the draw-ahead: two noise buffers, the unit buffers and its
+        # thread's pool
+        freqs = min(m, max(1, model.CHUNK_BYTES // (32 * p)))
+        assert held <= (8 * 2 * k * p * n
+                        + ahead * (2 * 16 * k * m * p
+                                   + (freqs < m) * 16 * freqs * p + (12 << 10))
                         + (4 << 10))
 
     def test_first_size_over_budget(self, monkeypatch):
@@ -1161,27 +1273,29 @@ class TestPieces:
             assert set(seen) == {threading.get_ident()}
 
     def test_synthesis_products_not_shared(self, monkeypatch):
-        # three blocks of one row on three threads, more than the CPUs: each
-        # waits after its first colouring product (its third multiply) until
-        # all three have made theirs, so blocks that shared one product
-        # would add another row's
+        # three transform blocks of one row on three threads, more than the
+        # CPUs, beside the draw-ahead of units of 100 frequencies: every
+        # colouring product is made on the caller, 9 per piece of a unit
+        # (the unit across m/2 is two), so no two threads share one
         inline = stacked_values(replicate_ensemble(TRIVARIATE, 512, 1.0,
                                                    seed=4, count=2))
         split(monkeypatch, 2 ** 62, 3, samples=1)
-        multiply, barrier = np.multiply, threading.Barrier(3, timeout=30)
-        calls = threading.local()
+        monkeypatch.setattr(model, "CHUNK_BYTES", 32 * 3 * 100)
+        multiply, lock, products = np.multiply, threading.Lock(), []
 
-        def product_waits(*args, **kwargs):
-            result = multiply(*args, **kwargs)
-            calls.n = getattr(calls, "n", 0) + 1
-            if calls.n == 3:
-                barrier.wait()
-            return result
+        def recording(*args, **kwargs):
+            if np.iscomplexobj(args[0]):
+                with lock:
+                    products.append(threading.get_ident())
+            return multiply(*args, **kwargs)
 
-        monkeypatch.setattr(np, "multiply", product_waits)
+        monkeypatch.setattr(np, "multiply", recording)
+        seen = piece_threads(monkeypatch, np.fft, "ifft", meet=3)
         values = stacked_values(replicate_ensemble(TRIVARIATE, 512, 1.0,
                                                    seed=4, count=2))
         assert values.tobytes() == inline.tobytes()
+        assert len(set(seen)) == 3
+        assert products == [threading.get_ident()] * 9 * (-(-1024 // 100) + 1)
 
     @pytest.mark.parametrize("fail_at", [1, 2, 3])
     def test_synthesis_error_reaches_caller(self, monkeypatch, fail_at):
@@ -1275,11 +1389,15 @@ class TestInputChecks:
             simulate(self.PARAMS, n, 1.0, seed=1)
 
     @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan"), float("inf"),
-                                    True, "1.0", None, 1j, 10 ** 400])
+                                    True, "1.0", None, 1j, 10 ** 400, "x"])
     def test_bad_step(self, monkeypatch, dt):
         # one check, before any factor is built or cached: zero built an
         # all-zero factor reported as exact, -1 and NaN were refused as an
-        # overflow, True built, and a string was a TypeError
+        # overflow, True built, and a string was a TypeError; the increment
+        # covariance returned zeros at 0 and -1, NaN at NaN, and raised
+        # numpy's UFuncTypeError at "x" and OverflowError at 10^400
+        with pytest.raises(MfbmwaveError, match="dt must be positive"):
+            increment_cross_covariance(self.PARAMS, 0, 1, [0, 1], dt)
         def refuse(*args):
             raise AssertionError("factor built")
 
