@@ -30,6 +30,7 @@ KIND_PATH = 1
 KIND_FIELD = 2
 
 _F8 = np.dtype("<f8")
+_C16 = np.dtype("<c16")     # a (re, im) pair of _F8
 
 
 class ContainerError(MfbmwaveError):
@@ -134,6 +135,13 @@ def _read(stream, size: int) -> bytes:
     return raw
 
 
+def _write_array(stream, values, dtype=_F8) -> None:
+    """Write ``values`` as ``dtype`` in C order from one contiguous buffer:
+    their own when they are one already, else a converted copy."""
+    block = np.ascontiguousarray(values, dtype=dtype)
+    stream.write(block.reshape(-1).view(np.uint8))
+
+
 def _unpack(stream, fmt: str) -> tuple:
     return struct.unpack(fmt, _read(stream, struct.calcsize(fmt)))
 
@@ -175,7 +183,7 @@ def save_path(path: SamplePath, stream) -> None:
     _write_header(stream, KIND_PATH)
     stream.write(struct.pack("<IQdQ", path.params.p, path.n, path.dt, path.seed))
     stream.write(_params_blob(path.params))
-    stream.write(np.ascontiguousarray(path.values, dtype=_F8).tobytes())
+    _write_array(stream, path.values)
 
 
 def load_path(stream) -> SamplePath:
@@ -194,12 +202,11 @@ def save_field(field: WaveletField, stream) -> None:
     seed = field.seed if field.seed is not None else 0
     stream.write(struct.pack("<IIQdQQ", field.p, field.scales.size,
                              field.shifts.size, field.dt, field.n, seed))
-    stream.write(np.ascontiguousarray(field.scales, dtype=_F8).tobytes())
-    stream.write(np.ascontiguousarray(field.shifts, dtype=_F8).tobytes())
-    inter = np.empty(field.coeffs.shape + (2,), dtype=_F8)
-    inter[..., 0] = field.coeffs.real
-    inter[..., 1] = field.coeffs.imag
-    stream.write(inter.tobytes())
+    _write_array(stream, field.scales)
+    _write_array(stream, field.shifts)
+    # complex coefficients are (re, im) pairs already; a real field's are
+    # converted, with +0.0 imaginary parts
+    _write_array(stream, field.coeffs, _C16)
 
 
 def load_field(stream) -> WaveletField:

@@ -115,37 +115,52 @@ class SamplePath:
 
 @dataclass(frozen=True, eq=False)
 class _CirculantFactor:
-    """The (p, p, m/2 + 1) Hermitian square roots S(f) of Lambda(f) for
-    f <= m/2, m = report.circulant_size; conj S(m - f) serves f > m/2."""
+    """The Hermitian square roots S(f) of Lambda(f) for f <= m/2,
+    m = report.circulant_size, packed; conj S(m - f) serves f > m/2.
 
-    root: np.ndarray
+    ``diag`` (p, m/2 + 1) holds the real diagonal S_ii and ``lower``
+    (p (p - 1) / 2, m/2 + 1) the strict lower triangle S_kj, k > j, in the
+    row-major order of ``np.tril_indices(p, -1)`` (``_lower``); S_jk is
+    conj S_kj.  The two hold 8 p^2 bytes a frequency, half of the full
+    complex matrices, and lose nothing: the diagonal's imaginary part is
+    zero and the upper triangle is the conjugate of the lower.
+    """
+
+    diag: np.ndarray
+    lower: np.ndarray
     report: EmbeddingReport
+
+
+def _lower(k: int, j: int) -> int:
+    """Row of entry (k, j), k > j, in a packed strict lower triangle."""
+    return k * (k - 1) // 2 + j
 
 
 def _build_bytes(m: int, p: int) -> int:
     """Upper estimate of the bytes a build at circulant size m holds.
 
-    The half spectrum, the larger of two stages' per-worker arrays times
-    the workers of that stage (``model.workers``), and 12 KB of small
-    objects that do not grow with m.  A pair of components
-    (``_pair_spectrum``) holds its row of m floats and up to three kernel
-    arrays of m/2 + 2 floats; the reflected row and the conjugate spectrum
-    row come after the kernel's arrays are freed and are smaller.  A piece
-    of f frequency matrices holds its eigenvectors and eigenvalues and,
-    in ``_square_root``, two arrays the size of the eigenvalues and one
-    conjugate column and one product of f values, or numpy's ufunc buffer
-    (``np.getbufsize()`` elements) while the eigenvectors are scaled.
-    Traced peaks of builds from n = 2 to 2^16 at p = 1, 2 and 3 lie between
-    0.32 of the estimate, at n = 2 where the 12 KB are most of it, and the
-    estimate; from n = 1000 on, above 0.79.
+    The packed half spectrum, 8 p^2 bytes a frequency (``_CirculantFactor``),
+    the larger of two stages' per-worker arrays times the workers of that
+    stage (``model.workers``), and 12 KB of small objects that do not grow
+    with m.  A pair of components (``_pair_spectrum``) holds its row of m
+    floats and up to three kernel arrays of m/2 + 2 floats; the reflected
+    row, and one spectrum row of m/2 + 1 complex values, come after the
+    kernel's arrays are freed and are smaller.  A piece of f frequency
+    matrices is counted as the matrices unpacked for ``eigh``, 16 p^2 bytes
+    each, as many bytes of eigenvectors, the eigenvalues and two arrays
+    their size, and one product of f values.  ``_square_root`` runs after
+    the unpacked matrices are freed, and its conjugate column, or numpy's
+    ufunc buffer while the eigenvectors are scaled, is no larger than they.
+    Traced peaks of builds from n = 2 to 2^16 at p = 1, 2 and 3, and to
+    2^14 at p = 8, lie between 0.32 of the estimate, at n = 2 where the
+    12 KB are most of it, and the estimate; from n = 1000 on, above 0.73.
     """
     freqs = m // 2 + 1
-    spectrum = freqs * p * p * 16
+    spectrum = freqs * p * p * 8
     pair = 8 * m + 24 * (m // 2 + 2)
-    pieces = _eigh_pieces(freqs)
+    pieces = _eigh_pieces(freqs, p)
     f = -(-freqs // pieces)             # matrices in the largest piece
-    piece = f * (16 * p * p + 24 * p + 16) + 16 * min(f * p * p,
-                                                       np.getbufsize())
+    piece = f * (32 * p * p + 24 * p + 16)
     pairs = model.pieces(p * (p + 1) // 2, m)
     return (spectrum + max(model.workers(pairs) * pair,
                            model.workers(pieces) * piece) + (12 << 10))
@@ -206,91 +221,122 @@ def _circulant_row(params: MfbmParams, j: int, k: int, dt: float,
 
 
 def _pair_spectrum(params: MfbmParams, j: int, k: int, dt: float,
-                   root: np.ndarray) -> None:
-    """Lambda_jk and Lambda_kj of the half spectrum into ``root`` (p, p, m/2 + 1).
+                   diag: np.ndarray, lower: np.ndarray) -> None:
+    """Entry kj of the half spectrum into the packed ``diag`` or ``lower``.
 
-    The rfft of circulant rows jk and kj.  For j < k the lower entry is
-    then the average 0.5 (Lambda_kj + conj Lambda_jk): ``eigh`` reads the
-    lower triangle only.
+    The rfft of circulant row jj, whose real part goes into ``diag[j]``, or,
+    for j < k, the average 0.5 (Lambda_kj + conj Lambda_jk) of the rffts of
+    rows kj and jk into ``lower[_lower(k, j)]``: ``eigh`` reads the lower
+    triangle only, and the real part of its diagonal.  Lambda_jk is made in
+    that row and conjugated there; Lambda_kj is a temporary row.
     """
-    row = np.empty(2 * (root.shape[-1] - 1))
+    row = np.empty(2 * (diag.shape[-1] - 1))
     _circulant_row(params, j, k, dt, row)
-    np.fft.rfft(row, out=root[j, k])
-    if k > j:
-        row[1:] = row[:0:-1]    # row kj; numpy copies the overlapping source
-        np.fft.rfft(row, out=root[k, j])
-        del row                 # before the conjugate, as _build_bytes counts
-        lower = root[k, j]
-        lower += np.conj(root[j, k])
-        lower *= 0.5
+    if k == j:
+        diag[j] = np.fft.rfft(row).real
+        return
+    low = lower[_lower(k, j)]
+    np.fft.rfft(row, out=low)
+    np.conjugate(low, out=low)
+    row[1:] = row[:0:-1]        # row kj; numpy copies the overlapping source
+    kj = np.fft.rfft(row)
+    del row                     # before the sum, as _build_bytes counts
+    low += kj
+    low *= 0.5
 
 
-# Frequency matrices per piece of the eigendecomposition and square root.
+# Frequency matrices per piece of the eigendecomposition and square root
+# up to p = 32; from p = 33 on, as many entries as 1024 times this, 2^22.
 # A half spectrum of fewer than two pieces' worth is one piece, factored
 # inline; pieces of a larger one hold between this and twice as many.
 _PIECE_MATRICES = 4096
 
 
-def _eigh_pieces(freqs: int) -> int:
-    """Pieces of ``eigh`` and the root over ``freqs`` frequency matrices.  Not
-    ``model.pieces``: a piece's eigenvector arrays are its own, and the count
-    bounds them per worker (``_build_bytes``)."""
-    return max(1, freqs // _PIECE_MATRICES)
+def _eigh_pieces(freqs: int, p: int) -> int:
+    """Pieces of ``eigh`` and the root over ``freqs`` p x p frequency
+    matrices.  Not ``model.pieces``: a piece's unpacked matrices and
+    eigenvector arrays are its own, and the count bounds them per worker
+    (``_build_bytes``), also where one piece would hold them all."""
+    per_piece = max(1, min(_PIECE_MATRICES, 1024 * _PIECE_MATRICES // (p * p)))
+    return max(1, freqs // per_piece)
 
 
 def _try_embedding(params: MfbmParams, dt: float, m: int):
     """Factor of the half spectrum Lambda(f), f = 0..m/2, and its eigenvalue range.
 
-    Returns (root, lam_min, lam_max) with root the (p, p, m/2 + 1) Hermitian
-    square roots of :func:`_square_root`.  The circulant rows are real, so
-    Lambda(m - f) = conj Lambda(f) and the half spectrum has every
-    eigenvalue of the full one.  The spectrum is made one component pair
-    j <= k at a time (``_pair_spectrum``), with no (p, p, m) array of
-    blocks; ``eigh`` and the root then run on contiguous pieces of it, each
-    piece's root over its spectrum.  A piece whose matrices are not all
-    finite raises the overflow MfbmwaveError before ``eigh`` (LAPACK may not
-    converge on them), and one with an eigenvalue that is not finite before
-    its root; overflow in the kernel is not warned about.
+    Returns (diag, lower, lam_min, lam_max), the packed Hermitian square
+    roots of :func:`_square_root` (``_CirculantFactor``).  The circulant
+    rows are real, so Lambda(m - f) = conj Lambda(f) and the half spectrum
+    has every eigenvalue of the full one.  The spectrum is made one
+    component pair j <= k at a time (``_pair_spectrum``) into the packed
+    arrays, with no (p, p, m) array of blocks; ``eigh`` and the root then
+    run on contiguous pieces of it, each piece unpacked into its own
+    (f, p, p) matrices, whose upper triangle is zero and never read, and
+    its root packed over its spectrum.  A piece whose packed spectrum is
+    not all finite raises the overflow MfbmwaveError before ``eigh``
+    (LAPACK may not converge on it), and one with an eigenvalue that is not
+    finite before its root; overflow in the kernel is not warned about.
     """
     p = params.p
-    root = np.empty((p, p, m // 2 + 1), dtype=complex)
+    freqs = m // 2 + 1
+    # one block, the diagonal and then the lower triangle, freed as one
+    # mapping: glibc raises its mmap threshold to the size of a freed
+    # mapping of up to 32 MB, and a lower triangle of its own (25 MB at
+    # p = 3, m = 2^20) would move later path-sized arrays onto the heap,
+    # which keeps them (up to 40 MB more peak RSS in a process that builds,
+    # drops and rebuilds that factor)
+    block = np.empty(p * p * freqs)
+    diag = block[:p * freqs].reshape(p, freqs)
+    lower = block[p * freqs:].view(complex).reshape(-1, freqs)
     pairs = [(j, k) for j in range(p) for k in range(j, p)]
 
     def pair(lo, hi):
         for j, k in pairs[lo:hi]:
-            _pair_spectrum(params, j, k, dt, root)
+            _pair_spectrum(params, j, k, dt, diag, lower)
 
     with np.errstate(over="ignore", invalid="ignore"):
         run_pieces(pair, len(pairs), model.pieces(len(pairs), m))
-    lam = np.moveaxis(root, -1, 0)      # (m/2 + 1, p, p) view, as eigh stacks
-    freqs = lam.shape[0]
 
     def piece(lo, hi):
-        if np.isfinite(lam[lo:hi]).all():
-            evals, evecs = np.linalg.eigh(lam[lo:hi])
+        if (np.isfinite(diag[:, lo:hi]).all()
+                and np.isfinite(lower[:, lo:hi]).all()):
+            lam = np.zeros((hi - lo, p, p), dtype=complex)
+            for k in range(p):
+                lam[:, k, k] = diag[k, lo:hi]
+                for j in range(k):
+                    lam[:, k, j] = lower[_lower(k, j), lo:hi]
+            evals, evecs = np.linalg.eigh(lam)
+            del lam
             low, high = float(evals.min()), float(evals.max())
             if math.isfinite(low) and math.isfinite(high):
-                _square_root(evals, evecs, root[:, :, lo:hi])
+                _square_root(evals, evecs, diag[:, lo:hi], lower[:, lo:hi])
                 return low, high
         raise MfbmwaveError(f"the increment covariance overflows at "
                             f"dt = {dt}: its spectrum is not finite")
 
-    lows, highs = zip(*run_pieces(piece, freqs, _eigh_pieces(freqs)))
-    return root, min(lows), max(highs)
+    lows, highs = zip(*run_pieces(piece, freqs, _eigh_pieces(freqs, p)))
+    return diag, lower, min(lows), max(highs)
 
 
-def _square_root(evals: np.ndarray, evecs: np.ndarray, out: np.ndarray) -> None:
-    """Hermitian square root S(f) = V sqrt(max(D, 0)) V^H into ``out`` (p, p, f).
+def _square_root(evals: np.ndarray, evecs: np.ndarray, diag: np.ndarray,
+                 lower: np.ndarray) -> None:
+    """Hermitian square root S(f) = V sqrt(max(D, 0)) V^H, packed.
 
     Computed as U U^H with U = V max(D, 0)^(1/4), which overwrites
-    ``evecs``.  S(m - f) = conj S(f) is the square root of Lambda(m - f).
+    ``evecs``: the real part of S_ii into ``diag`` (p, f), whose imaginary
+    part is zero (each term is x conj x), and S_ik, i > k, into ``lower``
+    (p (p - 1) / 2, f).  S(m - f) = conj S(f) is the square root of
+    Lambda(m - f).
     """
     np.multiply(evecs, np.sqrt(np.sqrt(np.clip(evals, 0.0, None)))[:, None, :],
                 out=evecs)
     for i in range(evecs.shape[1]):
         for k in range(i + 1):
-            out[i, k] = np.einsum("fj,fj->f", evecs[:, i], np.conj(evecs[:, k]))
-            out[k, i] = np.conj(out[i, k])
+            s = np.einsum("fj,fj->f", evecs[:, i], np.conj(evecs[:, k]))
+            if k == i:
+                diag[i] = s.real
+            else:
+                lower[_lower(i, k)] = s
 
 
 def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
@@ -300,8 +346,8 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     falls back to clipping the offending eigenvalues with a loud report.  A
     doubling is also refused, and the clip taken, when the next size would
     exceed ``model.MEMORY_BUDGET``, the budget of ``require_bytes``.  Without
-    it MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 12 GB at
-    p = 3 on one CPU and 15 GB on two (``_build_bytes``).  An MfbmwaveError
+    it MAX_DOUBLINGS would reach m = 2^27 from n = 2^20, about 7.5 GB at
+    p = 3 on one CPU and 10 GB on two (``_build_bytes``).  An MfbmwaveError
     refuses an ``n`` or ``dt`` that fails the rules of ``model``, first; a
     first size beyond the budget (``_first_size``); a spectrum that is not
     finite (a dt at which the kernel overflows), which no doubling mends,
@@ -312,8 +358,9 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     half the lags, the two circulant rows and their rfft.  A pair is a task
     of m samples for ``model.pieces``, so from m = 2^18 (n > 2^16 + 1) each
     pair is a piece.  ``eigh`` and the square root run on pieces of about
-    4096 frequency matrices (``_eigh_pieces``), a count that bounds each
-    worker's eigenvector arrays.  ``model.run_pieces`` runs both stages on
+    4096 frequency matrices, and of about 2^22 entries from p = 33 on
+    (``_eigh_pieces``), a count that bounds each worker's unpacked matrices
+    and eigenvector arrays.  ``model.run_pieces`` runs both stages on
     the caller and one thread per further CPU.  A pair, and each matrix,
     goes through the same operations wherever it runs, so the factor and
     the report do not depend on the split or the number of threads, bit for
@@ -325,7 +372,7 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     m = _first_size(n, params.p)
     attempts = 0
     while True:
-        root, lam_min, lam_max = _try_embedding(params, dt, m)
+        diag, lower, lam_min, lam_max = _try_embedding(params, dt, m)
         if lam_min >= -EMBED_REL_TOL * lam_max:
             correction = "none"
             break
@@ -335,7 +382,7 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
             reason = (f"at size {m}: the next size needs {need} bytes, more "
                       f"than the budget of {model.MEMORY_BUDGET}")
         else:
-            del root
+            del diag, lower
             m *= 2
             attempts += 1
             continue
@@ -347,7 +394,7 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
         break
     report = EmbeddingReport(circulant_size=m, min_eigenvalue=lam_min,
                              correction=correction)
-    return _CirculantFactor(root=root, report=report)
+    return _CirculantFactor(diag=diag, lower=lower, report=report)
 
 
 @functools.lru_cache(maxsize=8)
@@ -433,7 +480,8 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     n, count = check_integer("n", n), check_integer("count", count, 1)
     seed, dt = check_seed(seed), check_step(dt)
     fac = _cached_embedding(params, n, dt)
-    m, p, root = fac.report.circulant_size, params.p, fac.root
+    m, p = fac.report.circulant_size, params.p
+    diag, lower = fac.diag, fac.lower
     half = m // 2
     scale = math.sqrt(m)
     pairs = (count + 1) // 2
@@ -503,20 +551,25 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     def colour(w, v, product, at, lo, hi):
         # v = S w at frequencies lo .. hi - 1 of the draws at: S(f) up to
         # m/2, and above it conj S(m - f) w = conj(S(m - f) conj(w)), so
-        # both halves take plain products of S
+        # both halves take plain products of S; S_ij is the real diagonal
+        # for j = i and conj S_ji above it
         for a, b in ((lo, min(hi, half + 1)), (max(lo, half + 1), hi)):
             if a >= b:
                 continue
             if a <= half:
-                s = root[:, :, a:b]
+                d, low = diag[:, a:b], lower[:, a:b]
             else:
-                s = root[:, :, m - a:m - b:-1]
+                d, low = diag[:, m - a:m - b:-1], lower[:, m - a:m - b:-1]
                 np.negative(w.imag[at, :, a:b], out=w.imag[at, :, a:b])
             for i in range(p):
-                row = np.multiply(s[i, 0], w[at, 0, a:b], out=v[at, i, a:b])
-                for j in range(1, p):
-                    row += np.multiply(s[i, j], w[at, j, a:b],
-                                       out=product[at, :b - a])
+                for j in range(p):
+                    s = (d[i] if j == i else low[_lower(i, j)] if j < i
+                         else np.conj(low[_lower(j, i)]))
+                    if j == 0:
+                        row = np.multiply(s, w[at, 0, a:b], out=v[at, i, a:b])
+                    else:
+                        row += np.multiply(s, w[at, j, a:b],
+                                           out=product[at, :b - a])
             if a > half:
                 np.conjugate(v[at, :, a:b], out=v[at, :, a:b])
 

@@ -198,9 +198,10 @@ class TestEmbeddingExitCode:
         import mfbmwave.synth as synth
 
         # not nonnegative definite at m = 64; the budget admits that build
-        # and not the doubling to 128
+        # and its synthesis, and not the doubling to 128
         assert synth._build_bytes(64, 2) < synth._build_bytes(128, 2)
-        monkeypatch.setattr(model, "MEMORY_BUDGET", synth._build_bytes(64, 2))
+        monkeypatch.setattr(model, "MEMORY_BUDGET",
+                            synth._build_bytes(128, 2) - 1)
         params = tmp_path / "p.txt"
         save_params(MfbmParams.bivariate(0.2, 0.95, rho=0.3697), params)
         cfg = write_config(tmp_path, "sim.json",

@@ -5,9 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from mfbmwave.model import MfbmParams, MfbmwaveError
+from mfbmwave.model import MfbmParams, MfbmwaveError, pack_triangles
 from mfbmwave.synth import SamplePath, simulate
-from mfbmwave.wavelets import WaveletField, gaussian_derivative, cwt
+from mfbmwave.wavelets import (HermiteWavelet, WaveletField,
+                               gaussian_derivative, cwt)
 from mfbmwave.containers import (
     ContainerError,
     MAGIC,
@@ -273,3 +274,49 @@ class TestBinary:
         f.write_bytes(bytes(raw))
         with pytest.raises(ContainerError, match="truncated"):
             load_path_file(f)
+
+
+class TestBinaryBytes:
+    """The writers give the bytes of the format spelled out with a copy of
+    each array and the coefficients interleaved by hand."""
+
+    @staticmethod
+    def head(kind, fields, *arrays):
+        return (MAGIC + struct.pack("<BH", kind, 1) + fields
+                + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                           for a in arrays))
+
+    def path_bytes(self, path):
+        params = path.params
+        return self.head(1, struct.pack("<IQdQ", params.p, path.n, path.dt,
+                                        path.seed),
+                         params.H, params.sigma, *pack_triangles(params),
+                         path.values)
+
+    def field_bytes(self, field):
+        inter = np.empty(field.coeffs.shape + (2,), dtype="<f8")
+        inter[..., 0] = field.coeffs.real
+        inter[..., 1] = field.coeffs.imag
+        return self.head(2, struct.pack("<IIQdQQ", field.p, field.scales.size,
+                                        field.shifts.size, field.dt, field.n,
+                                        field.seed),
+                         field.scales, field.shifts, inter)
+
+    def test_path_bytes(self, path):
+        view = SamplePath(params=PARAMS, n=100, dt=0.5,
+                          values=path.values[:, ::2], seed=5)
+        assert not view.values.flags.c_contiguous
+        for each in (path, view):
+            buf = io.BytesIO()
+            save_path(each, buf)
+            assert buf.getvalue() == self.path_bytes(each)
+
+    def test_field_bytes(self, path, field):
+        complex_field = cwt(path, HermiteWavelet([(1.0, 1), (0.5j, 2)]),
+                            [2.0, 4.0])
+        assert field.coeffs.dtype == float
+        assert complex_field.coeffs.dtype == complex
+        for each in (field, complex_field):
+            buf = io.BytesIO()
+            save_field(each, buf)
+            assert buf.getvalue() == self.field_bytes(each)
