@@ -311,6 +311,9 @@ class MfbmParams:
 
 
 def _check_index(params: MfbmParams, j: int, k: int) -> None:
+    """Component indices: integers (``check_integer``), else an
+    MfbmwaveError, in [0, p), else a ComponentIndexError."""
+    j, k = check_integer("j", j), check_integer("k", k)
     if not (0 <= j < params.p and 0 <= k < params.p):
         raise ComponentIndexError(
             f"component indices ({j}, {k}) out of range for p={params.p}")

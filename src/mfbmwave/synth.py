@@ -19,7 +19,6 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -132,7 +131,9 @@ class _CirculantFactor:
 
 
 def _lower(k: int, j: int) -> int:
-    """Row of entry (k, j), k > j, in a packed strict lower triangle."""
+    """Row of entry (k, j), k > j, in a packed strict lower triangle: the
+    order of ``np.tril_indices(p, -1)``, in which ``model.pack_triangles``
+    stores eta."""
     return k * (k - 1) // 2 + j
 
 
@@ -289,6 +290,7 @@ def _try_embedding(params: MfbmParams, dt: float, m: int):
     diag = block[:p * freqs].reshape(p, freqs)
     lower = block[p * freqs:].view(complex).reshape(-1, freqs)
     pairs = [(j, k) for j in range(p) for k in range(j, p)]
+    comps, (rows, cols) = np.arange(p), np.tril_indices(p, -1)  # _lower
 
     def pair(lo, hi):
         for j, k in pairs[lo:hi]:
@@ -301,10 +303,8 @@ def _try_embedding(params: MfbmParams, dt: float, m: int):
         if (np.isfinite(diag[:, lo:hi]).all()
                 and np.isfinite(lower[:, lo:hi]).all()):
             lam = np.zeros((hi - lo, p, p), dtype=complex)
-            for k in range(p):
-                lam[:, k, k] = diag[k, lo:hi]
-                for j in range(k):
-                    lam[:, k, j] = lower[_lower(k, j), lo:hi]
+            lam[:, comps, comps] = diag[:, lo:hi].T
+            lam[:, rows, cols] = lower[:, lo:hi].T
             evals, evecs = np.linalg.eigh(lam)
             del lam
             low, high = float(evals.min()), float(evals.max())
@@ -438,44 +438,44 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     by conj S(m - f) above; replicates 2k and 2k + 1 are the real and the
     imaginary half of its inverse FFT, and a trailing odd replicate takes
     only the real half.  Draws are taken in chunks of ``model.CHUNK_BYTES``
-    (at least one draw), a draw counted as its noise and the noise's complex
-    copy, 32 m p bytes.  A chunk's paths, views into one block checked once
-    (``SamplePath._of_block``), are yielded once they are made: one chunk is
-    held at any count, and checked against the memory budget before the
-    first draw.  Arguments are checked at the first next, before any factor
-    is built: ``n``, ``count`` (at least 1), ``seed`` and ``dt`` pass
+    (at least one draw), a draw counted as its noise and its coloured
+    spectrum, 32 m p bytes.  A chunk's paths, views into one block checked
+    once (``SamplePath._of_block``), are yielded once they are made: one
+    chunk is held at any count, and checked against the memory budget before
+    the first draw.  Arguments are checked at the first next, before any
+    factor is built: ``n``, ``count`` (at least 1), ``seed`` and ``dt`` pass
     the rules of ``model``.
 
-    The noise comes in units: a chunk of several draws is one unit, and a
-    draw larger than CHUNK_BYTES is cut into blocks of CHUNK_BYTES // (32 p)
-    frequencies, its real half's blocks and then its imaginary half's.  A
-    stream of two units or more, on more than one CPU (``model.workers``),
-    draws its units on one worker thread ahead of the caller when the budget
-    also holds the worker's buffers.  A real block goes into its chunk's
-    noise, an imaginary block into one of two unit buffers of 8 p bytes a
-    frequency, and a stream of two chunks or more has two noise buffers of
-    16 m p bytes a draw.  A unit is drawn into a buffer once the caller is
-    done with the buffer's last unit, the chunk two before or the imaginary
-    block two before, and every unit in stream order, so each holds the bits
-    of the serial draw.  The buffers are held until the stream ends or is
-    closed.  The thread is joined once the last chunk's units are in, before
-    its inverse FFT, so that no idle worker holds a malloc arena beside the
+    The caller colours a chunk in blocks of CHUNK_BYTES // (32 p)
+    frequencies, all m of them when the chunk holds several draws, each
+    from a block-sized complex copy of the noise, into a spectrum of its
+    own.  A stream of two chunks or more, or of one draw larger than
+    CHUNK_BYTES, on more than one CPU (``model.workers``), draws its noise
+    on one worker thread ahead of the caller when the budget also holds the
+    thread's pool and, for a second chunk, a second noise buffer.  The
+    noise then comes in units, each drawn in place into its chunk's noise
+    buffer, one of two of 16 m p bytes a draw: a chunk's draws whole, or a
+    block of a cut draw's real half and then of its imaginary half, which
+    the caller colours once it is in.  A unit is drawn once the caller is
+    done with the unit two before it, and so with the buffer's last chunk,
+    and every unit in stream order, so each holds the bits of the serial
+    draw.  The buffers are held until the stream ends or is closed.
+    The thread is joined once the last chunk's units are in, before its
+    inverse FFT, so that no idle worker holds a malloc arena beside the
     FFT's threads, and also at close() or an error; an error of a draw is
     raised at the next that wants its chunk.  Otherwise a chunk's draws are
-    drawn whole on the caller, and a chunk's noise is freed before its first
-    path is yielded.
+    drawn whole on the caller, and a chunk's noise is freed before its
+    first path is yielded.
 
-    The caller fills w and colours it as each unit comes: a whole chunk at
-    once, a cut draw an imaginary block at a time, into the chunk's noise,
-    which the real half has left by then.  The inverse FFT and cumsum run on
-    ``model.run_pieces`` in min(p, k m p // ``model.PIECE_SAMPLES``) blocks
-    of component rows for a chunk of k draws, so a single path splits from
-    n > 2^16 + 1 at p = 2 or 3 (not the rule of ``model.pieces``: a block
-    writes into arrays the call holds, and may cut below one row's
-    ``PIECE_SAMPLES``).  The cumsum runs in the paths' rows, so how the
-    threads meet does not move a chunk's peak.  A frequency takes the same
-    operations in any unit, a row in any block, and a draw the same bits on
-    any thread, so the bits do not depend on the units or the split.
+    The inverse FFT and cumsum run on ``model.run_pieces`` in
+    min(p, k m p // ``model.PIECE_SAMPLES``) blocks of component rows for a
+    chunk of k draws, so a single path splits from n > 2^16 + 1 at p = 2 or
+    3 (not the rule of ``model.pieces``: a block writes into arrays the call
+    holds, and may cut below one row's ``PIECE_SAMPLES``).  The cumsum runs
+    in the paths' rows, so how the threads meet does not move a chunk's
+    peak.  A frequency takes the same operations in any block, a row in any
+    transform block, and a draw the same bits on any thread, so the bits do
+    not depend on the units or the split.
     """
     n, count = check_integer("n", n), check_integer("count", count, 1)
     seed, dt = check_seed(seed), check_step(dt)
@@ -488,8 +488,6 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     per_chunk = max(1, model.CHUNK_BYTES // (32 * m * p))
     chunks = -(-pairs // per_chunk)
     freqs = min(m, max(1, model.CHUNK_BYTES // (32 * p)))  # m: no draw is cut
-    per_half = -(-m // freqs)               # blocks of a half of a cut draw
-    chunk_units = 1 if freqs == m else 2 * per_half
 
     def shape(first):
         # the draws, paths and transform blocks of the chunk from draw first
@@ -497,120 +495,116 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
         return (k, min(2 * k, count - 2 * first),
                 min(p, max(1, k * m * p // model.PIECE_SAMPLES)))
 
-    # the first chunk is the largest: noise, paths, temporaries, buffers
+    # the first chunk is the largest: noise, coloured spectrum, a block's
+    # copy and product, paths, temporaries
     k, reps, blocks = shape(0)
-    need = (8 * p * (4 * k * m + reps * n + k * n - k)
-            + (16 * k * (half + 1) if p > 1 else 0)
+    need = (8 * p * (4 * k * m + 2 * k * freqs + reps * n + k * n - k)
+            + (16 * k * min(freqs, half + 1) if p > 1 else 0)
             + model.workers(blocks) * 32 * min(k * p * m // 2, np.getbufsize())
             + (12 << 10))
     require_bytes(need, f"a chunk of {reps} paths of {n} points")
-    # the draw-ahead adds the other noise buffer, the unit buffers and the
-    # pool's objects
-    ahead = (chunks * chunk_units > 1 and model.workers(2) > 1
-             and need + (chunks > 1) * 16 * k * m * p
-             + (freqs < m) * 16 * freqs * p + (12 << 10)
+    # the draw-ahead adds the other noise buffer and the pool's objects
+    ahead = ((chunks > 1 or freqs < m) and model.workers(2) > 1
+             and need + (chunks > 1) * 16 * k * m * p + (12 << 10)
              <= model.MEMORY_BUDGET)
-    if not ahead:
-        freqs, chunk_units = m, 1
+    # a cut draw is coloured in rows of the one draw: numpy takes another
+    # loop, with other bits, for a (1, 1) operand of a one-frequency block
+    at = 0 if freqs < m else slice(None)
     rng = np.random.Generator(np.random.Philox(key=seed))
     firsts = range(0, pairs, per_chunk)
 
-    def plan():
-        # the units in stream order, (chunk, side, lo, hi): side None for a
-        # chunk's draws whole, 0 and 1 for a block of a draw's real and
-        # imaginary half, of frequencies lo .. hi - 1
-        for chunk in range(chunks):
-            if freqs == m:
-                yield chunk, None, 0, m
-                continue
-            for side in (0, 1):
-                for lo in range(0, m, freqs):
-                    yield chunk, side, lo, min(lo + freqs, m)
+    def units():
+        # a chunk's units in stream order, (side, lo, hi): side None for the
+        # chunk's draws whole, 0 and 1 for a block of a cut draw's real and
+        # imaginary half drawn ahead, of frequencies lo .. hi - 1
+        if not ahead or freqs == m:
+            yield None, 0, m
+            return
+        for side in (0, 1):
+            for lo in range(0, m, freqs):
+                yield side, lo, min(lo + freqs, m)
 
-    def draw(chunk, side, lo, hi):
-        if side is None:
-            k = shape(firsts[chunk])[0]
-            return rng.standard_normal(
-                (k, 2, m, p), out=noise[chunk % 2, :k] if ahead else None)
-        out = (noise[chunk % 2, :, 0, lo:hi] if side == 0 else
-               unit_noise[(chunk * per_half + lo // freqs) % 2, :, :hi - lo])
-        return rng.standard_normal(out.shape, out=out)
+    def draw(z, side, lo, hi):
+        # a unit in place in its chunk's noise z, (k, 2, m, p)
+        out = z if side is None else z[:, side, lo:hi]
+        rng.standard_normal(out.shape, out=out)
 
-    done = taken = 0    # chunks transformed, units copied into w
+    taken = 0           # units the caller is done with
     drawn = deque()     # the units drawn ahead, in stream order
 
     def feed():
-        # submit each unit once the unit two before it is copied, which
-        # frees an imaginary block's buffer, and a chunk's noise once the
-        # chunk two before it is done
-        for u, (chunk, side, lo, hi) in enumerate(plan()):
-            while u >= taken + 2 or side != 1 and chunk >= done + 2:
-                yield
-            drawn.append(pool.submit(draw, chunk, side, lo, hi))
+        # submit each unit once the caller is done with the unit two before
+        # it, and so with the chunk two before, the last in the unit's buffer
+        u = 0
+        for chunk, first in enumerate(firsts):
+            z = noise[chunk % 2, :shape(first)[0]]
+            for unit in units():
+                while u >= taken + 2:
+                    yield
+                drawn.append(pool.submit(draw, z, *unit))
+                u += 1
 
-    def colour(w, v, product, at, lo, hi):
-        # v = S w at frequencies lo .. hi - 1 of the draws at: S(f) up to
-        # m/2, and above it conj S(m - f) w = conj(S(m - f) conj(w)), so
-        # both halves take plain products of S; S_ij is the real diagonal
-        # for j = i and conj S_ji above it
+    def colour(z, w, v, product, lo, hi):
+        # v = S w at frequencies lo .. hi - 1, w the block's complex copy of
+        # the noise z: S(f) up to m/2, and above it conj S(m - f) w =
+        # conj(S(m - f) conj(w)), so both halves take plain products of S;
+        # S_ij is the real diagonal for j = i and conj S_ji above it
+        w = w[:, :, :hi - lo]
+        w.real = z[:, 0, lo:hi].transpose(0, 2, 1)
+        w.imag = z[:, 1, lo:hi].transpose(0, 2, 1)
         for a, b in ((lo, min(hi, half + 1)), (max(lo, half + 1), hi)):
             if a >= b:
                 continue
+            wa, va = w[at, :, a - lo:b - lo], v[at, :, a:b]
             if a <= half:
                 d, low = diag[:, a:b], lower[:, a:b]
             else:
                 d, low = diag[:, m - a:m - b:-1], lower[:, m - a:m - b:-1]
-                np.negative(w.imag[at, :, a:b], out=w.imag[at, :, a:b])
+                np.negative(wa.imag, out=wa.imag)
             for i in range(p):
                 for j in range(p):
                     s = (d[i] if j == i else low[_lower(i, j)] if j < i
                          else np.conj(low[_lower(j, i)]))
                     if j == 0:
-                        row = np.multiply(s, w[at, 0, a:b], out=v[at, i, a:b])
+                        row = np.multiply(s, wa[..., 0, :], out=va[..., i, :])
                     else:
-                        row += np.multiply(s, w[at, j, a:b],
+                        row += np.multiply(s, wa[..., j, :],
                                            out=product[at, :b - a])
             if a > half:
-                np.conjugate(v[at, :, a:b], out=v[at, :, a:b])
+                np.conjugate(va, out=va)
 
     if ahead:
         from concurrent.futures import ThreadPoolExecutor
         noise = np.empty((min(2, chunks), per_chunk, 2, m, p))
-        unit_noise = np.empty((2, 1, freqs, p)) if freqs < m else None
         pool = ThreadPoolExecutor(1)
     feeder = feed() if ahead else iter(())
-    todo = plan()
     try:
         next(feeder, None)
         for chunk, first in enumerate(firsts):
             k, reps, blocks = shape(first)
-            w = np.empty((k, p, m), dtype=complex)
+            z = noise[chunk % 2, :k] if ahead else np.empty((k, 2, m, p))
+            v = np.empty((k, p, m), dtype=complex)
+            w = np.empty((k, p, freqs), dtype=complex)
             product = np.empty((k, min(freqs, half + 1) if p > 1 else 0),
                                dtype=complex)
-            at = slice(None)
-            if freqs < m:
-                # the coloured noise overwrites the real half, which w holds
-                # by then, in rows of the one draw: numpy takes another loop,
-                # with other bits, for (1, 1) operands
-                at = 0
-                v = noise[chunk % 2].reshape(-1).view(complex).reshape(k, p, m)
-            for unit in islice(todo, chunk_units):
-                _, side, lo, hi = unit
-                z = drawn.popleft().result() if ahead else draw(*unit)
-                if side is None:    # the coloured noise overwrites the draw
-                    v = z.reshape(-1).view(complex).reshape(k, p, m)
-                    w.real = z[:, 0].transpose(0, 2, 1)
-                    w.imag = z[:, 1].transpose(0, 2, 1)
+            for side, lo, hi in units():
+                if ahead:
+                    drawn.popleft().result()
                 else:
-                    (w.imag if side else w.real)[:, :, lo:hi] = \
-                        z.transpose(0, 2, 1)
+                    draw(z, side, lo, hi)
+                if side == 0:
+                    # nothing to colour until the imaginary half is in: the
+                    # block's spectrum pages are faulted in now, while the
+                    # worker draws, not while the caller colours
+                    v[..., lo:hi] = 0.0
+                else:
+                    for a in range(lo, hi, freqs):
+                        colour(z, w, v, product, a, min(a + freqs, hi))
                 taken += 1
                 next(feeder, None)
-                if side != 0:
-                    colour(w, v, product, at, lo, hi)
             if ahead and chunk == chunks - 1:
                 pool.shutdown()     # all drawn: no worker beside the split
-            # after the noise, so that the freed noise is no heap top to trim
+            del z, w, product   # the noise, on the caller, before the paths
             out = np.empty((reps, p, n))
             out[:, :, 0] = 0.0
 
@@ -625,9 +619,7 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                     np.add.accumulate(paths, axis=-1, out=paths)
 
             run_pieces(transform, p, blocks)
-            done += 1
-            next(feeder, None)
-            del z, w, v, product    # not held while the caller works on paths
+            del v               # not held while the caller works on paths
             yield from SamplePath._of_block(params, n, dt, out, seed)
             del out             # nor the paths, once the caller drops them
     finally:
@@ -641,9 +633,10 @@ def simulate(params: MfbmParams, n: int, dt: float, seed: int):
     Returns (SamplePath, EmbeddingReport).  The path is replicate 0 of
     ``iter_ensemble`` with the same seed (seed scheme 3): the real half of
     the first noise draw of the Philox stream keyed by the seed, so results
-    do not depend on scheduling.  On more than one CPU a draw of more than
-    ``model.CHUNK_BYTES`` (32 m p bytes: n > 2^14 + 1, 2^13 + 1 and 2^12 + 1
-    at p = 1, 2 and 3) is drawn in units on a worker thread ahead of its
+    do not depend on scheduling.  A draw of more than ``model.CHUNK_BYTES``
+    (32 m p bytes: n > 2^14 + 1, 2^13 + 1 and 2^12 + 1 at p = 1, 2 and 3)
+    is coloured in blocks of frequencies; on more than one CPU a worker
+    thread draws those blocks in place into the draw's noise, ahead of the
     colouring, and the inverse FFT is split by component rows from
     n > 2^16 + 1 at p = 2 or 3, with the bits of the serial path; the
     speed-up has been measured on 2 CPUs only.

@@ -204,6 +204,29 @@ class TestErrorHierarchy:
                 kernel_w(params, j, k, 1.0)
             assert isinstance(err.value, IndexError)
 
+    @pytest.mark.parametrize("index", [0.5, True, "0"])
+    def test_index_must_be_an_integer(self, index):
+        from mfbmwave import MfbmwaveError
+        from mfbmwave.wavelets import gaussian_derivative
+        from mfbmwave.wavstats import WaveletCovQuery, theoretical_wavelet_cov
+
+        params = MfbmParams.bivariate(0.3, 0.4)
+        calls = [lambda j, k: kernel_w(params, j, k, 1.0),
+                 lambda j, k: cross_covariance(params, j, k, 1.0, 2.0),
+                 lambda j, k: increment_cross_covariance(params, j, k, 1.0),
+                 lambda j, k: zeta(params, j, k, 1.0),
+                 lambda j, k: theoretical_wavelet_cov(
+                     WaveletCovQuery(j, k, 1.0, 1.0), params,
+                     gaussian_derivative(1))]
+        for call in calls:
+            for j, k, name in ((index, 1, "j"), (1, index, "k")):
+                with pytest.raises(MfbmwaveError,
+                                   match=f"{name} must be an integer") as err:
+                    call(j, k)
+                assert not isinstance(err.value, IndexError)
+        # numpy integers pass
+        assert kernel_w(params, np.int64(1), np.int32(0), 0.0) == 0.0
+
 
 class TestKernel:
     def test_brownian_diagonal(self):

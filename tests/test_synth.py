@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from mfbmwave.model import (
     MfbmParams,
@@ -394,10 +395,26 @@ def test_ensemble_values_pinned(params, n, seed, count, digest):
     assert synth.SEED_SCHEME == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_small_streams_pinned(monkeypatch, workers):
+    # n <= 5: a half spectrum of one or two frequencies above m/2, where the
+    # colouring's operand shapes decide the last bits; counts 1-5 are chunks
+    # of one to three draws
+    split(monkeypatch, synth._PIECE_MATRICES, workers)
+    h = hashlib.sha256()
+    for params in (BRANCHES[1, False], POWER_PAIR, TRIVARIATE):
+        for n in (2, 3, 5):
+            for count in range(1, 6):
+                for path in synth.iter_ensemble(params, n, 1.0, 41, count):
+                    h.update(path.values.tobytes())
+    assert h.hexdigest() == ("9e8cb933957ad1298f85e2262f7539ef"
+                             "e4ee8f9fc43a8fecbe9e887abf9f94da")
+
+
 class TestDrawAhead:
-    """A stream of two chunks or more draws its noise on one worker thread,
-    ahead of the caller, when there are two CPUs, with the bits of the
-    serial draw."""
+    """A stream of two chunks or more, or of one cut draw, draws its noise
+    on one worker thread, ahead of the caller, when there are two CPUs,
+    in place into two noise buffers, with the bits of the serial draw."""
 
     # n = 4096: chunks of two draws, 11 paths in three; n = 1000 at p = 3:
     # chunks of five draws, 31 paths in four, the last of one draw
@@ -549,10 +566,10 @@ class TestDrawAhead:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("ahead", [False, True])
-    def test_budget_without_the_unit_buffers(self, monkeypatch, ahead):
-        # a budget that holds the serial chunk of a long draw but not the
-        # draw-ahead's two unit buffers draws on the caller, one that holds
-        # them on the worker, with the same bits
+    def test_budget_short_of_the_draw_ahead(self, monkeypatch, ahead):
+        # a budget one byte short of a cut draw's draw-ahead, the serial
+        # chunk and the pool's objects, draws on the caller, one that holds
+        # it on the worker, with the same bits
         params, n = LOG_PAIR, 10000
         split(monkeypatch, synth._PIECE_MATRICES, 1)
         inline = stacked_values(synth.iter_ensemble(params, n, 1.0, 32, 2))
@@ -584,6 +601,31 @@ class TestDrawAhead:
         assert len(got) == paths
         assert threading.active_count() == before
 
+    # four chunks of whole draws, and two cut draws of four units each
+    @pytest.mark.parametrize("stream, seed, units, draws", [
+        (STREAMS[1], 28, 1, 4), (LONG[1], 32, 4, 8)],
+        ids=["p3-n1000", "p2-stream"])
+    def test_units_drawn_in_place(self, monkeypatch, stream, seed, units,
+                                  draws):
+        # every unit, a chunk's draws whole or a block of a cut draw's real or
+        # imaginary half, is drawn in place into its chunk's noise buffer,
+        # one of the stream's two
+        params, n, count, digest = stream[:3] + stream[-1:]
+        split(monkeypatch, synth._PIECE_MATRICES, 2)
+        outs = []
+        record_draws(monkeypatch, outs=outs)
+        values = stacked_values(synth.iter_ensemble(params, n, 1.0, seed,
+                                                    count))
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+        (noise,) = {id(out.base): out.base for out in outs}.values()
+        first, size = byte_bounds(noise)[0], noise[0].nbytes
+        held = []
+        for out in outs:
+            lo, hi = byte_bounds(out)
+            assert (lo - first) // size == (hi - 1 - first) // size
+            held.append((lo - first) // size)
+        assert held == [u // units % 2 for u in range(draws)]
+
     def test_close_after_the_first_path_of_a_long_path(self, monkeypatch):
         # the worker that drew the units is joined once the last unit is
         # in, before the inverse FFT's split and the first path
@@ -603,9 +645,10 @@ def refuse_thread(thread):
     raise AssertionError("thread started")
 
 
-def record_draws(monkeypatch, fail_at=None):
+def record_draws(monkeypatch, fail_at=None, outs=None):
     """Record (chunk draws, thread) of every noise draw of the streams made
-    from here on; draw number ``fail_at`` raises a FloatingPointError."""
+    from here on, and its ``out`` array into the list ``outs`` if one is
+    given; draw number ``fail_at`` raises a FloatingPointError."""
     draws, generator = [], np.random.Generator
 
     class Recording:
@@ -614,6 +657,8 @@ def record_draws(monkeypatch, fail_at=None):
 
         def standard_normal(self, size, **kwargs):
             draws.append((size[0], threading.get_ident()))
+            if outs is not None:
+                outs.append(kwargs.get("out"))
             if len(draws) == fail_at:
                 raise FloatingPointError("forced draw failure")
             return self.rng.standard_normal(size, **kwargs)
@@ -766,20 +811,20 @@ def build_bytes(m, p):
 
 
 def chunk_bytes(k, reps, m, p, n, ahead, chunks=3):
-    """The draw and its complex copy, the chunk's paths and the scaled half
-    of a cumsum, one colouring product at p > 1, per transform worker two
-    complex ufunc buffers, and 12 KB of small objects; when ``ahead``, the
-    draw-ahead's second noise buffer if there is a second chunk, its two
-    unit buffers if a draw is cut into units, and 12 KB more for its thread
+    """The draw and its coloured spectrum, a colouring block's complex copy
+    of the noise and, at p > 1, its product, the chunk's paths and the
+    scaled half of a cumsum, per transform worker two complex ufunc buffers,
+    and 12 KB of small objects; when ``ahead``, the draw-ahead's second
+    noise buffer if there is a second chunk, and 12 KB more for its thread
     pool."""
     blocks = min(p, max(1, k * m * p // model.PIECE_SAMPLES))
-    product = 16 * k * (m // 2 + 1) if p > 1 else 0
-    buffers = 2 * 16 * min(k * p * m // 2, 8192)
     freqs = min(m, max(1, model.CHUNK_BYTES // (32 * p)))
-    draw_ahead = ((chunks > 1) * 16 * k * m * p + (freqs < m) * 16 * freqs * p
-                  + 12288)
-    return (2 * 16 * k * m * p + reps * p * n * 8 + k * p * (n - 1) * 8
-            + product + model.workers(blocks) * buffers + 12288
+    block = 16 * k * p * freqs
+    product = 16 * k * min(freqs, m // 2 + 1) if p > 1 else 0
+    buffers = 2 * 16 * min(k * p * m // 2, 8192)
+    draw_ahead = (chunks > 1) * 16 * k * m * p + 12288
+    return (2 * 16 * k * m * p + block + product + reps * p * n * 8
+            + k * p * (n - 1) * 8 + model.workers(blocks) * buffers + 12288
             + ahead * draw_ahead)
 
 
@@ -896,8 +941,7 @@ class TestMemory:
         twice it.  The next chunks peak no higher once their paths are
         dropped.  When its first path is yielded the stream holds the
         chunk's paths and, on more than one CPU, the two noise buffers of
-        the draw-ahead and its unit buffers if a draw is cut into units; on
-        one CPU the noise is freed."""
+        the draw-ahead; on one CPU the noise is freed."""
         simulate(params, n, 1.0, seed=3)        # the factor, cached
         m = embedding_report(params, n, 1.0).circulant_size
         p = params.p
@@ -926,12 +970,9 @@ class TestMemory:
             stream.close()
         assert peak <= need <= 2.0 * peak
         assert later <= peak + (4 << 10)
-        # the draw-ahead: two noise buffers, the unit buffers and its
-        # thread's pool
-        freqs = min(m, max(1, model.CHUNK_BYTES // (32 * p)))
+        # the draw-ahead: two noise buffers and its thread's pool
         assert held <= (8 * 2 * k * p * n
-                        + ahead * (2 * 16 * k * m * p
-                                   + (freqs < m) * 16 * freqs * p + (12 << 10))
+                        + ahead * (2 * 16 * k * m * p + (12 << 10))
                         + (4 << 10))
 
     def test_first_size_over_budget(self, monkeypatch):
@@ -1065,6 +1106,14 @@ class TestPieces:
             warnings.simplefilter("ignore", RuntimeWarning)  # CLIPPED
             fac = build_embedding(params, n, 1.0)
         assert digest(fac) == pinned
+
+    def test_lower_enumerates_tril_indices(self):
+        # the packed order of the factor, which _try_embedding unpacks by
+        # np.tril_indices
+        for p in range(1, 65):
+            rows, cols = np.tril_indices(p, -1)
+            assert ([synth._lower(k, j) for k, j in zip(rows, cols)]
+                    == list(range(p * (p - 1) // 2)))
 
     @pytest.mark.slow
     def test_factor_pinned_where_split(self):
