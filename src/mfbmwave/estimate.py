@@ -92,11 +92,12 @@ def jackknife_se(values: np.ndarray):
 
 def _check_lags(lags, n_shifts=None) -> None:
     """The lag grid of a covariance estimate holds finite integral numbers,
-    lag 0 among them and, given the number of shifts, no |lag| >= n_shifts."""
-    values = np.ravel(lags).tolist()
+    not bool, lag 0 among them and, given n_shifts, no |lag| >= n_shifts."""
+    values = np.ravel(np.asarray(lags, dtype=object)).tolist()  # bool kept
     for lag in values:
-        if not (isinstance(lag, int)
-                or isinstance(lag, float) and lag.is_integer()):
+        if isinstance(lag, bool) or not (
+                isinstance(lag, (int, np.integer))
+                or isinstance(lag, (float, np.floating)) and lag.is_integer()):
             raise MfbmwaveError(f"lags must be finite integral numbers, "
                                 f"got {lag!r}")
     if 0 not in values:

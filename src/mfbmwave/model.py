@@ -11,7 +11,8 @@ admissibility (existence) test, whose matrix is Gamma(H_j + H_k + 1) zeta_jk
 at negative frequency.  Beside the memory budget and the chunk size of the
 streamed stages it holds the runner that the synthesis and the wavelet
 transform use to run large pieces of work on threads, and the one rule each
-of a sampling step, a size and a seed that every entry point applies.
+of a sampling step or scale, a finite lag, shift or frequency, an integer
+and a seed that every entry point applies.
 """
 
 from __future__ import annotations
@@ -94,16 +95,26 @@ def require_bytes(need: int, what: str) -> None:
                             f"{MEMORY_BUDGET}")
 
 
-def check_step(dt) -> float:
-    """A sampling step as a float: a real number, not ``bool``, that is
-    positive and finite as a float; else an MfbmwaveError."""
-    if isinstance(dt, numbers.Real) and not isinstance(dt, bool):
+def check_step(name: str, value) -> float:
+    """A step or scale as a float: a real number, not ``bool``, that is
+    positive and finite as a float; else an MfbmwaveError naming ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
-            if 0.0 < (step := float(dt)) < math.inf:
+            if 0.0 < (step := float(value)) < math.inf:
                 return step
         except OverflowError:           # an int too large for a float
             pass
-    raise MfbmwaveError(f"dt must be positive and finite, got {dt!r}")
+    raise MfbmwaveError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_finite(name: str, value) -> np.ndarray:
+    """A lag, a shift or a frequency, or an array of them, as a float array:
+    real numbers, not ``bool``, finite as floats; else an MfbmwaveError
+    naming ``name``."""
+    array = np.asarray(value)           # an int too large for a float: object
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise MfbmwaveError(f"{name} must be finite, got {value!r}")
+    return array.astype(float, copy=False)
 
 
 def check_integer(name: str, value, least: int | None = None) -> int:
@@ -384,7 +395,7 @@ def increment_cross_covariance(params: MfbmParams, j: int, k: int, h, dt: float 
     self-similar scaling dt^(H_j+H_k) gamma_jk(h at unit step).  ``dt``
     passes ``check_step``.
     """
-    dt = check_step(dt)
+    dt = check_step("dt", dt)
     _check_index(params, j, k)
     h_arr = np.asarray(h, dtype=float)
     c = 0.5 * params.sigma[j] * params.sigma[k]

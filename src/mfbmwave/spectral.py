@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MfbmParams, MfbmwaveError, require_bytes, zeta
+from .model import (MfbmParams, MfbmwaveError, _check_index, check_finite,
+                    check_integer, check_step, require_bytes, zeta)
 from .quadrature import quad_checked, quad_complex
 from .wavelets import HermiteWavelet
 from .wavstats import WaveletCovQuery, theoretical_wavelet_cov
@@ -51,12 +52,14 @@ _DENSITY_BYTES = 8 + 16 + 16 + 8 + 3 * 16
 def make_log_omega_grid(w_min: float = 1e-4, w_max: float = 1e3,
                         points_per_decade: int = 64) -> np.ndarray:
     """Symmetric log-spaced frequency grid excluding zero."""
-    if not (0.0 < w_min < w_max and w_max / w_min < math.inf):
-        raise MfbmwaveError(f"need 0 < w_min < w_max with a finite ratio, got "
-                            f"w_min = {w_min}, w_max = {w_max}")
-    if not (points_per_decade > 0 and 10.0 ** (1 / points_per_decade) > 1.0):
-        raise MfbmwaveError(f"points_per_decade must be positive and give "
-                            f"distinct grid points, got {points_per_decade}")
+    w_min, w_max = check_step("w_min", w_min), check_step("w_max", w_max)
+    if not w_min < w_max:
+        raise MfbmwaveError(f"need w_min < w_max, got {w_min}, {w_max}")
+    check_step("w_max / w_min", w_max / w_min)
+    points_per_decade = check_integer("points_per_decade", points_per_decade, 1)
+    if not 10.0 ** (1 / points_per_decade) > 1.0:
+        raise MfbmwaveError(f"points_per_decade must give distinct grid "
+                            f"points, got {points_per_decade}")
     n = max(2, int(math.ceil(math.log10(w_max / w_min) * points_per_decade)))
     require_bytes(2 * n * _DENSITY_BYTES, f"a grid of {2 * n} frequencies and "
                   f"the working set of their spectral density")
@@ -65,8 +68,8 @@ def make_log_omega_grid(w_min: float = 1e-4, w_max: float = 1e3,
 
 
 def _zero_free(omegas) -> np.ndarray:
-    """``omegas`` as a float array; an MfbmwaveError if it holds w = 0."""
-    omegas = np.asarray(omegas, dtype=float)
+    """``omegas`` as a finite float array; an MfbmwaveError if it holds 0."""
+    omegas = check_finite("omegas", omegas)
     if np.any(omegas == 0.0):
         raise MfbmwaveError("zero frequency is excluded; its limit is "
                             "described by zero_frequency_behavior")
@@ -102,6 +105,7 @@ def _spectral_density(query: WaveletCovQuery, params: MfbmParams,
     psi_hat(a1 w) and psi_hat(a2 w) as given, for a caller that has them.
     """
     j, k, a1, a2 = query.j, query.k, query.a1, query.a2
+    _check_index(params, j, k)
     alpha = params.alpha(j, k)
     pref = float(math.sqrt(a1 * a2) * params.sigma[j] * params.sigma[k]
                  * math.gamma(alpha + 1.0))
@@ -149,6 +153,7 @@ def zero_frequency_behavior(query: WaveletCovQuery, params: MfbmParams,
     Taylor coefficient psi_hat^(M)(0) / M! of the transform at zero.
     """
     j, k, a1, a2 = query.j, query.k, query.a1, query.a2
+    _check_index(params, j, k)
     alpha = params.alpha(j, k)
     M = wavelet.vanishing_moments
     lead = abs(wavelet.ft_leading_coeff) ** 2
@@ -191,6 +196,7 @@ def coherence(query: WaveletCovQuery, params: MfbmParams, wavelet: HermiteWavele
     """Both coherences of the query on ``omegas``, a grid without w = 0."""
     j, k, a1, a2 = query.j, query.k, query.a1, query.a2
     omegas = _zero_free(omegas)
+    S = _spectral_density(query, params, wavelet)
     alpha = params.alpha(j, k)
     z = zeta(params, j, k, omegas)
     g_ratio = (math.gamma(alpha + 1.0) ** 2
@@ -201,7 +207,7 @@ def coherence(query: WaveletCovQuery, params: MfbmParams, wavelet: HermiteWavele
     phase = (f1 * np.conj(f2)) / (np.conj(f1) * f2)
     closed = np.abs(z) ** 2 * g_ratio * phase
 
-    s12 = _spectral_density(query, params, wavelet)(omegas, f1, f2)
+    s12 = S(omegas, f1, f2)
     s11 = _spectral_density(WaveletCovQuery(j, j, a1, a1), params,
                             wavelet)(omegas, f1, f1)
     s22 = _spectral_density(WaveletCovQuery(k, k, a2, a2), params,
@@ -400,10 +406,10 @@ def inverse_spectral_cov(query: WaveletCovQuery, params: MfbmParams,
     (``_spectral_density``) and evaluated in plain floats at each QUADPACK
     point, with the phase exp(i w h) from ``cmath.exp``.
     """
-    j, k = query.j, query.k
-    alpha = params.alpha(j, k)
-    W = _ft_cutoff(wavelet, query.a1, query.a2, alpha)
+    check_finite("lag h", h)
     S = _spectral_density(query, params, wavelet)
+    alpha = params.alpha(query.j, query.k)
+    W = _ft_cutoff(wavelet, query.a1, query.a2, alpha)
     # at h != 0 the integrable |w|^(2M-1-alpha) head is split from the
     # oscillatory part at w0
     w0 = min(0.5, 0.5 / abs(h), W / 4.0) if h != 0.0 else None

@@ -74,7 +74,7 @@ class SamplePath:
     seed: int
 
     def __post_init__(self):
-        n, dt = check_integer("n", self.n), check_step(self.dt)
+        n, dt = check_integer("n", self.n), check_step("dt", self.dt)
         seed, values = check_seed(self.seed), np.asarray(self.values, float)
         self._check(self.params, n, values[None])
         vars(self).update(n=n, dt=dt, values=values, seed=seed)
@@ -368,7 +368,7 @@ def build_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor:
     (about 1.3 times on ``eigh`` and the root); how the build scales on more
     CPUs, or under a CPU quota below the affinity mask, is not known.
     """
-    n, dt = check_integer("n", n), check_step(dt)
+    n, dt = check_integer("n", n), check_step("dt", dt)
     m = _first_size(n, params.p)
     attempts = 0
     while True:
@@ -416,7 +416,7 @@ def _cached_embedding(params: MfbmParams, n: int, dt: float) -> _CirculantFactor
 
 def embedding_report(params: MfbmParams, n: int, dt: float) -> EmbeddingReport:
     return _cached_embedding(params, check_integer("n", n),
-                             check_step(dt)).report
+                             check_step("dt", dt)).report
 
 
 def derive_seed(seed: int, replicate: int) -> int:
@@ -478,7 +478,7 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     not depend on the units or the split.
     """
     n, count = check_integer("n", n), check_integer("count", count, 1)
-    seed, dt = check_seed(seed), check_step(dt)
+    seed, dt = check_seed(seed), check_step("dt", dt)
     fac = _cached_embedding(params, n, dt)
     m, p = fac.report.circulant_size, params.p
     diag, lower = fac.diag, fac.lower
@@ -507,9 +507,6 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
     ahead = ((chunks > 1 or freqs < m) and model.workers(2) > 1
              and need + (chunks > 1) * 16 * k * m * p + (12 << 10)
              <= model.MEMORY_BUDGET)
-    # a cut draw is coloured in rows of the one draw: numpy takes another
-    # loop, with other bits, for a (1, 1) operand of a one-frequency block
-    at = 0 if freqs < m else slice(None)
     rng = np.random.Generator(np.random.Philox(key=seed))
     firsts = range(0, pairs, per_chunk)
 
@@ -548,7 +545,11 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
         # v = S w at frequencies lo .. hi - 1, w the block's complex copy of
         # the noise z: S(f) up to m/2, and above it conj S(m - f) w =
         # conj(S(m - f) conj(w)), so both halves take plain products of S;
-        # S_ij is the real diagonal for j = i and conj S_ji above it
+        # S_ij is the real diagonal for j = i and conj S_ji above it.  A chunk
+        # of one draw is coloured in its rows, as numpy gives a (1, 1) operand
+        # other bits than (k, 1) or (1,) ones; and w is conjugated, as numpy's
+        # in-place negative misreads wa.imag at m = 4, a 64-byte stride
+        at = 0 if len(w) == 1 else slice(None)
         w = w[:, :, :hi - lo]
         w.real = z[:, 0, lo:hi].transpose(0, 2, 1)
         w.imag = z[:, 1, lo:hi].transpose(0, 2, 1)
@@ -560,7 +561,7 @@ def iter_ensemble(params: MfbmParams, n: int, dt: float, seed: int,
                 d, low = diag[:, a:b], lower[:, a:b]
             else:
                 d, low = diag[:, m - a:m - b:-1], lower[:, m - a:m - b:-1]
-                np.negative(wa.imag, out=wa.imag)
+                np.conjugate(wa, out=wa)
             for i in range(p):
                 for j in range(p):
                     s = (d[i] if j == i else low[_lower(i, j)] if j < i

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import (MfbmwaveError, check_integer, check_seed, check_step,
-                    require_bytes)
+from .model import (MfbmwaveError, check_finite, check_integer, check_seed,
+                    check_step, require_bytes)
 
 # Standardized truncation radius: wavelet support is treated as |t| <= 10,
 # where the Gaussian-derivative mass is < 1e-20.
@@ -49,14 +49,14 @@ def _hermite_unit(K: int, x):
 class HermiteWavelet:
     """Linear combination of Gaussian-derivative atoms, the one analyzing wavelet.
 
-    ``terms`` is a sequence of (coefficient, order) pairs with distinct
-    orders; the vanishing-moment order of the combination is the smallest
-    atom order present.  ``eval`` is the time domain, ``eval_ft`` the
-    frequency domain with psi_hat(w) = int psi(t) exp(-i w t) dt.
+    ``terms`` is a sequence of (finite coefficient, integer order) pairs,
+    orders distinct; the vanishing-moment order of the combination is the
+    smallest atom order present.  ``eval`` is the time domain, ``eval_ft``
+    the frequency domain with psi_hat(w) = int psi(t) exp(-i w t) dt.
     """
 
     def __init__(self, terms):
-        terms = [(complex(c), int(m)) for c, m in terms]
+        terms = [(complex(c), check_integer("atom order", m)) for c, m in terms]
         if not terms:
             raise MfbmwaveError("at least one atom required")
         orders = [m for _, m in terms]
@@ -69,6 +69,7 @@ class HermiteWavelet:
                                 "(Hermite recurrence conditioning)")
         if any(c == 0 for c, _ in terms):
             raise MfbmwaveError("zero coefficients are not allowed")
+        check_finite("coefficients", [(c.real, c.imag) for c, _ in terms])
         self.terms = sorted(terms, key=lambda cm: cm[1])
         self.vanishing_moments = self.terms[0][1]
         self.is_real = all(c.imag == 0.0 for c, _ in self.terms)
@@ -187,8 +188,8 @@ class WaveletField:
 
     coeffs: np.ndarray          # shape (p, n_scales, n_shifts); float64 from a
                                 # real wavelet, complex128 from a complex one
-    scales: np.ndarray          # finite, strictly positive, ascending
-    shifts: np.ndarray          # shift times b on the sampling grid; cwt
+    scales: np.ndarray          # positive and finite (check_step), ascending
+    shifts: np.ndarray          # finite shift times b (check_finite); cwt
                                 # takes any, empirical_wavelet_cov needs
                                 # them uniform and ascending
     dt: float                   # sampling step of the source path
@@ -200,18 +201,16 @@ class WaveletField:
         coeffs = coeffs.astype(complex if np.iscomplexobj(coeffs) else float,
                                copy=False)
         scales = np.asarray(self.scales, dtype=float)
-        shifts = np.asarray(self.shifts, dtype=float)
+        shifts = check_finite("shifts", self.shifts)
         if coeffs.ndim != 3 or scales.ndim != 1 or coeffs.shape[1] != scales.size \
                 or coeffs.shape[2] != shifts.size:
             raise MfbmwaveError("coefficient array inconsistent with scale/shift grids")
-        # plain floats; NaN fails both comparisons
-        s = scales.tolist()
-        if not (all(0.0 < a < math.inf for a in s)
-                and all(a < b for a, b in zip(s, s[1:]))):
-            raise MfbmwaveError("scales must be finite, strictly positive and sorted")
+        s = [check_step("scales", a) for a in self.scales]   # bool refused
+        if not all(a < b for a, b in zip(s, s[1:])):
+            raise MfbmwaveError(f"scales must be ascending and distinct, got {s}")
         seed = None if self.seed is None else check_seed(self.seed)
         vars(self).update(coeffs=coeffs, scales=scales, shifts=shifts,
-                          dt=check_step(self.dt),
+                          dt=check_step("dt", self.dt),
                           n=check_integer("n", self.n, 1), seed=seed)
 
     @property
@@ -243,26 +242,26 @@ def shift_margin(scale: float, dt: float) -> int:
 
 def valid_shift_range(n: int, dt: float, scale: float) -> tuple[int, int]:
     """Inclusive index range [lo, hi] of admissible shifts for one scale."""
-    L = shift_margin(scale, dt)
-    lo, hi = L, n - 1 - L
-    if lo > hi:
+    # the margin x as a float, before an int is made of it: lo > hi exactly
+    # when ceil(x) > (n - 1) // 2, that is when x is, and an infinite x too
+    if TRUNCATION_RADIUS * float(scale) / dt > (n - 1) // 2:
         raise GridError(f"path too short for scale {scale}: no admissible shifts")
-    return lo, hi
+    L = shift_margin(scale, dt)
+    return L, n - 1 - L
 
 
 def _grid(n: int, dt: float, scales, shifts):
     """Sorted scales and shift indices of a transform, checked against the path."""
-    dt = check_step(dt)
-    scales = np.sort(np.atleast_1d(np.asarray(scales, dtype=float)))
-    if scales.size == 0 or not np.all(np.isfinite(scales)):
-        raise GridError(f"scales must be a non-empty list of finite values, "
-                        f"got {scales.tolist()}")
+    dt = check_step("dt", dt)
+    scales = np.sort([check_step("scales", a)
+                      for a in (scales if np.ndim(scales) else [scales])])
+    if scales.size == 0:
+        raise GridError("scales must be a non-empty list of finite values")
     if np.any(np.diff(scales) == 0.0):
         raise GridError(f"scales must be distinct, got {scales.tolist()}")
-    for a in scales:
-        if a < MIN_SCALE_FACTOR * dt:
-            raise GridError(f"scale {a} below resolution threshold "
-                            f"{MIN_SCALE_FACTOR} * dt = {MIN_SCALE_FACTOR * dt}")
+    if scales[0] < MIN_SCALE_FACTOR * dt:
+        raise GridError(f"scale {scales[0]} below resolution threshold "
+                        f"{MIN_SCALE_FACTOR} * dt = {MIN_SCALE_FACTOR * dt}")
     lo, hi = valid_shift_range(n, dt, scales[-1])
     if shifts is None:
         return scales, np.arange(lo, hi + 1)

@@ -49,7 +49,8 @@ class DegenerateAsymptoticsError(MfbmwaveError):
 
 @dataclass(frozen=True)
 class WaveletCovQuery:
-    """Query for E[d^j_{a1, b+h} conj(d^k_{a2, b})]."""
+    """Query for E[d^j_{a1, b+h} conj(d^k_{a2, b})]: j and k pass
+    ``check_integer``, the scales ``check_step`` and h ``check_finite``."""
 
     j: int
     k: int
@@ -58,16 +59,9 @@ class WaveletCovQuery:
     h: float = 0.0
 
     def __post_init__(self):
-        # a Python int too large for a float compares as finite
-        try:
-            float(self.a1), float(self.a2), float(self.h)
-        except OverflowError:
-            raise MfbmwaveError("scales and lag h must fit in a float") from None
-        if not (0.0 < self.a1 < math.inf and 0.0 < self.a2 < math.inf):
-            raise MfbmwaveError(f"scales must be positive and finite, got "
-                                f"a1 = {self.a1}, a2 = {self.a2}")
-        if not -math.inf < self.h < math.inf:
-            raise MfbmwaveError(f"lag h must be finite, got {self.h}")
+        model.check_integer("j", self.j), model.check_integer("k", self.k)
+        model.check_step("scales", self.a1), model.check_step("scales", self.a2)
+        model.check_finite("lag h", self.h)
 
 
 def binom_gen(alpha: float, ell: int) -> float:
@@ -384,6 +378,7 @@ def asymptotic_law(params: MfbmParams, wavelet: HermiteWavelet, j: int, k: int,
     """Large-lag decay law of the wavelet cross-covariance."""
     M = wavelet.vanishing_moments
     model._check_index(params, j, k)
+    model.check_step("scales", a1), model.check_step("scales", a2)
     alpha = params.alpha(j, k)
     rho = float(params.rho[j, k])
     eta = float(params.eta[j, k])

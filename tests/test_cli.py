@@ -298,6 +298,39 @@ class TestValidationExitCodes:
                 else "the closed form at lag h = 1e+300 is not finite" in err)
         assert not (tmp_path / "o" / "theory_cov.csv").exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"scales": [1e308]}, "path too short for scale 1e+308"),
+        ({"scales": [4.0, sys.float_info.max]}, "path too short for scale")])
+    def test_cwt_scale_overflowing_margin(self, tmp_path, path_file, capsys,
+                                          payload, message):
+        # the margin 10 a / dt was made an int before the path compared it:
+        # an OverflowError at an infinite one
+        err = self.run(tmp_path, capsys, "cwt",
+                       {"path_file": str(path_file), "wavelet_m": 1,
+                        **payload})
+        assert message in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("payload", [{"a1": 1e308},
+                                         {"dt": 1e-300, "a1": 1e10}])
+    def test_estimate_scale_overflowing_margin(self, tmp_path, params_file,
+                                               capsys, no_synthesis, payload):
+        err = self.run(tmp_path, capsys, "estimate",
+                       {"params": str(params_file), "n": 256, "dt": 1.0,
+                        "count": 30, **payload})
+        assert "path too short for scale" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", ["coherence", "spectrum"])
+    def test_theory_frequency_not_finite(self, tmp_path, params_file, capsys,
+                                         kind, omega):
+        # JSON NaN and Infinity: coherence wrote NaN rows and exited 0
+        err = self.run(tmp_path, capsys, f"theory {kind}",
+                       {"params": str(params_file), "omegas": [0.5, omega]})
+        assert "omegas must be finite" in err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
     def test_cwt_directory_as_path_file(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, "cwt",
                        {"path_file": str(tmp_path), "wavelet_m": 1,
@@ -570,7 +603,7 @@ class TestValidationExitCodes:
 
     @pytest.mark.parametrize("payload, message", [
         ({"scales": []}, "non-empty list of finite values"),
-        ({"scales": [4.0, float("nan")]}, "non-empty list of finite values"),
+        ({"scales": [4.0, float("nan")]}, "scales must be positive and finite"),
         ({"scales": [4.0, 4.0]}, "scales must be distinct"),
         ({"scales": [4.0], "shifts": []}, "shifts must be a non-empty list"),
         ({"scales": [4.0], "wavelet_m": 13}, "above 12"),
@@ -849,7 +882,9 @@ class TestVerifyCommand:
 _FUZZ_BAD = [0, 1, -1, -1.5, 0.0, 2, 13, 1e300, [], [0], [-1.0], "x", None,
              True, float("nan"), "", ".", "..", "../x", "a/b", "o/../x",
              "x/", "params.txt"]
-_FUZZ_HUGE = [float("nan"), float("inf"), 1e300, 10 ** 8, 2 ** 64, -(2 ** 63)]
+# sys.float_info.max: a finite scale whose shift margin 10 a / dt is not
+_FUZZ_HUGE = [float("nan"), float("inf"), 1e300, sys.float_info.max, 10 ** 8,
+              2 ** 64, -(2 ** 63)]
 # valid sizes stay small.  A huge n or points_per_decade is refused before
 # anything is allocated, but a huge count is valid input, bounded only by time
 # and disk: count draws no finite value over its cap

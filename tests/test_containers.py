@@ -237,6 +237,21 @@ class TestBinary:
         with pytest.raises(ContainerError, match="invalid stored field"):
             load_field(io.BytesIO(bad_raw))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_stored_shift_not_finite(self, field, bad):
+        buf = io.BytesIO()
+        save_field(field, buf)
+        raw = buf.getvalue()
+        # header (8 bytes), p n_scales n_shifts dt n seed (40), two scales
+        # (16), then the shifts
+        at = 8 + 40 + 16
+        assert struct.unpack("<d", raw[at:at + 8]) == (field.shifts[0],)
+        bad_raw = raw[:at] + struct.pack("<d", bad) + raw[at + 8:]
+        with pytest.raises(ContainerError, match="invalid stored field: "
+                                                 "shifts must be finite"):
+            load_field(io.BytesIO(bad_raw))
+
     @pytest.mark.parametrize("kind", ["path", "field"])
     @pytest.mark.parametrize("dt", [float("nan"), 0.0, -1.0])
     def test_stored_step_checked(self, path, field, kind, dt):

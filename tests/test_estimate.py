@@ -503,7 +503,10 @@ class TestLagRule:
     @pytest.mark.parametrize("lags, n_shifts, message", [
         ([1, 2], None, "lag 0"), ([], 10, "lag 0"),
         ([0, -10], 10, "lag 10 exceeds available shifts \\(10\\)"),
-        ([0, 10 ** 300], 10, "exceeds available shifts")])
+        ([0, 10 ** 300], 10, "exceeds available shifts"),
+        # np.ravel made [0, True] the int array [0, 1]
+        ([0, True], 10, "got True"), ([False, 1], 10, "got False"),
+        ([0, np.True_], 10, "got np.True_"), ([0, "1"], 10, "got '1'")])
     def test_refused(self, lags, n_shifts, message):
         with pytest.raises(MfbmwaveError, match=message):
             estimate._check_lags(lags, n_shifts)
@@ -511,6 +514,7 @@ class TestLagRule:
     def test_admitted(self):
         estimate._check_lags([0, -9, 9], 10)
         estimate._check_lags(np.array([0, 3]))
+        estimate._check_lags([np.int64(0), np.float32(2.0), 4.0], 10)
 
     def test_integral_floats_admitted(self, fields):
         got = empirical_wavelet_cov(fields, WaveletCovQuery(0, 1, 4.0, 4.0),

@@ -476,10 +476,53 @@ class TestBranchContinuity:
 
 @pytest.mark.parametrize("w_min, w_max, per_decade", [
     (0.0, 1.0, 4), (1.0, 1.0, 4), (math.nan, 1.0, 4), (1.0, math.inf, 4),
-    (1e-309, 10.0, 4), (0.1, 10.0, 0), (0.1, 10.0, 10 ** 300)])
+    (1e-309, 10.0, 4), (0.1, 10.0, 0), (0.1, 10.0, 10 ** 300),
+    # 1e-300 points a decade overflowed 10.0 ** (1 / points_per_decade)
+    (1e-4, 1e3, 1e-300), (1e-4, 1e3, True), (True, 1e3, 64), (1e-4, "1e3", 64)])
 def test_omega_grid_checks(w_min, w_max, per_decade):
     with pytest.raises(MfbmwaveError):
         make_log_omega_grid(w_min, w_max, per_decade)
+
+
+P_SPECTRAL = MfbmParams.bivariate(0.35, 0.6, rho=0.5, eta=0.1)
+SPECTRAL_ROUTES = {
+    "density": lambda q: cross_spectral_density(q, P_SPECTRAL,
+                                                gaussian_derivative(2), [0.5]),
+    "coherence": lambda q: coherence(q, P_SPECTRAL, gaussian_derivative(2),
+                                     [0.5]),
+    "zero": lambda q: zero_frequency_behavior(q, P_SPECTRAL,
+                                              gaussian_derivative(2)),
+    "inverse": lambda q: inverse_spectral_cov(q, P_SPECTRAL,
+                                              gaussian_derivative(2), 1.0)}
+
+
+@pytest.mark.parametrize("route", sorted(SPECTRAL_ROUTES))
+def test_spectral_routes_check_components(route):
+    # k = 5 was an IndexError of params.alpha and j = 0.5 a TypeError
+    call = SPECTRAL_ROUTES[route]
+    with pytest.raises(model.ComponentIndexError, match="out of range"):
+        call(WaveletCovQuery(0, 5, 1.0, 2.0))
+    with pytest.raises(MfbmwaveError, match="j must be an integer"):
+        call(WaveletCovQuery(0.5, 1, 1.0, 2.0))
+    call(WaveletCovQuery(np.int64(1), 0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, True,
+                               10 ** 400])
+def test_inverse_lag_finite(h):
+    # a NaN lag was a QuadratureError after a full quadrature
+    with pytest.raises(MfbmwaveError, match="lag h must be finite"):
+        inverse_spectral_cov(WaveletCovQuery(0, 1, 1.0, 2.0), P_SPECTRAL,
+                             gaussian_derivative(2), h)
+
+
+@pytest.mark.parametrize("omegas", [[math.nan], [0.5, math.inf], [True],
+                                    ["0.5"], [1j]])
+def test_frequencies_finite(omegas):
+    query = WaveletCovQuery(0, 1, 1.0, 2.0)
+    for call in (cross_spectral_density, coherence):
+        with pytest.raises(MfbmwaveError, match="omegas must be finite"):
+            call(query, P_SPECTRAL, gaussian_derivative(2), omegas)
 
 
 def test_omega_grid_budget(monkeypatch):

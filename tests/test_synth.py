@@ -407,8 +407,34 @@ def test_small_streams_pinned(monkeypatch, workers):
             for count in range(1, 6):
                 for path in synth.iter_ensemble(params, n, 1.0, 41, count):
                     h.update(path.values.tobytes())
-    assert h.hexdigest() == ("9e8cb933957ad1298f85e2262f7539ef"
-                             "e4ee8f9fc43a8fecbe9e887abf9f94da")
+    assert h.hexdigest() == ("657f515eacaa3cfdf9c50ae559b3d1a0"
+                             "034b203cb7ed9c1ce8a1df69ec62ed26")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_is_replicate_zero(monkeypatch, workers):
+    # simulate(seed) is replicate 0 of every count and a count's paths a
+    # prefix of a larger count's, bit for bit, and at seed 0 they are the
+    # seed scheme spelled out.  At n = 3 (m = 4) the one frequency above m/2
+    # gave a chunk of one draw (1, 1) operands, with other bits than a chunk
+    # of several, and numpy's in-place negative of its imaginary parts, a
+    # float view with a 64-byte stride, read the wrong elements
+    split(monkeypatch, synth._PIECE_MATRICES, workers)
+    for params in (BRANCHES[1, False], TestSeedScheme.PARAMS, TRIVARIATE):
+        for n in range(2, 14):
+            for seed in range(8):
+                nine = [path.values for path in
+                        replicate_ensemble(params, n, 1.0, seed, 9)]
+                assert np.array_equal(simulate(params, n, 1.0, seed)[0].values,
+                                      nine[0]), (params.p, n, seed)
+                for count in range(1, 9):
+                    paths = replicate_ensemble(params, n, 1.0, seed, count)
+                    assert all(np.array_equal(path.values, values)
+                               for path, values in zip(paths, nine))
+                if seed == 0:
+                    np.testing.assert_allclose(
+                        nine, reference_paths(params, n, 1.0, seed, 9),
+                        rtol=0.0, atol=1e-12)
 
 
 class TestDrawAhead:

@@ -555,8 +555,17 @@ class TestInputChecks:
         ([], None), ([4.0, float("nan")], None), ([float("inf")], None),
         ([4.0], [])])
     def test_empty_or_nonfinite_grid(self, scales, shifts):
-        with pytest.raises(GridError, match="non-empty"):
+        # an empty grid is a GridError, a non-finite scale fails the step rule
+        with pytest.raises(MfbmwaveError, match="non-empty|scales must be "
+                                                "positive and finite"):
             wavelets._grid(128, 1.0, scales, shifts)
+
+    @pytest.mark.parametrize("scale", [0.0, -4.0, True, "4", 10 ** 400, None])
+    def test_scale_rule(self, scale):
+        # each scale passes the step rule of model, before the grid checks
+        with pytest.raises(MfbmwaveError,
+                           match="scales must be positive and finite"):
+            wavelets._grid(128, 1.0, [4.0, scale], None)
 
     def test_repeated_scale(self):
         with pytest.raises(GridError, match="scales must be distinct"):
@@ -572,6 +581,22 @@ class TestInputChecks:
     def test_order_range(self, order):
         with pytest.raises(MfbmwaveError, match="atom orders"):
             gaussian_derivative(order)
+
+    @pytest.mark.parametrize("order", [2.7, 2.0, "3", True, None])
+    def test_order_integer(self, order):
+        # int(2.7) made psi_2 of gaussian_derivative(2.7)
+        with pytest.raises(MfbmwaveError, match="atom order must be an integer"):
+            gaussian_derivative(order)
+        with pytest.raises(MfbmwaveError, match="atom order must be an integer"):
+            HermiteWavelet([(1.0, 1), (0.5, order)])
+        assert gaussian_derivative(np.int64(3)).vanishing_moments == 3
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"),
+                                       complex(1.0, float("nan")),
+                                       complex(-float("inf"), 0.0)])
+    def test_coefficient_finite(self, coeff):
+        with pytest.raises(MfbmwaveError, match="coefficients must be finite"):
+            HermiteWavelet([(1.0, 1), (coeff, 2)])
 
     def test_overflowing_scale(self):
         with pytest.raises(MfbmwaveError, match="overflow the closed form"):
@@ -613,12 +638,22 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("scales", [
         [6.0, 4.0], [4.0, 4.0], [0.0, 4.0], [-1.0, 4.0],
-        [4.0, float("nan")], [float("nan"), 4.0], [4.0, float("inf")]])
+        [4.0, float("nan")], [float("nan"), 4.0], [4.0, float("inf")],
+        [True, 4.0], [4.0, "8"]])
     def test_field_scales_refused(self, scales):
-        # NaN and +inf passed the numpy comparisons of scales <= 0
-        with pytest.raises(MfbmwaveError, match="finite, strictly positive and sorted"):
+        # NaN and +inf passed the numpy comparisons of scales <= 0; each
+        # scale passes the step rule, then the grid must ascend
+        with pytest.raises(MfbmwaveError, match="scales must be (positive and "
+                                                "finite|ascending and distinct)"):
             wavelets.WaveletField(coeffs=np.zeros((1, 2, 5)), scales=scales,
                                   shifts=np.arange(5.0), dt=1.0, n=64)
+
+    @pytest.mark.parametrize("shift", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_field_shifts_finite(self, shift):
+        with pytest.raises(MfbmwaveError, match="shifts must be finite"):
+            wavelets.WaveletField(coeffs=np.zeros((1, 1, 3)), scales=[4.0],
+                                  shifts=[0.0, shift, 2.0], dt=1.0, n=64)
 
     def test_field_scales_two_dimensional(self):
         with pytest.raises(MfbmwaveError, match="inconsistent with scale/shift"):

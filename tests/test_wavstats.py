@@ -350,16 +350,25 @@ class TestDecayFit:
 
 
 @pytest.mark.parametrize("a1, a2", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0),
-                                    (1.0, math.inf)])
+                                    (1.0, math.inf), (True, 1.0), (1.0, "1")])
 def test_query_scales_positive_and_finite(a1, a2):
     with pytest.raises(MfbmwaveError, match="scales must be positive"):
         WaveletCovQuery(0, 1, a1, a2)
 
 
-@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, True, "0"])
 def test_query_lag_finite(h):
     with pytest.raises(MfbmwaveError, match="lag h must be finite"):
         WaveletCovQuery(0, 1, 1.0, 1.0, h)
+
+
+@pytest.mark.parametrize("a1", [0.0, -1.0, math.nan, math.inf, True])
+def test_asymptotic_law_scales(a1):
+    # the scales were unchecked: a1 = 0 gave a zero law, NaN a NaN one
+    params = MfbmParams.bivariate(0.3, 0.4, rho=0.5)
+    for a, b in ((a1, 1.0), (1.0, a1)):
+        with pytest.raises(MfbmwaveError, match="scales must be positive"):
+            asymptotic_law(params, gaussian_derivative(2), 0, 1, a, b)
 
 
 @pytest.mark.parametrize("a1, a2, h", [(1.0, 1.0, 10 ** 400),
@@ -369,8 +378,9 @@ def test_query_lag_finite(h):
                          ids=["h", "-h", "a1", "a2"])
 def test_query_fits_a_float(a1, a2, h):
     # such an int compares as finite, and the closed form's float() of it
-    # raised OverflowError
-    with pytest.raises(MfbmwaveError, match="must fit in a float"):
+    # raised OverflowError; the step and finite rules refuse it
+    with pytest.raises(MfbmwaveError,
+                       match="scales must be positive and finite|lag h must be finite"):
         WaveletCovQuery(0, 1, a1, a2, h)
     query = WaveletCovQuery(0, 1, 2 ** 3, 4, -(2 ** 60))   # ints that fit
     assert (query.a1, query.h) == (8, -(2 ** 60))
